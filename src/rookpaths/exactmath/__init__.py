@@ -1,7 +1,8 @@
 """Exact arithmetic kernel: rationals, sparse polynomials, rational functions,
 truncated power series, and fraction-free linear algebra."""
 
-from .mpoly import MPoly, VAR_ORDER, canonical_vars, monomial_key, mpoly_gcd, mpoly_lcm, poly, resultant
+from .mpoly import (MPoly, VAR_ORDER, canonical_vars, frac_gcd, monomial_key, mpoly_gcd, mpoly_lcm,
+                    poly, resultant)
 from .ratfun import RatFun, ratfun
 from .series import DEFAULT_ORDER, PowerSeries, series_compose, series_nth_root
 from .linalg import ExactMatrix, linear_nullspace
@@ -10,6 +11,7 @@ __all__ = [
     "MPoly",
     "VAR_ORDER",
     "canonical_vars",
+    "frac_gcd",
     "monomial_key",
     "mpoly_gcd",
     "mpoly_lcm",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .mpoly import MPoly, mpoly_gcd, mpoly_lcm
+from .mpoly import MPoly, frac_gcd, mpoly_gcd, mpoly_lcm
 from .ratfun import RatFun
 
 
@@ -160,7 +160,7 @@ def _strip_content(row: dict[int, MPoly]) -> dict[int, MPoly]:
     if g.is_constant():
         c = Fraction(0)
         for e in entries:
-            c = _frac_gcd(c, e.rational_content())
+            c = frac_gcd(c, e.rational_content())
             if c == 1:
                 break
         if c == 1:
@@ -170,17 +170,6 @@ def _strip_content(row: dict[int, MPoly]) -> dict[int, MPoly]:
     g = g.primitive_part()
     stripped = {j: e.divide_exact(g) for j, e in row.items()}
     return _strip_content(stripped)
-
-
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    from math import gcd
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    g = gcd(a.denominator, b.denominator)
-    return Fraction(gcd(a.numerator * (b.denominator // g), b.numerator * (a.denominator // g)),
-                    (a.denominator * b.denominator) // g)
 
 
 def _clear_vector(v: dict[int, RatFun], ncols: int, vars: tuple[str, ...]) -> list[MPoly]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .mpoly import MPoly, mpoly_gcd, poly
+from .mpoly import MPoly, frac_gcd, mpoly_gcd, poly
 
 Scalar = Union[int, Fraction]
 
@@ -39,7 +39,7 @@ class RatFun:
                 num = num.divide_exact(g)
                 den = den.divide_exact(g)
         # Joint scaling: integer coefficients, content 1, positive lead in den.
-        scale = 1 / _joint_content(num, den)
+        scale = 1 / frac_gcd(num.rational_content(), den.rational_content())
         if den.leading_coeff() < 0:
             scale = -scale
         self.num = num * scale
@@ -222,16 +222,6 @@ class RatFun:
             ntext, _, dtext = text[1:-1].partition(")/(")
             return RatFun(MPoly.parse(ntext, vars), MPoly.parse(dtext, vars))
         return RatFun(MPoly.parse(text, vars))
-
-
-def _joint_content(num: MPoly, den: MPoly) -> Fraction:
-    cn = num.rational_content()
-    cd = den.rational_content()
-    # gcd of two positive rationals
-    from math import gcd
-    return Fraction(gcd(cn.numerator * (cd.denominator // gcd(cn.denominator, cd.denominator)),
-                        cd.numerator * (cn.denominator // gcd(cn.denominator, cd.denominator))),
-                    (cn.denominator * cd.denominator) // gcd(cn.denominator, cd.denominator))
 
 
 def _eval_poly_at_ratfun(p: MPoly, values: Mapping[str, RatFun], tvars: tuple[str, ...]) -> RatFun:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactmath import ExactMatrix, MPoly, PowerSeries, RatFun, linear_nullspace, mpoly_gcd, mpoly_lcm
+from .exactmath import (ExactMatrix, MPoly, PowerSeries, RatFun, frac_gcd, linear_nullspace, mpoly_gcd,
+                        mpoly_lcm)
 from .walks import SeqTable
 
 N_VARS = ("n",)
@@ -224,7 +225,7 @@ class DiffOp:
             polys = {e: p.divide_exact(g) for e, p in polys.items()}
         content = Fraction(0)
         for p in polys.values():
-            content = _frac_gcd(content, p.rational_content())
+            content = frac_gcd(content, p.rational_content())
         top = max(polys, key=lambda e: (sum(e), e))
         if polys[top].leading_coeff() < 0:
             content = -content
@@ -279,8 +280,8 @@ def _iter_derivative(c: RatFun, dvars: tuple[str, ...], k: tuple[int, ...],
     return val
 
 
-def _derivative_from_cache(target: RatFun, dvars: tuple[str, ...],
-                           exp: tuple[int, ...], cache: dict) -> RatFun:
+def _derivative_from_cache(target, dvars: tuple[str, ...], exp: tuple[int, ...], cache: dict):
+    """d^exp target, memoized in cache; target is anything with .derivative(var)."""
     if exp in cache:
         return cache[exp]
     # Step down one derivative from the nearest cached ancestor.
@@ -292,16 +293,6 @@ def _derivative_from_cache(target: RatFun, dvars: tuple[str, ...],
             cache[exp] = val
             return val
     return target
-
-
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    g = math.gcd(a.denominator, b.denominator)
-    return Fraction(math.gcd(a.numerator * (b.denominator // g), b.numerator * (a.denominator // g)),
-                    (a.denominator * b.denominator) // g)
 
 
 def op_multiply(a, b):
@@ -450,7 +441,7 @@ class RecOp:
             return op
         content = Fraction(0)
         for q in op.terms.values():
-            content = _frac_gcd(content, q.rational_content())
+            content = frac_gcd(content, q.rational_content())
         lead = op.terms[min(op.terms)]
         if lead.leading_coeff() < 0:
             content = -content

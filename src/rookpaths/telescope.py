@@ -9,16 +9,16 @@ recombines the certificates into (S, T), and the key equation is verified
 by exact rational normalization, a self-contained proof regardless of how
 the candidates were found.
 
-Certificate denominators come from two mechanisms.  Triangular parametrized
-systems (stage B, and any single unknown) get a universal denominator from
-classical local pole analysis, followed by a minimal-numerator-degree sweep
-that also fixes the gauge freedom of the congruence (solutions with a zero
+Every certificate comes from one rational solver for parametrized
+first-order systems (rational_solve_cascade): classical local pole analysis
+gives a universal denominator per component, and a minimal-numerator-degree
+sweep fixes the gauge freedom of the congruence (solutions with a zero
 operator block are the trivial exact certificates and are quotiented away).
-Elsewhere, candidates are products of powers of factors harvested from F
-(denominator factors, the leading-coefficient discriminant, and normalizing
-factors), escalated in a fixed graded order.  Both paths pre-screen by
-freezing the passive variables at two rational points; the exact solve is
-always the decider and everything returned re-verifies.
+Each degree level is first screened by freezing the passive variables at two
+rational points; the exact solve is always the decider and everything
+returned re-verifies.  Stage A then strips the operator block's polynomial
+content and fixes the remaining gauge phi -> phi - lambda(x, s)/F, so the
+certificates come out in a canonical form.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import ExactMatrix, MPoly, RatFun, linear_nullspace, monomial_key, mpoly_lcm, poly
-from .ore import DiffOp
+from .exactmath import (ExactMatrix, MPoly, RatFun, frac_gcd, linear_nullspace, monomial_key,
+                        mpoly_gcd, mpoly_lcm, poly)
+from .ore import DiffOp, _derivative_from_cache
 from . import rookdata
 
 XST = ("x", "s", "t")
@@ -179,28 +180,17 @@ def apply_op_factored(op: DiffOp, target: FactoredFrac,
                       factors: Sequence[MPoly]) -> FactoredFrac:
     """Apply a DiffOp to a factored fraction over a larger variable ring."""
     tvars = target.vars
-    cache: dict[tuple[int, ...], FactoredFrac] = {(0,) * len(op.dvars): target}
-
-    def deriv(exp: tuple[int, ...]) -> FactoredFrac:
-        if exp in cache:
-            return cache[exp]
-        for i, e in enumerate(exp):
-            if e > 0:
-                parent = exp[:i] + (e - 1,) + exp[i + 1:]
-                val = deriv(parent).derivative(op.dvars[i])
-                cache[exp] = val
-                return val
-        return target
-
+    cache: dict[tuple[int, ...], FactoredFrac] = {}
     result = FactoredFrac(MPoly.zero(tvars))
     for exp in sorted(op.terms, key=lambda e: (sum(e), e)):
         c = op.terms[exp].extend_vars(tvars)
-        result = result + FactoredFrac.from_ratfun(c, factors) * deriv(exp)
+        d = _derivative_from_cache(target, op.dvars, exp, cache)
+        result = result + FactoredFrac.from_ratfun(c, factors) * d
     return result
 
 
 # ---------------------------------------------------------------------------
-# Factor harvest and denominator candidates
+# Reduction factors for the verification arithmetic
 # ---------------------------------------------------------------------------
 
 
@@ -211,50 +201,6 @@ def reduction_factors() -> list[MPoly]:
     out = [poly(t, XST).primitive_part() for t in texts]
     out.append(rookdata.q1().primitive_part())
     return out
-
-
-def candidate_factors() -> list[MPoly]:
-    """Denominator building blocks: den factors of F, disc, and normalizers."""
-    return [
-        poly("s", XST),
-        poly("t", XST),
-        poly("s-1", XST),
-        poly("3*s-2", XST),
-        poly("t-x", XST),
-        rookdata.q1(),
-        rookdata.disc_t_q1(),
-    ]
-
-
-def denominator_candidates(main_var: str, allowed_vars: tuple[str, ...] = XST,
-                           max_power: int = 3) -> list[MPoly]:
-    """Candidate denominators in a fixed graded escalation order.
-
-    Products of powers (each <= max_power) of the factors that involve the
-    main variable and no variable outside the system ring, ordered by total
-    power, then main-variable degree, then canonical text; the order is the
-    determinism contract for escalation.
-    """
-    relevant = [f for f in candidate_factors()
-                if f.degree(main_var) > 0
-                and all(f.degree(v) == 0 for v in f.vars if v not in allowed_vars)]
-    combos: list[tuple[int, int, str, MPoly]] = []
-
-    def rec(idx: int, exps: list[int]):
-        if idx == len(relevant):
-            if any(exps):
-                prod = MPoly.const(XST, 1)
-                for f, e in zip(relevant, exps):
-                    if e:
-                        prod = prod * f ** e
-                combos.append((sum(exps), prod.degree(main_var), prod.text(), prod))
-            return
-        for e in range(max_power + 1):
-            rec(idx + 1, exps + [e])
-
-    rec(0, [])
-    combos.sort(key=lambda c: (c[0], c[1], c[2]))
-    return [c[3] for c in combos]
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +373,6 @@ def _squarefree_decomposition(p: MPoly, v: str) -> list[MPoly]:
     single squarefree part) lets the gcd-free refinement separate factors
     whose multiplicities differ, so pole orders read off correctly.
     """
-    from .exactmath import mpoly_gcd
     p = p.primitive_part()
     dp = p.derivative(v)
     if dp.is_zero():
@@ -449,7 +394,6 @@ def _squarefree_decomposition(p: MPoly, v: str) -> list[MPoly]:
 
 def _gcd_free_basis(polys: list[MPoly], v: str) -> list[MPoly]:
     """Pairwise-coprime factors (degree >= 1 in v) generating the inputs."""
-    from .exactmath import mpoly_gcd
     basis: list[MPoly] = []
     queue = [p.primitive_part() for p in polys if p.degree(v) > 0]
     while queue:
@@ -475,7 +419,6 @@ def universal_denominator(a: RatFun, rhs_dens: list[MPoly],
     """Denominator multiple for rational solutions of y' + a y = b,
     where the right sides b range over fractions with the listed
     denominators."""
-    from .exactmath import mpoly_gcd
     vars = a.vars
     pool = _squarefree_decomposition(a.den, main_var)
     for den in rhs_dens:
@@ -567,8 +510,9 @@ def rational_solve_cascade(A: Sequence[Sequence[RatFun]],
     degree rises from zero to the infinity bound and stops at the first
     level carrying a solution with a nonzero parameter block (levels with
     only parameter-free solutions are trivial certificates and keep the
-    search going).  Returns None when the system is not lower-triangular;
-    the caller then falls back to the denominator-candidate escalation.
+    search going).  A level is solved exactly only if the screen finds such
+    a solution with the passive variables frozen.  Returns None when the
+    system is not lower-triangular.
     """
     n = len(A)
     for i in range(n):
@@ -593,9 +537,31 @@ def rational_solve_cascade(A: Sequence[Sequence[RatFun]],
         dens.append(u)
         caps.append(degree_bound(A[i][i], u, rhs_degrees, main_var))
 
-    # Deterministic pre-screen: freeze the passive variables and look for a
-    # nonzero-parameter solution of the evaluated system first.
-    saw_positive = False
+    top = max(caps) if caps else 0
+    for bound in range(top + 1):
+        bounds = [min(bound, c) for c in caps]
+        if not _screen(A, B, dens, bounds, main_var):
+            continue
+        sols = solve_parametrized_system(A, B, dens, bounds, main_var)
+        if any(_has_parameter(s) for s in sols):
+            return reduce_modulo_trivial(sols, dens, bounds, main_var, A[0][0].vars)
+    return []
+
+
+# Fixed evaluation points for screening (deterministic).
+_SCREEN_POINTS = (
+    {"x": Fraction(7, 13), "s": Fraction(3, 11)},
+    {"x": Fraction(-5, 7), "s": Fraction(9, 4)},
+)
+
+
+def _has_parameter(sol: ParamSolution) -> bool:
+    return not all(p.is_zero() for p in sol.e)
+
+
+def _screen(A, B, dens: Sequence[MPoly], bounds: Sequence[int], main_var: str) -> bool:
+    """Cheap necessary test: does a nonzero-parameter solution survive with
+    the passive variables frozen at one of the screening points?"""
     fullvars = A[0][0].vars
     for point in _SCREEN_POINTS:
         pt = {k: w for k, w in point.items() if k in fullvars and k != main_var}
@@ -605,25 +571,18 @@ def rational_solve_cascade(A: Sequence[Sequence[RatFun]],
             dens_e = [dd.eval_at({k: w for k, w in pt.items() if k in dd.vars}).aligned((main_var,))
                       for dd in dens]
             if any(dd.is_zero() for dd in dens_e):
-                saw_positive = True
-                break
-            sols_e = solve_parametrized_system(Ae, Be, dens_e, caps, main_var, verify=False)
+                return True
+            sols = solve_parametrized_system(Ae, Be, dens_e, bounds, main_var, verify=False)
         except ZeroDivisionError:
-            saw_positive = True
-            break
-        if any(not all(p.is_zero() for p in s.e) for s in sols_e):
-            saw_positive = True
-            break
-    if not saw_positive:
-        return []
+            return True  # unlucky point; let the exact solve decide
+        if any(_has_parameter(s) for s in sols):
+            return True
+    return False
 
-    top = max(caps) if caps else 0
-    for bound in range(top + 1):
-        bounds = [min(bound, c) for c in caps]
-        sols = solve_parametrized_system(A, B, dens, bounds, main_var)
-        if any(not all(p.is_zero() for p in s.e) for s in sols):
-            return reduce_modulo_trivial(sols, dens, bounds, main_var, fullvars)
-    return []
+
+def _eval_ratfun(entry: RatFun, point: dict, main_var: str) -> RatFun:
+    e = entry.eval_at(point)
+    return RatFun(e.num.aligned((main_var,)), e.den.aligned((main_var,)), _reduced=True)
 
 
 def reduce_modulo_trivial(sols: list[ParamSolution], dens: Sequence[MPoly],
@@ -638,8 +597,8 @@ def reduce_modulo_trivial(sols: list[ParamSolution], dens: Sequence[MPoly],
     """
     kvars = tuple(v for v in fullvars if v != main_var)
     nz = sum(b + 1 for b in bounds)
-    trivial = [s for s in sols if all(p.is_zero() for p in s.e)]
-    particular = [s for s in sols if not all(p.is_zero() for p in s.e)]
+    trivial = [s for s in sols if not _has_parameter(s)]
+    particular = [s for s in sols if _has_parameter(s)]
     if not trivial:
         return particular
 
@@ -702,11 +661,9 @@ def _clear_ratfun_vector(vec: list[RatFun], kvars: tuple[str, ...]) -> list[MPol
 
 @dataclass
 class Ansatz:
-    """Search shape: operator support, certificate denominator, degree bound."""
+    """Search shape: the operator support."""
 
     support: tuple[tuple[int, int], ...]
-    denominator: MPoly | None = None
-    numerator_degree_bound: int = 8
 
     def __post_init__(self):
         if not self.support:
@@ -802,21 +759,16 @@ def _lift_op(op: DiffOp, dvars: tuple[str, ...]) -> DiffOp:
 # Stage A
 # ---------------------------------------------------------------------------
 
-# Fixed evaluation points for candidate pre-screening (deterministic).
-_SCREEN_POINTS = (
-    {"x": Fraction(7, 13), "s": Fraction(3, 11)},
-    {"x": Fraction(-5, 7), "s": Fraction(9, 4)},
-)
-
-
 def stage_a_search(F: RatFun, total_order: int, ansatz: Ansatz | None = None) -> list[StageACertificate]:
     """Operators sum eta_e d^e (support e) with P(F) = d/dt(phi F).
 
     Default support is every d_x^i d_s^j with i+j <= total_order; an explicit
-    ansatz restricts the support and may pin the certificate denominator.
-    Results are scaled so the operator block has integer content 1 and the
-    designated (highest-support) coefficient a positive leading coefficient;
-    every certificate is re-verified before being returned.
+    ansatz restricts the support.  The operator block is freed of its
+    polynomial content and phi of the gauge term lambda(x, s)/F that cancels
+    a pole of phi; results are then scaled so the operator block has integer
+    content 1 and the designated (highest-support) coefficient a positive
+    leading coefficient.  Every certificate is re-verified before being
+    returned.
     """
     if total_order < 0:
         raise ValueError("total order must be >= 0")
@@ -826,91 +778,66 @@ def stage_a_search(F: RatFun, total_order: int, ansatz: Ansatz | None = None) ->
         ansatz = Ansatz(support=support)
     support = tuple(sorted(ansatz.support, key=monomial_key))
 
-    dF = {
-        (0, 0): F,
-    }
-    f_t = F.derivative("t")
-    A = [[f_t / F]]
-    B_cols = []
-    for e in support:
-        B_cols.append(_derivative_of(F, dF, e) / F)
-    B = [B_cols]
-
-    candidates = ([ansatz.denominator] if ansatz.denominator is not None
-                  else denominator_candidates("t"))
-    bound = ansatz.numerator_degree_bound
-    for dc in candidates:
-        if not _screen_candidate(A, B, dc, bound, "t"):
-            continue
-        sols = solve_parametrized_system(A, B, dc, bound, "t")
-        sols = reduce_modulo_trivial(sols, [dc], [bound], "t", F.vars)
-        certs = []
-        for sol in sols:
-            cert = _stage_a_solution_to_cert(sol, support, F)
-            if cert is not None:
-                certs.append(cert)
-        if certs:
-            return certs
-    return []
+    cache: dict[tuple[int, ...], RatFun] = {}
+    A = [[F.derivative("t") / F]]
+    B = [[_derivative_from_cache(F, ("x", "s"), e, cache) / F for e in support]]
+    sols = rational_solve_cascade(A, B, "t")
+    return [_stage_a_solution_to_cert(sol, support, F) for sol in sols]
 
 
-def _derivative_of(F: RatFun, cache: dict, e: tuple[int, int]) -> RatFun:
-    if e in cache:
-        return cache[e]
-    i, j = e
-    if i > 0:
-        val = _derivative_of(F, cache, (i - 1, j)).derivative("x")
-    else:
-        val = _derivative_of(F, cache, (i, j - 1)).derivative("s")
-    cache[e] = val
-    return val
-
-
-def _screen_candidate(A, B, dc: MPoly, bound: int, main_var: str) -> bool:
-    """Cheap necessary test: solve with passive variables frozen at two points."""
-    for point in _SCREEN_POINTS:
-        point = {k: v for k, v in point.items() if k in A[0][0].vars and k != main_var}
-        try:
-            Ae = [[_eval_ratfun(entry, point, main_var) for entry in row] for row in A]
-            Be = [[_eval_ratfun(entry, point, main_var) for entry in row] for row in B]
-            dce = dc.eval_at({k: v for k, v in point.items() if k in dc.vars}).aligned((main_var,))
-            if dce.is_zero():
-                return True
-            sols = solve_parametrized_system(Ae, Be, dce, bound, main_var, verify=False)
-        except ZeroDivisionError:
-            return True  # unlucky point; let the exact solve decide
-        if not sols:
-            return False
-    return True
-
-
-def _eval_ratfun(entry: RatFun, point: dict, main_var: str) -> RatFun:
-    e = entry.eval_at(point)
-    return RatFun(e.num.aligned((main_var,)), e.den.aligned((main_var,)), _reduced=True)
+def stage_a_pair(F: RatFun) -> list[StageACertificate]:
+    """The two stage-A certificates stages B and C work modulo: total order 1,
+    then order 2 in d_x alone."""
+    return (stage_a_search(F, 1)
+            + stage_a_search(F, 2, Ansatz(support=((0, 0), (1, 0), (2, 0)))))
 
 
 def _stage_a_solution_to_cert(sol: ParamSolution, support: tuple[tuple[int, int], ...],
-                              F: RatFun) -> StageACertificate | None:
-    nz = len(sol.raw) - len(support)
-    eta_block = sol.raw[nz:]
-    if all(p.is_zero() for p in eta_block):
-        return None  # operator part vanishes: not a telescoping certificate
+                              F: RatFun) -> StageACertificate:
+    content = MPoly.zero(sol.e[0].vars)
+    for p in sol.e:
+        content = mpoly_gcd(content, p)
+    eta_block = [p.divide_exact(content) for p in sol.e]
+    phi = _fix_gauge(sol.y[0] / RatFun(content.with_vars(F.vars)), F)
     scale = _operator_block_scale(eta_block, support)
     op = DiffOp(("x", "s"), ("x", "s"),
                 {e: RatFun(p.with_vars(("x", "s")) * scale)
                  for e, p in zip(support, eta_block)})
-    phi = sol.y[0] * scale
-    cert = StageACertificate(operator=op, phi=phi)
+    cert = StageACertificate(operator=op, phi=phi * scale)
     if not cert.verify(F):
         raise TelescopeError("stage A produced a certificate that fails its identity")
     return cert
+
+
+def _fix_gauge(phi: RatFun, F: RatFun) -> RatFun:
+    """Canonical phi in the class phi + lambda(x, s)/F, all with equal d/dt(phi F).
+
+    At the first t-linear factor t - r of F (in gcd-free basis order) where
+    lambda = (phi F)|_{t=r} lowers the t-degree of phi's denominator, shift
+    by that lambda; otherwise phi is already canonical.
+    """
+    parts = [F.num, F.num.derivative("x"), F.num.derivative("s"), F.den]
+    for f in _gcd_free_basis(parts, "t"):
+        if f.degree("t") != 1:
+            continue
+        c0, c1 = f.coeffs_in("t")
+        values = {v: RatFun(MPoly.var(F.vars, v)) for v in F.vars}
+        values["t"] = RatFun(-c0, c1)
+        try:
+            lam = (phi * F).subs(values)
+        except ZeroDivisionError:
+            continue  # phi F has a pole at t = r
+        shifted = phi - lam / F
+        if shifted.den.degree("t") < phi.den.degree("t"):
+            return shifted
+    return phi
 
 
 def _operator_block_scale(block: Sequence[MPoly], support: Sequence[tuple[int, ...]]) -> Fraction:
     content = Fraction(0)
     for p in block:
         if not p.is_zero():
-            content = _frac_gcd2(content, p.rational_content())
+            content = frac_gcd(content, p.rational_content())
     designated = max(range(len(support)), key=lambda i: monomial_key(tuple(support[i])))
     sign = 1
     probe = block[designated]
@@ -924,23 +851,12 @@ def _operator_block_scale(block: Sequence[MPoly], support: Sequence[tuple[int, .
     return Fraction(sign) / content
 
 
-def _frac_gcd2(a: Fraction, b: Fraction) -> Fraction:
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    g = math.gcd(a.denominator, b.denominator)
-    return Fraction(math.gcd(a.numerator * (b.denominator // g), b.numerator * (a.denominator // g)),
-                    (a.denominator * b.denominator) // g)
-
-
 # ---------------------------------------------------------------------------
 # Stage B
 # ---------------------------------------------------------------------------
 
 
-def stage_b_search(P1: DiffOp, P2: DiffOp, d: int,
-                   degree_bound: int = 8) -> tuple[DiffOp, DiffOp] | None:
+def stage_b_search(P1: DiffOp, P2: DiffOp, d: int) -> tuple[DiffOp, DiffOp] | None:
     """Find P = sum eta_i d_x^i (i <= d) and Q = phi_0 + phi_1 d_x with
     P congruent to d_s Q modulo the left ideal generated by (P1, P2).
 
@@ -978,33 +894,16 @@ def stage_b_search(P1: DiffOp, P2: DiffOp, d: int,
 
     sols = rational_solve_cascade(A, B, "s")
     if sols is None:
-        # Non-triangular fallback: escalate through denominator candidates.
-        for dc in denominator_candidates("s", allowed_vars=("x", "s")):
-            if not _screen_candidate(A, B, dc, degree_bound, "s"):
-                continue
-            sols = solve_parametrized_system(A, B, dc, degree_bound, "s")
-            sols = reduce_modulo_trivial(sols, [dc, dc], [degree_bound] * 2, "s",
-                                         A[0][0].vars)
-            if sols:
-                break
-        else:
-            sols = []
-    results = []
-    for sol in sols:
-        pq = _stage_b_solution_to_ops(sol, d)
-        if pq is not None:
-            results.append(pq)
-    if not results:
+        raise TelescopeError("stage B: the reduced system is not lower-triangular")
+    if not sols:
         return None
-    if len(results) > 1:
+    if len(sols) > 1:
         raise TelescopeError("unexpected multi-dimensional stage B solution space")
-    return results[0]
+    return _stage_b_solution_to_ops(sols[0], d)
 
 
-def _stage_b_solution_to_ops(sol: ParamSolution, d: int) -> tuple[DiffOp, DiffOp] | None:
+def _stage_b_solution_to_ops(sol: ParamSolution, d: int) -> tuple[DiffOp, DiffOp]:
     eta_block_raw = sol.e
-    if all(p.is_zero() for p in eta_block_raw):
-        return None
     support = [(i,) for i in range(d + 1)]
     scale = _operator_block_scale(eta_block_raw, support)
     P = DiffOp(("x",), ("x",),

@@ -1,7 +1,7 @@
 import pytest
 
 from rookpaths import rookdata
-from rookpaths.telescope import Ansatz, stage_a_search, stage_b_search, stage_c_reconstruct
+from rookpaths.telescope import stage_a_pair, stage_b_search, stage_c_reconstruct
 from rookpaths.walks import ROOK, diagonal_sequence
 
 
@@ -17,8 +17,7 @@ def dp40():
 
 @pytest.fixture(scope="session")
 def stage_a_certs(rook_f):
-    certs = stage_a_search(rook_f, 1)
-    certs += stage_a_search(rook_f, 2, Ansatz(support=((0, 0), (1, 0), (2, 0))))
+    certs = stage_a_pair(rook_f)
     assert len(certs) == 2
     return certs
 

@@ -71,6 +71,19 @@ def test_stage_a_order0_is_empty(rook_f):
     assert stage_a_search(rook_f, 0) == []
 
 
+def test_stage_a_search_reads_no_reference_data(rook_f, stage_a_certs, monkeypatch):
+    def forbidden():
+        raise AssertionError("stage A read a reference transcription")
+
+    monkeypatch.setattr(rookdata, "q1", forbidden)
+    monkeypatch.setattr(rookdata, "disc_t_q1", forbidden)
+    assert stage_a_search(rook_f, 0) == []
+    certs = stage_a_search(rook_f, 1)
+    assert len(certs) == 1
+    assert certs[0].operator == stage_a_certs[0].operator
+    assert certs[0].phi == stage_a_certs[0].phi
+
+
 # -- stage B ------------------------------------------------------------------------
 
 
@@ -91,6 +104,14 @@ def test_stage_b_order3_matches_reference_values(stage_b_result):
     assert phi1.den in (den_expected, den_expected.primitive_part())
     # gamma has no closed reference form; its degrees do
     assert (phi1.num.degree("x"), phi1.num.degree("s")) == (5, 7)
+
+
+def test_stage_b_rejects_non_triangular_system(stage_a_certs):
+    from rookpaths.telescope import TelescopeError, stage_b_search
+    # with P2 = d_x^2 + 1 the reduced system has A[0][1] = p0_x - p1 != 0
+    p2 = DiffOp(XS, XS, {(2, 0): RatFun.from_scalar(1, XS), (0, 0): RatFun.from_scalar(1, XS)})
+    with pytest.raises(TelescopeError, match="stage B"):
+        stage_b_search(stage_a_certs[0].operator, p2, 2)
 
 
 def test_stage_b_input_validation(stage_a_certs):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import MPoly, PowerSeries, RatFun, poly, ratfun
+from .exactmath import MPoly, PowerSeries, RatFun, mpoly_gcd, poly, ratfun
 from .numerics import decimal_str, extrapolate_partial_sums, pi_rational, sqrt_rational
 from .ore import DiffOp, rec_unroll
 from . import rookdata
@@ -117,9 +117,13 @@ def local_exponents(L: DiffOp, frobenius_order: int = 40) -> SingularityReport:
     coeffs = _polynomial_coefficients(L)
     if max(coeffs) != 2:
         raise HypergeomError("local exponent analysis expects an order-2 operator")
-    lead = coeffs[2]
+    roots, rest = _rational_roots(coeffs[2])
+    if not rest.is_constant():
+        raise HypergeomError(
+            "leading coefficient has a non-rational factor; singular-point "
+            f"analysis over Q cannot continue: {rest.text()}")
     points: list[PointReport] = []
-    for root, _mult in _rational_roots(lead):
+    for root, _mult in roots:
         points.append(_classify_point(coeffs, root, frobenius_order))
     points.append(_classify_point(_infinity_coefficients(coeffs), Fraction(0),
                                   frobenius_order, label="inf"))
@@ -141,42 +145,45 @@ def _polynomial_coefficients(L: DiffOp) -> dict[int, MPoly]:
     return out
 
 
-def _rational_roots(p: MPoly) -> list[tuple[Fraction, int]]:
-    """All rational roots with multiplicity; error if a nonconstant factor remains."""
+def _rational_roots(p: MPoly) -> tuple[list[tuple[Fraction, int]], MPoly]:
+    """Rational roots of a nonzero univariate p, and the cofactor without them.
+
+    Returns the sorted (root, multiplicity) pairs and the primitive part of
+    p with every (x - root)^multiplicity divided out; the cofactor has no
+    rational root, and it is constant exactly when p splits over Q.
+    """
     work = p.primitive_part()
     roots: list[tuple[Fraction, int]] = []
-    x_mult = min(exp[0] for exp in work.terms)
-    if x_mult:
-        roots.append((Fraction(0), x_mult))
-        work = MPoly(p.vars, {(e - x_mult,): c for (e,), c in work.terms.items()})
-    while work.degree("x") > 0:
+    zero_mult = min(exp[0] for exp in work.terms)
+    if zero_mult:
+        roots.append((Fraction(0), zero_mult))
+        work = MPoly(p.vars, {(e - zero_mult,): c for (e,), c in work.terms.items()})
+    while not work.is_constant():
         root = _find_rational_root(work)
         if root is None:
-            raise HypergeomError(
-                "leading coefficient has a non-rational factor; singular-point "
-                f"analysis over Q cannot continue: {work.text()}")
+            break
         mult = 0
         factor = MPoly(p.vars, {(1,): root.denominator, (0,): -root.numerator})
-        while True:
-            q = work.try_divide(factor)
-            if q is None:
-                break
+        while (q := work.try_divide(factor)) is not None:
             work = q
             mult += 1
         roots.append((root, mult))
-    return sorted(roots)
+    return sorted(roots), work
 
 
 def _find_rational_root(p: MPoly) -> Fraction | None:
-    const = p.terms.get((0,), 0)
-    lead = p.terms[(p.degree("x"),)]
-    if p.degree("x") == 1:
-        return Fraction(-const, lead)
+    """A rational root of a primitive univariate p with p(0) != 0, or None."""
+    (var,) = p.vars
+    deg = p.degree(var)
+    const = p.constant_value()
+    lead = p.terms[(deg,)]
+    if deg == 1:
+        return -const / lead
     for pn in _divisors(abs(int(const))):
         for qd in _divisors(abs(int(lead))):
             for sign in (1, -1):
                 cand = Fraction(sign * pn, qd)
-                if _eval_univariate(p, cand) == 0:
+                if p.eval_full({var: cand}) == 0:
                     return cand
     return None
 
@@ -191,13 +198,6 @@ def _divisors(n: int) -> list[int]:
                 out.append(n // d)
         d += 1
     return sorted(out)
-
-
-def _eval_univariate(p: MPoly, v: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for (e,), c in p.terms.items():
-        acc += c * v ** e
-    return acc
 
 
 def _shifted_coeffs(coeffs: dict[int, MPoly], p: Fraction) -> dict[int, MPoly]:
@@ -452,12 +452,18 @@ def _solve_power_condition(points, exps, power: int):
     """Constants c (and root Q, scale k) with c*N - D = k * Q^power.
 
     N and D are the monic numerator/denominator built from the exponent
-    vector.  Unknown top coefficients of Q are eliminated sequentially from
-    the leading coefficients; the surviving equations are polynomial
-    conditions on c whose rational roots give the candidates, each verified
-    by exact re-expansion.
+    vector, M = max(deg N, deg D), and Q is monic of degree M/power.  Let
+    a_j(c) be the coefficient of x^(M-j) in c*N - D and k = a_0.  Read in
+    y = 1/x, the condition is sum_j a_j y^j = k * (sum_j q_j y^j)^power
+    with q_0 = 1, and the substitution q_j = r_j / k^j clears the equation
+    for y^i to one in Q[c]:
+
+        a_i k^(i-1) = power * r_i + [y^i] (sum_{j<i} r_j y^j)^power.
+
+    For i <= deg Q it determines r_i; beyond, it is a polynomial condition
+    on c.  No gcd is taken until the conditions meet: the rational roots of
+    their gcd give the candidates, each verified by exact re-expansion.
     """
-    C = ("c",)
     n_list = [Fraction(1)]
     d_list = [Fraction(1)]
     for p, e in zip(points, exps):
@@ -479,130 +485,43 @@ def _solve_power_condition(points, exps, power: int):
         return []
     q_deg = M // power
 
-    cvar = RatFun(MPoly.var(C, "c"))
-
-    def coeff(i: int) -> RatFun:
-        # coefficient of x^i in c*N - D, as a rational function of c
-        a = n_list[i] if i <= dn else 0
-        b = d_list[i] if i <= dd else 0
-        return cvar * RatFun.from_scalar(a, C) - RatFun.from_scalar(b, C)
-
-    k = coeff(M)  # leading coefficient; Q taken monic
-    if k.is_zero():
-        return []
-    qs: list[RatFun] = [RatFun.from_scalar(1, C)]  # Q coefficients, top first
-    # Newton-style sequential solve: coefficient of x^(M-i) determines q_i.
-    conditions: list[RatFun] = []
-    for i in range(1, M + 1):
-        target = coeff(M - i) / k
-        known = _power_coeff(qs, power, i, exclude_new=True)
-        if i <= q_deg:
-            # power * q_i + known = target  ->  q_i
-            qs.append((target - known) / power)
-        else:
-            conditions.append(target - known)
-    roots = _rational_roots_in_c(conditions)
-    out = []
-    for c0 in roots:
-        if c0 == 0:
-            continue
-        Q_coeffs = [q.eval_at({"c": c0}).constant_value() for q in qs]
-        scale = k.eval_at({"c": c0}).constant_value()
-        if scale == 0:
-            continue
-        # exact re-expansion check
-        Q = MPoly(X, {(q_deg - i,): cc for i, cc in enumerate(Q_coeffs) if cc})
-        lhs = MPoly(X, {(i,): c0 * (n_list[i] if i <= dn else 0) - (d_list[i] if i <= dd else 0)
-                        for i in range(M + 1)})
-        if (Q ** power) * scale == lhs:
-            out.append((c0, Q, scale))
-    return out
-
-
-def _power_coeff(qs: list[RatFun], power: int, i: int, exclude_new: bool) -> RatFun:
-    """Coefficient of x^(M-i) in Q^power, with Q monic and q_i treated as 0.
-
-    qs holds the already-determined coefficients q_0(=1), q_1, ..., indexed
-    from the top; compositions of known coefficients only.
-    """
     C = ("c",)
-    acc = RatFun.from_scalar(0, C)
-    for combo in _compositions(power, i, len(qs) - 1 if exclude_new else i):
-        term = RatFun.from_scalar(_multinomial(power, combo), C)
-        for idx in combo:
-            term = term * qs[idx]
-        acc = acc + term
-    return acc
-
-
-def _compositions(parts: int, total: int, max_index: int):
-    """Nondecreasing index tuples of length `parts` summing to `total`."""
-    def rec(remaining_parts, remaining_total, minv):
-        if remaining_parts == 0:
-            if remaining_total == 0:
-                yield ()
-            return
-        for v in range(minv, min(remaining_total, max_index) + 1):
-            for rest in rec(remaining_parts - 1, remaining_total - v, v):
-                yield (v,) + rest
-
-    yield from rec(parts, total, 0)
-
-
-def _multinomial(power: int, combo: tuple[int, ...]) -> int:
-    from collections import Counter
-    counts = Counter(combo)
-    out = math.factorial(power)
-    for c in counts.values():
-        out //= math.factorial(c)
-    return out
-
-
-def _rational_roots_in_c(conditions: list[RatFun]) -> list[Fraction]:
-    polys = [cond.num for cond in conditions if not cond.is_zero()]
-    if not polys:
+    YC = ("x", "c")  # y = 1/x takes the slot of x
+    cvar = MPoly.var(C, "c")
+    a = [cvar * (n_list[M - j] if M - j <= dn else 0) - (d_list[M - j] if M - j <= dd else 0)
+         for j in range(M + 1)]
+    k = a[0]  # c when deg N > deg D, else -1
+    r = [MPoly.const(C, 1)]
+    conditions: list[MPoly] = []
+    for i in range(1, M + 1):
+        if i <= q_deg + 1:  # afterwards every r_j is known and the power is final
+            T = MPoly(YC, {(j, e): cc for j, rj in enumerate(r) for (e,), cc in rj.terms.items()})
+            powered = [p.restricted(C) for p in (T ** power).coeffs_in("x")]
+        rest = a[i] * k ** (i - 1)
+        if i < len(powered):
+            rest = rest - powered[i]
+        if i <= q_deg:
+            r.append(rest * Fraction(1, power))
+        elif not rest.is_zero():
+            conditions.append(rest)
+    if not conditions:
         return []
-    from .exactmath import mpoly_gcd
-    g = polys[0]
-    for p in polys[1:]:
-        g = mpoly_gcd(g, p)
+    g = conditions[0]
+    for cond in conditions[1:]:
         if g.is_constant():
             return []
-    if g.is_constant():
-        return []
-    roots = []
-    work = g.primitive_part()
-    c_mult = min(exp[0] for exp in work.terms)
-    if c_mult:
-        roots.append(Fraction(0))
-        work = MPoly(("c",), {(e - c_mult,): cc for (e,), cc in work.terms.items()})
-    while work.degree("c") > 0:
-        r = _find_rational_root_c(work)
-        if r is None:
-            break
-        roots.append(r)
-        factor = MPoly(("c",), {(1,): r.denominator, (0,): -r.numerator})
-        while True:
-            q = work.try_divide(factor)
-            if q is None:
-                break
-            work = q
-    return sorted(set(roots))
-
-
-def _find_rational_root_c(p: MPoly) -> Fraction | None:
-    const = p.terms.get((0,), 0)
-    lead = p.terms[(p.degree("c"),)]
-    for pn in _divisors(abs(int(const))):
-        for qd in _divisors(abs(int(lead))):
-            for sign in (1, -1):
-                cand = Fraction(sign * pn, qd)
-                acc = Fraction(0)
-                for (e,), cc in p.terms.items():
-                    acc += cc * cand ** e
-                if acc == 0:
-                    return cand
-    return None
+        g = mpoly_gcd(g, cond)
+    roots, _ = _rational_roots(g)
+    out = []
+    for c0, _mult in roots:
+        scale = k.eval_full({"c": c0})
+        if c0 == 0 or scale == 0:
+            continue
+        Q = MPoly(X, {(q_deg - i,): rj.eval_full({"c": c0}) / scale ** i for i, rj in enumerate(r)})
+        lhs = MPoly(X, {(M - j,): aj.eval_full({"c": c0}) for j, aj in enumerate(a)})
+        if (Q ** power) * scale == lhs:  # exact re-expansion check
+            out.append((c0, Q, scale))
+    return out
 
 
 # ---------------------------------------------------------------------------

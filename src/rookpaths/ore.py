@@ -247,12 +247,13 @@ class DiffOp:
 
     @staticmethod
     def from_json_dict(data: dict) -> DiffOp:
-        cvars = tuple(data["vars"])
-        return DiffOp(
-            cvars,
-            tuple(data["dvars"]),
-            {tuple(t["exp"]): RatFun.parse(t["coeff"], cvars) for t in data["terms"]},
-        )
+        try:
+            cvars = tuple(data["vars"])
+            dvars = tuple(data["dvars"])
+            terms = {tuple(t["exp"]): RatFun.parse(t["coeff"], cvars) for t in data["terms"]}
+        except (KeyError, TypeError, IndexError, AttributeError) as exc:
+            raise ValueError(f"malformed operator JSON: {type(exc).__name__}: {exc}") from None
+        return DiffOp(cvars, dvars, terms)
 
 
 def _sub_exponents(e: tuple[int, ...]):
@@ -461,7 +462,11 @@ class RecOp:
 
     @staticmethod
     def from_json_dict(data: dict) -> RecOp:
-        return RecOp({t["exp"][0]: MPoly.parse(t["coeff"], N_VARS) for t in data["terms"]})
+        try:
+            terms = {t["exp"][0]: MPoly.parse(t["coeff"], N_VARS) for t in data["terms"]}
+        except (KeyError, TypeError, IndexError, AttributeError) as exc:
+            raise ValueError(f"malformed recurrence JSON: {type(exc).__name__}: {exc}") from None
+        return RecOp(terms)
 
 
 def _shift_n(p: MPoly, delta: int) -> MPoly:

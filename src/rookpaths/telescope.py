@@ -707,13 +707,16 @@ class Certificate:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Certificate":
-        return Certificate(
-            P=DiffOp.from_json_dict(data["P"]),
-            S=RatFun.parse(data["S"], XST),
-            T=RatFun.parse(data["T"], XST),
-            verified=bool(data.get("verified", False)),
-            stage_log=list(data.get("stage_log", [])),
-        )
+        try:
+            return Certificate(
+                P=DiffOp.from_json_dict(data["P"]),
+                S=RatFun.parse(data["S"], XST),
+                T=RatFun.parse(data["T"], XST),
+                verified=bool(data.get("verified", False)),
+                stage_log=list(data.get("stage_log", [])),
+            )
+        except (KeyError, TypeError, IndexError, AttributeError) as exc:
+            raise ValueError(f"malformed certificate JSON: {type(exc).__name__}: {exc}") from None
 
 
 @dataclass

@@ -84,7 +84,10 @@ class SeqTable:
     @staticmethod
     def from_json(text: str) -> SeqTable:
         data = json.loads(text)
-        return SeqTable(data["name"], [int(t) for t in data["terms"]], data["provenance"])
+        try:
+            return SeqTable(data["name"], [int(t) for t in data["terms"]], data["provenance"])
+        except (KeyError, TypeError, IndexError) as exc:
+            raise ValueError(f"malformed sequence JSON: {type(exc).__name__}: {exc}") from None
 
 
 def count_paths(dirs: DirectionSet, bound: tuple[int, int, int]) -> CountTable:

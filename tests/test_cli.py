@@ -121,6 +121,27 @@ def test_usage_error_exit_code(tmp_path):
     assert "error" in result.stderr.lower()
 
 
+@pytest.mark.parametrize("args, payload", [
+    (["verify-cert", "--input", "BAD"], {"P": {}}),
+    (["local-exponents", "--input", "BAD"], [1, 2]),
+    (["rec-unroll", "--n", "10", "--input", "BAD"], {"terms": [{"exp": [], "coeff": "n"}]}),
+    (["rec-unroll", "--n", "10", "--initial", "BAD"], {"terms": ["1", "6"]}),
+    (["ode-to-rec", "--input", "BAD"],
+     {"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [0], "coeff": 5}]}),
+], ids=["verify-cert", "local-exponents", "rec-unroll-input", "rec-unroll-initial", "ode-to-rec"])
+def test_malformed_input_exits_two(tmp_path, args, payload):
+    # a malformed JSON structure is bad input (exit 2, one line), not a crash
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    result = subprocess.run(
+        [sys.executable, "-m", "rookpaths.cli", "--out", str(tmp_path)]
+        + [str(bad) if a == "BAD" else a for a in args],
+        capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1
+
+
 def test_failing_check_exits_one(tmp_path):
     # asymptotics with an unreachable tolerance must exit 1
     assert run_cli(["asymptotics", "--n", "150", "--tolerance", "1/100000000"], tmp_path) == 1

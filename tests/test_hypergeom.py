@@ -11,7 +11,7 @@ from rookpaths.hypergeom import (HypergeomSpec, HypergeomError, SING_POINTS, asy
                                  closed_form_check, closed_form_series, exponents_at,
                                  f21_at_one, f21_series, gauss_operator, identity_checks,
                                  local_exponents, operator_pullback, pullback_search,
-                                 symbolic_solution_check)
+                                 symbolic_solution_check, _exponent_vectors, _rational_roots)
 from rookpaths.numerics import decimal_str, pi_rational, sqrt_rational
 from rookpaths.ore import DiffOp
 from rookpaths.walks import ROOK, diagonal_sequence
@@ -96,6 +96,16 @@ def test_irregular_singularity_rejected():
         local_exponents(op)
 
 
+def test_non_rational_leading_factor_rejected():
+    # (x^2-2) y'' + y = 0 is singular at +-sqrt(2), which the analysis over Q cannot place
+    op = DiffOp(X, X, {(2,): RatFun(poly("x^2-2", X)), (0,): RatFun.from_scalar(1, X)})
+    with pytest.raises(HypergeomError, match=r"non-rational factor.*1\*x\^2 \+ -2"):
+        local_exponents(op)
+    roots, rest = _rational_roots(poly("x^2*(3*x-1)^2*(x^2-2)", X))
+    assert roots == [(Fr(0), 2), (Fr(1, 3), 2)]
+    assert rest == poly("x^2-2", X)
+
+
 # -- pullbacks -----------------------------------------------------------------------
 
 
@@ -117,6 +127,28 @@ def test_pullback_candidates_satisfy_cube_condition():
         quotient = shifted.num.try_divide(c.cube_root ** 3)
         assert quotient is not None and quotient.is_constant()
         assert not quotient.is_zero()
+
+
+def test_pullback_search_matches_sympy_oracle():
+    # independent solve of c*N - D = k*(x+q)^3 for every map of degree 3
+    sympy = pytest.importorskip("sympy")
+    x, c, q, k = sympy.symbols("x c q k")
+    points = [sympy.Rational(p.numerator, p.denominator) for p in SING_POINTS]
+    expected = set()
+    for exps in _exponent_vectors(len(points), 3):
+        N = sympy.Mul(*[(x - p) ** e for p, e in zip(points, exps) if e > 0])
+        D = sympy.Mul(*[(x - p) ** -e for p, e in zip(points, exps) if e < 0])
+        dn, dd = sympy.degree(N, x), sympy.degree(D, x)
+        if dn == dd or max(dn, dd) % 3:
+            continue
+        eqs = sympy.Poly(c * N - D - k * (x + q) ** 3, x).all_coeffs()
+        for sol in sympy.solve(eqs, [c, q, k], dict=True):
+            assert set(sol) == {c, q, k}
+            if all(sol[v].is_rational for v in (c, q, k)) and sol[c] != 0 and sol[k] != 0:
+                expected.add((exps, Fr(str(sol[c]))))
+    cands = pullback_search(SING_POINTS, (Fr(0), Fr(0), Fr(1, 3)), 3)
+    assert {(cand.exponent_tuple(), cand.constant) for cand in cands} == expected
+    assert len(expected) == 2
 
 
 def test_pullback_all_integer_triple_is_empty():

@@ -1,16 +1,13 @@
 """Exact arithmetic kernel: rationals, sparse polynomials, rational functions,
 truncated power series, and fraction-free linear algebra."""
 
-from .mpoly import (MPoly, VAR_ORDER, canonical_vars, frac_gcd, monomial_key, mpoly_gcd, mpoly_lcm,
-                    poly, resultant)
+from .mpoly import MPoly, frac_gcd, monomial_key, mpoly_gcd, mpoly_lcm, poly, resultant
 from .ratfun import RatFun, ratfun
 from .series import DEFAULT_ORDER, PowerSeries, series_compose, series_nth_root
-from .linalg import ExactMatrix, linear_nullspace
+from .linalg import ExactMatrix, clear_denominators, clear_vector, linear_nullspace
 
 __all__ = [
     "MPoly",
-    "VAR_ORDER",
-    "canonical_vars",
     "frac_gcd",
     "monomial_key",
     "mpoly_gcd",
@@ -24,5 +21,7 @@ __all__ = [
     "series_compose",
     "series_nth_root",
     "ExactMatrix",
+    "clear_denominators",
+    "clear_vector",
     "linear_nullspace",
 ]

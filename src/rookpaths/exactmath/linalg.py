@@ -66,7 +66,7 @@ def linear_nullspace(m: ExactMatrix | Sequence[Sequence[RatFun]]) -> list[list[M
 
     rows: list[dict[int, MPoly]] = []
     for row in m.rows:
-        cleared = _clear_row(row, vars)
+        cleared = {j: p for j, p in enumerate(clear_vector(row, vars)) if p}
         if cleared:
             rows.append(cleared)
 
@@ -129,23 +129,8 @@ def linear_nullspace(m: ExactMatrix | Sequence[Sequence[RatFun]]) -> list[list[M
                     acc = acc + RatFun(e) * v[j]
             if not acc.is_zero():
                 v[col] = -acc / RatFun(prow[col])
-        basis.append(_clear_vector(v, ncols, vars))
+        basis.append(clear_vector([v.get(j, zero) for j in range(ncols)], vars))
     return basis
-
-
-def _clear_row(row: Sequence[RatFun], vars: tuple[str, ...]) -> dict[int, MPoly]:
-    """Multiply a RatFun row by the lcm of denominators; strip content."""
-    dens = [e.den for e in row if not e.is_zero()]
-    if not dens:
-        return {}
-    common = dens[0]
-    for d in dens[1:]:
-        common = mpoly_lcm(common, d)
-    out: dict[int, MPoly] = {}
-    for j, e in enumerate(row):
-        if not e.is_zero():
-            out[j] = e.num * common.divide_exact(e.den)
-    return _strip_content(out)
 
 
 def _strip_content(row: dict[int, MPoly]) -> dict[int, MPoly]:
@@ -161,8 +146,6 @@ def _strip_content(row: dict[int, MPoly]) -> dict[int, MPoly]:
         c = Fraction(0)
         for e in entries:
             c = frac_gcd(c, e.rational_content())
-            if c == 1:
-                break
         if c == 1:
             return row
         inv = 1 / c
@@ -172,22 +155,24 @@ def _strip_content(row: dict[int, MPoly]) -> dict[int, MPoly]:
     return _strip_content(stripped)
 
 
-def _clear_vector(v: dict[int, RatFun], ncols: int, vars: tuple[str, ...]) -> list[MPoly]:
-    dens = [e.den for e in v.values() if not e.is_zero()]
+def clear_denominators(entries: Sequence[RatFun], vars: tuple[str, ...]) -> list[MPoly]:
+    """The entries times the lcm of their denominators (primitive, positive
+    lead); zero entries stay zero."""
     common = MPoly.const(vars, 1)
-    for d in dens:
-        common = mpoly_lcm(common, d)
-    out = [MPoly.zero(vars)] * ncols
-    for j, e in v.items():
-        if not e.is_zero():
-            out[j] = e.num * common.divide_exact(e.den)
-    cleared = _strip_content({j: p for j, p in enumerate(out) if not p.is_zero()})
-    result = [MPoly.zero(vars)] * ncols
-    for j, p in cleared.items():
-        result[j] = p
-    for p in result:
-        if not p.is_zero():
-            if p.leading_coeff() < 0:
-                result = [-q for q in result]
-            break
-    return result
+    for e in entries:
+        if not e.den.is_constant():  # a constant factor leaves the primitive lcm unchanged
+            common = mpoly_lcm(common, e.den) if not common.is_constant() else e.den.primitive_part()
+    return [e.num * common.divide_exact(e.den) if not e.is_zero() else MPoly.zero(vars)
+            for e in entries]
+
+
+def clear_vector(entries: Sequence[RatFun], vars: tuple[str, ...]) -> list[MPoly]:
+    """clear_denominators, then integer content 1 and the first nonzero
+    entry's leading coefficient positive: the canonical polynomial multiple."""
+    out = clear_denominators(entries, vars)
+    for j, p in _strip_content({j: p for j, p in enumerate(out) if p}).items():
+        out[j] = p
+    first = next((p for p in out if p), None)
+    if first is not None and first.leading_coeff() < 0:
+        out = [-p for p in out]
+    return out

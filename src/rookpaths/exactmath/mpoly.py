@@ -9,37 +9,19 @@ Coefficients are Fraction, demoted to int whenever the denominator is 1
 (int arithmetic is markedly faster and mixes freely with Fraction).
 The zero polynomial has an empty term dict.
 
-The monomial order is graded lexicographic over the fixed variable ranking
-x < s < t < u < n < c < w < z: compare total degree first, then exponents of
-the highest-ranked variable down.  All normal forms (leading coefficients,
-sign conventions, canonical text) refer to this order.
+The monomial order is graded lexicographic, ranking variables by their
+position in the tuple (the toolkit lists them as x, s, t, ...): compare total
+degree first, then exponents of the last variable down.  All normal forms
+(leading coefficients, sign conventions, canonical text) refer to this order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
-
-# Canonical ranking of every variable name the toolkit uses; position = rank.
-VAR_ORDER = ("x", "s", "t", "u", "n", "c", "w", "z")
-
-_VAR_RANK = {v: i for i, v in enumerate(VAR_ORDER)}
-
-
-def canonical_vars(names: Iterable[str]) -> tuple[str, ...]:
-    """Sort variable names by the fixed ranking; reject unknown names."""
-    out = sorted(set(names), key=_var_rank)
-    return tuple(out)
-
-
-def _var_rank(name: str) -> int:
-    try:
-        return _VAR_RANK[name]
-    except KeyError:
-        raise ValueError(f"unknown variable {name!r}; allowed: {VAR_ORDER}") from None
 
 
 def _demote(c: Coeff) -> Coeff:
@@ -341,9 +323,6 @@ class MPoly:
             c = -c
         return self * (1 / c)
 
-    def map_coeffs(self, fn) -> MPoly:
-        return MPoly(self.vars, {e: fn(c) for e, c in self.terms.items()})
-
     # -- calculus & substitution ---------------------------------------
 
     def derivative(self, name: str) -> MPoly:
@@ -492,13 +471,18 @@ class MPoly:
         terms: dict[tuple[int, ...], Coeff] = {}
         for chunk in text.split(" + "):
             factors = chunk.strip().split("*")
-            coeff = Fraction(factors[0])
+            try:
+                coeff = Fraction(factors[0])
+                powers = [(name, int(power) if power else 1)
+                          for name, _, power in (f.partition("^") for f in factors[1:])]
+            except ValueError:
+                raise ValueError(f"cannot read polynomial {text!r}: expected the canonical "
+                                 "form, e.g. '3/2*x^2 + -1'") from None
             exp = [0] * len(vars)
-            for f in factors[1:]:
-                name, _, power = f.partition("^")
+            for name, power in powers:
                 if name not in vars:
                     raise ValueError(f"unknown variable {name!r} in {chunk!r}")
-                exp[vars.index(name)] += int(power) if power else 1
+                exp[vars.index(name)] += power
             key = tuple(exp)
             terms[key] = terms.get(key, 0) + coeff
         return MPoly(vars, terms)

@@ -51,15 +51,6 @@ class RatFun:
     def from_scalar(value: Scalar, vars: Sequence[str]) -> RatFun:
         return RatFun(MPoly.const(vars, value))
 
-    @staticmethod
-    def from_mpoly(p: MPoly) -> RatFun:
-        return RatFun(p)
-
-    @staticmethod
-    def _raw(num: MPoly, den: MPoly) -> RatFun:
-        """Build from parts already known to be coprime (skips the gcd)."""
-        return RatFun(num, den, _reduced=True)
-
     # -- predicates --------------------------------------------------------
 
     @property
@@ -68,9 +59,6 @@ class RatFun:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
 
     def as_mpoly(self) -> MPoly:
         if not self.den.is_constant():

@@ -10,7 +10,7 @@ have valuation >= 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .mpoly import MPoly
 from .ratfun import RatFun
@@ -47,10 +47,6 @@ class PowerSeries:
         return PowerSeries(var, c)
 
     @staticmethod
-    def from_coeff_fn(var: str, fn: Callable[[int], Scalar], order: int = DEFAULT_ORDER) -> PowerSeries:
-        return PowerSeries(var, [fn(n) for n in range(order + 1)])
-
-    @staticmethod
     def from_mpoly(p: MPoly, var: str, order: int = DEFAULT_ORDER) -> PowerSeries:
         if p.vars != (var,):
             raise ValueError(f"expected univariate polynomial in {var!r}")
@@ -75,13 +71,6 @@ class PowerSeries:
 
     def coeff(self, n: int) -> Fraction:
         return self.coeffs[n]
-
-    def valuation(self) -> int:
-        """Index of the first nonzero coefficient; order+1 if all zero."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return len(self.coeffs)
 
     def truncate(self, order: int) -> PowerSeries:
         if order >= self.order:

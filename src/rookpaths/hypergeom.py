@@ -41,10 +41,6 @@ class HypergeomSpec:
         if c.denominator == 1 and c <= 0:
             raise HypergeomError("lower parameter -c must not be a nonnegative integer")
 
-    def exponent_triple(self) -> tuple[Fraction, Fraction, Fraction]:
-        """Exponent differences (e0, e1, einf) at 0, 1, infinity."""
-        return (1 - self.c, self.c - self.a - self.b, self.a - self.b)
-
     @staticmethod
     def from_exponent_triple(e0: Fraction, e1: Fraction, einf: Fraction) -> HypergeomSpec:
         c = 1 - Fraction(e0)
@@ -115,7 +111,7 @@ def local_exponents(L: DiffOp, frobenius_order: int = 40) -> SingularityReport:
     consistency condition at the gap.
     """
     coeffs = _polynomial_coefficients(L)
-    if max(coeffs) != 2:
+    if not coeffs or max(coeffs) != 2:
         raise HypergeomError("local exponent analysis expects an order-2 operator")
     roots, rest = _rational_roots(coeffs[2])
     if not rest.is_constant():

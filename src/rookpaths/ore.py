@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactmath import (ExactMatrix, MPoly, PowerSeries, RatFun, frac_gcd, linear_nullspace, mpoly_gcd,
-                        mpoly_lcm)
+from .exactmath import (ExactMatrix, MPoly, PowerSeries, RatFun, clear_denominators, frac_gcd,
+                        linear_nullspace, mpoly_gcd)
 from .walks import SeqTable
 
 N_VARS = ("n",)
@@ -131,23 +131,15 @@ class DiffOp:
     def __sub__(self, other: DiffOp) -> DiffOp:
         return self + (-other)
 
-    def scale(self, factor: RatFun | MPoly | int | Fraction) -> DiffOp:
-        """Left multiplication by a function (scales every coefficient)."""
-        if isinstance(factor, MPoly):
-            factor = RatFun(factor)
-        if isinstance(factor, (int, Fraction)):
-            factor = RatFun.from_scalar(factor, self.cvars)
-        return DiffOp(self.cvars, self.dvars, {e: factor * c for e, c in self.terms.items()})
-
     def __mul__(self, other: DiffOp) -> DiffOp:
         """Noncommutative product (self acts after other)."""
         self._check(other)
         out: dict[tuple[int, ...], RatFun] = {}
-        deriv_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], RatFun] = {}
+        caches: dict[tuple[int, ...], dict[tuple[int, ...], RatFun]] = {eb: {} for eb in other.terms}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 for k in _sub_exponents(ea):
-                    coeff = _iter_derivative(cb, self.dvars, k, deriv_cache, eb)
+                    coeff = _derivative_from_cache(cb, self.dvars, k, caches[eb])
                     if coeff.is_zero():
                         continue
                     mult = math.prod(math.comb(a, b) for a, b in zip(ea, k))
@@ -203,12 +195,9 @@ class DiffOp:
 
     def clear_denominators(self) -> DiffOp:
         """Left-multiply by the lcm of coefficient denominators (polynomial output)."""
-        if not self.terms:
-            return self
-        common = MPoly.const(self.cvars, 1)
-        for c in self.terms.values():
-            common = mpoly_lcm(common, c.den)
-        return self.scale(common)
+        polys = clear_denominators(list(self.terms.values()), self.cvars)
+        return DiffOp(self.cvars, self.dvars,
+                      {e: RatFun(p, _reduced=True) for e, p in zip(self.terms, polys)})
 
     def normalized(self) -> DiffOp:
         """Polynomial coefficients, joint content 1, top coefficient positive."""
@@ -267,20 +256,6 @@ def _sub_exponents(e: tuple[int, ...]):
             yield (i,) + sub
 
 
-def _iter_derivative(c: RatFun, dvars: tuple[str, ...], k: tuple[int, ...],
-                     cache: dict, key_prefix: tuple[int, ...]) -> RatFun:
-    key = (key_prefix, k)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    val = c
-    for v, times in zip(dvars, k):
-        for _ in range(times):
-            val = val.derivative(v)
-    cache[key] = val
-    return val
-
-
 def _derivative_from_cache(target, dvars: tuple[str, ...], exp: tuple[int, ...], cache: dict):
     """d^exp target, memoized in cache; target is anything with .derivative(var)."""
     if exp in cache:
@@ -335,10 +310,6 @@ class RecOp:
                 clean[int(j)] = q
         self.terms = clean
 
-    @staticmethod
-    def from_coeff_list(coeffs: Sequence[MPoly | int]) -> RecOp:
-        return RecOp({j: c for j, c in enumerate(coeffs)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -346,12 +317,6 @@ class RecOp:
         if not self.terms:
             return 0
         return max(self.terms) - min(self.terms)
-
-    def min_offset(self) -> int:
-        return min(self.terms) if self.terms else 0
-
-    def max_offset(self) -> int:
-        return max(self.terms) if self.terms else 0
 
     def coeff(self, j: int) -> MPoly:
         return self.terms.get(j, MPoly.zero(N_VARS))
@@ -406,7 +371,7 @@ class RecOp:
         """Values sum_j q_j(n) u_{n-j} for each computable n.
 
         With padded=True, out-of-range indices below 0 contribute 0 and n
-        starts at min_offset-adjusted 0; otherwise n ranges so every index
+        starts at 0; otherwise n ranges so every index
         referenced lies inside the data.
         """
         if self.is_zero():
@@ -491,6 +456,8 @@ def diffop_to_rec(op: DiffOp) -> RecOp:
     """
     if len(op.dvars) != 1:
         raise ValueError("translation requires a univariate operator")
+    if op.is_zero():
+        raise ValueError("the zero operator has no recurrence")
     cleared = op.clear_denominators()
     var = op.dvars[0]
     if cleared.cvars != (var,):

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import (ExactMatrix, MPoly, RatFun, frac_gcd, linear_nullspace, monomial_key,
-                        mpoly_gcd, mpoly_lcm, poly)
+from .exactmath import (ExactMatrix, MPoly, RatFun, clear_denominators, clear_vector, frac_gcd,
+                        linear_nullspace, monomial_key, mpoly_gcd, poly)
 from .ore import DiffOp, _derivative_from_cache
 from . import rookdata
 
@@ -83,7 +83,7 @@ class FactoredFrac:
         else:
             rest_n = rest.primitive_part()
             den[rest_n] = den.get(rest_n, 0) + 1
-            num = num * (1 / _leading_scale(rest, rest_n))
+            num = num * (Fraction(rest_n.leading_coeff()) / rest.leading_coeff())
         return FactoredFrac(num, den)
 
     def is_zero(self) -> bool:
@@ -168,14 +168,6 @@ class FactoredFrac:
         return RatFun(r.num, den, _reduced=True)
 
 
-def _leading_scale(rest: MPoly, normalized: MPoly) -> Fraction:
-    """rest = scale * normalized with normalized primitive positive-lead."""
-    c = rest.rational_content()
-    if rest.leading_coeff() < 0:
-        c = -c
-    return Fraction(c)
-
-
 def apply_op_factored(op: DiffOp, target: FactoredFrac,
                       factors: Sequence[MPoly]) -> FactoredFrac:
     """Apply a DiffOp to a factored fraction over a larger variable ring."""
@@ -248,12 +240,7 @@ def solve_parametrized_system(A: Sequence[Sequence[RatFun]],
     v = RatFun(MPoly.var(fullvars, main_var))
     dcs_dv = [dc.derivative(main_var) for dc in dcs]
 
-    offsets = []
-    pos = 0
-    for i in range(n):
-        offsets.append(pos)
-        pos += bounds[i] + 1
-    ncols = pos + d
+    ncols = sum(b + 1 for b in bounds) + d
 
     rows: list[list[RatFun]] = []
     for i in range(n):
@@ -279,20 +266,30 @@ def solve_parametrized_system(A: Sequence[Sequence[RatFun]],
 
     solutions = []
     for vec in basis_vectors:
-        y = []
-        for i in range(n):
-            zi = MPoly.zero(fullvars)
-            for k in range(bounds[i] + 1):
-                coeff = vec[offsets[i] + k]
-                if not coeff.is_zero():
-                    zi = zi + coeff.with_vars(fullvars) * MPoly.var(fullvars, main_var) ** k
-            y.append(RatFun(zi) / dcs[i])
-        e = [vec[pos + j] for j in range(d)]
-        sol = ParamSolution(y=y, e=e, raw=list(vec))
+        sol = _solution_from_vector(vec, dcs, bounds, main_var)
         if verify and not _check_param_solution(A, B, sol, main_var):
             raise TelescopeError("parametrized solver produced a non-solution")
         solutions.append(sol)
     return solutions
+
+
+def _solution_from_vector(vec: Sequence[MPoly], dens: Sequence[RatFun], bounds: Sequence[int],
+                          main_var: str) -> ParamSolution:
+    """(y, e) from a kernel vector: y_i = (sum_k c_k v^k) / u_i over the
+    numerator block of each component, then the parameter block e."""
+    fullvars = dens[0].vars
+    v = MPoly.var(fullvars, main_var)
+    y = []
+    pos = 0
+    for u, b in zip(dens, bounds):
+        zi = MPoly.zero(fullvars)
+        for k in range(b + 1):
+            c = vec[pos + k]
+            if not c.is_zero():
+                zi = zi + c.with_vars(fullvars) * v ** k
+        pos += b + 1
+        y.append(RatFun(zi) / u)
+    return ParamSolution(y=y, e=list(vec[pos:]), raw=list(vec))
 
 
 def _expand_rows_in_var(rows: Sequence[Sequence[RatFun]], main_var: str,
@@ -300,20 +297,15 @@ def _expand_rows_in_var(rows: Sequence[Sequence[RatFun]], main_var: str,
     """Clear denominators row-wise and split into coefficient rows of v^m."""
     out: list[list[MPoly]] = []
     for row in rows:
-        dens = [e.den for e in row if not e.is_zero()]
-        if not dens:
+        cleared = clear_denominators(row, row[0].vars)
+        if not any(cleared):
             continue
-        common = dens[0]
-        for dd in dens[1:]:
-            common = mpoly_lcm(common, dd)
-        cleared = [e.num * common.divide_exact(e.den) if not e.is_zero() else None
-                   for e in row]
-        vmax = max(p.degree(main_var) for p in cleared if p is not None)
+        vmax = max(p.degree(main_var) for p in cleared if p)
         buckets: list[list[MPoly]] = []
         for m in range(vmax + 1):
             buckets.append([])
         for p in cleared:
-            split = p.coeffs_in(main_var) if p is not None else []
+            split = p.coeffs_in(main_var) if p else []
             for m in range(vmax + 1):
                 if m < len(split):
                     buckets[m].append(split[m].restricted(kvars))
@@ -596,7 +588,6 @@ def reduce_modulo_trivial(sols: list[ParamSolution], dens: Sequence[MPoly],
     representative independent of the solver's basis choice.
     """
     kvars = tuple(v for v in fullvars if v != main_var)
-    nz = sum(b + 1 for b in bounds)
     trivial = [s for s in sols if not _has_parameter(s)]
     particular = [s for s in sols if _has_parameter(s)]
     if not trivial:
@@ -604,54 +595,26 @@ def reduce_modulo_trivial(sols: list[ParamSolution], dens: Sequence[MPoly],
 
     echelon: list[tuple[int, list[RatFun]]] = []
     for g in trivial:
-        vec = [RatFun(p) for p in g.raw]
-        for piv, basis_vec in echelon:
-            if not vec[piv].is_zero():
-                factor = vec[piv] / basis_vec[piv]
-                vec = [a - factor * b for a, b in zip(vec, basis_vec)]
+        vec = _echelon_reduce(g.raw, echelon)
         pivot = next((i for i, a in enumerate(vec) if not a.is_zero()), None)
         if pivot is not None:
             echelon.append((pivot, vec))
     echelon.sort(key=lambda pv: pv[0])
 
-    reduced: list[ParamSolution] = []
-    for s in particular:
-        vec = [RatFun(p) for p in s.raw]
-        for piv, basis_vec in echelon:
-            if not vec[piv].is_zero():
-                factor = vec[piv] / basis_vec[piv]
-                vec = [a - factor * b for a, b in zip(vec, basis_vec)]
-        cleared = _clear_ratfun_vector(vec, kvars)
-        y = []
-        pos = 0
-        for i, b in enumerate(bounds):
-            zi = MPoly.zero(fullvars)
-            for k in range(b + 1):
-                c = cleared[pos + k]
-                if not c.is_zero():
-                    zi = zi + c.with_vars(fullvars) * MPoly.var(fullvars, main_var) ** k
-            pos += b + 1
-            y.append(RatFun(zi) / RatFun(dens[i].aligned(fullvars)))
-        e = cleared[nz:]
-        reduced.append(ParamSolution(y=y, e=e, raw=cleared))
-    return reduced
+    udens = [RatFun(u.aligned(fullvars)) for u in dens]
+    return [_solution_from_vector(clear_vector(_echelon_reduce(s.raw, echelon), kvars),
+                                  udens, bounds, main_var)
+            for s in particular]
 
 
-def _clear_ratfun_vector(vec: list[RatFun], kvars: tuple[str, ...]) -> list[MPoly]:
-    common = MPoly.const(kvars, 1)
-    for a in vec:
-        if not a.is_zero():
-            common = mpoly_lcm(common, a.den)
-    out = []
-    for a in vec:
-        out.append(a.num * common.divide_exact(a.den) if not a.is_zero()
-                   else MPoly.zero(kvars))
-    from .exactmath.linalg import _strip_content
-    stripped = _strip_content({i: p for i, p in enumerate(out) if not p.is_zero()})
-    result = [MPoly.zero(kvars)] * len(vec)
-    for i, p in stripped.items():
-        result[i] = p
-    return result
+def _echelon_reduce(raw: Sequence[MPoly], echelon: Sequence[tuple[int, list[RatFun]]]) -> list[RatFun]:
+    """Subtract from raw the multiple of each echelon vector that clears its pivot."""
+    vec = [RatFun(p) for p in raw]
+    for piv, basis_vec in echelon:
+        if not vec[piv].is_zero():
+            factor = vec[piv] / basis_vec[piv]
+            vec = [a - factor * b for a, b in zip(vec, basis_vec)]
+    return vec
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,12 @@ def test_usage_error_exit_code(tmp_path):
     (["rec-unroll", "--n", "10", "--initial", "BAD"], {"terms": ["1", "6"]}),
     (["ode-to-rec", "--input", "BAD"],
      {"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [0], "coeff": 5}]}),
-], ids=["verify-cert", "local-exponents", "rec-unroll-input", "rec-unroll-initial", "ode-to-rec"])
+    (["ode-to-rec", "--input", "BAD"], {"vars": ["x"], "dvars": ["x"], "terms": []}),
+    (["local-exponents", "--input", "BAD"], {"vars": ["x"], "dvars": ["x"], "terms": []}),
+    (["local-exponents", "--input", "BAD"],
+     {"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "coeff": "x^2-2"}, {"exp": [0], "coeff": "1"}]}),
+], ids=["verify-cert", "local-exponents", "rec-unroll-input", "rec-unroll-initial", "ode-to-rec",
+        "ode-to-rec-zero", "local-exponents-zero", "local-exponents-noncanonical"])
 def test_malformed_input_exits_two(tmp_path, args, payload):
     # a malformed JSON structure is bad input (exit 2, one line), not a crash
     bad = tmp_path / "bad.json"

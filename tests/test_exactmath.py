@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from rookpaths.exactmath import (ExactMatrix, MPoly, PowerSeries, RatFun, linear_nullspace,
-                                 mpoly_gcd, poly, ratfun, resultant, series_compose,
-                                 series_nth_root)
+from rookpaths.exactmath import (ExactMatrix, MPoly, PowerSeries, RatFun, clear_denominators,
+                                 clear_vector, frac_gcd, linear_nullspace, mpoly_gcd, poly, ratfun,
+                                 resultant, series_compose, series_nth_root)
 
 X = ("x",)
 XST = ("x", "s", "t")
@@ -239,6 +239,52 @@ def test_nullspace_vectors_are_content_free():
     m = ExactMatrix([[ratfun("2*x", X), ratfun("-2", X)]])
     basis = linear_nullspace(m)
     assert basis[0][0].rational_content() == 1
+    # a fraction after an entry of content 1 must still be cleared
+    one, zero = RatFun.from_scalar(1, ()), RatFun.from_scalar(0, ())
+    m = ExactMatrix([[one, zero, -one], [zero, one + one, -one]], vars=())
+    assert linear_nullspace(m) == [[MPoly.const((), 2), MPoly.const((), 1), MPoly.const((), 2)]]
+
+
+def test_parse_rejects_noncanonical_text_in_one_line():
+    with pytest.raises(ValueError, match=r"'x\^2-2'.*canonical form"):
+        MPoly.parse("x^2-2", X)
+
+
+def test_clear_vector_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    xs = ("x", "s")
+    polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                            st.fractions(-6, 6, max_denominator=4), max_size=3).map(
+        lambda terms: MPoly(xs, terms))
+    ratfuns = st.tuples(polys, polys.filter(bool)).map(lambda nd: RatFun(*nd))
+
+    def proportional(out, entries):
+        assert [bool(p) for p in out] == [bool(e) for e in entries]
+        for i, (pi, ei) in enumerate(zip(out, entries)):
+            for pj, ej in zip(out[i + 1:], entries[i + 1:]):
+                assert RatFun(pi) * ej == RatFun(pj) * ei
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(ratfuns, min_size=1, max_size=4))
+    def check(entries):
+        proportional(clear_denominators(entries, xs), entries)
+        out = clear_vector(entries, xs)
+        proportional(out, entries)
+        nonzero = [p for p in out if p]
+        if not nonzero:
+            return
+        content = Fraction(0)
+        for p in nonzero:
+            content = frac_gcd(content, p.rational_content())
+        assert content == 1
+        g = nonzero[0]
+        for p in nonzero[1:]:
+            g = mpoly_gcd(g, p)
+        assert g.is_constant()
+        assert nonzero[0].leading_coeff() > 0
+
+    check()
 
 
 # -- multiplication and division internals -----------------------------------------

@@ -233,6 +233,13 @@ def test_factored_fraction_round_trip(rook_f):
     assert d == rook_f.derivative("t")
 
 
+def test_factored_fraction_without_listed_factors(rook_f, stage_a_certs):
+    # every denominator factor is missing from the list: one primitive factor
+    # takes the whole denominator and the scale moves into the numerator
+    for f in (rook_f, stage_a_certs[0].phi * rook_f):
+        assert FactoredFrac.from_ratfun(f, []).to_ratfun() == f
+
+
 # -- counting bounds -----------------------------------------------------------------------
 
 

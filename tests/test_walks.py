@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 
+from rookpaths.diagonal import expand_diagonal
 from rookpaths.exactmath import ratfun
 from rookpaths.numerics import decimal_str
 from rookpaths.walks import (DirectionSet, QUEEN, ROOK, ROOK_GF_TEXT, SeqTable, count_paths,
@@ -97,6 +99,14 @@ def test_queen_step_gf_matches_displayed_sum():
 def test_single_direction_gf():
     single = DirectionSet(((1, 0, 0),), name="e1")
     assert step_generating_function(single) == ratfun("(1-s)/(1-2*s)", ("s", "t", "u"))
+
+
+def test_simple_step_diagonal_is_multinomial():
+    # unit steps only: the diagonal counts the words in n x's, n y's, n z's
+    simple = DirectionSet(ROOK.directions, repeat=False, name="simple")
+    multinomials = [factorial(3 * n) // factorial(n) ** 3 for n in range(11)]
+    assert diagonal_sequence(simple, 10).terms == multinomials
+    assert expand_diagonal(step_generating_function(simple), 10).terms == multinomials
 
 
 def test_direction_set_validation():

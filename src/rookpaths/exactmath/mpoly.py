@@ -18,7 +18,9 @@ degree first, then exponents of the last variable down.  All normal forms
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd as _int_gcd
+from math import isqrt
 from typing import Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -480,6 +482,8 @@ class MPoly:
                                  "form, e.g. '3/2*x^2 + -1'") from None
             exp = [0] * len(vars)
             for name, power in powers:
+                if power < 0:
+                    raise ValueError(f"negative power of {name!r} in {chunk!r}")
                 if name not in vars:
                     raise ValueError(f"unknown variable {name!r} in {chunk!r}")
                 exp[vars.index(name)] += power
@@ -592,12 +596,11 @@ def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
 def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
     """Greatest common divisor, primitive with positive leading coefficient.
 
-    Recursive primitive pseudo-remainder sequence: the gcd is computed in the
-    highest-ranked variable present, with contents handled recursively in the
-    remaining ones.  A sound evaluation shortcut detects the common coprime
-    case first: when the main-variable leading coefficients survive at an
-    evaluation point and the univariate image gcd is constant, the true gcd
-    has degree zero in that variable.  gcd(p, 0) = normalized p.
+    After the rational content and the shared monomial are split off, the
+    heuristic gcd (_heu_gcd) runs on the integer-coefficient operands; only
+    when it gives up does the recursive primitive pseudo-remainder sequence
+    (_gcd_core) run.  Both return the gcd up to a unit, so the normalized
+    result is the same either way.  gcd(p, 0) = normalized p.
     """
     if a.vars != b.vars:
         raise ValueError(f"variable mismatch: {a.vars} vs {b.vars}")
@@ -613,7 +616,9 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
     if any(shared):
         a = _shift_down(a, ea)
         b = _shift_down(b, eb)
-    g = _gcd_core(a, b)
+    g = _heu_gcd(a, b)
+    if g is None:
+        g = _gcd_core(a, b)
     if any(shared):
         g = MPoly(a.vars, {tuple(e + s for e, s in zip(exp, shared)): c
                            for exp, c in g.terms.items()})
@@ -638,7 +643,84 @@ def _shift_down(p: MPoly, mins: tuple[int, ...]) -> MPoly:
                           for exp, c in p.terms.items()})
 
 
-_EVAL_POINTS = (2, 3, -2, 5, 7, -3, 11, 13)
+_HEU_TRIES = 6
+
+
+def _heu_gcd(a: MPoly, b: MPoly) -> MPoly | None:
+    """Heuristic gcd of nonzero integer-coefficient polynomials, or None.
+
+    GCDHEU (Char, Geddes and Gonnet, JSC 1989): evaluate the last live
+    variable at an integer xi, take the gcd of the images recursively
+    (math.gcd once no variable is left) and read the candidate back from its
+    symmetric base-xi digits.  A candidate is accepted only when it divides
+    both operands exactly; since every level starts from
+    xi = 2*min(|f|, |g|) + 2 in its own max norms, an accepted candidate is
+    the gcd, not just a divisor.  The result is the gcd times the gcd of the
+    integer contents, up to sign; None means six points failed at some level.
+    """
+    cf, f = _split_content(a)
+    cg, g = _split_content(b)
+    c = _int_gcd(cf, cg)
+    if f.is_constant() or g.is_constant():
+        return MPoly.const(a.vars, c)
+    i = max(j for exp in chain(f.terms, g.terms) for j, e in enumerate(exp) if e)
+    xi = 2 * min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values()))) + 2
+    for _ in range(_HEU_TRIES):
+        ff = _eval_var(f, i, xi)
+        gg = _eval_var(g, i, xi)
+        if ff and gg:
+            image = _heu_gcd(ff, gg)
+            if image is None:
+                return None
+            h = _interpolate(image, i, xi)
+            if h.is_constant():
+                return MPoly.const(a.vars, c)  # a constant divides both
+            h = _split_content(h)[1]
+            if f.try_divide(h) is not None and g.try_divide(h) is not None:
+                return MPoly(a.vars, {e: v * c for e, v in h.terms.items()})
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _split_content(p: MPoly) -> tuple[int, MPoly]:
+    """Integer content of a nonzero integer-coefficient p, and p divided by it."""
+    c = 0
+    for v in p.terms.values():
+        c = _int_gcd(c, v)
+        if c == 1:
+            return 1, p
+    return c, MPoly(p.vars, {e: v // c for e, v in p.terms.items()})
+
+
+def _eval_var(p: MPoly, i: int, xi: int) -> MPoly:
+    """Substitute the integer xi for variable i; the exponent slot becomes 0."""
+    powers = [1]
+    out: dict[tuple[int, ...], int] = {}
+    for exp, v in p.terms.items():
+        k = exp[i]
+        if k:
+            while len(powers) <= k:
+                powers.append(powers[-1] * xi)
+            v *= powers[k]
+            exp = exp[:i] + (0,) + exp[i + 1:]
+        out[exp] = out.get(exp, 0) + v
+    return MPoly(p.vars, out)
+
+
+def _interpolate(image: MPoly, i: int, xi: int) -> MPoly:
+    """Spread each integer coefficient into symmetric base-xi digits in variable i."""
+    half = xi // 2
+    out: dict[tuple[int, ...], int] = {}
+    for exp, v in image.terms.items():
+        k = 0
+        while v:
+            d = v % xi
+            if d > half:
+                d -= xi
+            out[exp[:i] + (k,) + exp[i + 1:]] = d
+            v = (v - d) // xi
+            k += 1
+    return MPoly(image.vars, out)
 
 
 def _gcd_core(a: MPoly, b: MPoly) -> MPoly:
@@ -656,29 +738,7 @@ def _gcd_core(a: MPoly, b: MPoly) -> MPoly:
     # Shortest pseudo-remainder chain: smallest-degree variable first.
     v = min(active, key=lambda u: (min(a.degree(u), b.degree(u)),
                                    a.degree(u) + b.degree(u)))
-    others = [u for u in active if u != v]
-    if others and _image_gcd_is_constant(a, b, v, others):
-        ca, _ = _content_primitive(a, v)
-        cb, _ = _content_primitive(b, v)
-        return mpoly_gcd(ca, cb)
     return _gcd_in(a, b, v)
-
-
-def _image_gcd_is_constant(a: MPoly, b: MPoly, v: str, others: list[str]) -> bool:
-    da, db = a.degree(v), b.degree(v)
-    lead_a = a.coeffs_in(v)[da]
-    lead_b = b.coeffs_in(v)[db]
-    for offset in range(3):
-        point = {u: _EVAL_POINTS[(i + offset) % len(_EVAL_POINTS)]
-                 for i, u in enumerate(others)}
-        if (lead_a.eval_at(point).constant_value() == 0
-                or lead_b.eval_at(point).constant_value() == 0):
-            continue  # degree drop; point unusable
-        ia = a.eval_at(point).restricted((v,))
-        ib = b.eval_at(point).restricted((v,))
-        g = _gcd_in(ia.primitive_part(), ib.primitive_part(), v)
-        return g.is_constant()
-    return False
 
 
 def _gcd_in(a: MPoly, b: MPoly, v: str) -> MPoly:

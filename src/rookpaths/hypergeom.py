@@ -134,6 +134,9 @@ def exponents_at(L: DiffOp, location: Fraction) -> PointReport:
 
 
 def _polynomial_coefficients(L: DiffOp) -> dict[int, MPoly]:
+    if L.cvars != L.dvars or len(L.dvars) != 1:
+        raise HypergeomError("the operator must be univariate in its series variable, "
+                             f"got vars {list(L.cvars)} and dvars {list(L.dvars)}")
     cleared = L.clear_denominators()
     out = {}
     for (k,), c in cleared.terms.items():

@@ -58,6 +58,8 @@ class DiffOp:
         for exp, c in terms.items():
             if len(exp) != len(self.dvars):
                 raise ValueError("exponent length mismatch")
+            if any(not isinstance(e, int) or e < 0 for e in exp):
+                raise ValueError(f"derivative exponents must be nonnegative integers, got {tuple(exp)}")
             if isinstance(c, MPoly):
                 c = RatFun(c)
             if not c.is_zero():

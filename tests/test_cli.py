@@ -121,6 +121,25 @@ def test_usage_error_exit_code(tmp_path):
     assert "error" in result.stderr.lower()
 
 
+def op_json(*terms, vars=("x",)):
+    """Operator JSON in d/dx over vars; terms are (exponent, coefficient text) pairs."""
+    return {"vars": list(vars), "dvars": ["x"], "terms": [{"exp": [e], "coeff": c} for e, c in terms]}
+
+
+# the five --input/--initial paths, each fed a truncated file and a coefficient
+# in a variable the operator does not have
+INPUT_PATHS = {
+    "verify-cert": (["verify-cert", "--input", "BAD"], {"P": op_json((0, "1*y^1")), "S": "0", "T": "0"}),
+    "local-exponents": (["local-exponents", "--input", "BAD"], op_json((2, "1*y^1"))),
+    "rec-unroll-input": (["rec-unroll", "--n", "10", "--input", "BAD"],
+                         {"terms": [{"exp": [0], "coeff": "1*y^1"}]}),
+    "rec-unroll-initial": (["rec-unroll", "--n", "10", "--initial", "BAD"],
+                           {"name": "a", "terms": ["1", "1*y^1"], "provenance": "dp"}),
+    "ode-to-rec": (["ode-to-rec", "--input", "BAD"], op_json((1, "1*y^1"))),
+}
+TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
+
+
 @pytest.mark.parametrize("args, payload", [
     (["verify-cert", "--input", "BAD"], {"P": {}}),
     (["local-exponents", "--input", "BAD"], [1, 2]),
@@ -132,12 +151,24 @@ def test_usage_error_exit_code(tmp_path):
     (["local-exponents", "--input", "BAD"], {"vars": ["x"], "dvars": ["x"], "terms": []}),
     (["local-exponents", "--input", "BAD"],
      {"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "coeff": "x^2-2"}, {"exp": [0], "coeff": "1"}]}),
-], ids=["verify-cert", "local-exponents", "rec-unroll-input", "rec-unroll-initial", "ode-to-rec",
-        "ode-to-rec-zero", "local-exponents-zero", "local-exponents-noncanonical"])
+    (["ode-to-rec", "--input", "BAD"], op_json((1, "1*x^-1"))),
+    (["ode-to-rec", "--input", "BAD"], op_json((-1, "1"))),
+    (["ode-to-rec", "--input", "BAD"], op_json((1.5, "1"))),
+    (["local-exponents", "--input", "BAD"], op_json((2, "1"), (-1, "1"))),
+    (["local-exponents", "--input", "BAD"], op_json((2, "1*x^1"), (0, "1"), vars=("x", "s"))),
+] + [(args, TRUNCATED) for args, _ in INPUT_PATHS.values()]
+  + [(args, payload) for args, payload in INPUT_PATHS.values()],
+    ids=["verify-cert", "local-exponents", "rec-unroll-input", "rec-unroll-initial", "ode-to-rec",
+         "ode-to-rec-zero", "local-exponents-zero", "local-exponents-noncanonical",
+         "ode-to-rec-negative-power", "ode-to-rec-negative-derivative",
+         "ode-to-rec-fractional-derivative",
+         "local-exponents-negative-derivative", "local-exponents-bivariate"]
+    + [f"{name}-truncated" for name in INPUT_PATHS] + [f"{name}-wrong-variable" for name in INPUT_PATHS])
 def test_malformed_input_exits_two(tmp_path, args, payload):
-    # a malformed JSON structure is bad input (exit 2, one line), not a crash
+    # a malformed file is bad input (exit 2, one line), not a crash; a str
+    # payload is written as it is, anything else as JSON
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
+    bad.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     result = subprocess.run(
         [sys.executable, "-m", "rookpaths.cli", "--out", str(tmp_path)]
         + [str(bad) if a == "BAD" else a for a in args],

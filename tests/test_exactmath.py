@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from rookpaths import rookdata
 from rookpaths.exactmath import (ExactMatrix, MPoly, PowerSeries, RatFun, clear_denominators,
                                  clear_vector, frac_gcd, linear_nullspace, mpoly_gcd, poly, ratfun,
                                  resultant, series_compose, series_nth_root)
+from rookpaths.exactmath import mpoly as mpoly_module
 
 X = ("x",)
 XST = ("x", "s", "t")
@@ -56,6 +58,65 @@ def test_gcd_divisibility_property():
             continue
         d = mpoly_gcd(g * a, g * b)
         assert d.try_divide(g.primitive_part()) is not None
+
+
+def test_gcd_matches_prs_and_sympy_oracles():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x s t")
+    coeffs = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4))
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), coeffs, max_size=4).map(
+        lambda terms: MPoly(XST, terms))
+    monomials = st.tuples(*[st.integers(0, 2)] * 3).map(lambda e: MPoly(XST, {e: 1}))
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator)
+                                     for e, c in p.terms.items()} or {(0, 0, 0): 0},
+                                    *gens, domain=sympy.QQ)
+
+    def from_sympy(p):
+        return MPoly(XST, {e: Fraction(int(c.p), int(c.q)) for e, c in p.terms() if c})
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(polys, polys, polys, monomials, monomials)
+    def check(a, b, g, ma, mb):
+        fa, fb = a * g * ma, b * g * mb
+        d = mpoly_gcd(fa, fb)
+        assert d == from_sympy(to_sympy(fa).gcd(to_sympy(fb))).primitive_part()
+        if g:
+            assert d.try_divide(g) is not None
+        if fa and fb:
+            pa, pb = fa.primitive_part(), fb.primitive_part()
+            assert d == mpoly_module._gcd_core(pa, pb).primitive_part()
+            heu = mpoly_module._heu_gcd(pa, pb)
+            assert heu is None or heu.primitive_part() == d
+
+    check()
+
+
+def test_gcd_prs_fallback_gives_the_same_results(monkeypatch):
+    a = poly("s*t^2-s^2*t-x*s*t+x*s^2-t^2+s*t+x*t-x*s", XST)
+    q1 = poly(Q1_TEXT, XST)
+    den = rookdata.embedded_f().den
+    pairs = [(a, a), (a * poly("x+s", XST), a * poly("t-1", XST)), (poly("s*t", XST) * q1, q1),
+             (q1, a), (den, den.derivative("t")), (den * q1, den.derivative("x") * q1),
+             (den, a * poly("2*x-3", XST))]
+    expected = [mpoly_gcd(p, q) for p, q in pairs]
+    assert expected[0] == expected[1] == a.primitive_part()
+    assert expected[2] == q1.primitive_part()
+    assert expected[3].is_constant()
+    reached = []
+    core = mpoly_module._gcd_core
+
+    def counting_core(p, q):
+        reached.append(1)
+        return core(p, q)
+
+    monkeypatch.setattr(mpoly_module, "_heu_gcd", lambda p, q: None)
+    monkeypatch.setattr(mpoly_module, "_gcd_core", counting_core)
+    assert [mpoly_gcd(p, q) for p, q in pairs] == expected
+    assert len(reached) >= len(pairs)
 
 
 def test_discriminant_matches_factored_reference_form():
@@ -248,6 +309,8 @@ def test_nullspace_vectors_are_content_free():
 def test_parse_rejects_noncanonical_text_in_one_line():
     with pytest.raises(ValueError, match=r"'x\^2-2'.*canonical form"):
         MPoly.parse("x^2-2", X)
+    with pytest.raises(ValueError, match=r"negative power of 'x' in '1\*x\^-1'"):
+        MPoly.parse("1*x^-1", X)
 
 
 def test_clear_vector_properties():

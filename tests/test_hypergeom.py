@@ -106,6 +106,13 @@ def test_non_rational_leading_factor_rejected():
     assert rest == poly("x^2-2", X)
 
 
+def test_multivariate_operator_rejected():
+    xs = ("x", "s")
+    op = DiffOp(xs, X, {(2,): RatFun(poly("x", xs)), (0,): RatFun.from_scalar(1, xs)})
+    with pytest.raises(HypergeomError, match="univariate in its series variable"):
+        local_exponents(op)
+
+
 # -- pullbacks -----------------------------------------------------------------------
 
 

@@ -668,9 +668,6 @@ def f21_at_one(spec: HypergeomSpec, nodes: Sequence[int] | None = None) -> Fract
     return extrapolate_partial_sums(lambda n: sums[n], list(nodes))
 
 
-ASYMPT_CONSTANT_NUM = 9  # a_n ~ (9 sqrt(3) / (40 pi)) 64^n / n
-
-
 @dataclass
 class AsymptoticsReport:
     gauss_value: Fraction

@@ -304,12 +304,14 @@ class RecOp:
     def __init__(self, terms: Mapping[int, MPoly | int | Fraction]):
         clean: dict[int, MPoly] = {}
         for j, q in terms.items():
+            if not isinstance(j, int) or isinstance(j, bool):
+                raise ValueError(f"shift offsets must be integers, got {j!r}")
             if isinstance(q, (int, Fraction)):
                 q = MPoly.const(N_VARS, q)
             if q.vars != N_VARS:
                 raise ValueError("recurrence coefficients live in Q[n]")
             if not q.is_zero():
-                clean[int(j)] = q
+                clean[j] = q
         self.terms = clean
 
     def is_zero(self) -> bool:

@@ -29,9 +29,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactmath import (ExactMatrix, MPoly, RatFun, clear_denominators, clear_vector, frac_gcd,
-                        linear_nullspace, monomial_key, mpoly_gcd, poly)
+                        linear_nullspace, monomial_key, mpoly_gcd)
 from .ore import DiffOp, _derivative_from_cache
-from . import rookdata
 
 XST = ("x", "s", "t")
 
@@ -46,153 +45,6 @@ class DivisionRemainderError(TelescopeError):
     def __init__(self, remainder: DiffOp):
         super().__init__("nonzero remainder in operator division")
         self.remainder = remainder
-
-
-# ---------------------------------------------------------------------------
-# Fractions with factored denominators
-#
-# The verification arithmetic multiplies large trivariate polynomials; a
-# factored denominator avoids every gcd on them.  Factors are kept primitive
-# with positive leading coefficient so dict keys merge reliably; trial exact
-# division does all reduction.
-# ---------------------------------------------------------------------------
-
-
-class FactoredFrac:
-    __slots__ = ("vars", "num", "den")
-
-    def __init__(self, num: MPoly, den: dict[MPoly, int] | None = None):
-        self.vars = num.vars
-        self.num = num
-        self.den = {f: e for f, e in (den or {}).items() if e} if not num.is_zero() else {}
-
-    @staticmethod
-    def from_ratfun(rf: RatFun, factors: Sequence[MPoly]) -> FactoredFrac:
-        num = rf.num
-        den: dict[MPoly, int] = {}
-        rest = rf.den
-        for f in factors:
-            while True:
-                q = rest.try_divide(f)
-                if q is None:
-                    break
-                rest = q
-                den[f] = den.get(f, 0) + 1
-        if rest.is_constant():
-            num = num * (1 / rest.constant_value())
-        else:
-            rest_n = rest.primitive_part()
-            den[rest_n] = den.get(rest_n, 0) + 1
-            num = num * (Fraction(rest_n.leading_coeff()) / rest.leading_coeff())
-        return FactoredFrac(num, den)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __neg__(self) -> FactoredFrac:
-        return FactoredFrac(-self.num, dict(self.den))
-
-    def __add__(self, other: FactoredFrac) -> FactoredFrac:
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        merged: dict[MPoly, int] = dict(self.den)
-        for f, e in other.den.items():
-            merged[f] = max(merged.get(f, 0), e)
-        a = self.num
-        for f, e in merged.items():
-            need = e - self.den.get(f, 0)
-            if need:
-                a = a * f ** need
-        b = other.num
-        for f, e in merged.items():
-            need = e - other.den.get(f, 0)
-            if need:
-                b = b * f ** need
-        return FactoredFrac(a + b, merged)
-
-    def __sub__(self, other: FactoredFrac) -> FactoredFrac:
-        return self + (-other)
-
-    def __mul__(self, other: FactoredFrac) -> FactoredFrac:
-        if self.is_zero() or other.is_zero():
-            return FactoredFrac(MPoly.zero(self.vars))
-        den = dict(self.den)
-        for f, e in other.den.items():
-            den[f] = den.get(f, 0) + e
-        return FactoredFrac(self.num * other.num, den).reduced()
-
-    def derivative(self, var: str) -> FactoredFrac:
-        """d/dvar (num / prod f^e) without expanding the denominator."""
-        if self.is_zero():
-            return self
-        dnum = self.num.derivative(var)
-        acc = dnum
-        for f in self.den:
-            acc = acc * f
-        # subtract num * sum_i e_i f_i' * prod_{j != i} f_j
-        for f, e in self.den.items():
-            df = f.derivative(var)
-            if df.is_zero():
-                continue
-            part = self.num * (df * e)
-            for g in self.den:
-                if g != f:
-                    part = part * g
-            acc = acc - part
-        den = {f: e + 1 for f, e in self.den.items()}
-        return FactoredFrac(acc, den).reduced()
-
-    def reduced(self) -> FactoredFrac:
-        if self.is_zero() or not self.den:
-            return self
-        num = self.num
-        den: dict[MPoly, int] = {}
-        for f, e in self.den.items():
-            while e > 0:
-                q = num.try_divide(f)
-                if q is None:
-                    break
-                num = q
-                e -= 1
-            if e:
-                den[f] = e
-        return FactoredFrac(num, den)
-
-    def to_ratfun(self) -> RatFun:
-        r = self.reduced()
-        den = MPoly.const(self.vars, 1)
-        for f, e in sorted(r.den.items(), key=lambda fe: fe[0].text()):
-            den = den * f ** e
-        return RatFun(r.num, den, _reduced=True)
-
-
-def apply_op_factored(op: DiffOp, target: FactoredFrac,
-                      factors: Sequence[MPoly]) -> FactoredFrac:
-    """Apply a DiffOp to a factored fraction over a larger variable ring."""
-    tvars = target.vars
-    cache: dict[tuple[int, ...], FactoredFrac] = {}
-    result = FactoredFrac(MPoly.zero(tvars))
-    for exp in sorted(op.terms, key=lambda e: (sum(e), e)):
-        c = op.terms[exp].extend_vars(tvars)
-        d = _derivative_from_cache(target, op.dvars, exp, cache)
-        result = result + FactoredFrac.from_ratfun(c, factors) * d
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Reduction factors for the verification arithmetic
-# ---------------------------------------------------------------------------
-
-
-def reduction_factors() -> list[MPoly]:
-    """Irreducible-by-construction factors for trial-division reduction."""
-    texts = ["x", "s", "t", "s-1", "3*s-2", "t-x", "x-s",
-             "16*x*s^2-4*s^3-24*x*s+4*s^2+9*x-s"]
-    out = [poly(t, XST).primitive_part() for t in texts]
-    out.append(rookdata.q1().primitive_part())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -694,16 +546,11 @@ class VerifyReport:
 
 def verify_key_equation(cert: Certificate, F: RatFun) -> VerifyReport:
     """Check P(F) - dS/ds - dT/dt = 0 by exact normalization."""
-    factors = reduction_factors()
-    Ff = FactoredFrac.from_ratfun(F, factors)
-    p_of_f = apply_op_factored(_lift_op(cert.P, ("x", "s")), Ff, factors)
-    s_term = FactoredFrac.from_ratfun(cert.S, factors).derivative("s")
-    t_term = FactoredFrac.from_ratfun(cert.T, factors).derivative("t")
-    residual = (p_of_f - s_term - t_term).reduced()
+    residual = cert.P.apply_ratfun(F) - cert.S.derivative("s") - cert.T.derivative("t")
     if residual.is_zero():
         cert.verified = True
         return VerifyReport(True, RatFun.from_scalar(0, XST), "residual identically zero")
-    return VerifyReport(False, residual.to_ratfun(), "nonzero residual")
+    return VerifyReport(False, residual, "nonzero residual")
 
 
 def _lift_op(op: DiffOp, dvars: tuple[str, ...]) -> DiffOp:
@@ -805,16 +652,10 @@ def _operator_block_scale(block: Sequence[MPoly], support: Sequence[tuple[int, .
         if not p.is_zero():
             content = frac_gcd(content, p.rational_content())
     designated = max(range(len(support)), key=lambda i: monomial_key(tuple(support[i])))
-    sign = 1
     probe = block[designated]
     if probe.is_zero():
-        for p in reversed(block):
-            if not p.is_zero():
-                probe = p
-                break
-    if probe.leading_coeff() < 0:
-        sign = -1
-    return Fraction(sign) / content
+        probe = next((p for p in reversed(block) if not p.is_zero()), probe)
+    return Fraction(-1 if probe.leading_coeff() < 0 else 1) / content
 
 
 # ---------------------------------------------------------------------------
@@ -906,11 +747,8 @@ def stage_c_reconstruct(P: DiffOp, Q: DiffOp, stage_a: Sequence[StageACertificat
     if not R.is_zero():
         raise DivisionRemainderError(R)
 
-    factors = reduction_factors()
     S = Q.apply_ratfun(F)
-    Ff1 = FactoredFrac.from_ratfun(psi1 * F, factors)
-    Ff2 = FactoredFrac.from_ratfun(psi2 * F, factors)
-    T = (apply_op_factored(A1, Ff1, factors) + apply_op_factored(A2, Ff2, factors)).to_ratfun()
+    T = A1.apply_ratfun(psi1 * F) + A2.apply_ratfun(psi2 * F)
 
     cert = Certificate(P=P, S=S, T=T,
                        stage_log=[f"A1 = {A1!r}", f"A2 = {A2!r}"])
@@ -931,11 +769,7 @@ def _divide_off(R: DiffOp, divisor: DiffOp, selects, lead_exp: tuple[int, int]):
     lead = divisor.coeff(lead_exp)
     guard = 0
     while True:
-        target = None
-        for e in sorted(R.terms, key=monomial_key, reverse=True):
-            if selects(e):
-                target = e
-                break
+        target = max((e for e in R.terms if selects(e)), key=monomial_key, default=None)
         if target is None:
             return quotient, R
         guard += 1

@@ -85,9 +85,19 @@ class SeqTable:
     def from_json(text: str) -> SeqTable:
         data = json.loads(text)
         try:
-            return SeqTable(data["name"], [int(t) for t in data["terms"]], data["provenance"])
+            return SeqTable(data["name"], [_integer_term(t) for t in data["terms"]], data["provenance"])
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed sequence JSON: {type(exc).__name__}: {exc}") from None
+
+
+def _integer_term(t) -> int:
+    """One sequence term, given as an integer or as its decimal text."""
+    if isinstance(t, (int, str)) and not isinstance(t, bool):
+        try:
+            return int(t)
+        except ValueError:
+            pass
+    raise ValueError(f"malformed sequence JSON: terms must hold integer literals, got {t!r}")
 
 
 def count_paths(dirs: DirectionSet, bound: tuple[int, int, int]) -> CountTable:

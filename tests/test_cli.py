@@ -156,15 +156,19 @@ TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
     (["ode-to-rec", "--input", "BAD"], op_json((1.5, "1"))),
     (["local-exponents", "--input", "BAD"], op_json((2, "1"), (-1, "1"))),
     (["local-exponents", "--input", "BAD"], op_json((2, "1*x^1"), (0, "1"), vars=("x", "s"))),
+    (["rec-unroll", "--n", "10", "--input", "BAD"],
+     {"terms": [{"exp": [0.5], "coeff": "1"}, {"exp": [1], "coeff": "1"}]}),
+    (["rec-unroll", "--n", "10", "--initial", "BAD"], {"name": "a", "terms": ["1", 1.5], "provenance": "dp"}),
 ] + [(args, TRUNCATED) for args, _ in INPUT_PATHS.values()]
   + [(args, payload) for args, payload in INPUT_PATHS.values()],
     ids=["verify-cert", "local-exponents", "rec-unroll-input", "rec-unroll-initial", "ode-to-rec",
          "ode-to-rec-zero", "local-exponents-zero", "local-exponents-noncanonical",
          "ode-to-rec-negative-power", "ode-to-rec-negative-derivative",
          "ode-to-rec-fractional-derivative",
-         "local-exponents-negative-derivative", "local-exponents-bivariate"]
+         "local-exponents-negative-derivative", "local-exponents-bivariate",
+         "rec-unroll-fractional-shift", "rec-unroll-initial-fractional-term"]
     + [f"{name}-truncated" for name in INPUT_PATHS] + [f"{name}-wrong-variable" for name in INPUT_PATHS])
-def test_malformed_input_exits_two(tmp_path, args, payload):
+def test_malformed_input_exits_two(tmp_path, request, args, payload):
     # a malformed file is bad input (exit 2, one line), not a crash; a str
     # payload is written as it is, anything else as JSON
     bad = tmp_path / "bad.json"
@@ -176,6 +180,8 @@ def test_malformed_input_exits_two(tmp_path, args, payload):
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
     assert len(result.stderr.strip().splitlines()) == 1
+    if request.node.callspec.id == "rec-unroll-initial-wrong-variable":
+        assert "terms" in result.stderr
 
 
 def test_failing_check_exits_one(tmp_path):

@@ -1,16 +1,18 @@
 """The proof engine: parametrized solving, three stages, key equation."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
 
 from rookpaths import rookdata
+from rookpaths.diagonal import residue_embedding
 from rookpaths.exactmath import MPoly, RatFun, poly, ratfun
-from rookpaths.ore import DiffOp, diffop_to_rec
-from rookpaths.telescope import (Ansatz, Certificate, DivisionRemainderError, FactoredFrac,
-                                 lipshitz_bounds, reduction_factors, solve_parametrized_system,
-                                 stage_a_search, stage_c_reconstruct, verify_key_equation)
-from rookpaths.walks import SeqTable
+from rookpaths.ore import DiffOp, diffop_to_rec, rec_unroll
+from rookpaths.telescope import (Ansatz, Certificate, DivisionRemainderError, lipshitz_bounds,
+                                 solve_parametrized_system, stage_a_pair, stage_a_search,
+                                 stage_b_search, stage_c_reconstruct, verify_key_equation)
+from rookpaths.walks import ROOK, DirectionSet, SeqTable, diagonal_sequence, step_generating_function
 
 X = ("x",)
 XS = ("x", "s")
@@ -222,22 +224,34 @@ def test_certificate_json_round_trip(final_certificate):
     assert json.dumps(again.to_json_dict(), indent=2, sort_keys=True) == text
 
 
-# -- factored fractions -----------------------------------------------------------------
+# -- other walks -------------------------------------------------------------------------
 
 
-def test_factored_fraction_round_trip(rook_f):
-    factors = reduction_factors()
-    ff = FactoredFrac.from_ratfun(rook_f, factors)
-    assert ff.to_ratfun() == rook_f
-    d = ff.derivative("t").to_ratfun()
-    assert d == rook_f.derivative("t")
+SIMPLE = DirectionSet(ROOK.directions, repeat=False, name="simple")
+DELANNOY = DirectionSet(ROOK.directions + ((1, 1, 1),), repeat=False, name="delannoy")
 
 
-def test_factored_fraction_without_listed_factors(rook_f, stage_a_certs):
-    # every denominator factor is missing from the list: one primitive factor
-    # takes the whole denominator and the scale moves into the numerator
-    for f in (rook_f, stage_a_certs[0].phi * rook_f):
-        assert FactoredFrac.from_ratfun(f, []).to_ratfun() == f
+@pytest.mark.parametrize("walk", [SIMPLE, DELANNOY], ids=lambda w: w.name)
+def test_stage_c_is_instance_generic(walk, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the proof engine read a reference transcription")
+
+    for name, fn in inspect.getmembers(rookdata, inspect.isfunction):
+        if fn.__module__ == rookdata.__name__ and not name.startswith("_"):
+            monkeypatch.setattr(rookdata, name, forbidden)
+    F = residue_embedding(step_generating_function(walk))
+    certs = stage_a_pair(F)
+    P1, P2 = certs[0].operator, certs[1].operator
+    P, Q = next(r for r in (stage_b_search(P1, P2, d) for d in range(1, 5)) if r is not None)
+    cert = stage_c_reconstruct(P, Q, certs, F)
+    assert cert.verified
+    if walk is SIMPLE:
+        assert P == DiffOp(X, X, {(2,): RatFun(poly("x*(27*x-1)", X)),
+                                  (1,): RatFun(poly("54*x-1", X)), (0,): RatFun.from_scalar(6, X)})
+    rec = diffop_to_rec(P)
+    dp = diagonal_sequence(walk, 40)
+    unrolled = rec_unroll(rec, SeqTable(walk.name, dp.terms[:rec.order()], "dp"), 40)
+    assert unrolled.terms == dp.terms
 
 
 # -- counting bounds -----------------------------------------------------------------------

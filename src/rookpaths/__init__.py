@@ -12,8 +12,7 @@ the full surface.
 from .walks import ROOK, QUEEN, DirectionSet, SeqTable, count_paths, diagonal_sequence, \
     queens_dominant_root, step_generating_function
 from .diagonal import expand_diagonal, residue_embedding
-from .ore import DiffOp, RecOp, apply_diffop, diffop_to_rec, guess_rec, op_multiply, \
-    prove_rec_reduction, rec_unroll
+from .ore import DiffOp, RecOp, diffop_to_rec, guess_rec, prove_rec_reduction, rec_unroll
 from .telescope import Ansatz, Certificate, lipshitz_bounds, solve_parametrized_system, \
     stage_a_search, stage_b_search, stage_c_reconstruct, verify_key_equation
 from .hypergeom import HypergeomSpec, asymptotics_check, closed_form_check, f21_series, \
@@ -26,8 +25,7 @@ __all__ = [
     "ROOK", "QUEEN", "DirectionSet", "SeqTable", "count_paths", "diagonal_sequence",
     "queens_dominant_root", "step_generating_function",
     "expand_diagonal", "residue_embedding",
-    "DiffOp", "RecOp", "apply_diffop", "diffop_to_rec", "guess_rec", "op_multiply",
-    "prove_rec_reduction", "rec_unroll",
+    "DiffOp", "RecOp", "diffop_to_rec", "guess_rec", "prove_rec_reduction", "rec_unroll",
     "Ansatz", "Certificate", "lipshitz_bounds", "solve_parametrized_system",
     "stage_a_search", "stage_b_search", "stage_c_reconstruct", "verify_key_equation",
     "HypergeomSpec", "asymptotics_check", "closed_form_check", "f21_series",

@@ -3,8 +3,8 @@ truncated power series, and fraction-free linear algebra."""
 
 from .mpoly import MPoly, frac_gcd, monomial_key, mpoly_gcd, mpoly_lcm, poly, resultant
 from .ratfun import RatFun, ratfun
-from .series import DEFAULT_ORDER, PowerSeries, series_compose, series_nth_root
-from .linalg import ExactMatrix, clear_denominators, clear_vector, linear_nullspace
+from .series import DEFAULT_ORDER, PowerSeries
+from .linalg import clear_denominators, clear_vector, linear_nullspace
 
 __all__ = [
     "MPoly",
@@ -18,9 +18,6 @@ __all__ = [
     "ratfun",
     "DEFAULT_ORDER",
     "PowerSeries",
-    "series_compose",
-    "series_nth_root",
-    "ExactMatrix",
     "clear_denominators",
     "clear_vector",
     "linear_nullspace",

@@ -1,8 +1,8 @@
 """Exact linear algebra over polynomial fraction fields.
 
-The solver is fraction-free: rows are cleared to polynomial entries, and
-elimination uses cross-multiplication followed by a full content strip of
-every updated row (rational content and polynomial gcd across the row).  By
+The solver is fraction-free: it takes polynomial rows, and elimination uses
+cross-multiplication followed by a full content strip of every updated row
+(rational content and polynomial gcd across the row).  By
 Sylvester's identity the stripped content always contains the Bareiss pivot
 factor, so growth is no worse than classical fraction-free elimination while
 the representation never leaves the polynomial ring.
@@ -22,53 +22,24 @@ from .mpoly import MPoly, frac_gcd, mpoly_gcd, mpoly_lcm
 from .ratfun import RatFun
 
 
-class ExactMatrix:
-    """Rectangular matrix of RatFun entries over a shared variable tuple."""
-
-    __slots__ = ("vars", "rows")
-
-    def __init__(self, rows: Sequence[Sequence[RatFun | MPoly]], vars: tuple[str, ...] | None = None):
-        conv: list[list[RatFun]] = []
-        for row in rows:
-            out = []
-            for e in row:
-                if isinstance(e, MPoly):
-                    e = RatFun(e)
-                elif isinstance(e, (int, Fraction)):
-                    if vars is None:
-                        raise ValueError("scalar entries need an explicit vars tuple")
-                    e = RatFun.from_scalar(e, vars)
-                out.append(e)
-            conv.append(out)
-        if not conv or not conv[0]:
-            raise ValueError("matrix must be nonempty")
-        self.vars = vars if vars is not None else conv[0][0].vars
-        ncols = len(conv[0])
-        for row in conv:
-            if len(row) != ncols:
-                raise ValueError("ragged matrix")
-            for e in row:
-                if e.vars != self.vars:
-                    raise ValueError("mixed variable tuples in matrix")
-        self.rows = conv
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows[0]))
-
-
-def linear_nullspace(m: ExactMatrix | Sequence[Sequence[RatFun]]) -> list[list[MPoly]]:
-    """Basis of the right kernel, cleared to content-1 polynomial vectors."""
-    if not isinstance(m, ExactMatrix):
-        m = ExactMatrix(m)
-    vars = m.vars
-    ncols = m.shape[1]
+def linear_nullspace(matrix: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
+    """Basis of the right kernel of a nonempty polynomial matrix, cleared to
+    content-1 polynomial vectors."""
+    if not matrix or not matrix[0]:
+        raise ValueError("matrix must be nonempty")
+    vars = matrix[0][0].vars
+    ncols = len(matrix[0])
+    for row in matrix:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+        if any(e.vars != vars for e in row):
+            raise ValueError("mixed variable tuples in matrix")
 
     rows: list[dict[int, MPoly]] = []
-    for row in m.rows:
-        cleared = {j: p for j, p in enumerate(clear_vector(row, vars)) if p}
-        if cleared:
-            rows.append(cleared)
+    for row in matrix:
+        nonzero = {j: p for j, p in enumerate(row) if p}
+        if nonzero:
+            rows.append(_strip_content(nonzero))
 
     pivots: list[tuple[int, dict[int, MPoly]]] = []
     for col in range(ncols):

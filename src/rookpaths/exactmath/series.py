@@ -234,11 +234,3 @@ class PowerSeries:
                 shown.append(f"{c}*{self.var}^{i}")
         body = " + ".join(shown) if shown else "0"
         return f"PowerSeries({body} + O({self.var}^{self.order + 1}))"
-
-
-def series_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
-    return outer.compose(inner)
-
-
-def series_nth_root(p: PowerSeries, k: int) -> PowerSeries:
-    return p.nth_root(k)

@@ -10,7 +10,6 @@ series identities connecting the two hypergeometric expressions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -22,6 +21,7 @@ from . import rookdata
 from .walks import ROOK, SeqTable, diagonal_sequence
 
 X = ("x",)
+E = ("e",)  # the exponent variable of indicial polynomials
 
 
 class HypergeomError(ValueError):
@@ -100,15 +100,15 @@ class SingularityReport:
         raise KeyError(location)
 
 
-def local_exponents(L: DiffOp, frobenius_order: int = 40) -> SingularityReport:
+def local_exponents(L: DiffOp) -> SingularityReport:
     """Indicial analysis of a second-order operator at every singular point.
 
     Singular points are the rational roots of the leading coefficient plus
-    infinity; a nonconstant irrational remainder aborts with an error, as
-    does an irregular singular point (indicial degree < 2).  Integer
-    exponent differences are classified removable vs logarithmic by running
-    the Frobenius construction from the smaller exponent and testing the
-    consistency condition at the gap.
+    infinity; a nonconstant irrational remainder aborts with an error, as do
+    an irregular singular point (indicial degree < 2) and exponents outside
+    Q.  Integer exponent differences are classified removable vs logarithmic
+    by running the Frobenius construction from the smaller exponent and
+    testing the consistency condition at the gap.
     """
     coeffs = _polynomial_coefficients(L)
     if not coeffs or max(coeffs) != 2:
@@ -120,9 +120,8 @@ def local_exponents(L: DiffOp, frobenius_order: int = 40) -> SingularityReport:
             f"analysis over Q cannot continue: {rest.text()}")
     points: list[PointReport] = []
     for root, _mult in roots:
-        points.append(_classify_point(coeffs, root, frobenius_order))
-    points.append(_classify_point(_infinity_coefficients(coeffs), Fraction(0),
-                                  frobenius_order, label="inf"))
+        points.append(_classify_point(coeffs, root))
+    points.append(_classify_point(_infinity_coefficients(coeffs), Fraction(0), label="inf"))
     points.sort(key=lambda p: (isinstance(p.location, str), p.location if not isinstance(p.location, str) else 0))
     return SingularityReport(points)
 
@@ -130,7 +129,7 @@ def local_exponents(L: DiffOp, frobenius_order: int = 40) -> SingularityReport:
 def exponents_at(L: DiffOp, location: Fraction) -> PointReport:
     """Classify one rational point (ordinary points report exponents (0, 1))."""
     coeffs = _polynomial_coefficients(L)
-    return _classify_point(coeffs, Fraction(location), 40)
+    return _classify_point(coeffs, Fraction(location))
 
 
 def _polynomial_coefficients(L: DiffOp) -> dict[int, MPoly]:
@@ -154,7 +153,7 @@ def _rational_roots(p: MPoly) -> tuple[list[tuple[Fraction, int]], MPoly]:
     work = p.primitive_part()
     roots: list[tuple[Fraction, int]] = []
     zero_mult = min(exp[0] for exp in work.terms)
-    if zero_mult:
+    if zero_mult:  # the pullback's conditions are often powers of c
         roots.append((Fraction(0), zero_mult))
         work = MPoly(p.vars, {(e - zero_mult,): c for (e,), c in work.terms.items()})
     while not work.is_constant():
@@ -171,32 +170,47 @@ def _rational_roots(p: MPoly) -> tuple[list[tuple[Fraction, int]], MPoly]:
 
 
 def _find_rational_root(p: MPoly) -> Fraction | None:
-    """A rational root of a primitive univariate p with p(0) != 0, or None."""
+    """A rational root of a primitive univariate p, or None.
+
+    With q its squarefree part, L the lead and d the degree of q, y = L*x
+    turns q into the monic integer polynomial m(y) = L^(d-1) q(y/L), whose
+    rational roots are integers below B = 1 + max|coefficient of m|.  Modulo
+    a prime at which every root of m is simple, each integer root reduces to
+    one of those roots, and Newton (Hensel) lifting recovers it modulo a
+    power of the prime above 2B.  No coefficient is factored, so huge
+    coefficients cost only their length.
+    """
     (var,) = p.vars
-    deg = p.degree(var)
-    const = p.constant_value()
-    lead = p.terms[(deg,)]
-    if deg == 1:
-        return -const / lead
-    for pn in _divisors(abs(int(const))):
-        for qd in _divisors(abs(int(lead))):
-            for sign in (1, -1):
-                cand = Fraction(sign * pn, qd)
-                if p.eval_full({var: cand}) == 0:
-                    return cand
+    q = p.divide_exact(mpoly_gcd(p, p.derivative(var)))
+    d = q.degree(var)
+    lead = int(q.terms[(d,)])
+    m = [int(q.terms.get((i,), 0)) * lead ** (d - 1 - i) for i in range(d)] + [1]
+    dm = [i * c for i, c in enumerate(m)][1:]
+    bound = 1 + max(abs(c) for c in m[:-1])
+
+    def value(coeffs: list[int], y: int, modulus: int) -> int:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * y + c) % modulus
+        return acc
+
+    prime = 1
+    while True:
+        prime += 1
+        if any(prime % k == 0 for k in range(2, prime)):
+            continue
+        residues = [r for r in range(prime) if value(m, r, prime) == 0]
+        if all(value(dm, r, prime) for r in residues):
+            break
+    for r in residues:
+        modulus = prime
+        while modulus <= 2 * bound:
+            modulus *= modulus
+            r = (r - value(m, r, modulus) * pow(value(dm, r, modulus), -1, modulus)) % modulus
+        root = Fraction(r if 2 * r < modulus else r - modulus, lead)
+        if q.eval_full({var: root}) == 0:
+            return root
     return None
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def _shifted_coeffs(coeffs: dict[int, MPoly], p: Fraction) -> dict[int, MPoly]:
@@ -231,8 +245,7 @@ def _infinity_coefficients(coeffs: dict[int, MPoly]) -> dict[int, MPoly]:
     return {2: new2, 1: new1, 0: new0}
 
 
-def _classify_point(coeffs: dict[int, MPoly], p: Fraction, frobenius_order: int,
-                    label=None) -> PointReport:
+def _classify_point(coeffs: dict[int, MPoly], p: Fraction, label=None) -> PointReport:
     local = _shifted_coeffs(coeffs, p)
     location = label if label is not None else p
     vals = {}
@@ -240,115 +253,61 @@ def _classify_point(coeffs: dict[int, MPoly], p: Fraction, frobenius_order: int,
         if not c.is_zero():
             vals[k] = min(e for (e,) in c.terms)
     mu = min(vals[k] - k for k in vals)
-    chi = _indicial_polynomial(local, vals, mu)
     if vals.get(2, None) is None or vals[2] - 2 > mu:
         raise HypergeomError(f"point {location} is not regular singular "
                              "(indicial degree < 2)")
-    e1, e2 = _quadratic_roots(chi)
-    d = abs(e1 - e2)
+    roots, rest = _rational_roots(_chi(local, mu, 0))
+    if not rest.is_constant():
+        raise HypergeomError("irrational local exponents are out of scope")
+    e1, e2 = (r for r, mult in roots for _ in range(mult))
+    d = e2 - e1
     if vals[2] == 0:
-        return PointReport(location, (min(e1, e2), max(e1, e2)), d, "ordinary")
+        return PointReport(location, (e1, e2), d, "ordinary")
     if d == 0:
         klass = "logarithmic"
     elif d.denominator != 1:
         klass = "non-removable-other"
     else:
-        klass = "removable" if _frobenius_consistent(local, mu, min(e1, e2), int(d)) \
-            else "logarithmic"
-    return PointReport(location, (min(e1, e2), max(e1, e2)), d, klass)
+        klass = "removable" if _frobenius_consistent(local, mu, e1, int(d)) else "logarithmic"
+    return PointReport(location, (e1, e2), d, klass)
 
 
-def _indicial_polynomial(local: dict[int, MPoly], vals: dict[int, int],
-                         mu: int) -> list[Fraction]:
-    """Coefficients [c0, c1, c2] of the indicial quadratic chi(e)."""
-    # chi(e) = sum over k with v_k - k = mu of trail(c_k) * e(e-1)...(e-k+1)
-    out = [Fraction(0)] * 3
+def _chi(local: dict[int, MPoly], mu: int, i: int) -> MPoly:
+    """chi_i(e) = sum_k [x^(mu+i+k)] c_k * e(e-1)...(e-k+1), over ("e",).
+
+    chi_0 is the indicial polynomial: L(x^e) = sum_i chi_i(e) x^(e+mu+i).
+    """
+    e = MPoly.var(E, "e")
+    out = MPoly.zero(E)
     for k, c in local.items():
-        if c.is_zero() or vals[k] - k != mu:
-            continue
-        trail = Fraction(c.terms[(vals[k],)])
-        ff = _falling_factorial_coeffs(k)
-        for i, fc in enumerate(ff):
-            out[i] += trail * fc
+        coef = c.terms.get((mu + i + k,))
+        if coef:
+            term = MPoly.const(E, coef)
+            for j in range(k):
+                term = term * (e - j)
+            out = out + term
     return out
-
-
-def _falling_factorial_coeffs(k: int) -> list[Fraction]:
-    # e(e-1)...(e-k+1) as coefficients in e, low to high
-    coeffs = [Fraction(1)]
-    for i in range(k):
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            new[j + 1] += c
-            new[j] += -i * c
-        coeffs = new
-    return coeffs
-
-
-def _quadratic_roots(chi: list[Fraction]) -> tuple[Fraction, Fraction]:
-    c0, c1, c2 = chi
-    if c2 == 0:
-        raise HypergeomError("indicial polynomial is not quadratic")
-    disc = c1 * c1 - 4 * c2 * c0
-    root = _rational_sqrt(disc)
-    if root is None:
-        raise HypergeomError("irrational local exponents are out of scope")
-    return ((-c1 + root) / (2 * c2), (-c1 - root) / (2 * c2))
-
-
-def _rational_sqrt(v: Fraction) -> Fraction | None:
-    if v < 0:
-        return None
-    nr = math.isqrt(v.numerator)
-    dr = math.isqrt(v.denominator)
-    if nr * nr == v.numerator and dr * dr == v.denominator:
-        return Fraction(nr, dr)
-    return None
 
 
 def _frobenius_consistent(local: dict[int, MPoly], mu: int, e_small: Fraction,
                           gap: int) -> bool:
     """Series construction from the smaller exponent: does step `gap` close?
 
-    Writing L(x^theta) = sum_i chi_i(theta) x^(theta+mu+i), the candidate
-    series coefficients satisfy chi_0(e+m) c_m = -sum chi_i(e+m-i) c_(m-i);
-    at m = gap the left factor vanishes, and the point is removable exactly
-    when the right side vanishes there too.
+    The candidate series coefficients satisfy
+    chi_0(e+m) c_m = -sum chi_i(e+m-i) c_(m-i); at m = gap the left factor
+    vanishes, and the point is removable exactly when the right side
+    vanishes there too.
     """
-    chis = []
-    for i in range(gap + 1):
-        chis.append(_chi_i(local, mu, i))
+    chis = [_chi(local, mu, i) for i in range(gap + 1)]
     c = [Fraction(1)]
-    for m in range(1, gap + 1):
-        rhs = Fraction(0)
-        for i in range(1, m + 1):
-            rhs -= _eval_poly_list(chis[i], e_small + m - i) * c[m - i]
-        lead = _eval_poly_list(chis[0], e_small + m)
-        if m < gap:
-            c.append(rhs / lead)
-        else:
-            return rhs == 0
-    return True
 
+    def rhs(m: int) -> Fraction:
+        return -sum((chis[i].eval_full({"e": e_small + m - i}) * c[m - i]
+                     for i in range(1, m + 1)), Fraction(0))
 
-def _chi_i(local: dict[int, MPoly], mu: int, i: int) -> list[Fraction]:
-    out = [Fraction(0)] * 3
-    for k, c in local.items():
-        if c.is_zero():
-            continue
-        coef = c.terms.get((mu + i + k,))
-        if not coef:
-            continue
-        for j, fc in enumerate(_falling_factorial_coeffs(k)):
-            out[j] += Fraction(coef) * fc
-    return out
-
-
-def _eval_poly_list(coeffs: list[Fraction], v: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * v + c
-    return acc
+    for m in range(1, gap):
+        c.append(rhs(m) / chis[0].eval_full({"e": e_small + m}))
+    return rhs(gap) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactmath import (ExactMatrix, MPoly, PowerSeries, RatFun, clear_denominators, frac_gcd,
-                        linear_nullspace, mpoly_gcd)
+from .exactmath import (MPoly, PowerSeries, RatFun, clear_denominators, frac_gcd, linear_nullspace,
+                        mpoly_gcd)
 from .walks import SeqTable
 
 N_VARS = ("n",)
@@ -58,7 +58,7 @@ class DiffOp:
         for exp, c in terms.items():
             if len(exp) != len(self.dvars):
                 raise ValueError("exponent length mismatch")
-            if any(not isinstance(e, int) or e < 0 for e in exp):
+            if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exp):
                 raise ValueError(f"derivative exponents must be nonnegative integers, got {tuple(exp)}")
             if isinstance(c, MPoly):
                 c = RatFun(c)
@@ -273,24 +273,6 @@ def _derivative_from_cache(target, dvars: tuple[str, ...], exp: tuple[int, ...],
     return target
 
 
-def op_multiply(a, b):
-    """Noncommutative operator product; both operands of the same kind."""
-    if isinstance(a, DiffOp) and isinstance(b, DiffOp):
-        return a * b
-    if isinstance(a, RecOp) and isinstance(b, RecOp):
-        return a * b
-    raise TypeError("operands must both be DiffOp or both RecOp")
-
-
-def apply_diffop(op: DiffOp, target):
-    """Exact application to a RatFun or a PowerSeries."""
-    if isinstance(target, RatFun):
-        return op.apply_ratfun(target)
-    if isinstance(target, PowerSeries):
-        return op.apply_series(target)
-    raise TypeError(f"cannot apply DiffOp to {type(target)!r}")
-
-
 # ---------------------------------------------------------------------------
 # Recurrence operators
 # ---------------------------------------------------------------------------
@@ -371,25 +353,18 @@ class RecOp:
 
     # -- action ---------------------------------------------------------------
 
-    def apply(self, terms: Sequence[int], padded: bool = False) -> list[tuple[int, Fraction]]:
-        """Values sum_j q_j(n) u_{n-j} for each computable n.
-
-        With padded=True, out-of-range indices below 0 contribute 0 and n
-        starts at 0; otherwise n ranges so every index
-        referenced lies inside the data.
-        """
+    def apply(self, terms: Sequence[int]) -> list[tuple[int, Fraction]]:
+        """Values sum_j q_j(n) u_{n-j} for each n whose every referenced
+        index lies inside the data."""
         if self.is_zero():
             return []
         lo, hi = min(self.terms), max(self.terms)
-        n_start = 0 if padded else max(hi, 0)
         n_end = len(terms) - 1 + lo  # largest n with every forward index in range
         out = []
-        for n in range(n_start, n_end + 1):
+        for n in range(max(hi, 0), n_end + 1):
             acc = Fraction(0)
             for j, q in self.terms.items():
-                idx = n - j
-                if idx >= 0:
-                    acc += q.eval_full({"n": n}) * terms[idx]
+                acc += q.eval_full({"n": n}) * terms[n - j]
             out.append((n, acc))
         return out
 
@@ -532,12 +507,8 @@ def guess_rec(seq: SeqTable, max_order: int, max_degree: int,
             f"guessing order {r} needs at least {need} terms even at degree 0; got {len(terms)}")
 
     cols = [(j, k) for j in range(r + 1) for k in range(degree + 1)]
-    matrix_rows = []
-    for n in range(r, len(terms)):
-        row = [Fraction(n ** k * terms[n - j]) for j, k in cols]
-        matrix_rows.append(row)
-    basis = linear_nullspace(ExactMatrix(
-        [[RatFun.from_scalar(v, ()) for v in row] for row in matrix_rows], vars=()))
+    basis = linear_nullspace([[MPoly.const((), n ** k * terms[n - j]) for j, k in cols]
+                              for n in range(r, len(terms))])
 
     found = []
     for vec in basis:

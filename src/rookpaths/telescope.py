@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import (ExactMatrix, MPoly, RatFun, clear_denominators, clear_vector, frac_gcd,
-                        linear_nullspace, monomial_key, mpoly_gcd)
+from .exactmath import (MPoly, RatFun, clear_denominators, clear_vector, frac_gcd, linear_nullspace,
+                        monomial_key, mpoly_gcd)
 from .ore import DiffOp, _derivative_from_cache
 
 XST = ("x", "s", "t")
@@ -63,15 +63,14 @@ class ParamSolution:
 
 def solve_parametrized_system(A: Sequence[Sequence[RatFun]],
                               B: Sequence[Sequence[RatFun]],
-                              denominator_candidate: MPoly | Sequence[MPoly],
-                              degree_bound: int | Sequence[int],
+                              denominators: Sequence[MPoly],
+                              bounds: Sequence[int],
                               main_var: str,
                               verify: bool = True) -> list[ParamSolution]:
-    """All (y, e) with dy/dv + A y = B e, y_i = z_i/candidate_i, deg_v z_i <= bound_i.
+    """All (y, e) with dy/dv + A y = B e, y_i = z_i/denominator_i, deg_v z_i <= bound_i.
 
-    The denominator candidate and degree bound may be given per component or
-    shared.  Completeness is relative to them; each basis pair is substituted
-    back and checked exactly.
+    Completeness is relative to the per-component denominators and degree
+    bounds; each basis pair is substituted back and checked exactly.
     """
     n = len(A)
     d = len(B[0]) if B else 0
@@ -81,14 +80,9 @@ def solve_parametrized_system(A: Sequence[Sequence[RatFun]],
     if main_var not in fullvars:
         raise ValueError(f"main variable {main_var!r} not in {fullvars}")
     kvars = tuple(v for v in fullvars if v != main_var)
-    if isinstance(denominator_candidate, MPoly):
-        denominator_candidate = [denominator_candidate] * n
-    if isinstance(degree_bound, int):
-        degree_bound = [degree_bound] * n
-    if len(denominator_candidate) != n or len(degree_bound) != n:
+    if len(denominators) != n or len(bounds) != n:
         raise ValueError("need one denominator and bound per component")
-    dcs = [RatFun(dc.aligned(fullvars)) for dc in denominator_candidate]
-    bounds = list(degree_bound)
+    dcs = [RatFun(dc.aligned(fullvars)) for dc in denominators]
     v = RatFun(MPoly.var(fullvars, main_var))
     dcs_dv = [dc.derivative(main_var) for dc in dcs]
 
@@ -114,7 +108,7 @@ def solve_parametrized_system(A: Sequence[Sequence[RatFun]],
         basis_vectors = [[MPoly.const(kvars, 1 if c == idx else 0) for c in range(ncols)]
                          for idx in range(ncols)]
     else:
-        basis_vectors = linear_nullspace(ExactMatrix(eq_rows, vars=kvars))
+        basis_vectors = linear_nullspace(eq_rows)
 
     solutions = []
     for vec in basis_vectors:

@@ -154,6 +154,7 @@ TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
     (["ode-to-rec", "--input", "BAD"], op_json((1, "1*x^-1"))),
     (["ode-to-rec", "--input", "BAD"], op_json((-1, "1"))),
     (["ode-to-rec", "--input", "BAD"], op_json((1.5, "1"))),
+    (["ode-to-rec", "--input", "BAD"], op_json((True, "1"), (0, "1"))),
     (["local-exponents", "--input", "BAD"], op_json((2, "1"), (-1, "1"))),
     (["local-exponents", "--input", "BAD"], op_json((2, "1*x^1"), (0, "1"), vars=("x", "s"))),
     (["rec-unroll", "--n", "10", "--input", "BAD"],
@@ -164,7 +165,7 @@ TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
     ids=["verify-cert", "local-exponents", "rec-unroll-input", "rec-unroll-initial", "ode-to-rec",
          "ode-to-rec-zero", "local-exponents-zero", "local-exponents-noncanonical",
          "ode-to-rec-negative-power", "ode-to-rec-negative-derivative",
-         "ode-to-rec-fractional-derivative",
+         "ode-to-rec-fractional-derivative", "ode-to-rec-boolean-derivative",
          "local-exponents-negative-derivative", "local-exponents-bivariate",
          "rec-unroll-fractional-shift", "rec-unroll-initial-fractional-term"]
     + [f"{name}-truncated" for name in INPUT_PATHS] + [f"{name}-wrong-variable" for name in INPUT_PATHS])

@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from rookpaths import rookdata
-from rookpaths.exactmath import (ExactMatrix, MPoly, PowerSeries, RatFun, clear_denominators,
-                                 clear_vector, frac_gcd, linear_nullspace, mpoly_gcd, poly, ratfun,
-                                 resultant, series_compose, series_nth_root)
+from rookpaths.exactmath import (MPoly, PowerSeries, RatFun, clear_denominators, clear_vector,
+                                 frac_gcd, linear_nullspace, mpoly_gcd, poly, ratfun, resultant)
 from rookpaths.exactmath import mpoly as mpoly_module
 
 X = ("x",)
@@ -183,7 +182,7 @@ def test_canonical_text_round_trip():
 def test_series_compose_identity():
     geom = PowerSeries.from_ratfun(ratfun("1/(1-x)", X), "x", 12)
     ident = PowerSeries.identity("x", 12)
-    assert series_compose(geom, ident) == geom
+    assert geom.compose(ident) == geom
     assert geom.coeffs[:4] == [1, 1, 1, 1]
 
 
@@ -206,7 +205,7 @@ def test_series_compose_rejects_unit_valuation():
     outer = PowerSeries.from_ratfun(ratfun("1/(1-x)", X), "x", 8)
     bad = PowerSeries.one("x", 8)
     with pytest.raises(ValueError):
-        series_compose(outer, bad)
+        outer.compose(bad)
 
 
 def test_series_compose_respects_multiplication():
@@ -222,20 +221,20 @@ def test_series_compose_respects_multiplication():
 
 def test_series_nth_root_examples_and_property():
     square = PowerSeries.from_ratfun(ratfun("(1+x)^2", X), "x", 10)
-    assert series_nth_root(square, 2).coeffs[:3] == [1, 1, 0]
-    assert series_nth_root(PowerSeries.one("x", 10), 4) == PowerSeries.one("x", 10)
+    assert square.nth_root(2).coeffs[:3] == [1, 1, 0]
+    assert PowerSeries.one("x", 10).nth_root(4) == PowerSeries.one("x", 10)
     g2 = PowerSeries.from_ratfun(ratfun("(1-4*x)*(1-60*x+120*x^2-64*x^3)", X), "x", 24)
-    r = series_nth_root(g2, 4)
+    r = g2.nth_root(4)
     assert r ** 4 == g2
     rng = random.Random(11)
     for k in (2, 3, 5):
         p = PowerSeries("x", [1] + [Fraction(rng.randrange(-4, 5)) for _ in range(12)])
-        assert series_nth_root(p, k) ** k == p
+        assert p.nth_root(k) ** k == p
 
 
 def test_series_nth_root_rejects_other_constant():
     with pytest.raises(ValueError):
-        series_nth_root(PowerSeries("x", [2, 1]), 2)
+        PowerSeries("x", [2, 1]).nth_root(2)
 
 
 def test_series_division_by_positive_valuation_rejected():
@@ -249,14 +248,12 @@ def test_series_division_by_positive_valuation_rejected():
 
 
 def test_nullspace_identity_is_trivial():
-    m = ExactMatrix([[RatFun.from_scalar(int(i == j), X) for j in range(3)]
-                     for i in range(3)])
+    m = [[MPoly.const(X, int(i == j)) for j in range(3)] for i in range(3)]
     assert linear_nullspace(m) == []
 
 
 def test_nullspace_single_relation():
-    m = ExactMatrix([[ratfun("x", X), RatFun.from_scalar(-1, X)]])
-    basis = linear_nullspace(m)
+    basis = linear_nullspace([[poly("x", X), MPoly.const(X, -1)]])
     assert len(basis) == 1
     assert basis[0][0] == poly("1", X)
     assert basis[0][1] == poly("x", X)
@@ -284,26 +281,35 @@ def _rank_oracle(rows):
 def test_nullspace_rank_plus_kernel_dimension():
     rng = random.Random(12)
     for _ in range(12):
-        rows = [[RatFun(rand_poly(rng, X, 2, 2)) for _ in range(4)] for _ in range(3)]
-        basis = linear_nullspace(ExactMatrix(rows))
+        rows = [[rand_poly(rng, X, 2, 2) for _ in range(4)] for _ in range(3)]
+        basis = linear_nullspace(rows)
         # exactness: m * v = 0
         for vec in basis:
             for row in rows:
-                acc = RatFun.from_scalar(0, X)
+                acc = MPoly.zero(X)
                 for e, v in zip(row, vec):
-                    acc = acc + e * RatFun(v)
+                    acc = acc + e * v
                 assert acc.is_zero()
         assert _rank_oracle(rows) + len(basis) == 4
 
 
 def test_nullspace_vectors_are_content_free():
-    m = ExactMatrix([[ratfun("2*x", X), ratfun("-2", X)]])
-    basis = linear_nullspace(m)
+    basis = linear_nullspace([[poly("2*x", X), poly("-2", X)]])
     assert basis[0][0].rational_content() == 1
     # a fraction after an entry of content 1 must still be cleared
-    one, zero = RatFun.from_scalar(1, ()), RatFun.from_scalar(0, ())
-    m = ExactMatrix([[one, zero, -one], [zero, one + one, -one]], vars=())
+    m = [[MPoly.const((), v) for v in row] for row in ([1, 0, -1], [0, 2, -1])]
     assert linear_nullspace(m) == [[MPoly.const((), 2), MPoly.const((), 1), MPoly.const((), 2)]]
+
+
+@pytest.mark.parametrize("matrix", [
+    [],
+    [[]],
+    [[poly("x", X), poly("1", X)], [poly("x", X)]],
+    [[poly("x", X), MPoly.const(XST, 1)]],
+], ids=["no-rows", "empty-row", "ragged", "mixed-vars"])
+def test_nullspace_rejects_malformed_matrix(matrix):
+    with pytest.raises(ValueError):
+        linear_nullspace(matrix)
 
 
 def test_parse_rejects_noncanonical_text_in_one_line():

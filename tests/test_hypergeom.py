@@ -89,6 +89,31 @@ def test_gauss_exponents_at_zero():
         assert set(rep.exponents) == {Fr(0), 1 - c}
 
 
+def _euler_bessel(c2: str, c1: str, c0: str) -> DiffOp:
+    return DiffOp(X, X, {(2,): poly(c2, X), (1,): poly(c1, X), (0,): poly(c0, X)})
+
+
+@pytest.mark.parametrize("op, exponents, klass", [
+    (_euler_bessel("x^2", "-2*x", "2"), (1, 2), "removable"),  # solutions x, x^2
+    (_euler_bessel("x^2", "x", "x^2-1"), (-1, 1), "logarithmic"),  # Bessel J_1 and Y_1
+    (_euler_bessel("x^2", "x", "0"), (0, 0), "logarithmic"),  # solutions 1, log x
+    (_euler_bessel("2*x^2", "x", "x"), (0, Fr(1, 2)), "non-removable-other"),
+    (_euler_bessel("x^2", "x", "-2"), None, None),  # exponents +-sqrt(2)
+    (_euler_bessel("x^2", "x", "1"), None, None),  # exponents +-i
+    (_euler_bessel("x^2", "x", "-1000000000000000000000000000002"), None, None),
+], ids=["removable", "log-integer-gap", "log-equal", "half-gap", "irrational", "complex",
+        "irrational-huge"])
+def test_exponents_at_zero_branches(op, exponents, klass):
+    if exponents is None:
+        with pytest.raises(HypergeomError, match="irrational local exponents"):
+            exponents_at(op, Fr(0))
+        return
+    rep = exponents_at(op, Fr(0))
+    assert rep.exponents == tuple(map(Fr, exponents))
+    assert rep.exponent_difference == exponents[1] - exponents[0]
+    assert rep.klass == klass
+
+
 def test_irregular_singularity_rejected():
     # x^3 y'' - y = 0 has an irregular singular point at 0
     op = DiffOp(X, X, {(2,): RatFun(poly("x^3", X)), (0,): RatFun.from_scalar(-1, X)})
@@ -104,6 +129,26 @@ def test_non_rational_leading_factor_rejected():
     roots, rest = _rational_roots(poly("x^2*(3*x-1)^2*(x^2-2)", X))
     assert roots == [(Fr(0), 2), (Fr(1, 3), 2)]
     assert rest == poly("x^2-2", X)
+
+
+def test_rational_roots_by_construction():
+    # products of known linear factors and a cofactor without rational roots;
+    # huge coefficients must cost their length, not a search over divisors
+    rng = random.Random(41)
+    for _ in range(60):
+        roots = [Fr(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(rng.randint(1, 4))]
+        cofactor = poly(rng.choice(["1", "x^2-2", "x^2+1", "3*x^3-5", "x^4+x+1"]), X)
+        p = cofactor * rng.choice([1, -3, 7])
+        for r in roots:
+            p = p * MPoly(X, {(1,): r.denominator, (0,): -r.numerator})
+        found, rest = _rational_roots(p)
+        assert found == sorted((r, roots.count(r)) for r in set(roots))
+        assert rest == cofactor
+    big = 10 ** 30
+    assert _rational_roots(poly(f"x^2-{big}", X))[0] == [(Fr(-10 ** 15), 1), (Fr(10 ** 15), 1)]
+    assert _rational_roots(poly(f"(7*x-{big})*(x+3)", X))[0] == [(Fr(-3), 1), (Fr(big, 7), 1)]
+    roots, rest = _rational_roots(poly(f"x^2-{big + 2}", X))
+    assert roots == [] and rest == poly(f"x^2-{big + 2}", X)
 
 
 def test_multivariate_operator_rejected():

@@ -8,8 +8,7 @@ import pytest
 from rookpaths import rookdata
 from rookpaths.exactmath import MPoly, PowerSeries, RatFun, poly, ratfun
 from rookpaths.ore import (DiffOp, InsufficientTermsError, RecOp, SingularRecurrenceError,
-                           apply_diffop, diffop_to_rec, guess_rec, op_multiply,
-                           prove_rec_reduction, rec_unroll)
+                           diffop_to_rec, guess_rec, prove_rec_reduction, rec_unroll)
 from rookpaths.walks import ROOK, SeqTable, diagonal_sequence
 
 X = ("x",)
@@ -42,7 +41,7 @@ def rand_recop(rng, max_order=2, max_deg=2):
 def test_dx_times_x_is_leibniz():
     dx = DiffOp.partial(X, X, "x")
     xop = DiffOp(X, X, {(0,): poly("x", X)})
-    prod = op_multiply(dx, xop)
+    prod = dx * xop
     assert prod.coeff((0,)) == ratfun("1", X)
     assert prod.coeff((1,)) == ratfun("x", X)
 
@@ -50,7 +49,7 @@ def test_dx_times_x_is_leibniz():
 def test_shift_times_n():
     sigma = RecOp({-1: 1})  # forward shift
     n_mult = RecOp({0: poly("n", N)})
-    prod = op_multiply(sigma, n_mult)
+    prod = sigma * n_mult
     assert prod.terms == {-1: poly("n+1", N)}
 
 
@@ -69,7 +68,7 @@ def test_operator_product_associativity():
 
 def test_apply_derivative_to_geometric():
     dx = DiffOp.partial(X, X, "x")
-    assert apply_diffop(dx, ratfun("1/(1-x)", X)) == ratfun("1/((1-x)^2)", X)
+    assert dx.apply_ratfun(ratfun("1/(1-x)", X)) == ratfun("1/((1-x)^2)", X)
 
 
 def test_stage_a_identity_on_f(rook_f, stage_a_certs):
@@ -82,7 +81,7 @@ def test_stage_a_identity_on_f(rook_f, stage_a_certs):
 def test_telescoper_annihilates_series(dp40):
     op = rookdata.operator_p2_dx()
     series = PowerSeries("x", [Fraction(t) for t in dp40.terms])
-    result = apply_diffop(op, series)
+    result = op.apply_series(series)
     assert result.is_zero()
 
 
@@ -115,18 +114,18 @@ def test_translate_apply_consistency():
         if op.order() == 0:
             continue
         rec = diffop_to_rec(op)
-        values = _padded_solution(rec, rng, 25)
+        values = _solution_for_every_n(rec, rng, 25)
         if values is None or all(v == 0 for v in values):
             continue
         series = PowerSeries("x", values)
-        assert apply_diffop(op, series).is_zero()
+        assert op.apply_series(series).is_zero()
         bumped_vals = list(values)
         bumped_vals[12] += 1
-        assert not apply_diffop(op, PowerSeries("x", bumped_vals)).is_zero()
+        assert not op.apply_series(PowerSeries("x", bumped_vals)).is_zero()
         produced += 1
 
 
-def _padded_solution(rec, rng, length):
+def _solution_for_every_n(rec, rng, length):
     """Coefficient sequence satisfying the recurrence for every n >= 0."""
     q0 = rec.coeff(0)
     values = []
@@ -238,12 +237,12 @@ def test_apply_series_with_rational_coefficients():
     # (1/(1-x)) d/dx applied to exp-like series equals series/(1-x) term checks
     op = DiffOp(X, X, {(1,): ratfun("1/(1-x)", X)})
     geom = PowerSeries.from_ratfun(ratfun("1/(1-x)", X), "x", 12)
-    got = apply_diffop(op, geom)
+    got = op.apply_series(geom)
     expected = PowerSeries.from_ratfun(ratfun("1/((1-x)^3)", X), "x", 11)
     assert got == expected
     pole = DiffOp(X, X, {(1,): ratfun("1/x", X)})
     with pytest.raises(ValueError):
-        apply_diffop(pole, geom)
+        pole.apply_series(geom)
 
 
 def test_recorded_base_combination_is_zero():

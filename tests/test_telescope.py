@@ -24,7 +24,7 @@ XST = ("x", "s", "t")
 
 def test_param_solver_trivial_system():
     zero = RatFun.from_scalar(0, X)
-    sols = solve_parametrized_system([[zero]], [[zero]], MPoly.const(X, 1), 0, "x")
+    sols = solve_parametrized_system([[zero]], [[zero]], [MPoly.const(X, 1)], [0], "x")
     # free parameter with y = 0, plus the constant homogeneous solution
     assert any(sol.y[0].is_zero() and not sol.e[0].is_zero() for sol in sols)
     for sol in sols:
@@ -39,7 +39,7 @@ def test_param_solver_verifies_solutions(rook_f):
     A = [[f_t / F]]
     B = [[F / F, F.derivative("x") / F, F.derivative("s") / F]]
     dc = poly("t-x", XST)
-    sols = solve_parametrized_system(A, B, dc, 3, "t")
+    sols = solve_parametrized_system(A, B, [dc], [3], "t")
     assert sols  # verified internally; failure raises
 
 

@@ -211,6 +211,8 @@ def _run_stage_a(F: RatFun):
 
 
 def _cmd_telescope(args, out: Path) -> bool:
+    if args.degree < 0:
+        raise UsageError("--degree must be >= 0")
     F = rookdata.embedded_f()
     certs = _run_stage_a(F)
     print("stage A: two certificates found and verified")
@@ -366,6 +368,8 @@ def _cmd_queens_root(args, out: Path) -> bool:
 
 
 def _cmd_prove_all(args, out: Path) -> bool:
+    if args.truncation < 0:
+        raise UsageError("--truncation must be >= 0")
     checks: list[tuple[str, bool]] = []
 
     def record(name: str, ok: bool):

@@ -3,7 +3,7 @@ truncated power series, and fraction-free linear algebra."""
 
 from .mpoly import MPoly, frac_gcd, monomial_key, mpoly_gcd, mpoly_lcm, poly, resultant
 from .ratfun import RatFun, ratfun
-from .series import DEFAULT_ORDER, PowerSeries
+from .series import PowerSeries
 from .linalg import clear_denominators, clear_vector, linear_nullspace
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "resultant",
     "RatFun",
     "ratfun",
-    "DEFAULT_ORDER",
     "PowerSeries",
     "clear_denominators",
     "clear_vector",

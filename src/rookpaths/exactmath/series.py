@@ -17,8 +17,6 @@ from .ratfun import RatFun
 
 Scalar = Union[int, Fraction]
 
-DEFAULT_ORDER = 64
-
 
 class PowerSeries:
     __slots__ = ("var", "coeffs")
@@ -32,22 +30,22 @@ class PowerSeries:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(var: str, order: int = DEFAULT_ORDER) -> PowerSeries:
+    def zero(var: str, order: int) -> PowerSeries:
         return PowerSeries(var, [0] * (order + 1))
 
     @staticmethod
-    def one(var: str, order: int = DEFAULT_ORDER) -> PowerSeries:
+    def one(var: str, order: int) -> PowerSeries:
         return PowerSeries(var, [1] + [0] * order)
 
     @staticmethod
-    def identity(var: str, order: int = DEFAULT_ORDER) -> PowerSeries:
+    def identity(var: str, order: int) -> PowerSeries:
         c = [Fraction(0)] * (order + 1)
         if order >= 1:
             c[1] = Fraction(1)
         return PowerSeries(var, c)
 
     @staticmethod
-    def from_mpoly(p: MPoly, var: str, order: int = DEFAULT_ORDER) -> PowerSeries:
+    def from_mpoly(p: MPoly, var: str, order: int) -> PowerSeries:
         if p.vars != (var,):
             raise ValueError(f"expected univariate polynomial in {var!r}")
         c = [Fraction(0)] * (order + 1)
@@ -57,7 +55,7 @@ class PowerSeries:
         return PowerSeries(var, c)
 
     @staticmethod
-    def from_ratfun(f: RatFun, var: str, order: int = DEFAULT_ORDER) -> PowerSeries:
+    def from_ratfun(f: RatFun, var: str, order: int) -> PowerSeries:
         """Expand a univariate rational function (denominator unit at 0)."""
         num = PowerSeries.from_mpoly(f.num, var, order)
         den = PowerSeries.from_mpoly(f.den, var, order)
@@ -129,30 +127,12 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> PowerSeries:
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ValueError("series with zero constant term is not invertible")
-        n = self.order
-        inv = [Fraction(0)] * (n + 1)
-        inv[0] = 1 / c0
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if self.coeffs[i]:
-                    acc += self.coeffs[i] * inv[k - i]
-            inv[k] = -acc / c0
-        return PowerSeries(self.var, inv)
-
     def __truediv__(self, other) -> PowerSeries:
-        o = self._coerce(other)
-        if o.coeffs[0] == 0:
-            raise ValueError("division by a series of positive valuation is not supported")
-        return self * o.inverse()
+        return self * self._coerce(other).power(-1)
 
     def __pow__(self, k: int) -> PowerSeries:
         if k < 0:
-            return self.inverse() ** (-k)
+            return self.power(-1) ** (-k)
         result = PowerSeries.one(self.var, self.order)
         base = self
         while k:
@@ -174,7 +154,7 @@ class PowerSeries:
         """Term-by-term antiderivative with constant 0; order grows by one."""
         return PowerSeries(self.var, [Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
 
-    # -- composition & roots ---------------------------------------------------
+    # -- composition & powers ---------------------------------------------------
 
     def compose(self, inner: PowerSeries) -> PowerSeries:
         """self(inner(var)); requires valuation(inner) >= 1."""
@@ -191,39 +171,33 @@ class PowerSeries:
                 acc = acc + c
         return acc
 
-    def log(self) -> PowerSeries:
-        """log of a series with constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log requires constant term 1")
-        return (self.derivative() / self.truncate(self.order - 1)).integral() if self.order >= 1 \
-            else PowerSeries(self.var, [0])
+    def power(self, alpha: Scalar) -> PowerSeries:
+        """self^alpha for a rational alpha, by J.C.P. Miller's recurrence.
 
-    def exp(self) -> PowerSeries:
-        """exp of a series with constant term 0 (solves e' = f' e)."""
-        if self.coeffs[0] != 0:
-            raise ValueError("exp requires constant term 0")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = Fraction(1)
-        # k*out[k] = sum_{i=1..k} i*self[i]*out[k-i]
-        for k in range(1, n + 1):
+        Comparing coefficients in f * g' = alpha * f' * g gives
+        n f_0 g_n = sum_{k=1..n} ((alpha+1)k - n) f_k g_(n-k) (Knuth, TAOCP
+        Vol. 2, 4.7), one pass that costs O(N) per nonzero f_k.  The constant
+        term must be nonzero, and 1 when alpha is fractional (which fixes the
+        branch).
+        """
+        alpha = Fraction(alpha)
+        f0 = self.coeffs[0]
+        if f0 == 0:
+            raise ValueError("a power of a series needs a nonzero constant term")
+        if alpha.denominator != 1 and f0 != 1:
+            raise ValueError("a fractional power needs constant term 1 (branch ambiguity otherwise)")
+        # (alpha+1)k - n = (p*k - q*n)/q keeps the weights integral
+        p, q = (alpha + 1).numerator, (alpha + 1).denominator
+        nonzero = [(k, c) for k, c in enumerate(self.coeffs) if k and c]
+        g = [f0 ** alpha.numerator if alpha.denominator == 1 else Fraction(1)]
+        for n in range(1, self.order + 1):
             acc = Fraction(0)
-            for i in range(1, k + 1):
-                if self.coeffs[i]:
-                    acc += i * self.coeffs[i] * out[k - i]
-            out[k] = acc / k
-        return PowerSeries(self.var, out)
-
-    def nth_root(self, k: int) -> PowerSeries:
-        """The series q with q^k = self; requires constant term 1, k >= 1."""
-        if k < 1:
-            raise ValueError("root index must be >= 1")
-        if self.coeffs[0] != 1:
-            raise ValueError("nth_root requires constant term 1 (branch ambiguity otherwise)")
-        if k == 1:
-            return self
-        log = self.log()
-        return PowerSeries(self.var, [c / k for c in log.coeffs]).exp()
+            for k, c in nonzero:
+                if k > n:
+                    break
+                acc += (p * k - q * n) * c * g[n - k]
+            g.append(acc / (q * n * f0))
+        return PowerSeries(self.var, g)
 
     # -- display -----------------------------------------------------------------
 

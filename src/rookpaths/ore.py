@@ -456,14 +456,16 @@ def diffop_to_rec(op: DiffOp) -> RecOp:
     return RecOp(out).normalized()
 
 
-def rec_unroll(rec: RecOp, initial: SeqTable, n_max: int, name: str | None = None) -> SeqTable:
+def rec_unroll(rec: RecOp, initial: SeqTable, n_max: int) -> SeqTable:
     """Extend a sequence exactly to n_max using a backward recurrence."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     op = rec.shift_normalized()
     r = op.order()
     if len(initial.terms) < r:
         raise ValueError(f"need at least {r} initial terms, got {len(initial.terms)}")
     if len(initial.terms) > n_max + 1:
-        return SeqTable(name or initial.name, initial.terms[: n_max + 1], initial.provenance)
+        return SeqTable(initial.name, initial.terms[: n_max + 1], initial.provenance)
     values: list[Fraction] = [Fraction(v) for v in initial.terms]
     q0 = op.coeff(0)
     for n in range(len(values), n_max + 1):
@@ -480,19 +482,22 @@ def rec_unroll(rec: RecOp, initial: SeqTable, n_max: int, name: str | None = Non
         if v.denominator != 1:
             raise ArithmeticError(f"non-integer term at n={n}; transcription bug likely")
         terms.append(v.numerator)
-    return SeqTable(name or initial.name, terms, "recurrence")
+    return SeqTable(initial.name, terms, "recurrence")
 
 
-def guess_rec(seq: SeqTable, max_order: int, max_degree: int,
-              oversample: int = 2) -> list[RecOp]:
+def guess_rec(seq: SeqTable, max_order: int, max_degree: int) -> list[RecOp]:
     """Basis of recurrences of bounded order and degree annihilating the terms.
 
     One equation per window: sum_j q_j(n) u_{n-j} = 0 for n = order..N-1,
     so N terms yield N - order usable equations.  If (order+1)(degree+1)
-    unknowns plus the oversampling margin exceed that, the degree falls back
-    to the largest feasible value (candidates beyond it are simply untested);
-    if even degree 0 is infeasible the data is insufficient.
+    unknowns plus an oversampling margin of 2 exceed that, the degree falls
+    back to the largest feasible value (candidates beyond it are simply
+    untested); if even degree 0 is infeasible the data is insufficient.
     """
+    for name, bound in (("max_order", max_order), ("max_degree", max_degree)):
+        if bound < 0:
+            raise ValueError(f"{name} must be >= 0")
+    oversample = 2
     terms = seq.terms
     r = max_order
     rows_avail = len(terms) - r

@@ -105,11 +105,11 @@ def count_paths(dirs: DirectionSet, bound: tuple[int, int, int]) -> CountTable:
     I, J, K = bound
     if I < 0 or J < 0 or K < 0:
         raise ValueError("bound must be componentwise >= 0")
-    if not dirs.repeat:
-        return _count_paths_single(dirs, bound)
     r = [[[0] * (K + 1) for _ in range(J + 1)] for _ in range(I + 1)]
-    # cum[d][i][j][k] = sum over m >= 1 of r at (i,j,k) - m*d
+    # cum[d][i][j][k] = sum over m >= 1 of r at (i,j,k) - m*d; it stays zero
+    # without repeat, so each direction then adds only the single step
     cum = [[[[0] * (K + 1) for _ in range(J + 1)] for _ in range(I + 1)] for _ in dirs.directions]
+    repeat = dirs.repeat
     for i in range(I + 1):
         for j in range(J + 1):
             for k in range(K + 1):
@@ -121,27 +121,10 @@ def count_paths(dirs: DirectionSet, bound: tuple[int, int, int]) -> CountTable:
                         pi, pj, pk = i - di, j - dj, k - dk
                         if pi >= 0 and pj >= 0 and pk >= 0:
                             c = r[pi][pj][pk] + cum[d][pi][pj][pk]
-                            cum[d][i][j][k] = c
+                            if repeat:
+                                cum[d][i][j][k] = c
                             total += c
                     r[i][j][k] = total
-    return CountTable(bound, r)
-
-
-def _count_paths_single(dirs: DirectionSet, bound: tuple[int, int, int]) -> CountTable:
-    I, J, K = bound
-    r = [[[0] * (K + 1) for _ in range(J + 1)] for _ in range(I + 1)]
-    r[0][0][0] = 1
-    for i in range(I + 1):
-        for j in range(J + 1):
-            for k in range(K + 1):
-                if i == j == k == 0:
-                    continue
-                total = 0
-                for di, dj, dk in dirs.directions:
-                    pi, pj, pk = i - di, j - dj, k - dk
-                    if pi >= 0 and pj >= 0 and pk >= 0:
-                        total += r[pi][pj][pk]
-                r[i][j][k] = total
     return CountTable(bound, r)
 
 

@@ -137,6 +137,12 @@ INPUT_PATHS = {
                            {"name": "a", "terms": ["1", "1*y^1"], "provenance": "dp"}),
     "ode-to-rec": (["ode-to-rec", "--input", "BAD"], op_json((1, "1*y^1"))),
 }
+# the message names the field or parameter at fault
+MUST_NAME = {"rec-unroll-initial-wrong-variable": "terms", "rec-unroll-negative-n": "n_max",
+             "guess-rec-negative-order": "max_order", "guess-rec-negative-degree": "max_degree",
+             "pullback-negative-degree": "max_degree", "closed-form-negative-n": "n_max",
+             "identity-checks-negative-order": "order",
+             "prove-all-negative-truncation": "--truncation", "telescope-negative-degree": "--degree"}
 TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
 
 
@@ -160,6 +166,14 @@ TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
     (["rec-unroll", "--n", "10", "--input", "BAD"],
      {"terms": [{"exp": [0.5], "coeff": "1"}, {"exp": [1], "coeff": "1"}]}),
     (["rec-unroll", "--n", "10", "--initial", "BAD"], {"name": "a", "terms": ["1", 1.5], "provenance": "dp"}),
+    (["rec-unroll", "--n", "-3"], None),
+    (["guess-rec", "--n", "25", "--order", "-1", "--degree", "4"], None),
+    (["guess-rec", "--n", "25", "--order", "3", "--degree", "-1"], None),
+    (["pullback-search", "--max-degree", "-1"], None),
+    (["closed-form-check", "--n", "-1"], None),
+    (["identity-checks", "--order", "-1"], None),
+    (["prove-all", "--truncation", "-1"], None),
+    (["telescope", "--degree", "-1"], None),
 ] + [(args, TRUNCATED) for args, _ in INPUT_PATHS.values()]
   + [(args, payload) for args, payload in INPUT_PATHS.values()],
     ids=["verify-cert", "local-exponents", "rec-unroll-input", "rec-unroll-initial", "ode-to-rec",
@@ -167,11 +181,14 @@ TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
          "ode-to-rec-negative-power", "ode-to-rec-negative-derivative",
          "ode-to-rec-fractional-derivative", "ode-to-rec-boolean-derivative",
          "local-exponents-negative-derivative", "local-exponents-bivariate",
-         "rec-unroll-fractional-shift", "rec-unroll-initial-fractional-term"]
+         "rec-unroll-fractional-shift", "rec-unroll-initial-fractional-term",
+         "rec-unroll-negative-n", "guess-rec-negative-order", "guess-rec-negative-degree",
+         "pullback-negative-degree", "closed-form-negative-n", "identity-checks-negative-order",
+         "prove-all-negative-truncation", "telescope-negative-degree"]
     + [f"{name}-truncated" for name in INPUT_PATHS] + [f"{name}-wrong-variable" for name in INPUT_PATHS])
 def test_malformed_input_exits_two(tmp_path, request, args, payload):
-    # a malformed file is bad input (exit 2, one line), not a crash; a str
-    # payload is written as it is, anything else as JSON
+    # a malformed file or a negative size is bad input (exit 2, one line), not
+    # a crash; a str payload is written as it is, anything else as JSON
     bad = tmp_path / "bad.json"
     bad.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     result = subprocess.run(
@@ -181,8 +198,7 @@ def test_malformed_input_exits_two(tmp_path, request, args, payload):
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
     assert len(result.stderr.strip().splitlines()) == 1
-    if request.node.callspec.id == "rec-unroll-initial-wrong-variable":
-        assert "terms" in result.stderr
+    assert MUST_NAME.get(request.node.callspec.id, "") in result.stderr
 
 
 def test_failing_check_exits_one(tmp_path):

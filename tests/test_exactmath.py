@@ -221,20 +221,47 @@ def test_series_compose_respects_multiplication():
 
 def test_series_nth_root_examples_and_property():
     square = PowerSeries.from_ratfun(ratfun("(1+x)^2", X), "x", 10)
-    assert square.nth_root(2).coeffs[:3] == [1, 1, 0]
-    assert PowerSeries.one("x", 10).nth_root(4) == PowerSeries.one("x", 10)
+    assert square.power(Fraction(1, 2)).coeffs[:3] == [1, 1, 0]
+    assert PowerSeries.one("x", 10).power(Fraction(1, 4)) == PowerSeries.one("x", 10)
     g2 = PowerSeries.from_ratfun(ratfun("(1-4*x)*(1-60*x+120*x^2-64*x^3)", X), "x", 24)
-    r = g2.nth_root(4)
+    r = g2.power(Fraction(1, 4))
     assert r ** 4 == g2
     rng = random.Random(11)
     for k in (2, 3, 5):
         p = PowerSeries("x", [1] + [Fraction(rng.randrange(-4, 5)) for _ in range(12)])
-        assert p.nth_root(k) ** k == p
+        assert p.power(Fraction(1, k)) ** k == p
 
 
 def test_series_nth_root_rejects_other_constant():
     with pytest.raises(ValueError):
-        PowerSeries("x", [2, 1]).nth_root(2)
+        PowerSeries("x", [2, 1]).power(Fraction(1, 2))
+    with pytest.raises(ValueError, match="constant term 1"):
+        PowerSeries("x", [-1, 1, 1]).power(Fraction(-1, 4))
+
+
+def test_series_power_matches_binary_powering():
+    # integer exponents against ** (binary powering), constant terms other than 1 included
+    rng = random.Random(12)
+    for c0 in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 5)):
+        p = PowerSeries("x", [c0] + [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+                                     for _ in range(10)])
+        one = PowerSeries.one("x", p.order)
+        for alpha in range(-3, 4):
+            if alpha >= 0:
+                assert p.power(alpha) == p ** alpha
+            else:
+                assert p.power(alpha) * p ** -alpha == one
+
+
+def test_series_fourth_root_radical_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    order = 15
+    x = sympy.Symbol("x")
+    expansion = sympy.series((1 - sympy.Rational(8, 9) * x) ** sympy.Rational(-1, 4), x, 0,
+                             order + 1).removeO()
+    expected = [Fraction(str(expansion.coeff(x, n))) for n in range(order + 1)]
+    radical = PowerSeries.from_ratfun(ratfun("(9-8*x)/9", X), "x", order).power(Fraction(-1, 4))
+    assert radical.coeffs == expected
 
 
 def test_series_division_by_positive_valuation_rejected():

@@ -14,7 +14,6 @@ from rookpaths.hypergeom import (HypergeomSpec, HypergeomError, SING_POINTS, asy
                                  symbolic_solution_check, _exponent_vectors, _rational_roots)
 from rookpaths.numerics import decimal_str, pi_rational, sqrt_rational
 from rookpaths.ore import DiffOp
-from rookpaths.walks import ROOK, diagonal_sequence
 
 X = ("x",)
 
@@ -112,6 +111,29 @@ def test_exponents_at_zero_branches(op, exponents, klass):
     assert rep.exponents == tuple(map(Fr, exponents))
     assert rep.exponent_difference == exponents[1] - exponents[0]
     assert rep.klass == klass
+
+
+def test_euler_operator_exponents_by_construction():
+    # (x-p)^2 d^2 + (1-e1-e2)(x-p) d + e1*e2 has exponents e1, e2 at p and
+    # solutions (x-p)^e1, (x-p)^e2, so the gap alone decides the class
+    rng = random.Random(43)
+    gaps = [Fr(0)] * 4 + [Fr(rng.randint(1, 5)) for _ in range(8)] \
+        + [Fr(rng.randint(1, 20), rng.choice([2, 3, 5, 7])) for _ in range(8)]
+    for gap in gaps:
+        e1 = Fr(rng.randint(-9, 9), rng.randint(1, 6))
+        e2 = e1 + gap
+        p = Fr(rng.randint(-9, 9), rng.randint(1, 5))
+        xp = MPoly(X, {(1,): 1, (0,): -p})
+        op = DiffOp(X, X, {(2,): xp * xp, (1,): xp * (1 - e1 - e2), (0,): MPoly.const(X, e1 * e2)})
+        rep = exponents_at(op, p)
+        assert rep.exponents == (e1, e2)
+        assert rep.exponent_difference == gap
+        if gap == 0:
+            assert rep.klass == "logarithmic"
+        elif gap.denominator == 1:
+            assert rep.klass == "removable"
+        else:
+            assert rep.klass == "non-removable-other"
 
 
 def test_irregular_singularity_rejected():
@@ -270,16 +292,13 @@ def test_closed_form_check_passes():
     assert closed_form_check(30).passed
 
 
-def test_closed_form_check_detects_wrong_prefactor():
-    # rebuilt with prefactor 7 instead of 6: mismatch at n = 0
-    spec = HypergeomSpec(*rookdata.closed_form_parameters())
-    from rookpaths.exactmath import PowerSeries
-    inner = PowerSeries.from_ratfun(rookdata.closed_form_pullback(), "x", 6)
-    outer = f21_series(spec, 6)
-    bad = PowerSeries.from_ratfun(ratfun("7/((1-4*x)*(1-64*x))", X), "x", 6) \
-        * outer.compose(inner)
-    terms = diagonal_sequence(ROOK, 7)
-    assert bad.coeff(0) != 1 * terms[1]
+def test_closed_form_check_detects_wrong_prefactor(monkeypatch):
+    # prefactor 7 instead of 6: mismatch at n = 0
+    monkeypatch.setattr(rookdata, "closed_form_prefactor",
+                        lambda: ratfun("7/((1-4*x)*(1-64*x))", X))
+    report = closed_form_check(6)
+    assert not report.passed
+    assert report.detail == "coefficient mismatch at n=0"
 
 
 def test_symbolic_check_implies_series_check():

@@ -135,6 +135,12 @@ def _dump_json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _at_least(value: int, low: int, flag: str) -> int:
+    if value < low:
+        raise UsageError(f"{flag} must be >= {low}")
+    return value
+
+
 def _load_seq(path: str | None, default_n: int) -> SeqTable:
     if path is None:
         return diagonal_sequence(ROOK, default_n)
@@ -145,7 +151,7 @@ def _load_seq(path: str | None, default_n: int) -> SeqTable:
 
 
 def _cmd_terms(args, out: Path) -> bool:
-    seq = diagonal_sequence(MODELS[args.model], args.n)
+    seq = diagonal_sequence(MODELS[args.model], _at_least(args.n, 0, "--n"))
     _write(out, f"{args.model}-terms.json", seq.to_json())
     print(f"{args.model} diagonal terms a_0..a_{args.n}:")
     print(" ", ", ".join(str(t) for t in seq.terms))
@@ -154,7 +160,7 @@ def _cmd_terms(args, out: Path) -> bool:
 
 def _cmd_diag(args, out: Path) -> bool:
     gf = step_generating_function(MODELS[args.model])
-    seq = expand_diagonal(gf, args.n, name=f"{args.model}-diagonal")
+    seq = expand_diagonal(gf, _at_least(args.n, 0, "--n"), name=f"{args.model}-diagonal")
     _write(out, f"{args.model}-diag-series.json", seq.to_json())
     oracle = diagonal_sequence(MODELS[args.model], args.n)
     ok = seq.terms == oracle.terms
@@ -171,7 +177,7 @@ def _cmd_step_gf(args, out: Path) -> bool:
 
 
 def _cmd_guess_rec(args, out: Path) -> bool:
-    seq = _load_seq(args.input, args.n - 1)
+    seq = _load_seq(args.input, _at_least(args.n, 1, "--n") - 1)
     seq = SeqTable(seq.name, seq.terms[: args.n], seq.provenance)
     found = guess_rec(seq, args.order, args.degree)
     data = [op.to_json_dict() for op in found]
@@ -211,8 +217,7 @@ def _run_stage_a(F: RatFun):
 
 
 def _cmd_telescope(args, out: Path) -> bool:
-    if args.degree < 0:
-        raise UsageError("--degree must be >= 0")
+    _at_least(args.degree, 0, "--degree")
     F = rookdata.embedded_f()
     certs = _run_stage_a(F)
     print("stage A: two certificates found and verified")
@@ -326,7 +331,9 @@ def _cmd_identities(args, out: Path) -> bool:
 
 def _cmd_asymptotics(args, out: Path) -> bool:
     tol = Fraction(args.tolerance)
-    report = asymptotics_check(args.n, tol)
+    if tol <= 0:
+        raise UsageError("--tolerance must be > 0")
+    report = asymptotics_check(_at_least(args.n, 100, "--n"), tol)
     for line in report.lines():
         print(" ", line)
     _write(out, "asymptotics.json", _dump_json({
@@ -368,8 +375,7 @@ def _cmd_queens_root(args, out: Path) -> bool:
 
 
 def _cmd_prove_all(args, out: Path) -> bool:
-    if args.truncation < 0:
-        raise UsageError("--truncation must be >= 0")
+    _at_least(args.truncation, 0, "--truncation")
     checks: list[tuple[str, bool]] = []
 
     def record(name: str, ok: bool):

@@ -150,10 +150,6 @@ class PowerSeries:
             return PowerSeries(self.var, [0])
         return PowerSeries(self.var, [self.coeffs[i] * i for i in range(1, self.order + 1)])
 
-    def integral(self) -> PowerSeries:
-        """Term-by-term antiderivative with constant 0; order grows by one."""
-        return PowerSeries(self.var, [Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
-
     # -- composition & powers ---------------------------------------------------
 
     def compose(self, inner: PowerSeries) -> PowerSeries:

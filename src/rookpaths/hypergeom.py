@@ -109,37 +109,30 @@ def local_exponents(L: DiffOp) -> SingularityReport:
     by running the Frobenius construction from the smaller exponent and
     testing the consistency condition at the gap.
     """
-    coeffs = _polynomial_coefficients(L)
-    if not coeffs or max(coeffs) != 2:
+    cleared = _cleared(L)
+    if cleared.order() != 2:
         raise HypergeomError("local exponent analysis expects an order-2 operator")
-    roots, rest = _rational_roots(coeffs[2])
+    roots, rest = _rational_roots(cleared.coeff((2,)).as_mpoly())
     if not rest.is_constant():
         raise HypergeomError(
             "leading coefficient has a non-rational factor; singular-point "
             f"analysis over Q cannot continue: {rest.text()}")
-    points: list[PointReport] = []
-    for root, _mult in roots:
-        points.append(_classify_point(coeffs, root))
-    points.append(_classify_point(_infinity_coefficients(coeffs), Fraction(0), label="inf"))
+    points = [_classify_point(cleared, root) for root, _mult in roots]
+    points.append(_classify_point(cleared, "inf"))
     points.sort(key=lambda p: (isinstance(p.location, str), p.location if not isinstance(p.location, str) else 0))
     return SingularityReport(points)
 
 
 def exponents_at(L: DiffOp, location: Fraction) -> PointReport:
     """Classify one rational point (ordinary points report exponents (0, 1))."""
-    coeffs = _polynomial_coefficients(L)
-    return _classify_point(coeffs, Fraction(location))
+    return _classify_point(_cleared(L), Fraction(location))
 
 
-def _polynomial_coefficients(L: DiffOp) -> dict[int, MPoly]:
+def _cleared(L: DiffOp) -> DiffOp:
     if L.cvars != L.dvars or len(L.dvars) != 1:
         raise HypergeomError("the operator must be univariate in its series variable, "
                              f"got vars {list(L.cvars)} and dvars {list(L.dvars)}")
-    cleared = L.clear_denominators()
-    out = {}
-    for (k,), c in cleared.terms.items():
-        out[k] = c.as_mpoly()
-    return out
+    return L.clear_denominators()
 
 
 def _rational_roots(p: MPoly) -> tuple[list[tuple[Fraction, int]], MPoly]:
@@ -212,48 +205,17 @@ def _find_rational_root(p: MPoly) -> Fraction | None:
     return None
 
 
-def _shifted_coeffs(coeffs: dict[int, MPoly], p: Fraction) -> dict[int, MPoly]:
-    if p == 0:
-        return coeffs
-    repl = MPoly(X, {(1,): 1, (0,): p})
-    return {k: c.subs_poly("x", repl) for k, c in coeffs.items()}
+def _classify_point(L: DiffOp, location: Fraction | str) -> PointReport:
+    """Exponents and class of a rational point or "inf", from the coefficient recurrence.
 
-
-def _infinity_coefficients(coeffs: dict[int, MPoly]) -> dict[int, MPoly]:
-    """Operator under x -> 1/w, cleared to polynomials in w (variable reused)."""
-    # d/dx -> -w^2 d/dw;  d2/dx2 -> w^4 d2/dw2 + 2 w^3 d/dw
-    c2 = coeffs.get(2, MPoly.zero(X))
-    c1 = coeffs.get(1, MPoly.zero(X))
-    c0 = coeffs.get(0, MPoly.zero(X))
-    deg = max(c.degree("x") for c in (c2, c1, c0) if not c.is_zero())
-
-    def flip(c: MPoly, extra: int) -> MPoly:
-        # c(1/w) * w^deg, then shifted by the operator factor w^extra
-        out = {}
-        for (e,), coef in c.terms.items():
-            out[(deg - e + extra,)] = coef
-        return MPoly(X, out)
-
-    new2 = flip(c2, 4)
-    new1 = flip(c2, 3) * 2 - flip(c1, 2)
-    new0 = flip(c0, 0)
-    val = min(min(e for (e,) in c.terms) for c in (new2, new1, new0) if not c.is_zero())
-    if val:
-        new2, new1, new0 = (MPoly(X, {(e - val,): cc for (e,), cc in c.terms.items()})
-                            for c in (new2, new1, new0))
-    return {2: new2, 1: new1, 0: new0}
-
-
-def _classify_point(coeffs: dict[int, MPoly], p: Fraction, label=None) -> PointReport:
-    """Exponents and class of the point p, read off the coefficient recurrence.
-
-    With the operator shifted to p and chi_i(e) the coefficient of x^(e+mu+i)
-    in L(x^e), the recurrence of its series solutions is
-    q_i(n) = kappa * chi_i(n-i), so q_0 is the indicial polynomial.
+    With the operator moved to the origin (x -> x + p, or x -> 1/x for
+    infinity) and chi_i(e) the coefficient of x^(e+mu+i) in L(x^e), the
+    recurrence of its series solutions is q_i(n) = kappa * chi_i(n-i), so
+    q_0 is the indicial polynomial.
     """
-    local = _shifted_coeffs(coeffs, p)
-    location = label if label is not None else p
-    rec = diffop_to_rec(DiffOp(X, X, {(k,): c for k, c in local.items()}))
+    shift = ratfun("1/x", X) if location == "inf" else RatFun(MPoly(X, {(1,): 1, (0,): location}))
+    local = L.change_variable(shift).normalized()
+    rec = diffop_to_rec(local)
     indicial = rec.coeff(0)
     if indicial.degree("n") != 2:
         raise HypergeomError(f"point {location} is not regular singular "
@@ -263,7 +225,7 @@ def _classify_point(coeffs: dict[int, MPoly], p: Fraction, label=None) -> PointR
         raise HypergeomError("irrational local exponents are out of scope")
     e1, e2 = (r for r, mult in roots for _ in range(mult))
     d = e2 - e1
-    if local[2].constant_value():
+    if local.coeff((2,)).num.constant_value():
         return PointReport(location, (e1, e2), d, "ordinary")
     if d == 0:
         klass = "logarithmic"
@@ -473,69 +435,33 @@ def _solve_power_condition(points, exps, power: int):
 
 
 def operator_pullback(spec: HypergeomSpec, f: RatFun) -> DiffOp:
-    """Annihilator of y(f(x)) for y any solution of the Gauss equation.
-
-    Chain rule plus the Gauss equation reduce y''(f) to the (y, y') basis:
-    with G = f(1-f), the monic operator is
-        d^2 + [f''/f' - f'(c - (a+b+1) f)/G] d + [-f'^2 a b / G] ... sign per
-    the reduction; coefficients are cleared to polynomials afterwards.
-    """
+    """Normalized annihilator of y(f(x)) for y any solution of the Gauss equation."""
     if f.is_constant():
         raise HypergeomError("pullback map must be nonconstant")
-    a, b, c = spec.a, spec.b, spec.c
-    one = RatFun.from_scalar(1, X)
-    fp = f.derivative("x")
-    fpp = fp.derivative("x")
-    G = f * (one - f)
-    B = -(fpp * G - fp * fp * (RatFun.from_scalar(c, X) - (a + b + 1) * f)) / (G * fp)
-    C = -(fp * fp) * Fraction(a * b) / G
-    op = DiffOp(X, X, {(2,): one, (1,): B, (0,): C})
-    return op.normalized()
+    return gauss_operator(spec).change_variable(f).normalized()
 
 
 @dataclass
 class SymbolicCheckReport:
     passed: bool
-    alpha: RatFun
-    beta: RatFun
+    remainder: DiffOp
 
     def __str__(self) -> str:
-        return "PASS" if self.passed else f"FAIL: residual ({self.alpha.text()}, {self.beta.text()})"
+        return "PASS" if self.passed else f"FAIL: remainder {self.remainder!r}"
 
 
 def symbolic_solution_check(L: DiffOp, prefactor: RatFun, spec: HypergeomSpec,
                             f: RatFun) -> SymbolicCheckReport:
     """Prove L(prefactor * y(f)) = 0 with y = 2F1(a,b;c;.) symbolically.
 
-    States are pairs (r0, r1) representing r0*y(f) + r1*y'(f); derivatives
-    reduce y'' through the Gauss equation, so applying L yields a final pair
-    (alpha, beta) of rational functions.  PASS means both vanish
-    identically, a proof independent of any series truncation.
+    M = (Gauss operator in f) * (1/prefactor) kills prefactor * y(f) for
+    every solution y of the Gauss equation.  PASS means L = Q * M exactly,
+    a zero remainder of the right division, so L kills them too: a proof
+    independent of any series truncation.
     """
-    a, b, c = spec.a, spec.b, spec.c
-    one = RatFun.from_scalar(1, X)
-    fp = f.derivative("x")
-    G = f * (one - f)
-    # y''(f) = [ab y - (c - (a+b+1) f) y'] / G
-    y2_y = RatFun.from_scalar(a * b, X) / G
-    y2_yp = -(RatFun.from_scalar(c, X) - (a + b + 1) * f) / G
-
-    def differentiate(state: tuple[RatFun, RatFun]) -> tuple[RatFun, RatFun]:
-        r0, r1 = state
-        return (r0.derivative("x") + r1 * fp * y2_y,
-                r0 * fp + r1.derivative("x") + r1 * fp * y2_yp)
-
-    cleared = L.clear_denominators()
-    order = cleared.order()
-    states = [(prefactor, RatFun.from_scalar(0, X))]
-    for _ in range(order):
-        states.append(differentiate(states[-1]))
-    alpha = RatFun.from_scalar(0, X)
-    beta = RatFun.from_scalar(0, X)
-    for (k,), coeff in cleared.terms.items():
-        alpha = alpha + coeff * states[k][0]
-        beta = beta + coeff * states[k][1]
-    return SymbolicCheckReport(alpha.is_zero() and beta.is_zero(), alpha, beta)
+    M = gauss_operator(spec).change_variable(f) * DiffOp(L.cvars, L.dvars, {(0,): 1 / prefactor})
+    _, remainder = L.right_divide(M)
+    return SymbolicCheckReport(remainder.is_zero(), remainder)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +561,8 @@ def asymptotics_check(n_probe: int = 2000, tolerance: Fraction = Fraction(1, 100
     """Numeric Gauss value and the recurrence-driven growth constant check."""
     if n_probe < 100:
         raise ValueError("n_probe must be at least 100")
+    if tolerance <= 0:
+        raise ValueError("tolerance must be > 0")
     spec = HypergeomSpec(Fraction(1, 3), Fraction(2, 3), Fraction(2))
     value = f21_at_one(spec)
     sqrt3 = sqrt_rational(Fraction(3))

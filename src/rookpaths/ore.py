@@ -6,6 +6,8 @@ linear recurrence operator stored in backward form sum_j q_j(n) u_{n-j}
 (offset j counts shifts into the past; negative offsets reach forward),
 with commutation sigma^{-j} * q(n) = q(n-j) * sigma^{-j}.
 
+A DiffOp changes its own variable (points, infinity and pullbacks) and
+divides exactly on the right (the closed-form proof and stage C).
 Together these support translating an ODE for a power series into a
 recurrence for its coefficients, unrolling and guessing recurrences, and
 proving one recurrence from another through an exact operator identity.
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exactmath import (MPoly, PowerSeries, RatFun, clear_denominators, frac_gcd, linear_nullspace,
-                        mpoly_gcd)
+                        monomial_key, mpoly_gcd)
 from .walks import SeqTable
 
 N_VARS = ("n",)
@@ -150,6 +152,51 @@ class DiffOp:
                     cur = out.get(exp)
                     out[exp] = contrib if cur is None else cur + contrib
         return DiffOp(self.cvars, self.dvars, out)
+
+    def right_divide(self, divisor: DiffOp) -> tuple[DiffOp, DiffOp]:
+        """(quotient, remainder) with self = quotient * divisor + remainder.
+
+        The divisor's lead is its largest exponent in graded-lex order; every
+        term whose exponent dominates the lead is removed, largest first, by
+        subtracting (c / lead coefficient) d^(e - lead) * divisor.
+        """
+        self._check(divisor)
+        if divisor.is_zero():
+            raise ZeroDivisionError("right division by the zero operator")
+        lead_exp = max(divisor.terms, key=monomial_key)
+        lead = divisor.terms[lead_exp]
+        quotient, rem = DiffOp.zero(self.cvars, self.dvars), self
+        for _ in range(1000):
+            target = max((e for e in rem.terms if all(a >= b for a, b in zip(e, lead_exp))),
+                         key=monomial_key, default=None)
+            if target is None:
+                return quotient, rem
+            mexp = tuple(a - b for a, b in zip(target, lead_exp))
+            m = DiffOp(self.cvars, self.dvars, {mexp: rem.terms[target] / lead})
+            quotient, rem = quotient + m, rem - m * divisor
+        raise ArithmeticError("operator division does not terminate")
+
+    def change_variable(self, f: RatFun) -> DiffOp:
+        """The operator in x for z = f(x): sum c_k(f(x)) (f'(x)^-1 d)^k.
+
+        It kills y(f(x)) whenever self kills y(z); x -> x + p moves a point
+        to the origin and x -> 1/x brings infinity there.
+        """
+        if len(self.dvars) != 1 or self.cvars != self.dvars:
+            raise ValueError("change of variable requires a univariate operator")
+        (var,) = self.dvars
+        if f.is_constant():
+            raise ValueError("change of variable requires a nonconstant map")
+        step = DiffOp(self.cvars, self.dvars, {(1,): 1 / f.derivative(var)})
+        power = DiffOp.identity(self.cvars, self.dvars)
+        out = DiffOp.zero(self.cvars, self.dvars)
+        for k in range(self.order() + 1):
+            if k:
+                power = step * power
+            if (k,) in self.terms:
+                c = self.terms[(k,)].subs({var: f})
+                out = out + DiffOp(self.cvars, self.dvars, {e: c * p for e, p in power.terms.items()})
+        return out
 
     # -- action -------------------------------------------------------------
 

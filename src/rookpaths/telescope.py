@@ -736,8 +736,8 @@ def stage_c_reconstruct(P: DiffOp, Q: DiffOp, stage_a: Sequence[StageACertificat
     ds = DiffOp.partial(("x", "s"), ("x", "s"), "s")
     R = _lift_op(P, ("x", "s")) - ds * Q
 
-    A1, R = _divide_off(R, P1, lambda e: e[1] >= 1, (0, 1))
-    A2, R = _divide_off(R, P2, lambda e: e[0] >= 2, (2, 0))
+    A1, R = R.right_divide(P1)
+    A2, R = R.right_divide(P2)
     if not R.is_zero():
         raise DivisionRemainderError(R)
 
@@ -750,30 +750,6 @@ def stage_c_reconstruct(P: DiffOp, Q: DiffOp, stage_a: Sequence[StageACertificat
     if not report.passed:
         raise TelescopeError(f"reconstructed certificate fails the key equation: {report}")
     return cert
-
-
-def _divide_off(R: DiffOp, divisor: DiffOp, selects, lead_exp: tuple[int, int]):
-    """Left-divide away all terms selected by the predicate using the divisor.
-
-    Repeatedly subtracts m * divisor where m = (c / lead) d^(e - lead_exp)
-    for the largest selected term c d^e; returns (quotient, remainder).
-    """
-    xs = ("x", "s")
-    quotient = DiffOp.zero(xs, xs)
-    lead = divisor.coeff(lead_exp)
-    guard = 0
-    while True:
-        target = max((e for e in R.terms if selects(e)), key=monomial_key, default=None)
-        if target is None:
-            return quotient, R
-        guard += 1
-        if guard > 1000:
-            raise TelescopeError("operator division does not terminate")
-        c = R.terms[target]
-        mexp = (target[0] - lead_exp[0], target[1] - lead_exp[1])
-        m = DiffOp(xs, xs, {mexp: c / lead})
-        quotient = quotient + m
-        R = R - m * divisor
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,10 @@ MUST_NAME = {"rec-unroll-initial-wrong-variable": "terms", "rec-unroll-negative-
              "guess-rec-negative-order": "max_order", "guess-rec-negative-degree": "max_degree",
              "pullback-negative-degree": "max_degree", "closed-form-negative-n": "n_max",
              "identity-checks-negative-order": "order",
-             "prove-all-negative-truncation": "--truncation", "telescope-negative-degree": "--degree"}
+             "prove-all-negative-truncation": "--truncation", "telescope-negative-degree": "--degree",
+             "asymptotics-negative-tolerance": "--tolerance", "asymptotics-zero-tolerance": "--tolerance",
+             "asymptotics-small-n": "--n", "rook-terms-negative-n": "--n", "queen-terms-negative-n": "--n",
+             "diag-negative-n": "--n", "guess-rec-zero-n": "--n"}
 TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
 
 
@@ -174,6 +177,13 @@ TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
     (["identity-checks", "--order", "-1"], None),
     (["prove-all", "--truncation", "-1"], None),
     (["telescope", "--degree", "-1"], None),
+    (["asymptotics", "--tolerance", "-1"], None),
+    (["asymptotics", "--tolerance", "0"], None),
+    (["asymptotics", "--n", "50"], None),
+    (["rook-terms", "--n", "-1"], None),
+    (["queen-terms", "--n", "-1"], None),
+    (["diag", "--n", "-1"], None),
+    (["guess-rec", "--n", "0", "--order", "3", "--degree", "4"], None),
 ] + [(args, TRUNCATED) for args, _ in INPUT_PATHS.values()]
   + [(args, payload) for args, payload in INPUT_PATHS.values()],
     ids=["verify-cert", "local-exponents", "rec-unroll-input", "rec-unroll-initial", "ode-to-rec",
@@ -184,7 +194,9 @@ TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
          "rec-unroll-fractional-shift", "rec-unroll-initial-fractional-term",
          "rec-unroll-negative-n", "guess-rec-negative-order", "guess-rec-negative-degree",
          "pullback-negative-degree", "closed-form-negative-n", "identity-checks-negative-order",
-         "prove-all-negative-truncation", "telescope-negative-degree"]
+         "prove-all-negative-truncation", "telescope-negative-degree",
+         "asymptotics-negative-tolerance", "asymptotics-zero-tolerance", "asymptotics-small-n",
+         "rook-terms-negative-n", "queen-terms-negative-n", "diag-negative-n", "guess-rec-zero-n"]
     + [f"{name}-truncated" for name in INPUT_PATHS] + [f"{name}-wrong-variable" for name in INPUT_PATHS])
 def test_malformed_input_exits_two(tmp_path, request, args, payload):
     # a malformed file or a negative size is bad input (exit 2, one line), not

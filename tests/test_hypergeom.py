@@ -279,8 +279,9 @@ def test_symbolic_solution_check_scaling_invariance():
 def test_symbolic_solution_check_detects_wrong_prefactor():
     spec = HypergeomSpec(*rookdata.closed_form_parameters())
     bad = rookdata.closed_form_prefactor() * ratfun("x", X)
-    assert not symbolic_solution_check(rookdata.operator_p2(), bad, spec,
-                                       rookdata.closed_form_pullback()).passed
+    report = symbolic_solution_check(rookdata.operator_p2(), bad, spec, rookdata.closed_form_pullback())
+    assert not report.passed
+    assert not report.remainder.is_zero()
 
 
 def test_closed_form_series_constant_coefficient():

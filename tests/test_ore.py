@@ -1,5 +1,6 @@
 """Ore operators: products, translation, unrolling, guessing, reduction."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -243,6 +244,63 @@ def test_apply_series_with_rational_coefficients():
     pole = DiffOp(X, X, {(1,): ratfun("1/x", X)})
     with pytest.raises(ValueError):
         pole.apply_series(geom)
+
+
+# -- change of variable and right division -------------------------------------------
+
+
+@pytest.mark.parametrize("f", ["x/(1-3*x)", "x*(2+5*x)", "closed-form"])
+def test_change_variable_kills_the_composed_series(f):
+    # y(f(x)) for y = 2F1(a, b; c; z) is killed by the Gauss operator in z = f(x)
+    from rookpaths.hypergeom import HypergeomSpec, f21_series, gauss_operator
+    f = rookdata.closed_form_pullback() if f == "closed-form" else ratfun(f, X)
+    for spec in (HypergeomSpec(Fraction(1, 3), Fraction(2, 3), Fraction(2)),
+                 HypergeomSpec(Fraction(1, 4), Fraction(3, 5), Fraction(3, 2))):
+        L = gauss_operator(spec).change_variable(f)
+        composed = f21_series(spec, 14).compose(PowerSeries.from_ratfun(f, "x", 14))
+        assert L.apply_series(composed).is_zero()
+
+
+def test_change_variable_shift_round_trip():
+    rng = random.Random(53)
+    for _ in range(8):
+        L = rand_diffop(rng, max_order=3)
+        p = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        there = L.change_variable(RatFun(MPoly(X, {(1,): 1, (0,): p})))
+        assert there.change_variable(RatFun(MPoly(X, {(1,): 1, (0,): -p}))) == L
+
+
+def test_change_variable_rejects_bad_input():
+    xs = ("x", "s")
+    with pytest.raises(ValueError, match="univariate"):
+        DiffOp(xs, xs, {(1, 0): RatFun.from_scalar(1, xs)}).change_variable(ratfun("x", xs))
+    with pytest.raises(ValueError, match="nonconstant"):
+        DiffOp.partial(X, X, "x").change_variable(ratfun("3", X))
+
+
+def _exponents(n, bound):
+    return itertools.product(range(bound + 1), repeat=n)
+
+
+def _rand_coeff(rng, vars):
+    return RatFun(MPoly(vars, {e: rng.randrange(-4, 5) for e in _exponents(len(vars), 2)}))
+
+
+@pytest.mark.parametrize("vars", [X, ("x", "s")], ids=["univariate", "x-s"])
+def test_right_divide_recovers_quotient_and_remainder(vars):
+    # A*B + R with no exponent of R dominating B's lead divides back to (A, R)
+    from rookpaths.exactmath import monomial_key
+    rng = random.Random(59)
+    for _ in range(6):
+        B = DiffOp(vars, vars, {e: _rand_coeff(rng, vars) for e in _exponents(len(vars), 2)
+                                if sum(e) <= 2 and rng.random() < 0.7})
+        if B.is_zero():
+            continue
+        lead = max(B.terms, key=monomial_key)
+        A = DiffOp(vars, vars, {e: _rand_coeff(rng, vars) for e in _exponents(len(vars), 1)})
+        R = DiffOp(vars, vars, {e: _rand_coeff(rng, vars) for e in _exponents(len(vars), 3)
+                                if not all(a >= b for a, b in zip(e, lead))})
+        assert (A * B + R).right_divide(B) == (A, R)
 
 
 def test_recorded_base_combination_is_zero():

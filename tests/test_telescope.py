@@ -129,12 +129,12 @@ def test_stage_b_input_validation(stage_a_certs):
 
 
 def test_stage_c_division_quotient_constant_part(stage_b_result, stage_a_certs):
-    from rookpaths.telescope import _divide_off, _lift_op
+    from rookpaths.telescope import _lift_op
     P, Q = stage_b_result
     ds = DiffOp.partial(XS, XS, "s")
     R = _lift_op(P, XS) - ds * Q
-    A1, R1 = _divide_off(R, stage_a_certs[0].operator, lambda e: e[1] >= 1, (0, 1))
-    A2, R2 = _divide_off(R1, stage_a_certs[1].operator, lambda e: e[0] >= 2, (2, 0))
+    A1, R1 = R.right_divide(stage_a_certs[0].operator)
+    A2, R2 = R1.right_divide(stage_a_certs[1].operator)
     assert R2.is_zero()
     assert A1.coeff((0, 0)) == ratfun("(0-(108*x+53))/(2*(s-1)^3)", XS)
     # division invariant: A1 P1 + A2 P2 = P - ds Q exactly

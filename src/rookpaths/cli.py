@@ -177,7 +177,10 @@ def _cmd_step_gf(args, out: Path) -> bool:
 
 
 def _cmd_guess_rec(args, out: Path) -> bool:
-    seq = _load_seq(args.input, _at_least(args.n, 1, "--n") - 1)
+    _at_least(args.n, 1, "--n")
+    _at_least(args.order, 0, "--order")
+    _at_least(args.degree, 0, "--degree")
+    seq = _load_seq(args.input, args.n - 1)
     seq = SeqTable(seq.name, seq.terms[: args.n], seq.provenance)
     found = guess_rec(seq, args.order, args.degree)
     data = [op.to_json_dict() for op in found]
@@ -190,6 +193,7 @@ def _cmd_guess_rec(args, out: Path) -> bool:
 
 
 def _cmd_rec_unroll(args, out: Path) -> bool:
+    _at_least(args.n, 0, "--n")
     rec = (RecOp.from_json_dict(json.loads(Path(args.input).read_text()))
            if args.input else rookdata.recurrence_order3())
     initial = _load_seq(args.initial, 2)
@@ -263,7 +267,7 @@ def _cmd_prove_reduction(args, out: Path) -> bool:
 
 
 def _cmd_closed_form(args, out: Path) -> bool:
-    series_report = closed_form_check(args.n)
+    series_report = closed_form_check(_at_least(args.n, 0, "--n"))
     spec = HypergeomSpec(*rookdata.closed_form_parameters())
     symbolic = symbolic_solution_check(rookdata.operator_p2(), rookdata.closed_form_prefactor(),
                                        spec, rookdata.closed_form_pullback())
@@ -279,6 +283,7 @@ def _cmd_closed_form(args, out: Path) -> bool:
 
 def _cmd_pullback(args, out: Path) -> bool:
     from .hypergeom import TRIED_TRIPLES
+    _at_least(args.max_degree, 1, "--max-degree")
     candidates = []
     for triple in TRIED_TRIPLES:
         candidates = pullback_search(SING_POINTS, triple, args.max_degree)
@@ -320,7 +325,7 @@ def _cmd_local_exponents(args, out: Path) -> bool:
 
 
 def _cmd_identities(args, out: Path) -> bool:
-    reports = identity_checks(args.order)
+    reports = identity_checks(_at_least(args.order, 0, "--order"))
     _write(out, "identity-checks.json", _dump_json([r.to_json_dict() for r in reports]))
     ok = True
     for r in reports:

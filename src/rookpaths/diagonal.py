@@ -23,32 +23,39 @@ def expand_diagonal(f: RatFun, n_max: int, name: str = "diagonal") -> SeqTable:
         raise ValueError(f"expected a rational function in {GF_VARS}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    den0 = f.den.constant_value()
-    if den0 == 0:
+    # A RatFun's num and den have integer coefficients.  With D the constant
+    # term of den, the table h[p] = D^(|p|+1) g[p] of the series coefficients g
+    # obeys the division-free h[p] = D^|p| num[p] - sum_e c_e D^(|e|-1) h[p-e]
+    # over the terms c_e s^e of den with e != 0 (|p| = total degree).
+    D = f.den.terms.get((0, 0, 0), 0)
+    if D == 0:
         raise ValueError("denominator has zero constant term; not expandable at the origin")
 
     bound = n_max
-    num = {exp: Fraction(c) for exp, c in f.num.terms.items() if max(exp) <= bound}
-    den = [(exp, Fraction(c)) for exp, c in f.den.terms.items()
+    size = bound + 1
+    powers = [1]
+    for _ in range(3 * bound + 1):
+        powers.append(powers[-1] * D)
+    num = {exp: c for exp, c in f.num.terms.items() if max(exp) <= bound}
+    den = [(exp, c * powers[sum(exp) - 1]) for exp, c in f.den.terms.items()
            if max(exp) <= bound and any(exp)]
 
-    size = bound + 1
-    g = [[[Fraction(0)] * size for _ in range(size)] for _ in range(size)]
+    h = [[[0] * size for _ in range(size)] for _ in range(size)]
     for i in range(size):
         for j in range(size):
             for k in range(size):
-                acc = num.get((i, j, k), Fraction(0))
+                acc = num.get((i, j, k), 0) * powers[i + j + k]
                 for (ei, ej, ek), c in den:
                     if ei <= i and ej <= j and ek <= k:
-                        acc -= c * g[i - ei][j - ej][k - ek]
-                g[i][j][k] = acc / den0
+                        acc -= c * h[i - ei][j - ej][k - ek]
+                h[i][j][k] = acc
 
     terms = []
     for n in range(size):
-        c = g[n][n][n]
-        if c.denominator != 1:
+        c, rem = divmod(h[n][n][n], powers[3 * n + 1])
+        if rem:
             raise ArithmeticError(f"non-integer diagonal coefficient at n={n}")
-        terms.append(c.numerator)
+        terms.append(c)
     return SeqTable(name, terms, "series")
 
 

@@ -215,23 +215,26 @@ class RatFun:
 def _eval_poly_at_ratfun(p: MPoly, values: Mapping[str, RatFun], tvars: tuple[str, ...]) -> RatFun:
     """Evaluate a polynomial at RatFun arguments over the target variable ring.
 
-    Terms are grouped over a common denominator directly: each variable maps
-    to num_i/den_i, so a monomial becomes a product of powers cleared by the
-    lcm of the den_i powers.  This avoids repeated normalization.
+    With v = num_v/den_v and deg_v the degree of p in v, the value is
+    sum c * prod num_v^e_v den_v^(deg_v - e_v) over prod den_v^deg_v: one
+    polynomial sum over the common denominator, normalized once.
     """
     for v in p.vars:
         if v not in values:
             raise ValueError(f"no substitution supplied for {v!r}")
-    result = RatFun.from_scalar(0, tvars)
-    nums = {v: values[v].num for v in p.vars}
-    dens = {v: values[v].den for v in p.vars}
+    degs = [p.degree(v) for v in p.vars]
+    nums = [values[v].num for v in p.vars]
+    dens = [values[v].den for v in p.vars]
+    total = MPoly.zero(tvars)
     for exp, c in p.terms.items():
-        term = RatFun.from_scalar(c, tvars)
-        for v, e in zip(p.vars, exp):
-            if e:
-                term = term * RatFun(nums[v] ** e, dens[v] ** e)
-        result = result + term
-    return result
+        term = MPoly.const(tvars, c)
+        for num, den, e, d in zip(nums, dens, exp, degs):
+            term = term * num ** e * den ** (d - e)
+        total = total + term
+    common = MPoly.const(tvars, 1)
+    for den, d in zip(dens, degs):
+        common = common * den ** d
+    return RatFun(total, common)
 
 
 def ratfun(text: str, vars: Sequence[str]) -> RatFun:

@@ -10,6 +10,7 @@ have valuation >= 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
 from .mpoly import MPoly
@@ -116,16 +117,24 @@ class PowerSeries:
             return PowerSeries(self.var, [c * other for c in self.coeffs])
         o = self._coerce(other)
         n = min(self.order, o.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a:
-                for j in range(n + 1 - i):
-                    b = o.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return PowerSeries(self.var, out)
+        a, da = self._cleared(n)
+        b, db = o._cleared(n)
+        prod = (a * b).terms
+        d = da * db
+        return PowerSeries(self.var, [Fraction(prod.get((i,), 0), d) for i in range(n + 1)])
 
     __rmul__ = __mul__
+
+    def _cleared(self, n: int) -> tuple[MPoly, int]:
+        """(p, d): c_0..c_n as an integer polynomial p in var, with c_i = p_i / d.
+
+        Products then run in integers over the common denominator, so dense
+        ones take MPoly's Kronecker-packed multiplication.
+        """
+        coeffs = self.coeffs[: n + 1]
+        d = lcm(*(c.denominator for c in coeffs))
+        return MPoly((self.var,), {(i,): c.numerator * (d // c.denominator)
+                                   for i, c in enumerate(coeffs) if c}), d
 
     def __truediv__(self, other) -> PowerSeries:
         return self * self._coerce(other).power(-1)

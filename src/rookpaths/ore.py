@@ -513,23 +513,39 @@ def rec_unroll(rec: RecOp, initial: SeqTable, n_max: int) -> SeqTable:
         raise ValueError(f"need at least {r} initial terms, got {len(initial.terms)}")
     if len(initial.terms) > n_max + 1:
         return SeqTable(initial.name, initial.terms[: n_max + 1], initial.provenance)
-    values: list[Fraction] = [Fraction(v) for v in initial.terms]
-    q0 = op.coeff(0)
-    for n in range(len(values), n_max + 1):
-        lead = q0.eval_full({"n": n})
+    terms: list[int] = []
+    for n, v in enumerate(initial.terms):
+        v = Fraction(v)
+        if v.denominator != 1:
+            raise _non_integer_term(n)
+        terms.append(v.numerator)
+    # q_j scaled by one common denominator, as integer coefficients by falling degree
+    scale = math.lcm(*(c.denominator for q in op.terms.values() for c in q.terms.values()))
+    horner = {j: [int(scale * q.terms.get((k,), 0)) for k in range(q.degree("n"), -1, -1)]
+              for j, q in op.terms.items()}
+    lead_coeffs = horner.pop(0, [])
+    rest = list(horner.items())
+    for n in range(len(terms), n_max + 1):
+        lead = 0
+        for c in lead_coeffs:
+            lead = lead * n + c
         if lead == 0:
             raise SingularRecurrenceError(n)
-        acc = Fraction(0)
-        for j, q in op.terms.items():
-            if j:
-                acc += q.eval_full({"n": n}) * values[n - j]
-        values.append(-acc / lead)
-    terms = []
-    for n, v in enumerate(values):
-        if v.denominator != 1:
-            raise ArithmeticError(f"non-integer term at n={n}; transcription bug likely")
-        terms.append(v.numerator)
+        acc = 0
+        for j, cs in rest:
+            q = 0
+            for c in cs:
+                q = q * n + c
+            acc += q * terms[n - j]
+        value, rem = divmod(-acc, lead)
+        if rem:
+            raise _non_integer_term(n)
+        terms.append(value)
     return SeqTable(initial.name, terms, "recurrence")
+
+
+def _non_integer_term(n: int) -> ArithmeticError:
+    return ArithmeticError(f"non-integer term at n={n}; transcription bug likely")
 
 
 def guess_rec(seq: SeqTable, max_order: int, max_degree: int) -> list[RecOp]:

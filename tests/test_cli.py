@@ -138,10 +138,10 @@ INPUT_PATHS = {
     "ode-to-rec": (["ode-to-rec", "--input", "BAD"], op_json((1, "1*y^1"))),
 }
 # the message names the field or parameter at fault
-MUST_NAME = {"rec-unroll-initial-wrong-variable": "terms", "rec-unroll-negative-n": "n_max",
-             "guess-rec-negative-order": "max_order", "guess-rec-negative-degree": "max_degree",
-             "pullback-negative-degree": "max_degree", "closed-form-negative-n": "n_max",
-             "identity-checks-negative-order": "order",
+MUST_NAME = {"rec-unroll-initial-wrong-variable": "terms", "rec-unroll-negative-n": "--n",
+             "guess-rec-negative-order": "--order", "guess-rec-negative-degree": "--degree",
+             "pullback-negative-degree": "--max-degree", "closed-form-negative-n": "--n",
+             "identity-checks-negative-order": "--order",
              "prove-all-negative-truncation": "--truncation", "telescope-negative-degree": "--degree",
              "asymptotics-negative-tolerance": "--tolerance", "asymptotics-zero-tolerance": "--tolerance",
              "asymptotics-small-n": "--n", "rook-terms-negative-n": "--n", "queen-terms-negative-n": "--n",

@@ -25,14 +25,20 @@ def test_queen_oracle_equivalence():
 
 def test_multinomial_diagonal():
     # oracle: central coefficients of 1/(1-s-t-u) are (3n)!/n!^3
-    expected = [factorial(3 * n) // factorial(n) ** 3 for n in range(7)]
-    got = expand_diagonal(ratfun("1/(1-s-t-u)", STU), 6)
+    expected = [factorial(3 * n) // factorial(n) ** 3 for n in range(13)]
+    got = expand_diagonal(ratfun("1/(1-s-t-u)", STU), 12)
     assert got.terms == expected
     assert got.terms[:4] == [1, 6, 90, 1680]
 
 
 def test_constant_diagonal():
     assert expand_diagonal(ratfun("1", STU), 4).terms == [1, 0, 0, 0, 0]
+
+
+def test_non_integer_diagonal_raises():
+    # 1/(2-s-t-u) has constant coefficient 1/2
+    with pytest.raises(ArithmeticError, match="n=0"):
+        expand_diagonal(ratfun("1/(2-s-t-u)", STU), 4)
 
 
 def test_rejects_zero_constant_denominator():

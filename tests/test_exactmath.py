@@ -264,6 +264,42 @@ def test_series_fourth_root_radical_against_sympy():
     assert radical.coeffs == expected
 
 
+def test_series_product_matches_schoolbook_convolution():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # zeros, negatives, denominators up to 10^15 and some numerators scaled by 10^6
+    coeffs = st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=10 ** 15).map(
+        lambda q: q * 10 ** 6 if q.numerator % 2 else q))
+    # dense operands this long take MPoly's packed product
+    dense = [Fraction((-1) ** k * (k * k + 7) ** 5, 3 ** (k % 7)) for k in range(40)]
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(coeffs, min_size=1, max_size=50), st.lists(coeffs, min_size=1, max_size=50))
+    @hypothesis.example(dense, dense[::-1] + [Fraction(1, 10 ** 12)])
+    def check(a, b):
+        n = min(len(a), len(b))
+        expected = [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)]
+        product = PowerSeries("x", a) * PowerSeries("x", b)
+        assert product.coeffs == expected
+        assert (PowerSeries("x", b) * PowerSeries("x", a)).coeffs == expected
+
+    check()
+
+
+def test_series_compose_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    order = 16
+    x = sympy.Symbol("x")
+    for f_text, g_text in (("(2-x)/(1+3*x^2)", "x*(1+2*x)/(3-5*x)"),
+                           ("1/(1-x-7*x^3)", "(3*x-24*x^2)/(6+2*x)")):
+        f, g = (sympy.sympify(t.replace("^", "**")) for t in (f_text, g_text))
+        expansion = sympy.series(f.subs(x, g), x, 0, order + 1).removeO()
+        expected = [Fraction(str(expansion.coeff(x, n))) for n in range(order + 1)]
+        outer = PowerSeries.from_ratfun(ratfun(f_text, X), "x", order)
+        inner = PowerSeries.from_ratfun(ratfun(g_text, X), "x", order)
+        assert outer.compose(inner).coeffs == expected
+
+
 def test_series_division_by_positive_valuation_rejected():
     a = PowerSeries.one("x", 6)
     b = PowerSeries.identity("x", 6)

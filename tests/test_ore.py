@@ -165,6 +165,13 @@ def test_rec_unroll_reports_singular_index():
     assert err.value.index == 2
 
 
+def test_rec_unroll_reports_non_integer_index():
+    # n u_n = u_(n-1) from u_0 = 1 gives 1/n!, first non-integer at n = 2
+    rec = RecOp({0: poly("n", N), 1: -1})
+    with pytest.raises(ArithmeticError, match="n=2;"):
+        rec_unroll(rec, SeqTable("t", [1], "dp"), 6)
+
+
 # -- guessing ----------------------------------------------------------------------
 
 

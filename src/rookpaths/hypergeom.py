@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import MPoly, PowerSeries, RatFun, mpoly_gcd, poly, ratfun
+from .exactmath import MPoly, PowerSeries, RatFun, mpoly_gcd, poly, ratfun, resultant
 from .numerics import decimal_str, extrapolate_partial_sums, pi_rational, sqrt_rational
 from .ore import DiffOp, RecOp, diffop_to_rec, rec_unroll
 from . import rookdata
@@ -145,7 +145,7 @@ def _rational_roots(p: MPoly) -> tuple[list[tuple[Fraction, int]], MPoly]:
     work = p.primitive_part()
     roots: list[tuple[Fraction, int]] = []
     zero_mult = min(exp[0] for exp in work.terms)
-    if zero_mult:  # the pullback's conditions are often powers of c
+    if zero_mult:  # an indicial polynomial often has the exponent 0
         roots.append((Fraction(0), zero_mult))
         work = MPoly(p.vars, {(e - zero_mult,): c for (e,), c in work.terms.items()})
     while not work.is_constant():
@@ -293,10 +293,14 @@ def pullback_search(sing_set: Sequence[Fraction], target_triple, max_degree: int
     (0, 1/3, 0), numerator of f-1 a perfect cube, which is where the
     exponent vector and constant live; simplified_map() then applies the
     Moebius transform back.  An all-integer triple admits no power
-    condition for this ansatz solver and yields no candidates.
+    condition for this ansatz solver and yields no candidates.  The points
+    of the singular set must be distinct.
     """
     if max_degree < 1:
         raise HypergeomError("max_degree must be >= 1")
+    points = [Fraction(p) for p in sing_set]
+    if len(set(points)) != len(points):
+        raise HypergeomError("the singular set repeats a point")
     triple = tuple(Fraction(e) for e in target_triple)
     fractional = [e for e in triple if e.denominator > 1]
     if not fractional:
@@ -307,16 +311,13 @@ def pullback_search(sing_set: Sequence[Fraction], target_triple, max_degree: int
     rest.remove(fractional[0])
     search_triple = (rest[0], fractional[0], rest[1])
     params = HypergeomSpec.from_exponent_triple(*search_triple)
-    points = [Fraction(p) for p in sing_set]
     results: list[PullbackCandidate] = []
     for exps in _exponent_vectors(len(points), max_degree):
-        assignment = dict(zip(points, exps))
-        found = _solve_power_condition(points, exps, power)
-        for const, Q, scale in found:
-            f = _build_map(assignment, const)
+        for const, Q, scale in _solve_power_condition(points, exps, power):
+            num, den = _monic_parts(points, exps)
             results.append(PullbackCandidate(
-                exponents={p: e for p, e in assignment.items() if e},
-                constant=const, map=f, parameters=params,
+                exponents={p: e for p, e in zip(points, exps) if e},
+                constant=const, map=RatFun(num * const, den), parameters=params,
                 cube_root=Q, cube_scale=scale))
     return results
 
@@ -341,91 +342,74 @@ def _exponent_vectors(npts: int, max_degree: int):
     yield from rec(0, [])
 
 
-def _build_map(assignment: dict[Fraction, int], const: Fraction) -> RatFun:
+def _monic_parts(points, exps) -> tuple[MPoly, MPoly]:
+    """N = prod (x-p)^e over e > 0 and D = prod (x-p)^(-e) over e < 0."""
     num = MPoly.const(X, 1)
     den = MPoly.const(X, 1)
-    for p, e in assignment.items():
+    for p, e in zip(points, exps):
         factor = MPoly(X, {(1,): 1, (0,): -p})
         if e > 0:
             num = num * factor ** e
         elif e < 0:
             den = den * factor ** (-e)
-    return RatFun(num * const, den)
+    return num, den
 
 
 def _solve_power_condition(points, exps, power: int):
     """Constants c (and root Q, scale k) with c*N - D = k * Q^power.
 
-    N and D are the monic numerator/denominator built from the exponent
-    vector, M = max(deg N, deg D), and Q is monic of degree M/power.  Let
-    a_j(c) be the coefficient of x^(M-j) in c*N - D and k = a_0.  Read in
-    y = 1/x, the condition is sum_j a_j y^j = k * (sum_j q_j y^j)^power
-    with q_0 = 1, and the substitution q_j = r_j / k^j clears the equation
-    for y^i to one in Q[c]:
+    N and D are the monic numerator/denominator of the exponent vector,
+    M = max(deg N, deg D) with deg N != deg D, and Q is monic of degree
+    M/power.  For c != 0, Q is prime to N and D, so with f = c*N/D a root
+    of Q of multiplicity m is a root of f - 1 of multiplicity power*m, of
+    f' of multiplicity power*m - 1, and so of the numerator of the
+    logarithmic derivative f'/f over the support S of the vector,
 
-        a_i k^(i-1) = power * r_i + [y^i] (sum_{j<i} r_j y^j)^power.
+        R = sum_p e_p prod_(q in S, q != p) (x - q),
 
-    For i <= deg Q it determines r_i; beyond, it is a polynomial condition
-    on c.  No gcd is taken until the conditions meet: the rational roots of
-    their gcd give the candidates, each verified by exact re-expansion.
+    of degree |S| - 1 with lead deg N - deg D.  Hence Q^(power-1) divides
+    R: the degree test (power-1) * M/power <= |S| - 1 rejects most vectors
+    before any polynomial is built.  Q also divides
+    G = gcd(R, R', ..., R^(power-2)), so c*N - D and G share a root and c
+    is a rational root of their resultant in x (never 0: R, and so G, has
+    no root in S, where D vanishes).  For each such c, Q is the power-th
+    root of (c*N - D)/k read in 1/x, accepted only when the exact
+    re-expansion k * Q^power = c*N - D holds.
     """
-    n_list = [Fraction(1)]
-    d_list = [Fraction(1)]
-    for p, e in zip(points, exps):
-        for _ in range(abs(e)):
-            target = n_list if e > 0 else d_list
-            new = [Fraction(0)] * (len(target) + 1)
-            for i, cc in enumerate(target):
-                new[i + 1] += cc
-                new[i] += -p * cc
-            if e > 0:
-                n_list = new
-            else:
-                d_list = new
-    dn, dd = len(n_list) - 1, len(d_list) - 1
-    if dn == dd:
-        return []  # degenerate leading cancellation not explored
+    dn = sum(e for e in exps if e > 0)
+    dd = -sum(e for e in exps if e < 0)
     M = max(dn, dd)
-    if M % power:
+    support = {p: e for p, e in zip(points, exps) if e}
+    if dn == dd or M % power or (power - 1) * (M // power) > len(support) - 1:
         return []
     q_deg = M // power
-
-    C = ("c",)
-    YC = ("x", "c")  # y = 1/x takes the slot of x
-    cvar = MPoly.var(C, "c")
-    a = [cvar * (n_list[M - j] if M - j <= dn else 0) - (d_list[M - j] if M - j <= dd else 0)
-         for j in range(M + 1)]
-    k = a[0]  # c when deg N > deg D, else -1
-    r = [MPoly.const(C, 1)]
-    conditions: list[MPoly] = []
-    for i in range(1, M + 1):
-        if i <= q_deg + 1:  # afterwards every r_j is known and the power is final
-            T = MPoly(YC, {(j, e): cc for j, rj in enumerate(r) for (e,), cc in rj.terms.items()})
-            powered = [p.restricted(C) for p in (T ** power).coeffs_in("x")]
-        rest = a[i] * k ** (i - 1)
-        if i < len(powered):
-            rest = rest - powered[i]
-        if i <= q_deg:
-            r.append(rest * Fraction(1, power))
-        elif not rest.is_zero():
-            conditions.append(rest)
-    if not conditions:
+    R = MPoly.zero(X)
+    for p, e in support.items():
+        term = MPoly.const(X, e)
+        for q in support:
+            if q != p:
+                term = term * MPoly(X, {(1,): 1, (0,): -q})
+        R = R + term
+    G = R
+    for _ in range(power - 2):
+        R = R.derivative("x")
+        G = mpoly_gcd(G, R)
+    if G.degree("x") < q_deg:  # Q divides G
         return []
-    g = conditions[0]
-    for cond in conditions[1:]:
-        if g.is_constant():
-            return []
-        g = mpoly_gcd(g, cond)
-    roots, _ = _rational_roots(g)
+    N, D = _monic_parts(points, exps)
+    XC = ("x", "c")
+    shifted = MPoly.var(XC, "c") * N.with_vars(XC) - D.with_vars(XC)
+    res = resultant(shifted.primitive_part(), G.primitive_part().with_vars(XC), "x")
+    roots, _ = _rational_roots(res.restricted(("c",)))
     out = []
-    for c0, _mult in roots:
-        scale = k.eval_full({"c": c0})
-        if c0 == 0 or scale == 0:
-            continue
-        Q = MPoly(X, {(q_deg - i,): rj.eval_full({"c": c0}) / scale ** i for i, rj in enumerate(r)})
-        lhs = MPoly(X, {(M - j,): aj.eval_full({"c": c0}) for j, aj in enumerate(a)})
-        if (Q ** power) * scale == lhs:  # exact re-expansion check
-            out.append((c0, Q, scale))
+    for c, _mult in roots:
+        lhs = N * c - D
+        k = Fraction(lhs.leading_coeff())  # c when deg N > deg D, else -1
+        in_y = PowerSeries("x", [lhs.terms.get((M - j,), 0) / k for j in range(q_deg + 1)])
+        root = in_y.power(Fraction(1, power)).coeffs
+        Q = MPoly(X, {(q_deg - j,): qj for j, qj in enumerate(root)})
+        if k * Q ** power == lhs:  # exact re-expansion check
+            out.append((c, Q, k))
     return out
 
 

@@ -203,26 +203,53 @@ def test_pullback_candidates_satisfy_cube_condition():
         assert not quotient.is_zero()
 
 
-def test_pullback_search_matches_sympy_oracle():
-    # independent solve of c*N - D = k*(x+q)^3 for every map of degree 3
+def test_pullback_search_degree_8_finds_the_same_candidates():
+    def rows(cands):
+        return [(c.exponent_tuple(), c.constant, c.map.text()) for c in cands]
+
+    cube = (Fr(0), Fr(0), Fr(1, 3))
+    at_6 = rows(pullback_search(SING_POINTS, cube, 6))
+    assert len(at_6) == 2
+    assert rows(pullback_search(SING_POINTS, cube, 8)) == at_6
+
+
+def test_pullback_search_rejects_repeated_point():
+    with pytest.raises(HypergeomError, match="repeats a point"):
+        pullback_search((Fr(0), Fr(1), Fr(2, 2)), (Fr(0), Fr(0), Fr(1, 3)), 3)
+
+
+@pytest.mark.parametrize("points, triple, max_degree, count", [
+    pytest.param(SING_POINTS, (Fr(0), Fr(0), Fr(1, 3)), 3, 2, id="rook-cube"),
+    # at power 2, G = R has degree |support| - 1 > deg Q = 1 on three or four points
+    pytest.param((Fr(0), Fr(1), Fr(1, 4), Fr(-1, 8)), (Fr(0), Fr(0), Fr(1, 2)), 2, 44,
+                 id="square"),
+])
+def test_pullback_search_matches_sympy_oracle(points, triple, max_degree, count):
+    # independent solve of c*N - D = k*Q^power, Q a general monic polynomial
+    # of degree M/power, for every map the degree test does not rule out too
     sympy = pytest.importorskip("sympy")
-    x, c, q, k = sympy.symbols("x c q k")
-    points = [sympy.Rational(p.numerator, p.denominator) for p in SING_POINTS]
+    power = max(e.denominator for e in triple)
+    x, c, k = sympy.symbols("x c k")
+    pts = [sympy.Rational(p.numerator, p.denominator) for p in points]
     expected = set()
-    for exps in _exponent_vectors(len(points), 3):
-        N = sympy.Mul(*[(x - p) ** e for p, e in zip(points, exps) if e > 0])
-        D = sympy.Mul(*[(x - p) ** -e for p, e in zip(points, exps) if e < 0])
+    for exps in _exponent_vectors(len(pts), max_degree):
+        N = sympy.Mul(*[(x - p) ** e for p, e in zip(pts, exps) if e > 0])
+        D = sympy.Mul(*[(x - p) ** -e for p, e in zip(pts, exps) if e < 0])
         dn, dd = sympy.degree(N, x), sympy.degree(D, x)
-        if dn == dd or max(dn, dd) % 3:
+        if dn == dd or max(dn, dd) % power:
             continue
-        eqs = sympy.Poly(c * N - D - k * (x + q) ** 3, x).all_coeffs()
-        for sol in sympy.solve(eqs, [c, q, k], dict=True):
-            assert set(sol) == {c, q, k}
-            if all(sol[v].is_rational for v in (c, q, k)) and sol[c] != 0 and sol[k] != 0:
+        qs = sympy.symbols(f"q1:{max(dn, dd) // power + 1}")
+        Q = x ** len(qs) + sum(q * x ** (len(qs) - 1 - i) for i, q in enumerate(qs))
+        unknowns = [c, *qs, k]
+        eqs = sympy.Poly(c * N - D - k * Q ** power, x).all_coeffs()
+        for sol in sympy.solve(eqs, unknowns, dict=True):
+            assert set(sol) == set(unknowns)
+            if all(sol[v].is_rational for v in unknowns) and sol[c] != 0 and sol[k] != 0:
                 expected.add((exps, Fr(str(sol[c]))))
-    cands = pullback_search(SING_POINTS, (Fr(0), Fr(0), Fr(1, 3)), 3)
-    assert {(cand.exponent_tuple(), cand.constant) for cand in cands} == expected
-    assert len(expected) == 2
+    cands = pullback_search(points, triple, max_degree)
+    assert {(tuple(cand.exponents.get(p, 0) for p in points), cand.constant)
+            for cand in cands} == expected
+    assert len(expected) == count
 
 
 def test_pullback_all_integer_triple_is_empty():

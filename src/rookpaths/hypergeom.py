@@ -10,6 +10,7 @@ series identities connecting the two hypergeometric expressions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -269,6 +270,7 @@ TRIED_TRIPLES = ((Fraction(0), Fraction(0), Fraction(0)),
 class PullbackCandidate:
     """A map f = c prod (x-p)^(n_p) whose shifted numerator is a perfect cube."""
 
+    points: tuple[Fraction, ...]  # the singular set the search ran on
     exponents: dict[Fraction, int]
     constant: Fraction
     map: RatFun
@@ -277,7 +279,7 @@ class PullbackCandidate:
     cube_scale: Fraction = Fraction(1)
 
     def exponent_tuple(self) -> tuple[int, ...]:
-        return tuple(self.exponents.get(p, 0) for p in SING_POINTS)
+        return tuple(self.exponents.get(p, 0) for p in self.points)
 
     def simplified_map(self) -> RatFun:
         """The Moebius post-transform f -> f/(f-1) (cube moves to the denominator)."""
@@ -316,30 +318,18 @@ def pullback_search(sing_set: Sequence[Fraction], target_triple, max_degree: int
         for const, Q, scale in _solve_power_condition(points, exps, power):
             num, den = _monic_parts(points, exps)
             results.append(PullbackCandidate(
-                exponents={p: e for p, e in zip(points, exps) if e},
+                points=tuple(points), exponents={p: e for p, e in zip(points, exps) if e},
                 constant=const, map=RatFun(num * const, den), parameters=params,
                 cube_root=Q, cube_scale=scale))
     return results
 
 
 def _exponent_vectors(npts: int, max_degree: int):
-    """Integer exponent vectors with map degree max(sum+, sum-) <= max_degree."""
-    span = list(range(-max_degree, max_degree + 1))
-
-    def rec(i, acc):
-        if i == npts:
-            pos = sum(e for e in acc if e > 0)
-            neg = -sum(e for e in acc if e < 0)
-            if 0 < max(pos, neg) <= max_degree and any(acc):
-                yield tuple(acc)
-            return
-        for e in span:
-            pos = sum(v for v in acc if v > 0) + max(e, 0)
-            neg = -sum(v for v in acc if v < 0) + max(-e, 0)
-            if pos <= max_degree and neg <= max_degree:
-                yield from rec(i + 1, acc + [e])
-
-    yield from rec(0, [])
+    """Nonzero integer exponent vectors with map degree max(sum+, sum-) <= max_degree,
+    that degree being (|e|_1 + |sum e|) / 2."""
+    span = range(-max_degree, max_degree + 1)
+    return (e for e in itertools.product(span, repeat=npts)
+            if 0 < sum(map(abs, e)) + abs(sum(e)) <= 2 * max_degree)
 
 
 def _monic_parts(points, exps) -> tuple[MPoly, MPoly]:

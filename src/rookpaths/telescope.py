@@ -83,27 +83,10 @@ def solve_parametrized_system(A: Sequence[Sequence[RatFun]],
     if len(denominators) != n or len(bounds) != n:
         raise ValueError("need one denominator and bound per component")
     dcs = [RatFun(dc.aligned(fullvars)) for dc in denominators]
-    v = RatFun(MPoly.var(fullvars, main_var))
-    dcs_dv = [dc.derivative(main_var) for dc in dcs]
-
     ncols = sum(b + 1 for b in bounds) + d
 
-    rows: list[list[RatFun]] = []
-    for i in range(n):
-        cols: list[RatFun] = []
-        for j in range(n):
-            for k in range(bounds[j] + 1):
-                vk = v ** k
-                entry = A[i][j] * vk / dcs[j]
-                if i == j:
-                    dterm = (vk * k / v if k else RatFun.from_scalar(0, fullvars))
-                    entry = entry + (dterm * dcs[j] - vk * dcs_dv[j]) / (dcs[j] * dcs[j])
-                cols.append(entry)
-        for j in range(d):
-            cols.append(-B[i][j])
-        rows.append(cols)
-
-    eq_rows = _expand_rows_in_var(rows, main_var, kvars)
+    eq_rows = [row for i in range(n)
+               for row in _equation_rows(A[i], B[i], dcs, i, bounds, main_var, kvars)]
     if not eq_rows:
         basis_vectors = [[MPoly.const(kvars, 1 if c == idx else 0) for c in range(ncols)]
                          for idx in range(ncols)]
@@ -138,29 +121,33 @@ def _solution_from_vector(vec: Sequence[MPoly], dens: Sequence[RatFun], bounds: 
     return ParamSolution(y=y, e=list(vec[pos:]), raw=list(vec))
 
 
-def _expand_rows_in_var(rows: Sequence[Sequence[RatFun]], main_var: str,
-                        kvars: tuple[str, ...]) -> list[list[MPoly]]:
-    """Clear denominators row-wise and split into coefficient rows of v^m."""
-    out: list[list[MPoly]] = []
-    for row in rows:
-        cleared = clear_denominators(row, row[0].vars)
-        if not any(cleared):
-            continue
-        vmax = max(p.degree(main_var) for p in cleared if p)
-        buckets: list[list[MPoly]] = []
-        for m in range(vmax + 1):
-            buckets.append([])
-        for p in cleared:
-            split = p.coeffs_in(main_var) if p else []
-            for m in range(vmax + 1):
-                if m < len(split):
-                    buckets[m].append(split[m].restricted(kvars))
-                else:
-                    buckets[m].append(MPoly.zero(kvars))
-        for m in range(vmax + 1):
-            if any(not p.is_zero() for p in buckets[m]):
-                out.append(buckets[m])
-    return out
+def _equation_rows(A_i: Sequence[RatFun], B_i: Sequence[RatFun], dens: Sequence[RatFun], i: int,
+                   bounds: Sequence[int], main_var: str, kvars: tuple[str, ...]) -> list[list[MPoly]]:
+    """Equation i of dy/dv + A y = B e as polynomial rows, one per power of v.
+
+    With y_j = sum_k c_jk v^k / u_j, one clearing of A_ij/u_j, 1/u_i, u_i'/u_i^2
+    and -B_ie gives P_j, W, V and E_e: column c_jk is P_j v^k, plus
+    k W v^(k-1) - V v^k when j = i, and column e_e is E_e.  Zero rows are dropped.
+    """
+    n, u = len(dens), dens[i]
+    fracs = [a / u_j for a, u_j in zip(A_i, dens)] + [1 / u, u.derivative(main_var) / (u * u)]
+    split = [[c.restricted(kvars) for c in p.coeffs_in(main_var)] if p else []
+             for p in clear_denominators(fracs + [-b for b in B_i], u.vars)]
+    P, (W, V), E = split[:n], split[n:n + 2], split[n + 2:]
+    zero = MPoly.zero(kvars)
+
+    def at(coeffs: list[MPoly], m: int) -> MPoly:
+        return coeffs[m] if 0 <= m < len(coeffs) else zero
+
+    def cell(j: int, k: int, m: int) -> MPoly:
+        c = at(P[j], m - k)
+        return c + at(W, m - k + 1) * k - at(V, m - k) if j == i else c
+
+    shifts = list(bounds) + [bounds[i] - 1, bounds[i]] + [0] * len(E)
+    top = max(len(p) + b for p, b in zip(split, shifts))
+    rows = [[cell(j, k, m) for j in range(n) for k in range(bounds[j] + 1)] + [at(e, m) for e in E]
+            for m in range(top)]
+    return [row for row in rows if any(row)]
 
 
 def _check_param_solution(A, B, sol: ParamSolution, main_var: str) -> bool:

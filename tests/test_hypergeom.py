@@ -247,8 +247,7 @@ def test_pullback_search_matches_sympy_oracle(points, triple, max_degree, count)
             if all(sol[v].is_rational for v in unknowns) and sol[c] != 0 and sol[k] != 0:
                 expected.add((exps, Fr(str(sol[c]))))
     cands = pullback_search(points, triple, max_degree)
-    assert {(tuple(cand.exponents.get(p, 0) for p in points), cand.constant)
-            for cand in cands} == expected
+    assert {(cand.exponent_tuple(), cand.constant) for cand in cands} == expected
     assert len(expected) == count
 
 

@@ -43,6 +43,38 @@ def test_param_solver_verifies_solutions(rook_f):
     assert sols  # verified internally; failure raises
 
 
+def _frozen(r: RatFun, point: dict) -> RatFun:
+    e = r.eval_at(point)
+    return RatFun(e.num.aligned(("s",)), e.den.aligned(("s",)))
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["exact", "screen"])
+def test_param_solver_recovers_planted_solution(frozen):
+    # lower-triangular 2x2 system in s with a coupling term A[1][0], two distinct
+    # moving denominators, and B built from the planted y with e = (1, 2)
+    u = [poly("s-x", XS), poly("s^2+x+1", XS)]
+    y = [ratfun("(x*s+1)/(s-x)", XS), ratfun("(s^2-x)/(s^2+x+1)", XS)]
+    A = [[ratfun("1/(s+1)", XS), RatFun.from_scalar(0, XS)],
+         [ratfun("x/(s-x)", XS), RatFun(poly("s", XS))]]
+    b0 = [ratfun("x/(s+1)", XS), RatFun(poly("s", XS))]
+    rhs = [y[i].derivative("s") + A[i][0] * y[0] + A[i][1] * y[1] for i in range(2)]
+    B = [[b0[i], (rhs[i] - b0[i]) / 2] for i in range(2)]
+    if frozen:  # the screen's path: x at its first screening value, no exact re-check
+        point = {"x": Fraction(7, 13)}
+        A = [[_frozen(r, point) for r in row] for row in A]
+        B = [[_frozen(r, point) for r in row] for row in B]
+        u = [p.eval_at(point).aligned(("s",)) for p in u]
+    sols = solve_parametrized_system(A, B, u, [2, 2], "s", verify=not frozen)
+    assert any(not all(e.is_zero() for e in sol.e) for sol in sols)
+    vars = A[0][0].vars
+    for sol in sols:
+        for i in range(2):
+            acc = sol.y[i].derivative("s") + A[i][0] * sol.y[0] + A[i][1] * sol.y[1]
+            for b, e in zip(B[i], sol.e):
+                acc = acc - b * RatFun(e.with_vars(vars))
+            assert acc.is_zero()
+
+
 # -- stage A -----------------------------------------------------------------------
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactmath import MPoly, RatFun, poly, ratfun, resultant
+from .exactmath import MPoly, RatFun, poly, ratfun
 from .ore import DiffOp, RecOp
 
 XST = ("x", "s", "t")
@@ -29,17 +29,11 @@ def q1() -> MPoly:
 
 
 def disc_t_q1() -> MPoly:
-    """Discriminant of q1 in t, stored in its factored reference form.
-
-    disc = (-1)^(d(d-1)/2) * Res_t(q1, dq1/dt) / lc_t(q1) with d = 2; the
-    computed value must equal that form exactly.
-    """
-    p = q1()
-    res = resultant(p, p.derivative("t"), "t")
-    lc = p.coeffs_in("t")[p.degree("t")]
-    value = -res.divide_exact(lc)
+    """Discriminant b^2 - 4ac of q1 = a t^2 + b t + c, stored in its factored
+    reference form; the computed value must equal that form exactly."""
     reference = poly(DISC_TEXT, XST)
-    if value != reference:
+    c, b, a = q1().coeffs_in("t")
+    if b * b - a * c * 4 != reference:
         raise AssertionError("discriminant does not match its reference form")
     return reference
 

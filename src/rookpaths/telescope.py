@@ -4,21 +4,23 @@ The pipeline solves P(F) = dS/ds + dT/dt in three stages.  Stage A finds
 operators in (d_x, d_s) whose action on F is a t-derivative of phi*F; the
 two certificates found present a rectangular system with quotient basis
 (1, d_x).  Stage B looks for P in d_x alone with P congruent to d_s Q
-modulo that system.  Stage C divides P - d_s Q by the stage-A pair,
-recombines the certificates into (S, T), and the key equation is verified
-by exact rational normalization, a self-contained proof regardless of how
-the candidates were found.
+modulo that system; its equations come from normal forms, the remainders
+of the right division by the stage-A pair.  Stage C divides P - d_s Q by
+the same pair, recombines the certificates into (S, T), and the key
+equation is verified by exact rational normalization, a self-contained
+proof regardless of how the candidates were found.
 
 Every certificate comes from one rational solver for parametrized
 first-order systems (rational_solve_cascade): classical local pole analysis
 gives a universal denominator per component, and a minimal-numerator-degree
 sweep fixes the gauge freedom of the congruence (solutions with a zero
 operator block are the trivial exact certificates and are quotiented away).
-Each degree level is first screened by freezing the passive variables at two
-rational points; the exact solve is always the decider and everything
-returned re-verifies.  Stage A then strips the operator block's polynomial
-content and fixes the remaining gauge phi -> phi - lambda(x, s)/F, so the
-certificates come out in a canonical form.
+The system is frozen once at two rational values of the passive variables,
+and each degree level is first screened on the frozen copies; the exact
+solve is always the decider and everything returned re-verifies.  Stage A
+then strips the operator block's polynomial content and fixes the remaining
+gauge phi -> phi - lambda(x, s)/F, so the certificates come out in a
+canonical form.
 """
 
 from __future__ import annotations
@@ -362,10 +364,11 @@ def rational_solve_cascade(A: Sequence[Sequence[RatFun]],
         dens.append(u)
         caps.append(degree_bound(A[i][i], u, rhs_degrees, main_var))
 
+    frozen = [_freeze(A, B, dens, point, main_var) for point in _SCREEN_POINTS]
     top = max(caps) if caps else 0
     for bound in range(top + 1):
         bounds = [min(bound, c) for c in caps]
-        if not _screen(A, B, dens, bounds, main_var):
+        if not _screen(frozen, bounds, main_var):
             continue
         sols = solve_parametrized_system(A, B, dens, bounds, main_var)
         if any(_has_parameter(s) for s in sols):
@@ -384,30 +387,29 @@ def _has_parameter(sol: ParamSolution) -> bool:
     return not all(p.is_zero() for p in sol.e)
 
 
-def _screen(A, B, dens: Sequence[MPoly], bounds: Sequence[int], main_var: str) -> bool:
+def _freeze(A, B, dens: Sequence[MPoly], point: dict, main_var: str) -> tuple | None:
+    """A, B and the denominators with the passive variables fixed at point;
+    None when an entry has a pole there or a denominator vanishes (unlucky)."""
+    pt = {k: w for k, w in point.items() if k in A[0][0].vars and k != main_var}
+    try:
+        Ae = [[entry.eval_at(pt) for entry in row] for row in A]
+        Be = [[entry.eval_at(pt) for entry in row] for row in B]
+    except ZeroDivisionError:
+        return None
+    dens_e = [dd.eval_at(pt) for dd in dens]
+    return None if any(dd.is_zero() for dd in dens_e) else (Ae, Be, dens_e)
+
+
+def _screen(frozen: Sequence[tuple | None], bounds: Sequence[int], main_var: str) -> bool:
     """Cheap necessary test: does a nonzero-parameter solution survive with
     the passive variables frozen at one of the screening points?"""
-    fullvars = A[0][0].vars
-    for point in _SCREEN_POINTS:
-        pt = {k: w for k, w in point.items() if k in fullvars and k != main_var}
-        try:
-            Ae = [[_eval_ratfun(entry, pt, main_var) for entry in row] for row in A]
-            Be = [[_eval_ratfun(entry, pt, main_var) for entry in row] for row in B]
-            dens_e = [dd.eval_at({k: w for k, w in pt.items() if k in dd.vars}).aligned((main_var,))
-                      for dd in dens]
-            if any(dd.is_zero() for dd in dens_e):
-                return True
-            sols = solve_parametrized_system(Ae, Be, dens_e, bounds, main_var, verify=False)
-        except ZeroDivisionError:
+    for system in frozen:
+        if system is None:
             return True  # unlucky point; let the exact solve decide
+        sols = solve_parametrized_system(*system, bounds, main_var, False)
         if any(_has_parameter(s) for s in sols):
             return True
     return False
-
-
-def _eval_ratfun(entry: RatFun, point: dict, main_var: str) -> RatFun:
-    e = entry.eval_at(point)
-    return RatFun(e.num.aligned((main_var,)), e.den.aligned((main_var,)), _reduced=True)
 
 
 def reduce_modulo_trivial(sols: list[ParamSolution], dens: Sequence[MPoly],
@@ -534,6 +536,13 @@ def verify_key_equation(cert: Certificate, F: RatFun) -> VerifyReport:
     return VerifyReport(False, residual, "nonzero residual")
 
 
+def _divide_by_pair(op: DiffOp, P1: DiffOp, P2: DiffOp) -> tuple[DiffOp, DiffOp, DiffOp]:
+    """(A1, A2, R) with op = A1 P1 + A2 P2 + R: right division by P1, then by P2."""
+    A1, rem = op.right_divide(P1)
+    A2, rem = rem.right_divide(P2)
+    return A1, A2, rem
+
+
 def _lift_op(op: DiffOp, dvars: tuple[str, ...]) -> DiffOp:
     """View an operator in fewer derivations inside a larger (x, s) algebra."""
     if op.dvars == dvars:
@@ -648,37 +657,32 @@ def stage_b_search(P1: DiffOp, P2: DiffOp, d: int) -> tuple[DiffOp, DiffOp] | No
     """Find P = sum eta_i d_x^i (i <= d) and Q = phi_0 + phi_1 d_x with
     P congruent to d_s Q modulo the left ideal generated by (P1, P2).
 
-    P1 must contain d_s (solved as d_s = p0 + p1 d_x) and P2 must contain
-    d_x^2 (solved as d_x^2 = q0 + q d_x); the quotient has basis (1, d_x).
-    Returns None when no solution exists at this order.
+    P1 must contain d_s and P2 must contain d_x^2; the quotient has basis
+    (1, d_x).  Column j of A is the normal form (remainder modulo the pair) of
+    d_s times basis element j, column i of B that of d_x^i.  Returns None
+    when no solution exists at this order.
     """
-    xs = ("x", "s")
-    eta_s = P1.coeff((0, 1))
-    if eta_s.is_zero():
+    xs, basis = ("x", "s"), ((0, 0), (1, 0))
+    if P1.coeff((0, 1)).is_zero():
         raise ValueError("P1 has no d_s term")
-    eta_xx = P2.coeff((2, 0))
-    if eta_xx.is_zero():
+    if P2.coeff((2, 0)).is_zero():
         raise ValueError("P2 has no d_x^2 term")
     if any(e[1] for e in P2.terms):
         raise ValueError("P2 must be free of d_s")
 
-    p0 = -P1.coeff((0, 0)) / eta_s
-    p1 = -P1.coeff((1, 0)) / eta_s
-    q0 = -P2.coeff((0, 0)) / eta_xx
-    q = -P2.coeff((1, 0)) / eta_xx
+    def normal_form(op: DiffOp) -> DiffOp:
+        rem = _divide_by_pair(op, P1, P2)[2]
+        if any(e not in basis for e in rem.terms):
+            raise ValueError("stage B: the stage-A pair does not reduce to the basis (1, d_x)")
+        return rem
 
-    # Reduction of d_x^i to a_i + b_i d_x modulo the rectangular system.
-    a = [RatFun.from_scalar(1, xs), RatFun.from_scalar(0, xs)]
-    b = [RatFun.from_scalar(0, xs), RatFun.from_scalar(1, xs)]
-    for i in range(1, d):
-        a.append(a[i].derivative("x") + b[i] * q0)
-        b.append(a[i] + b[i].derivative("x") + b[i] * q)
-
-    A = [
-        [p0, p0.derivative("x") + p1 * q0],
-        [p1, p0 + p1.derivative("x") + p1 * q],
-    ]
-    B = [a[: d + 1], b[: d + 1]]
+    dx, ds = DiffOp.partial(xs, xs, "x"), DiffOp.partial(xs, xs, "s")
+    powers = [normal_form(DiffOp.identity(xs, xs))]
+    for _ in range(d):
+        powers.append(normal_form(dx * powers[-1]))
+    shifted = [normal_form(ds), normal_form(ds * dx)]
+    A = [[nf.coeff(e) for nf in shifted] for e in basis]
+    B = [[nf.coeff(e) for nf in powers] for e in basis]
 
     sols = rational_solve_cascade(A, B, "s")
     if sols is None:
@@ -691,14 +695,10 @@ def stage_b_search(P1: DiffOp, P2: DiffOp, d: int) -> tuple[DiffOp, DiffOp] | No
 
 
 def _stage_b_solution_to_ops(sol: ParamSolution, d: int) -> tuple[DiffOp, DiffOp]:
-    eta_block_raw = sol.e
     support = [(i,) for i in range(d + 1)]
-    scale = _operator_block_scale(eta_block_raw, support)
-    P = DiffOp(("x",), ("x",),
-               {(i,): RatFun(p * scale) for (i,), p in zip(support, eta_block_raw)
-                if not p.is_zero()})
-    Q = DiffOp(("x", "s"), ("x", "s"),
-               {(0, 0): sol.y[0] * scale, (1, 0): sol.y[1] * scale})
+    scale = _operator_block_scale(sol.e, support)
+    P = DiffOp(("x",), ("x",), {(i,): RatFun(p * scale) for (i,), p in zip(support, sol.e)})
+    Q = DiffOp(("x", "s"), ("x", "s"), {(0, 0): sol.y[0] * scale, (1, 0): sol.y[1] * scale})
     return (P, Q)
 
 
@@ -723,8 +723,7 @@ def stage_c_reconstruct(P: DiffOp, Q: DiffOp, stage_a: Sequence[StageACertificat
     ds = DiffOp.partial(("x", "s"), ("x", "s"), "s")
     R = _lift_op(P, ("x", "s")) - ds * Q
 
-    A1, R = R.right_divide(P1)
-    A2, R = R.right_divide(P2)
+    A1, A2, R = _divide_by_pair(R, P1, P2)
     if not R.is_zero():
         raise DivisionRemainderError(R)
 

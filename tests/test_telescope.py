@@ -157,6 +157,14 @@ def test_stage_b_input_validation(stage_a_certs):
         stage_b_search(stage_a_certs[0].operator, stage_a_certs[0].operator, 3)
 
 
+def test_stage_b_rejects_pair_outside_basis(stage_a_certs):
+    # P1 + d_x^2 leads with d_x^2, so d_s survives the division by the pair
+    P1, P2 = stage_a_certs[0].operator, stage_a_certs[1].operator
+    dxx = DiffOp(XS, XS, {(2, 0): RatFun.from_scalar(1, XS)})
+    with pytest.raises(ValueError, match=r"basis \(1, d_x\)"):
+        stage_b_search(P1 + dxx, P2, 3)
+
+
 # -- stage C ------------------------------------------------------------------------
 
 
@@ -345,6 +353,20 @@ def test_cascade_scalar_integration():
     sol = sols[0]
     assert not sol.e[0].is_zero()
     assert sol.y[0].derivative("x").constant_value() == sol.e[0].constant_value()
+
+
+def test_cascade_unlucky_screening_points():
+    from rookpaths.telescope import rational_solve_cascade
+    # a has a pole at both screening values of x (7/13 and -5/7), so the screen
+    # cannot freeze the system and must leave every level to the exact solve
+    XT = ("x", "t")
+    a = ratfun("1/((13*x-7)*(7*x+5))", XT)
+    y = RatFun(poly("t", XT))
+    sols = rational_solve_cascade([[a]], [[y.derivative("t") + a * y]], "t")
+    assert len(sols) == 1
+    sol = sols[0]
+    assert not sol.e[0].is_zero()
+    assert sol.y[0] == y * RatFun(sol.e[0].with_vars(XT))
 
 
 def test_universal_denominator_mixed_multiplicities():

@@ -493,15 +493,20 @@ def f21_at_one(spec: HypergeomSpec) -> Fraction:
     through a dozen partial sums reaches many digits.  The result is a
     rational enclosure, independent of the Gauss evaluation formula.
     """
+    if spec.c - spec.a - spec.b <= 0:
+        raise HypergeomError("2F1(a, b; c; 1) diverges unless c - a - b > 0")
+    (an, ad), (bn, bd), (cn, cd) = (p.as_integer_ratio() for p in (spec.a, spec.b, spec.c))
     nodes = [200 + 100 * i for i in range(12)]
-    coeffs = f21_series(spec, max(nodes)).coeffs
+    # term n is num/den and the partial sum through it total/den, unreduced
+    num = den = total = 1
     sums: dict[int, Fraction] = {}
-    acc = Fraction(0)
-    wanted = set(nodes)
-    for n, c in enumerate(coeffs):
-        acc += c
-        if n in wanted:
-            sums[n] = acc
+    for n in range(max(nodes)):
+        num *= (an + n * ad) * (bn + n * bd) * cd
+        q = ad * bd * (cn + n * cd) * (n + 1)
+        den *= q
+        total = total * q + num
+        if n + 1 in nodes:
+            sums[n + 1] = Fraction(total, den)
     return extrapolate_partial_sums(lambda n: sums[n], nodes)
 
 

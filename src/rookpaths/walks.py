@@ -1,9 +1,9 @@
 """Brute-force lattice walk counting and step generating functions.
 
 The dynamic program counts walks from the origin whose steps are positive
-integer multiples of a direction set's primitive vectors.  Each direction
-keeps a running prefix accumulator along its own ray, so a cell costs O(1)
-big-integer additions per direction and a full table is O(|dirs| * I*J*K).
+integer multiples of a direction set's primitive vectors.  It builds the
+table a row r[i][j][0..K] at a time from whole-row big-integer additions on
+earlier rows; a full table costs O(|dirs| * I*J*K) additions.
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-
+from itertools import accumulate
+from math import gcd
+from operator import add
 
 from .exactmath import MPoly, RatFun
 from .numerics import bisect_root
@@ -30,15 +32,13 @@ class DirectionSet:
     def __post_init__(self):
         if not self.directions:
             raise ValueError("direction set must be nonempty")
-        for d in self.directions:
+        for n, d in enumerate(self.directions):
             if len(d) != 3 or any(e < 0 for e in d) or all(e == 0 for e in d):
                 raise ValueError(f"bad direction {d}")
-            from math import gcd
-            g = 0
-            for e in d:
-                g = gcd(g, e)
-            if g != 1:
+            if gcd(*d) != 1:
                 raise ValueError(f"direction {d} is not primitive")
+            if d in self.directions[:n]:
+                raise ValueError(f"direction {d} repeats")
 
 
 ROOK = DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1)), name="rook")
@@ -105,26 +105,45 @@ def count_paths(dirs: DirectionSet, bound: tuple[int, int, int]) -> CountTable:
     I, J, K = bound
     if I < 0 or J < 0 or K < 0:
         raise ValueError("bound must be componentwise >= 0")
-    r = [[[0] * (K + 1) for _ in range(J + 1)] for _ in range(I + 1)]
-    # cum[d][i][j][k] = sum over m >= 1 of r at (i,j,k) - m*d; it stays zero
-    # without repeat, so each direction then adds only the single step
-    cum = [[[[0] * (K + 1) for _ in range(J + 1)] for _ in range(I + 1)] for _ in dirs.directions]
     repeat = dirs.repeat
+    # each direction but (0,0,1) adds the row (i-di, j-dj) shifted by dk along
+    # k, plus with repeat its running sum there, cum_d(i,j)[k] = sum over m >= 1
+    # of r at (i,j,k) - m*d; cum planes older than i - max(di) are not read again
+    across = [d for d in dirs.directions if d[:2] != (0, 0)]
+    along = len(across) < len(dirs.directions)
+    r = [[None] * (J + 1) for _ in range(I + 1)]
+    cum = [[[[0] * (K + 1)] * (J + 1) for _ in range(I + 1)] for _ in across] if repeat else ()
+    top = max((d[0] for d in across), default=0)
     for i in range(I + 1):
+        if i > top:
+            for planes in cum:
+                planes[i - top - 1] = None
         for j in range(J + 1):
-            for k in range(K + 1):
-                if i == j == k == 0:
-                    r[0][0][0] = 1
+            x = None
+            for n, (di, dj, dk) in enumerate(across):
+                if i < di or j < dj:
+                    continue
+                c = r[i - di][j - dj]
+                if repeat:
+                    c = cum[n][i][j] = ([0] * dk + list(map(add, c, cum[n][i - di][j - dj])))[:K + 1]
                 else:
-                    total = 0
-                    for d, (di, dj, dk) in enumerate(dirs.directions):
-                        pi, pj, pk = i - di, j - dj, k - dk
-                        if pi >= 0 and pj >= 0 and pk >= 0:
-                            c = r[pi][pj][pk] + cum[d][pi][pj][pk]
-                            if repeat:
-                                cum[d][i][j][k] = c
-                            total += c
-                    r[i][j][k] = total
+                    c = ([0] * dk + c)[:K + 1]
+                x = c if x is None else list(map(add, x, c))
+            if x is None:
+                x = [0] * (K + 1)
+            if i == j == 0:
+                x[0] = 1
+            if along and repeat:
+                # r[k] = x[k] + (r[0] + ... + r[k-1])
+                row, s = [], 0
+                for v in x:
+                    v += s
+                    row.append(v)
+                    s += v
+                x = row
+            elif along:
+                x = list(accumulate(x))
+            r[i][j] = x
     return CountTable(bound, r)
 
 

@@ -180,7 +180,7 @@ def test_criterion_11_counting_bounds():
 
 
 def test_criterion_12_asymptotics():
-    with _Stopwatch(12, "asymptotic constant via recurrence unrolling", budget=120):
+    with _Stopwatch(12, "asymptotic constant via recurrence unrolling", budget=5):
         report = asymptotics_check(2000, Fr(1, 100), digits=10)
         assert report.gauss_digits_ok
         assert report.ratio_error < Fr(1, 100)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as Fr
+from itertools import accumulate
 
 import pytest
 
@@ -12,7 +13,7 @@ from rookpaths.hypergeom import (HypergeomSpec, HypergeomError, SING_POINTS, asy
                                  f21_at_one, f21_series, gauss_operator, identity_checks,
                                  local_exponents, operator_pullback, pullback_search,
                                  symbolic_solution_check, _exponent_vectors, _rational_roots)
-from rookpaths.numerics import decimal_str, pi_rational, sqrt_rational
+from rookpaths.numerics import decimal_str, extrapolate_partial_sums, pi_rational, sqrt_rational
 from rookpaths.ore import DiffOp
 
 X = ("x",)
@@ -343,6 +344,20 @@ def test_gauss_value_numeric():
     target = Fr(9, 4) * sqrt_rational(Fr(3)) / pi_rational()
     assert abs(value - target) < target / 10 ** 10
     assert decimal_str(value, 6) == "1.240490"
+
+
+def test_f21_at_one_rejects_divergent_parameters():
+    for spec in (HypergeomSpec(Fr(1, 3), Fr(2, 3), Fr(1)), HypergeomSpec(Fr(1, 2), Fr(1, 2), Fr(1, 2))):
+        with pytest.raises(HypergeomError, match="c - a - b > 0"):
+            f21_at_one(spec)
+
+
+@pytest.mark.parametrize("spec", [HypergeomSpec(Fr(1, 12), Fr(5, 12), Fr(3, 2)),
+                                  HypergeomSpec(Fr(-1, 3), Fr(1, 4), Fr(7, 3))])
+def test_f21_at_one_extrapolates_series_partial_sums(spec):
+    nodes = [200 + 100 * i for i in range(12)]
+    sums = list(accumulate(f21_series(spec, max(nodes)).coeffs))
+    assert f21_at_one(spec) == extrapolate_partial_sums(lambda n: sums[n], nodes)
 
 
 def test_asymptotics_check():

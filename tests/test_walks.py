@@ -1,8 +1,9 @@
 """Walk counting oracle, step generating functions, queens root."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -34,6 +35,57 @@ def brute_force_count(dirs, target):
                 stack.append(nxt)
                 m += 1
     return total
+
+
+def recursive_table(dirs, bound):
+    """Independent oracle: r(p) = [p = 0] + sum over d, m >= 1 of r(p - m*d), memoized."""
+
+    @lru_cache(maxsize=None)
+    def r(p):
+        total = int(p == (0, 0, 0))
+        for d in dirs.directions:
+            m = 1
+            while all(a >= m * b for a, b in zip(p, d)) and (m == 1 or dirs.repeat):
+                total += r(tuple(a - m * b for a, b in zip(p, d)))
+                m += 1
+        return total
+
+    I, J, K = bound
+    return [[[r((i, j, k)) for k in range(K + 1)] for j in range(J + 1)] for i in range(I + 1)]
+
+
+ORACLE_SETS = [ROOK.directions, QUEEN.directions, ((1, 2, 0), (0, 0, 1), (2, 1, 3)), ((1, 1, 1),),
+               ((0, 0, 1),), ((1, 0, 0), (0, 1, 1)), ((0, 1, 2), (1, 0, 0))]
+ORACLE_BOUNDS = [(0, 0, 0), (0, 0, 6), (6, 2, 0), (4, 6, 9), (3, 3, 3)]
+
+
+def assert_table_matches_oracle(dirs, bound):
+    values = count_paths(dirs, bound).values
+    assert values == recursive_table(dirs, bound)
+    rows = [row for plane in values for row in plane]
+    assert len({id(row) for row in rows}) == len(rows)
+
+
+@pytest.mark.parametrize("repeat", [True, False])
+@pytest.mark.parametrize("directions", ORACLE_SETS)
+def test_count_table_matches_recursive_oracle(directions, repeat):
+    dirs = DirectionSet(directions, repeat)
+    for bound in ORACLE_BOUNDS:
+        assert_table_matches_oracle(dirs, bound)
+
+
+def test_count_table_matches_recursive_oracle_on_random_sets():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    primitive = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda d: gcd(*d) == 1)
+    bounds = st.tuples(*[st.integers(0, 5)] * 3)
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(primitive, min_size=1, max_size=5, unique=True), st.booleans(), bounds)
+    def check(directions, repeat, bound):
+        assert_table_matches_oracle(DirectionSet(tuple(directions), repeat), bound)
+
+    check()
 
 
 def test_origin_counts_one():
@@ -116,6 +168,14 @@ def test_direction_set_validation():
         DirectionSet(((2, 0, 0),))  # not primitive
     with pytest.raises(ValueError):
         DirectionSet(((0, 0, 0),))
+
+
+def test_direction_set_rejects_repeated_direction():
+    # a repeated direction would double its walks; the row kernel counts (0,0,1) once
+    with pytest.raises(ValueError, match=r"direction \(0, 0, 1\) repeats"):
+        DirectionSet(((0, 0, 1), (0, 0, 1)))
+    with pytest.raises(ValueError, match="repeats"):
+        DirectionSet(((1, 0, 0), (0, 1, 0), (1, 0, 0)), repeat=False)
 
 
 def test_seqtable_json_round_trip():

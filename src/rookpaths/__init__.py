@@ -13,8 +13,8 @@ from .walks import ROOK, QUEEN, DirectionSet, SeqTable, count_paths, diagonal_se
     queens_dominant_root, step_generating_function
 from .diagonal import expand_diagonal, residue_embedding
 from .ore import DiffOp, RecOp, diffop_to_rec, guess_rec, prove_rec_reduction, rec_unroll
-from .telescope import Ansatz, Certificate, lipshitz_bounds, solve_parametrized_system, \
-    stage_a_search, stage_b_search, stage_c_reconstruct, verify_key_equation
+from .telescope import Ansatz, Certificate, ParamSystem, lipshitz_bounds, \
+    solve_parametrized_system, stage_a_search, stage_b_search, stage_c_reconstruct, verify_key_equation
 from .hypergeom import HypergeomSpec, asymptotics_check, closed_form_check, f21_series, \
     identity_checks, local_exponents, operator_pullback, pullback_search, \
     symbolic_solution_check
@@ -26,7 +26,7 @@ __all__ = [
     "queens_dominant_root", "step_generating_function",
     "expand_diagonal", "residue_embedding",
     "DiffOp", "RecOp", "diffop_to_rec", "guess_rec", "prove_rec_reduction", "rec_unroll",
-    "Ansatz", "Certificate", "lipshitz_bounds", "solve_parametrized_system",
+    "Ansatz", "Certificate", "ParamSystem", "lipshitz_bounds", "solve_parametrized_system",
     "stage_a_search", "stage_b_search", "stage_c_reconstruct", "verify_key_equation",
     "HypergeomSpec", "asymptotics_check", "closed_form_check", "f21_series",
     "identity_checks", "local_exponents", "operator_pullback", "pullback_search",

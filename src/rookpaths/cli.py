@@ -335,7 +335,10 @@ def _cmd_identities(args, out: Path) -> bool:
 
 
 def _cmd_asymptotics(args, out: Path) -> bool:
-    tol = Fraction(args.tolerance)
+    try:
+        tol = Fraction(args.tolerance)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--tolerance must be a rational number, got {args.tolerance!r}") from None
     if tol <= 0:
         raise UsageError("--tolerance must be > 0")
     report = asymptotics_check(_at_least(args.n, 100, "--n"), tol)

@@ -5,7 +5,10 @@ cross-multiplication followed by a full content strip of every updated row
 (rational content and polynomial gcd across the row).  By
 Sylvester's identity the stripped content always contains the Bareiss pivot
 factor, so growth is no worse than classical fraction-free elimination while
-the representation never leaves the polynomial ring.
+the representation never leaves the polynomial ring.  Back-substitution
+stays in the ring too: each solved coordinate scales the vector by its
+pivot's cofactor.  A matrix of constants (no variables) runs the same
+elimination on Python ints, cleared row by row, with math.gcd content strips.
 
 Kernel vectors are canonical: for each free column the unique solution with
 that coordinate 1 and the other free coordinates 0, cleared to polynomials
@@ -15,6 +18,8 @@ Pivot-row selection therefore affects speed only, never the output.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,14 +39,27 @@ def linear_nullspace(matrix: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
             raise ValueError("ragged matrix")
         if any(e.vars != vars for e in row):
             raise ValueError("mixed variable tuples in matrix")
+    if vars:
+        return _kernel([{j: p for j, p in enumerate(row) if p} for row in matrix], ncols,
+                       MPoly.const(vars, 1), mpoly_gcd, MPoly.divide_exact, _strip_content,
+                       lambda e: (len(e.terms), e.total_degree()), MPoly.leading_coeff)
+    return [[MPoly.const((), c) for c in vec]
+            for vec in _kernel([_integer_row(row) for row in matrix], ncols,
+                               1, math.gcd, operator.floordiv, _strip_integers, abs, int)]
 
-    rows: list[dict[int, MPoly]] = []
-    for row in matrix:
-        nonzero = {j: p for j, p in enumerate(row) if p}
-        if nonzero:
-            rows.append(_strip_content(nonzero))
 
-    pivots: list[tuple[int, dict[int, MPoly]]] = []
+def _integer_row(row: Sequence[MPoly]) -> dict[int, int]:
+    """A row of constants times the lcm of its denominators."""
+    values = [p.terms.get((), 0) for p in row]
+    den = math.lcm(*(c.denominator for c in values))
+    return {j: c.numerator * (den // c.denominator) for j, c in enumerate(values) if c}
+
+
+def _kernel(rows: list[dict], ncols: int, one, gcd, quo, strip, size, lead) -> list[list]:
+    """Canonical kernel basis of sparse rows over one ring, given its unit, gcd, exact
+    quotient, content strip, pivot cost and the coefficient that carries an entry's sign."""
+    rows = [strip(r) for r in rows if r]
+    pivots: list[tuple[int, dict]] = []
     for col in range(ncols):
         pivot = None
         best = None
@@ -49,7 +67,7 @@ def linear_nullspace(matrix: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
             e = r.get(col)
             if e is None:
                 continue
-            score = (len(e.terms), e.total_degree(), min(r.keys()), len(r))
+            score = (size(e), min(r.keys()), len(r))
             if best is None or score < best:
                 best = score
                 pivot = r
@@ -63,10 +81,10 @@ def linear_nullspace(matrix: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
             if e is None:
                 new_rows.append(r)
                 continue
-            g = mpoly_gcd(pe, e)
-            f_keep = pe.divide_exact(g)
-            f_sub = e.divide_exact(g)
-            updated: dict[int, MPoly] = {}
+            g = gcd(pe, e)
+            f_keep = quo(pe, g)
+            f_sub = quo(e, g)
+            updated = {}
             for j in set(r) | set(pivot):
                 if j == col:
                     continue
@@ -78,30 +96,37 @@ def linear_nullspace(matrix: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
                     val = f_keep * a
                 else:
                     val = f_keep * a - f_sub * b
-                if not val.is_zero():
+                if val:
                     updated[j] = val
             if updated:
-                new_rows.append(_strip_content(updated))
+                new_rows.append(strip(updated))
         rows = new_rows
         pivots.append((col, pivot))
 
     pivot_cols = {c for c, _ in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-
-    basis: list[list[MPoly]] = []
-    one = RatFun.from_scalar(1, vars)
-    zero = RatFun.from_scalar(0, vars)
-    for f in free_cols:
-        v: dict[int, RatFun] = {f: one}
+    zero = one * 0
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivot_cols):
+        vec = {f: one}
         for col, prow in reversed(pivots):
             acc = zero
             for j, e in prow.items():
-                if j != col and j in v:
-                    acc = acc + RatFun(e) * v[j]
-            if not acc.is_zero():
-                v[col] = -acc / RatFun(prow[col])
-        basis.append(clear_vector([v.get(j, zero) for j in range(ncols)], vars))
+                if j != col and j in vec:
+                    acc = acc + e * vec[j]
+            if acc:
+                g = gcd(prow[col], acc)
+                scale = quo(prow[col], g)
+                vec = {j: a * scale for j, a in vec.items()}
+                vec[col] = -quo(acc, g)
+        vec = strip(vec)
+        sign = -1 if lead(vec[min(vec)]) < 0 else 1
+        basis.append([vec[j] * sign if j in vec else zero for j in range(ncols)])
     return basis
+
+
+def _strip_integers(row: dict[int, int]) -> dict[int, int]:
+    g = math.gcd(*row.values())
+    return row if g == 1 else {j: e // g for j, e in row.items()}
 
 
 def _strip_content(row: dict[int, MPoly]) -> dict[int, MPoly]:

@@ -15,12 +15,14 @@ first-order systems (rational_solve_cascade): classical local pole analysis
 gives a universal denominator per component, and a minimal-numerator-degree
 sweep fixes the gauge freedom of the congruence (solutions with a zero
 operator block are the trivial exact certificates and are quotiented away).
-The system is frozen once at two rational values of the passive variables,
-and each degree level is first screened on the frozen copies; the exact
-solve is always the decider and everything returned re-verifies.  Stage A
-then strips the operator block's polynomial content and fixes the remaining
-gauge phi -> phi - lambda(x, s)/F, so the certificates come out in a
-canonical form.
+Each system is validated and cleared once (ParamSystem); a solve only slices
+the cleared equations into rows for its degree bounds.  The system is also
+frozen once at two rational values of the passive variables, and each degree
+level is first screened on the frozen copies, whose kernels are computed on
+integers; the exact solve is always the decider and everything returned
+re-verifies.  Stage A then strips the operator block's polynomial content
+and fixes the remaining gauge phi -> phi - lambda(x, s)/F, so the
+certificates come out in a canonical form.
 """
 
 from __future__ import annotations
@@ -63,42 +65,54 @@ class ParamSolution:
     raw: list[MPoly]  # cleared kernel vector: zeta block then e block
 
 
-def solve_parametrized_system(A: Sequence[Sequence[RatFun]],
-                              B: Sequence[Sequence[RatFun]],
-                              denominators: Sequence[MPoly],
-                              bounds: Sequence[int],
-                              main_var: str,
+class ParamSystem:
+    """dy/dv + A y = B e with y_i = z_i/denominator_i, validated and cleared once:
+    for equation i, one clearing of A_ij/u_j (every j), 1/u_i, u_i'/u_i^2 and -B_ie
+    gives P_j, W, V and E_e, each split by powers of the main variable v."""
+
+    def __init__(self, A: Sequence[Sequence[RatFun]], B: Sequence[Sequence[RatFun]],
+                 denominators: Sequence[MPoly], main_var: str):
+        n = len(A)
+        d = len(B[0]) if B else 0
+        if any(len(row) != n for row in A) or any(len(row) != d for row in B) or len(B) != n:
+            raise ValueError("malformed system: A must be n x n and B n x d")
+        fullvars = A[0][0].vars
+        if main_var not in fullvars:
+            raise ValueError(f"main variable {main_var!r} not in {fullvars}")
+        if len(denominators) != n:
+            raise ValueError("need one denominator per component")
+        self.A, self.B, self.main_var = A, B, main_var
+        self.kvars = tuple(v for v in fullvars if v != main_var)
+        self.dens = [RatFun(dc.aligned(fullvars)) for dc in denominators]
+        self.split = []
+        for i, u in enumerate(self.dens):
+            fracs = [a / w for a, w in zip(A[i], self.dens)] + [1 / u, u.derivative(main_var) / (u * u)]
+            self.split.append([[c.restricted(self.kvars) for c in p.coeffs_in(main_var)] if p else []
+                               for p in clear_denominators(fracs + [-b for b in B[i]], fullvars)])
+
+
+def solve_parametrized_system(system: ParamSystem, bounds: Sequence[int], *,
                               verify: bool = True) -> list[ParamSolution]:
-    """All (y, e) with dy/dv + A y = B e, y_i = z_i/denominator_i, deg_v z_i <= bound_i.
+    """All (y, e) of the system with deg_v z_i <= bound_i.
 
     Completeness is relative to the per-component denominators and degree
-    bounds; each basis pair is substituted back and checked exactly.
+    bounds; with verify on, each basis pair is substituted back and checked exactly.
     """
-    n = len(A)
-    d = len(B[0]) if B else 0
-    if any(len(row) != n for row in A) or any(len(row) != d for row in B) or len(B) != n:
-        raise ValueError("malformed system: A must be n x n and B n x d")
-    fullvars = A[0][0].vars
-    if main_var not in fullvars:
-        raise ValueError(f"main variable {main_var!r} not in {fullvars}")
-    kvars = tuple(v for v in fullvars if v != main_var)
-    if len(denominators) != n or len(bounds) != n:
-        raise ValueError("need one denominator and bound per component")
-    dcs = [RatFun(dc.aligned(fullvars)) for dc in denominators]
-    ncols = sum(b + 1 for b in bounds) + d
-
-    eq_rows = [row for i in range(n)
-               for row in _equation_rows(A[i], B[i], dcs, i, bounds, main_var, kvars)]
+    if len(bounds) != len(system.dens):
+        raise ValueError("need one degree bound per component")
+    ncols = sum(b + 1 for b in bounds) + len(system.B[0])
+    eq_rows = [row for i, split in enumerate(system.split)
+               for row in _equation_rows(split, i, bounds, system.kvars)]
     if not eq_rows:
-        basis_vectors = [[MPoly.const(kvars, 1 if c == idx else 0) for c in range(ncols)]
+        basis_vectors = [[MPoly.const(system.kvars, 1 if c == idx else 0) for c in range(ncols)]
                          for idx in range(ncols)]
     else:
         basis_vectors = linear_nullspace(eq_rows)
 
     solutions = []
     for vec in basis_vectors:
-        sol = _solution_from_vector(vec, dcs, bounds, main_var)
-        if verify and not _check_param_solution(A, B, sol, main_var):
+        sol = _solution_from_vector(vec, system.dens, bounds, system.main_var)
+        if verify and not _check_param_solution(system.A, system.B, sol, system.main_var):
             raise TelescopeError("parametrized solver produced a non-solution")
         solutions.append(sol)
     return solutions
@@ -123,18 +137,14 @@ def _solution_from_vector(vec: Sequence[MPoly], dens: Sequence[RatFun], bounds: 
     return ParamSolution(y=y, e=list(vec[pos:]), raw=list(vec))
 
 
-def _equation_rows(A_i: Sequence[RatFun], B_i: Sequence[RatFun], dens: Sequence[RatFun], i: int,
-                   bounds: Sequence[int], main_var: str, kvars: tuple[str, ...]) -> list[list[MPoly]]:
-    """Equation i of dy/dv + A y = B e as polynomial rows, one per power of v.
+def _equation_rows(split: Sequence[list[MPoly]], i: int, bounds: Sequence[int],
+                   kvars: tuple[str, ...]) -> list[list[MPoly]]:
+    """Equation i as polynomial rows, one per power of v, from its cleared split.
 
-    With y_j = sum_k c_jk v^k / u_j, one clearing of A_ij/u_j, 1/u_i, u_i'/u_i^2
-    and -B_ie gives P_j, W, V and E_e: column c_jk is P_j v^k, plus
+    With y_j = sum_k c_jk v^k / u_j, column c_jk is P_j v^k, plus
     k W v^(k-1) - V v^k when j = i, and column e_e is E_e.  Zero rows are dropped.
     """
-    n, u = len(dens), dens[i]
-    fracs = [a / u_j for a, u_j in zip(A_i, dens)] + [1 / u, u.derivative(main_var) / (u * u)]
-    split = [[c.restricted(kvars) for c in p.coeffs_in(main_var)] if p else []
-             for p in clear_denominators(fracs + [-b for b in B_i], u.vars)]
+    n = len(bounds)
     P, (W, V), E = split[:n], split[n:n + 2], split[n + 2:]
     zero = MPoly.zero(kvars)
 
@@ -365,14 +375,17 @@ def rational_solve_cascade(A: Sequence[Sequence[RatFun]],
         caps.append(degree_bound(A[i][i], u, rhs_degrees, main_var))
 
     frozen = [_freeze(A, B, dens, point, main_var) for point in _SCREEN_POINTS]
+    exact = None
     top = max(caps) if caps else 0
     for bound in range(top + 1):
         bounds = [min(bound, c) for c in caps]
-        if not _screen(frozen, bounds, main_var):
+        if not _screen(frozen, bounds):
             continue
-        sols = solve_parametrized_system(A, B, dens, bounds, main_var)
+        if exact is None:
+            exact = ParamSystem(A, B, dens, main_var)
+        sols = solve_parametrized_system(exact, bounds)
         if any(_has_parameter(s) for s in sols):
-            return reduce_modulo_trivial(sols, dens, bounds, main_var, A[0][0].vars)
+            return reduce_modulo_trivial(sols, exact, bounds)
     return []
 
 
@@ -387,9 +400,9 @@ def _has_parameter(sol: ParamSolution) -> bool:
     return not all(p.is_zero() for p in sol.e)
 
 
-def _freeze(A, B, dens: Sequence[MPoly], point: dict, main_var: str) -> tuple | None:
-    """A, B and the denominators with the passive variables fixed at point;
-    None when an entry has a pole there or a denominator vanishes (unlucky)."""
+def _freeze(A, B, dens: Sequence[MPoly], point: dict, main_var: str) -> ParamSystem | None:
+    """The system with the passive variables fixed at point; None when an
+    entry has a pole there or a denominator vanishes (unlucky)."""
     pt = {k: w for k, w in point.items() if k in A[0][0].vars and k != main_var}
     try:
         Ae = [[entry.eval_at(pt) for entry in row] for row in A]
@@ -397,24 +410,23 @@ def _freeze(A, B, dens: Sequence[MPoly], point: dict, main_var: str) -> tuple | 
     except ZeroDivisionError:
         return None
     dens_e = [dd.eval_at(pt) for dd in dens]
-    return None if any(dd.is_zero() for dd in dens_e) else (Ae, Be, dens_e)
+    return None if any(dd.is_zero() for dd in dens_e) else ParamSystem(Ae, Be, dens_e, main_var)
 
 
-def _screen(frozen: Sequence[tuple | None], bounds: Sequence[int], main_var: str) -> bool:
+def _screen(frozen: Sequence[ParamSystem | None], bounds: Sequence[int]) -> bool:
     """Cheap necessary test: does a nonzero-parameter solution survive with
     the passive variables frozen at one of the screening points?"""
     for system in frozen:
         if system is None:
             return True  # unlucky point; let the exact solve decide
-        sols = solve_parametrized_system(*system, bounds, main_var, False)
+        sols = solve_parametrized_system(system, bounds, verify=False)
         if any(_has_parameter(s) for s in sols):
             return True
     return False
 
 
-def reduce_modulo_trivial(sols: list[ParamSolution], dens: Sequence[MPoly],
-                          bounds: Sequence[int], main_var: str,
-                          fullvars: tuple[str, ...]) -> list[ParamSolution]:
+def reduce_modulo_trivial(sols: list[ParamSolution], system: ParamSystem,
+                          bounds: Sequence[int]) -> list[ParamSolution]:
     """Quotient the solution basis by the parameter-free (trivial) subspace.
 
     Solutions with zero parameter block witness exact certificates (no
@@ -422,7 +434,6 @@ def reduce_modulo_trivial(sols: list[ParamSolution], dens: Sequence[MPoly],
     trivial vector at its lowest nonzero coordinate, yields a canonical
     representative independent of the solver's basis choice.
     """
-    kvars = tuple(v for v in fullvars if v != main_var)
     trivial = [s for s in sols if not _has_parameter(s)]
     particular = [s for s in sols if _has_parameter(s)]
     if not trivial:
@@ -436,9 +447,8 @@ def reduce_modulo_trivial(sols: list[ParamSolution], dens: Sequence[MPoly],
             echelon.append((pivot, vec))
     echelon.sort(key=lambda pv: pv[0])
 
-    udens = [RatFun(u.aligned(fullvars)) for u in dens]
-    return [_solution_from_vector(clear_vector(_echelon_reduce(s.raw, echelon), kvars),
-                                  udens, bounds, main_var)
+    return [_solution_from_vector(clear_vector(_echelon_reduce(s.raw, echelon), system.kvars),
+                                  system.dens, bounds, system.main_var)
             for s in particular]
 
 

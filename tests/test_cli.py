@@ -144,6 +144,8 @@ MUST_NAME = {"rec-unroll-initial-wrong-variable": "terms", "rec-unroll-negative-
              "identity-checks-negative-order": "--order",
              "prove-all-negative-truncation": "--truncation", "telescope-negative-degree": "--degree",
              "asymptotics-negative-tolerance": "--tolerance", "asymptotics-zero-tolerance": "--tolerance",
+             "asymptotics-zero-denominator-tolerance": "--tolerance",
+             "asymptotics-text-tolerance": "--tolerance",
              "asymptotics-small-n": "--n", "rook-terms-negative-n": "--n", "queen-terms-negative-n": "--n",
              "diag-negative-n": "--n", "guess-rec-zero-n": "--n"}
 TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
@@ -179,6 +181,8 @@ TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
     (["telescope", "--degree", "-1"], None),
     (["asymptotics", "--tolerance", "-1"], None),
     (["asymptotics", "--tolerance", "0"], None),
+    (["asymptotics", "--tolerance", "1/0"], None),
+    (["asymptotics", "--tolerance", "abc"], None),
     (["asymptotics", "--n", "50"], None),
     (["rook-terms", "--n", "-1"], None),
     (["queen-terms", "--n", "-1"], None),
@@ -195,7 +199,8 @@ TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
          "rec-unroll-negative-n", "guess-rec-negative-order", "guess-rec-negative-degree",
          "pullback-negative-degree", "closed-form-negative-n", "identity-checks-negative-order",
          "prove-all-negative-truncation", "telescope-negative-degree",
-         "asymptotics-negative-tolerance", "asymptotics-zero-tolerance", "asymptotics-small-n",
+         "asymptotics-negative-tolerance", "asymptotics-zero-tolerance",
+         "asymptotics-zero-denominator-tolerance", "asymptotics-text-tolerance", "asymptotics-small-n",
          "rook-terms-negative-n", "queen-terms-negative-n", "diag-negative-n", "guess-rec-zero-n"]
     + [f"{name}-truncated" for name in INPUT_PATHS] + [f"{name}-wrong-variable" for name in INPUT_PATHS])
 def test_malformed_input_exits_two(tmp_path, request, args, payload):

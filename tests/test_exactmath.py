@@ -1,5 +1,6 @@
 """Arithmetic kernel: polynomials, rational functions, series, nullspaces."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -362,6 +363,48 @@ def test_nullspace_vectors_are_content_free():
     # a fraction after an entry of content 1 must still be cleared
     m = [[MPoly.const((), v) for v in row] for row in ([1, 0, -1], [0, 2, -1])]
     assert linear_nullspace(m) == [[MPoly.const((), 2), MPoly.const((), 1), MPoly.const((), 2)]]
+
+
+def test_constant_nullspace_matches_sympy_and_polynomial_path():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    entries = st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=6))
+
+    @st.composite
+    def matrices(draw):
+        ncols = draw(st.integers(1, 6))
+        rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=5))
+        # zero rows, repeated rows and combinations of earlier rows lower the rank
+        for kind in draw(st.lists(st.sampled_from(("zero", "repeat", "combination")), max_size=3)):
+            if kind == "zero":
+                rows.append([Fraction(0)] * ncols)
+            elif kind == "repeat":
+                rows.append(list(draw(st.sampled_from(rows))))
+            else:
+                a, b, c = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(entries)
+                rows.append([p + c * q for p, q in zip(a, b)])
+        return draw(st.permutations(rows))
+
+    def canonical(vec):
+        # cleared to integers of content 1, first nonzero entry positive
+        vec = [Fraction(int(e.p), int(e.q)) for e in vec]
+        den = math.lcm(*(e.denominator for e in vec))
+        ints = [int(e * den) for e in vec]
+        g = math.gcd(*ints) * (1 if next(e for e in ints if e) > 0 else -1)
+        return [Fraction(e // g) for e in ints]
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(matrices())
+    def check(rows):
+        expected = [canonical(vec) for vec in sympy.Matrix(rows).nullspace()]
+        integer_path = linear_nullspace([[MPoly.const((), e) for e in row] for row in rows])
+        assert [[p.constant_value() for p in vec] for vec in integer_path] == expected
+        polynomial_path = linear_nullspace([[MPoly.const(X, e) for e in row] for row in rows])
+        assert [[p.constant_value() for p in vec] for vec in polynomial_path] == expected
+        assert all(p.is_constant() for vec in polynomial_path for p in vec)
+
+    check()
 
 
 @pytest.mark.parametrize("matrix", [

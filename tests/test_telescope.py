@@ -9,8 +9,8 @@ from rookpaths import rookdata
 from rookpaths.diagonal import residue_embedding
 from rookpaths.exactmath import MPoly, RatFun, poly, ratfun
 from rookpaths.ore import DiffOp, diffop_to_rec, rec_unroll
-from rookpaths.telescope import (Ansatz, Certificate, DivisionRemainderError, lipshitz_bounds,
-                                 solve_parametrized_system, stage_a_pair, stage_a_search,
+from rookpaths.telescope import (Ansatz, Certificate, DivisionRemainderError, ParamSystem,
+                                 lipshitz_bounds, solve_parametrized_system, stage_a_pair, stage_a_search,
                                  stage_b_search, stage_c_reconstruct, verify_key_equation)
 from rookpaths.walks import ROOK, DirectionSet, SeqTable, diagonal_sequence, step_generating_function
 
@@ -24,7 +24,7 @@ XST = ("x", "s", "t")
 
 def test_param_solver_trivial_system():
     zero = RatFun.from_scalar(0, X)
-    sols = solve_parametrized_system([[zero]], [[zero]], [MPoly.const(X, 1)], [0], "x")
+    sols = solve_parametrized_system(ParamSystem([[zero]], [[zero]], [MPoly.const(X, 1)], "x"), [0])
     # free parameter with y = 0, plus the constant homogeneous solution
     assert any(sol.y[0].is_zero() and not sol.e[0].is_zero() for sol in sols)
     for sol in sols:
@@ -39,7 +39,7 @@ def test_param_solver_verifies_solutions(rook_f):
     A = [[f_t / F]]
     B = [[F / F, F.derivative("x") / F, F.derivative("s") / F]]
     dc = poly("t-x", XST)
-    sols = solve_parametrized_system(A, B, [dc], [3], "t")
+    sols = solve_parametrized_system(ParamSystem(A, B, [dc], "t"), [3])
     assert sols  # verified internally; failure raises
 
 
@@ -64,7 +64,7 @@ def test_param_solver_recovers_planted_solution(frozen):
         A = [[_frozen(r, point) for r in row] for row in A]
         B = [[_frozen(r, point) for r in row] for row in B]
         u = [p.eval_at(point).aligned(("s",)) for p in u]
-    sols = solve_parametrized_system(A, B, u, [2, 2], "s", verify=not frozen)
+    sols = solve_parametrized_system(ParamSystem(A, B, u, "s"), [2, 2], verify=not frozen)
     assert any(not all(e.is_zero() for e in sol.e) for sol in sols)
     vars = A[0][0].vars
     for sol in sols:
@@ -367,6 +367,29 @@ def test_cascade_unlucky_screening_points():
     sol = sols[0]
     assert not sol.e[0].is_zero()
     assert sol.y[0] == y * RatFun(sol.e[0].with_vars(XT))
+
+
+def test_cascade_clears_each_equation_once(rook_f, monkeypatch):
+    # each system is cleared once, not once per degree level: at most one
+    # clearing per equation for every live screening point and the exact system
+    from rookpaths import telescope
+    cleared, solved = [], []
+    clear, solve = telescope.clear_denominators, telescope.solve_parametrized_system
+    monkeypatch.setattr(telescope, "clear_denominators",
+                        lambda *args: cleared.append(args) or clear(*args))
+    monkeypatch.setattr(telescope, "solve_parametrized_system",
+                        lambda *args, **kwargs: solved.append(args) or solve(*args, **kwargs))
+    assert len(stage_a_search(rook_f, 1)) == 1
+    equations = 1
+    assert len(solved) > (1 + len(telescope._SCREEN_POINTS)) * equations  # several levels ran
+    assert len(cleared) <= (1 + len(telescope._SCREEN_POINTS)) * equations
+
+
+def test_solver_verify_flag_is_keyword_only():
+    # the benchmark's tracer counts screen calls by reading verify from the keywords
+    verify = inspect.signature(solve_parametrized_system).parameters["verify"]
+    assert verify.kind is inspect.Parameter.KEYWORD_ONLY
+    assert verify.default is True
 
 
 def test_universal_denominator_mixed_multiplicities():

@@ -3,14 +3,16 @@
 A PowerSeries stores coefficients c_0..c_N; N is the truncation order (the
 series is known through the coefficient of var^N).  Binary operations carry
 the minimum of the two operand orders.  Division requires an invertible
-(nonzero constant term) divisor; composition requires the inner series to
-have valuation >= 1.
+(nonzero constant term) divisor and runs in integers; composition takes a
+rational map N/D with N(0) = 0 and D(0) != 0 and keeps the outer order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
+from operator import mul
 from typing import Sequence, Union
 
 from .mpoly import MPoly
@@ -46,21 +48,11 @@ class PowerSeries:
         return PowerSeries(var, c)
 
     @staticmethod
-    def from_mpoly(p: MPoly, var: str, order: int) -> PowerSeries:
-        if p.vars != (var,):
-            raise ValueError(f"expected univariate polynomial in {var!r}")
-        c = [Fraction(0)] * (order + 1)
-        for (e,), coef in p.terms.items():
-            if e <= order:
-                c[e] = Fraction(coef)
-        return PowerSeries(var, c)
-
-    @staticmethod
     def from_ratfun(f: RatFun, var: str, order: int) -> PowerSeries:
         """Expand a univariate rational function (denominator unit at 0)."""
-        num = PowerSeries.from_mpoly(f.num, var, order)
-        den = PowerSeries.from_mpoly(f.den, var, order)
-        return num / den
+        if f.vars != (var,):
+            raise ValueError(f"expected univariate rational function in {var!r}")
+        return _quotient(var, _dense(f.num, order), _dense(f.den, order), Fraction(1))
 
     # -- basic data ------------------------------------------------------
 
@@ -117,27 +109,25 @@ class PowerSeries:
             return PowerSeries(self.var, [c * other for c in self.coeffs])
         o = self._coerce(other)
         n = min(self.order, o.order)
-        a, da = self._cleared(n)
-        b, db = o._cleared(n)
-        prod = (a * b).terms
+        (a, da), (b, db) = self._cleared(n), o._cleared(n)
+        # dense integer products take MPoly's Kronecker-packed multiplication
+        prod = (_sparse(self.var, a) * _sparse(self.var, b)).terms
         d = da * db
         return PowerSeries(self.var, [Fraction(prod.get((i,), 0), d) for i in range(n + 1)])
 
     __rmul__ = __mul__
 
-    def _cleared(self, n: int) -> tuple[MPoly, int]:
-        """(p, d): c_0..c_n as an integer polynomial p in var, with c_i = p_i / d.
-
-        Products then run in integers over the common denominator, so dense
-        ones take MPoly's Kronecker-packed multiplication.
-        """
+    def _cleared(self, n: int) -> tuple[list[int], int]:
+        """(a, d): c_0..c_n as integers a_i = c_i * d over their common denominator d."""
         coeffs = self.coeffs[: n + 1]
         d = lcm(*(c.denominator for c in coeffs))
-        return MPoly((self.var,), {(i,): c.numerator * (d // c.denominator)
-                                   for i, c in enumerate(coeffs) if c}), d
+        return [c.numerator * (d // c.denominator) for c in coeffs], d
 
     def __truediv__(self, other) -> PowerSeries:
-        return self * self._coerce(other).power(-1)
+        o = self._coerce(other)
+        n = min(self.order, o.order)
+        (a, da), (b, db) = self._cleared(n), o._cleared(n)
+        return _quotient(self.var, a, b, Fraction(db, da))
 
     def __pow__(self, k: int) -> PowerSeries:
         if k < 0:
@@ -161,20 +151,27 @@ class PowerSeries:
 
     # -- composition & powers ---------------------------------------------------
 
-    def compose(self, inner: PowerSeries) -> PowerSeries:
-        """self(inner(var)); requires valuation(inner) >= 1."""
-        if inner.var != self.var:
-            raise ValueError("series variable mismatch")
-        if inner.coeffs[0] != 0:
-            raise ValueError("composition requires inner series of valuation >= 1")
-        n = min(self.order, inner.order)
-        inner = inner.truncate(n)
-        acc = PowerSeries.zero(self.var, n)
-        for c in reversed(self.coeffs[: n + 1]):
-            acc = acc * inner
+    def compose(self, f: RatFun) -> PowerSeries:
+        """self(f(var)) for a rational map f = N/D in var with N(0) = 0 and D(0) != 0.
+
+        Only c_k with k <= K = n // v(N) reach x^n.  With c_k = C_k / L over one
+        denominator, Horner in integers, acc <- acc*N + C_k*D^(K-k) mod x^(n+1),
+        builds L * D^K * self(f); one division by D^K and L ends it.
+        """
+        if f.vars != (self.var,):
+            raise ValueError(f"composition needs a rational map in {self.var!r} alone")
+        if (0,) in f.num.terms or (0,) not in f.den.terms:
+            raise ValueError("composition needs a map f = N/D with N(0) = 0 and D(0) != 0")
+        n = self.order
+        num, den = f.num.terms, f.den.terms
+        C, L = self._cleared(n // min(num)[0] if num else 0)
+        acc = [C[-1]] + [0] * n
+        den_power = [1] + [0] * n  # D^(K-k)
+        for c in reversed(C[:-1]):
+            acc, den_power = _times(acc, num), _times(den_power, den)
             if c:
-                acc = acc + c
-        return acc
+                acc = [a + c * p for a, p in zip(acc, den_power)]
+        return _quotient(self.var, acc, den_power, Fraction(1, L))
 
     def power(self, alpha: Scalar) -> PowerSeries:
         """self^alpha for a rational alpha, by J.C.P. Miller's recurrence.
@@ -213,3 +210,39 @@ class PowerSeries:
                 shown.append(f"{c}*{self.var}^{i}")
         body = " + ".join(shown) if shown else "0"
         return f"PowerSeries({body} + O({self.var}^{self.order + 1}))"
+
+
+def _dense(p: MPoly, n: int) -> list[int]:
+    """Coefficients 0..n of a univariate polynomial with integer coefficients."""
+    return [p.terms.get((i,), 0) for i in range(n + 1)]
+
+
+def _sparse(var: str, a: list[int]) -> MPoly:
+    return MPoly((var,), {(i,): c for i, c in enumerate(a) if c})
+
+
+def _times(a: list[int], factor: dict[tuple[int], int]) -> list[int]:
+    """a * factor mod x^len(a), for the terms {(e,): c} of a short polynomial."""
+    out = [0] * len(a)
+    for (e,), c in factor.items():
+        out[e:] = [o + c * x for o, x in zip(out[e:], a)]
+    return out
+
+
+def _quotient(var: str, a: list[int], b: list[int], scale: Fraction) -> PowerSeries:
+    """scale * a / b through x^(len(a)-1), for integer coefficient lists with b[0] != 0.
+
+    h_i = b_0^(i+1) q_i of the quotient q = a / b obeys the division-free
+    h_i = b_0^i a_i - sum_{j>=1} b_j b_0^(j-1) h_(i-j), as in expand_diagonal.
+    """
+    if not b[0]:
+        raise ValueError("division needs a divisor with nonzero constant term")
+    powers = list(accumulate([1] + [b[0]] * len(a), mul))
+    tail = [c * p for c, p in zip(b[1:len(a)], powers)]  # b_j b_0^(j-1)
+    while tail and not tail[-1]:
+        tail.pop()
+    h: list[int] = []
+    for x, w in zip(a, powers):
+        h.append(x * w - sum(map(mul, tail, reversed(h))))
+    p, q = scale.numerator, scale.denominator
+    return PowerSeries(var, [Fraction(x * p, d * q) for x, d in zip(h, powers[1:])])

@@ -465,10 +465,9 @@ class CheckReport:
 def closed_form_series(order: int) -> PowerSeries:
     """The series 6/((1-4x)(1-64x)) * 2F1(1/3,2/3;2; 27x(2-3x)/(1-4x)^3)."""
     spec = HypergeomSpec(*rookdata.closed_form_parameters())
-    inner = PowerSeries.from_ratfun(rookdata.closed_form_pullback(), "x", order)
     outer = f21_series(spec, order)
     prefactor = PowerSeries.from_ratfun(rookdata.closed_form_prefactor(), "x", order)
-    return prefactor * outer.compose(inner)
+    return prefactor * outer.compose(rookdata.closed_form_pullback())
 
 
 def closed_form_check(n_max: int) -> CheckReport:
@@ -589,10 +588,9 @@ def _contiguity_check(order: int) -> CheckReport:
 def _quartic_pullback_check(order: int) -> CheckReport:
     # 2F1(1/3,2/3;1;x) = 2F1(1/12,5/12;1; 64x^3(1-x)/(9-8x)^3) * (1-8x/9)^(-1/4)
     lhs = f21_series(HypergeomSpec(Fraction(1, 3), Fraction(2, 3), Fraction(1)), order)
-    inner = PowerSeries.from_ratfun(ratfun(rookdata.GOURSAT_PULLBACK_TEXT, X), "x", order)
     outer = f21_series(HypergeomSpec(Fraction(1, 12), Fraction(5, 12), Fraction(1)), order)
     radical = PowerSeries.from_ratfun(ratfun("(9-8*x)/9", X), "x", order).power(Fraction(-1, 4))
-    rhs = outer.compose(inner) * radical
+    rhs = outer.compose(ratfun(rookdata.GOURSAT_PULLBACK_TEXT, X)) * radical
     ok = lhs == rhs
     return CheckReport("quartic-pullback", ok, f"series agree to order {order}", order)
 
@@ -603,8 +601,7 @@ def _alternative_form_check(order: int) -> CheckReport:
     work = order + 2
     g2 = PowerSeries.from_ratfun(ratfun(rookdata.G2_TEXT, X), "x", work)
     g2_root_inv = g2.power(Fraction(-1, 4))
-    inv_j = PowerSeries.from_ratfun(
-        RatFun(poly(rookdata.J_INVERSE_NUM_TEXT, X), poly(rookdata.G2_TEXT, X) ** 3), "x", work)
+    inv_j = RatFun(poly(rookdata.J_INVERSE_NUM_TEXT, X), poly(rookdata.G2_TEXT, X) ** 3)
     outer = f21_series(HypergeomSpec(Fraction(1, 12), Fraction(5, 12), Fraction(1)), work)
     H = g2_root_inv * outer.compose(inv_j)
     pre = PowerSeries.from_ratfun(ratfun("(1-x)/(2*(1+6*x))", X), "x", work)

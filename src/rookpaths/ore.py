@@ -289,7 +289,7 @@ class DiffOp:
             cvars = tuple(data["vars"])
             dvars = tuple(data["dvars"])
             terms = {tuple(t["exp"]): RatFun.parse(t["coeff"], cvars) for t in data["terms"]}
-        except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        except (KeyError, TypeError, IndexError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed operator JSON: {type(exc).__name__}: {exc}") from None
         return DiffOp(cvars, dvars, terms)
 
@@ -455,7 +455,7 @@ class RecOp:
     def from_json_dict(data: dict) -> RecOp:
         try:
             terms = {t["exp"][0]: MPoly.parse(t["coeff"], N_VARS) for t in data["terms"]}
-        except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        except (KeyError, TypeError, IndexError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed recurrence JSON: {type(exc).__name__}: {exc}") from None
         return RecOp(terms)
 

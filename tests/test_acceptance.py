@@ -141,7 +141,7 @@ def test_criterion_07_order3_recurrence(dp40):
 
 
 def test_criterion_08_closed_form():
-    with _Stopwatch(8, "closed form: symbolic proof and series check to n=30"):
+    with _Stopwatch(8, "closed form: symbolic proof and series check to n=30", budget=5):
         spec = HypergeomSpec(*rookdata.closed_form_parameters())
         symbolic = symbolic_solution_check(
             rookdata.operator_p2(), rookdata.closed_form_prefactor(), spec,
@@ -188,7 +188,7 @@ def test_criterion_12_asymptotics():
 
 
 def test_criterion_13_identity_suite():
-    with _Stopwatch(13, "series identities at orders 30/30/25"):
+    with _Stopwatch(13, "series identities at orders 30/30/25", budget=5):
         reports = identity_checks(order=30, beukers_order=25)
         by_name = {r.check: r for r in reports}
         assert by_name["contiguity"].passed and by_name["contiguity"].order == 30

@@ -147,7 +147,9 @@ MUST_NAME = {"rec-unroll-initial-wrong-variable": "terms", "rec-unroll-negative-
              "asymptotics-zero-denominator-tolerance": "--tolerance",
              "asymptotics-text-tolerance": "--tolerance",
              "asymptotics-small-n": "--n", "rook-terms-negative-n": "--n", "queen-terms-negative-n": "--n",
-             "diag-negative-n": "--n", "guess-rec-zero-n": "--n"}
+             "diag-negative-n": "--n", "guess-rec-zero-n": "--n",
+             "rec-unroll-zero-denominator": "malformed recurrence JSON",
+             "ode-to-rec-zero-denominator": "malformed operator JSON"}
 TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
 
 
@@ -188,6 +190,8 @@ TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
     (["queen-terms", "--n", "-1"], None),
     (["diag", "--n", "-1"], None),
     (["guess-rec", "--n", "0", "--order", "3", "--degree", "4"], None),
+    (["rec-unroll", "--n", "10", "--input", "BAD"], {"terms": [{"exp": [0], "coeff": "1/0"}]}),
+    (["ode-to-rec", "--input", "BAD"], op_json((1, "1/0"))),
 ] + [(args, TRUNCATED) for args, _ in INPUT_PATHS.values()]
   + [(args, payload) for args, payload in INPUT_PATHS.values()],
     ids=["verify-cert", "local-exponents", "rec-unroll-input", "rec-unroll-initial", "ode-to-rec",
@@ -201,7 +205,8 @@ TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
          "prove-all-negative-truncation", "telescope-negative-degree",
          "asymptotics-negative-tolerance", "asymptotics-zero-tolerance",
          "asymptotics-zero-denominator-tolerance", "asymptotics-text-tolerance", "asymptotics-small-n",
-         "rook-terms-negative-n", "queen-terms-negative-n", "diag-negative-n", "guess-rec-zero-n"]
+         "rook-terms-negative-n", "queen-terms-negative-n", "diag-negative-n", "guess-rec-zero-n",
+         "rec-unroll-zero-denominator", "ode-to-rec-zero-denominator"]
     + [f"{name}-truncated" for name in INPUT_PATHS] + [f"{name}-wrong-variable" for name in INPUT_PATHS])
 def test_malformed_input_exits_two(tmp_path, request, args, payload):
     # a malformed file or a negative size is bad input (exit 2, one line), not

@@ -182,7 +182,7 @@ def test_canonical_text_round_trip():
 
 def test_series_compose_identity():
     geom = PowerSeries.from_ratfun(ratfun("1/(1-x)", X), "x", 12)
-    ident = PowerSeries.identity("x", 12)
+    ident = ratfun("x", X)
     assert geom.compose(ident) == geom
     assert geom.coeffs[:4] == [1, 1, 1, 1]
 
@@ -204,7 +204,7 @@ def test_series_inner_pullback_expansion():
 
 def test_series_compose_rejects_unit_valuation():
     outer = PowerSeries.from_ratfun(ratfun("1/(1-x)", X), "x", 8)
-    bad = PowerSeries.one("x", 8)
+    bad = ratfun("1", X)
     with pytest.raises(ValueError):
         outer.compose(bad)
 
@@ -214,7 +214,8 @@ def test_series_compose_respects_multiplication():
     for _ in range(10):
         f = PowerSeries("x", [Fraction(rng.randrange(-5, 6)) for _ in range(10)])
         g = PowerSeries("x", [Fraction(rng.randrange(-5, 6)) for _ in range(10)])
-        h = PowerSeries("x", [0] + [Fraction(rng.randrange(-3, 4)) for _ in range(9)])
+        # a polynomial map is exact mod x^10
+        h = RatFun(MPoly(X, {(i,): rng.randrange(-3, 4) for i in range(1, 10)}))
         lhs = (f * g).compose(h)
         rhs = f.compose(h) * g.compose(h)
         assert lhs == rhs
@@ -297,8 +298,52 @@ def test_series_compose_against_sympy():
         expansion = sympy.series(f.subs(x, g), x, 0, order + 1).removeO()
         expected = [Fraction(str(expansion.coeff(x, n))) for n in range(order + 1)]
         outer = PowerSeries.from_ratfun(ratfun(f_text, X), "x", order)
-        inner = PowerSeries.from_ratfun(ratfun(g_text, X), "x", order)
+        inner = ratfun(g_text, X)
         assert outer.compose(inner).coeffs == expected
+
+
+def test_series_compose_matches_horner_over_series_products():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def horner(outer, f):
+        # the composition as Horner's rule over truncated series products; the
+        # map expands by Miller's power recurrence, not by series division
+        n = outer.order
+        num, den = (PowerSeries("x", [p.terms.get((i,), 0) for i in range(n + 1)])
+                    for p in (f.num, f.den))
+        inner = num * den.power(-1)
+        acc = PowerSeries.zero("x", n)
+        for c in reversed(outer.coeffs):
+            acc = acc * inner + c
+        return acc
+
+    ints = st.integers(-9, 9)
+    # D(0) not in {1, -1}, so powers of D(0) enter every coefficient
+    d0 = st.integers(-12, 12).filter(lambda c: abs(c) > 1)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.fractions(max_denominator=50), min_size=1, max_size=25),
+                      st.integers(1, 3), st.lists(ints, min_size=1, max_size=3).filter(any),
+                      d0, st.lists(ints, max_size=3), st.integers(1, 3))
+    @hypothesis.example([Fraction(1, k + 1) for k in range(20)], 3, [64, -64], 729,
+                        [-1944, 1728, -512], 1)
+    def check(outer, v, n_coeffs, d_const, d_coeffs, d_power):
+        num = MPoly(X, {(v + i,): c for i, c in enumerate(n_coeffs)})
+        den = MPoly(X, {(i,): c for i, c in enumerate([d_const] + d_coeffs)}) ** d_power
+        f = RatFun(num, den)
+        outer = PowerSeries("x", outer)
+        assert outer.compose(f) == horner(outer, f)
+
+    check()
+
+
+def test_series_compose_rejects_other_maps():
+    outer = PowerSeries.from_ratfun(ratfun("1/(1-x)", X), "x", 8)
+    for bad in (ratfun("(1+x)/(1-x)", X), ratfun("x/y", ("x", "y")), ratfun("y", ("y",)),
+                ratfun("x*s/(1-x)", ("x", "s"))):
+        with pytest.raises(ValueError):
+            outer.compose(bad)
 
 
 def test_series_division_by_positive_valuation_rejected():

@@ -264,7 +264,7 @@ def test_change_variable_kills_the_composed_series(f):
     for spec in (HypergeomSpec(Fraction(1, 3), Fraction(2, 3), Fraction(2)),
                  HypergeomSpec(Fraction(1, 4), Fraction(3, 5), Fraction(3, 2))):
         L = gauss_operator(spec).change_variable(f)
-        composed = f21_series(spec, 14).compose(PowerSeries.from_ratfun(f, "x", 14))
+        composed = f21_series(spec, 14).compose(f)
         assert L.apply_series(composed).is_zero()
 
 

@@ -17,9 +17,8 @@ from pathlib import Path
 from . import rookdata
 from .diagonal import expand_diagonal, residue_embedding
 from .exactmath import RatFun
-from .hypergeom import (HypergeomSpec, SING_POINTS, asymptotics_check, closed_form_check,
-                        identity_checks, local_exponents, pullback_search,
-                        symbolic_solution_check)
+from .hypergeom import (HypergeomSpec, SING_POINTS, TRIED_TRIPLES, asymptotics_check, closed_form_check,
+                        identity_checks, local_exponents, pullback_search, symbolic_solution_check)
 from .numerics import decimal_str
 from .ore import DiffOp, RecOp, diffop_to_rec, guess_rec, prove_rec_reduction, rec_unroll
 # stage_a_search is not called here; it stays imported because the benchmark's
@@ -141,10 +140,19 @@ def _at_least(value: int, low: int, flag: str) -> int:
     return value
 
 
+def _read_json(path: str):
+    """An input file's parsed JSON and its text; nesting too deep to parse is an input error."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text), text
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_seq(path: str | None, default_n: int) -> SeqTable:
     if path is None:
         return diagonal_sequence(ROOK, default_n)
-    return SeqTable.from_json(Path(path).read_text())
+    return SeqTable.from_json_dict(_read_json(path)[0])
 
 
 # -- commands ----------------------------------------------------------------
@@ -194,8 +202,7 @@ def _cmd_guess_rec(args, out: Path) -> bool:
 
 def _cmd_rec_unroll(args, out: Path) -> bool:
     _at_least(args.n, 0, "--n")
-    rec = (RecOp.from_json_dict(json.loads(Path(args.input).read_text()))
-           if args.input else rookdata.recurrence_order3())
+    rec = RecOp.from_json_dict(_read_json(args.input)[0]) if args.input else rookdata.recurrence_order3()
     initial = _load_seq(args.initial, 2)
     seq = rec_unroll(rec, initial, args.n)
     _write(out, "unrolled.json", seq.to_json())
@@ -204,8 +211,7 @@ def _cmd_rec_unroll(args, out: Path) -> bool:
 
 
 def _cmd_ode_to_rec(args, out: Path) -> bool:
-    op = (DiffOp.from_json_dict(json.loads(Path(args.input).read_text()))
-          if args.input else rookdata.operator_p2_dx())
+    op = DiffOp.from_json_dict(_read_json(args.input)[0]) if args.input else rookdata.operator_p2_dx()
     rec = diffop_to_rec(op)
     _write(out, "recurrence.json", _dump_json(rec.to_json_dict()))
     print("translated recurrence:")
@@ -248,8 +254,8 @@ def _cmd_telescope(args, out: Path) -> bool:
 
 
 def _cmd_verify_cert(args, out: Path) -> bool:
-    raw = Path(args.input).read_text()
-    cert = Certificate.from_json_dict(json.loads(raw))
+    data, raw = _read_json(args.input)
+    cert = Certificate.from_json_dict(data)
     report = verify_key_equation(cert, rookdata.embedded_f())
     reemitted = _dump_json(cert.to_json_dict())
     bit_exact = reemitted == raw or reemitted.strip() == raw.strip()
@@ -282,7 +288,6 @@ def _cmd_closed_form(args, out: Path) -> bool:
 
 
 def _cmd_pullback(args, out: Path) -> bool:
-    from .hypergeom import TRIED_TRIPLES
     _at_least(args.max_degree, 1, "--max-degree")
     candidates = []
     for triple in TRIED_TRIPLES:
@@ -309,8 +314,7 @@ def _cmd_pullback(args, out: Path) -> bool:
 
 
 def _cmd_local_exponents(args, out: Path) -> bool:
-    op = (DiffOp.from_json_dict(json.loads(Path(args.input).read_text()))
-          if args.input else rookdata.operator_p2())
+    op = DiffOp.from_json_dict(_read_json(args.input)[0]) if args.input else rookdata.operator_p2()
     report = local_exponents(op)
     rows = []
     for p in report.points:

@@ -4,7 +4,7 @@ truncated power series, and fraction-free linear algebra."""
 from .mpoly import MPoly, frac_gcd, monomial_key, mpoly_gcd, mpoly_lcm, poly, resultant
 from .ratfun import RatFun, ratfun
 from .series import PowerSeries
-from .linalg import clear_denominators, clear_vector, linear_nullspace
+from .linalg import clear_denominators, linear_nullspace
 
 __all__ = [
     "MPoly",
@@ -18,6 +18,5 @@ __all__ = [
     "ratfun",
     "PowerSeries",
     "clear_denominators",
-    "clear_vector",
     "linear_nullspace",
 ]

@@ -13,7 +13,11 @@ elimination on Python ints, cleared row by row, with math.gcd content strips.
 Kernel vectors are canonical: for each free column the unique solution with
 that coordinate 1 and the other free coordinates 0, cleared to polynomials
 of content 1 with the first nonzero coordinate's leading coefficient positive.
-Pivot-row selection therefore affects speed only, never the output.
+Pivot-row selection therefore affects speed only, never the output.  Column
+order does choose the basis: the vector of free column f is zero after f, so
+listing a subspace's coordinates last-first makes its echelon pivots free
+columns and the other basis vectors come out reduced modulo it (this is how
+the telescoping solver quotients out trivial certificates).
 """
 
 from __future__ import annotations
@@ -130,8 +134,6 @@ def _strip_integers(row: dict[int, int]) -> dict[int, int]:
 
 
 def _strip_content(row: dict[int, MPoly]) -> dict[int, MPoly]:
-    if not row:
-        return row
     entries = list(row.values())
     g = entries[0]
     for e in entries[1:]:
@@ -160,15 +162,3 @@ def clear_denominators(entries: Sequence[RatFun], vars: tuple[str, ...]) -> list
             common = mpoly_lcm(common, e.den) if not common.is_constant() else e.den.primitive_part()
     return [e.num * common.divide_exact(e.den) if not e.is_zero() else MPoly.zero(vars)
             for e in entries]
-
-
-def clear_vector(entries: Sequence[RatFun], vars: tuple[str, ...]) -> list[MPoly]:
-    """clear_denominators, then integer content 1 and the first nonzero
-    entry's leading coefficient positive: the canonical polynomial multiple."""
-    out = clear_denominators(entries, vars)
-    for j, p in _strip_content({j: p for j, p in enumerate(out) if p}).items():
-        out[j] = p
-    first = next((p for p in out if p), None)
-    if first is not None and first.leading_coeff() < 0:
-        out = [-p for p in out]
-    return out

@@ -13,8 +13,9 @@ proof regardless of how the candidates were found.
 Every certificate comes from one rational solver for parametrized
 first-order systems (rational_solve_cascade): classical local pole analysis
 gives a universal denominator per component, and a minimal-numerator-degree
-sweep fixes the gauge freedom of the congruence (solutions with a zero
-operator block are the trivial exact certificates and are quotiented away).
+sweep fixes the gauge freedom of the congruence.  Solutions with a zero
+operator block are trivial exact certificates: the solver's column order
+makes the canonical kernel return the others already reduced modulo them.
 Each system is validated and cleared once (ParamSystem); a solve only slices
 the cleared equations into rows for its degree bounds.  The system is also
 frozen once at two rational values of the passive variables, and each degree
@@ -32,8 +33,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import (MPoly, RatFun, clear_denominators, clear_vector, frac_gcd, linear_nullspace,
-                        monomial_key, mpoly_gcd)
+from .exactmath import (MPoly, RatFun, clear_denominators, frac_gcd, linear_nullspace, monomial_key,
+                        mpoly_gcd)
 from .ore import DiffOp, _derivative_from_cache
 
 XST = ("x", "s", "t")
@@ -62,7 +63,6 @@ class ParamSolution:
 
     y: list[RatFun]
     e: list[MPoly]
-    raw: list[MPoly]  # cleared kernel vector: zeta block then e block
 
 
 class ParamSystem:
@@ -103,14 +103,8 @@ def solve_parametrized_system(system: ParamSystem, bounds: Sequence[int], *,
     ncols = sum(b + 1 for b in bounds) + len(system.B[0])
     eq_rows = [row for i, split in enumerate(system.split)
                for row in _equation_rows(split, i, bounds, system.kvars)]
-    if not eq_rows:
-        basis_vectors = [[MPoly.const(system.kvars, 1 if c == idx else 0) for c in range(ncols)]
-                         for idx in range(ncols)]
-    else:
-        basis_vectors = linear_nullspace(eq_rows)
-
     solutions = []
-    for vec in basis_vectors:
+    for vec in linear_nullspace(eq_rows or [[MPoly.zero(system.kvars)] * ncols]):
         sol = _solution_from_vector(vec, system.dens, bounds, system.main_var)
         if verify and not _check_param_solution(system.A, system.B, sol, system.main_var):
             raise TelescopeError("parametrized solver produced a non-solution")
@@ -120,21 +114,25 @@ def solve_parametrized_system(system: ParamSystem, bounds: Sequence[int], *,
 
 def _solution_from_vector(vec: Sequence[MPoly], dens: Sequence[RatFun], bounds: Sequence[int],
                           main_var: str) -> ParamSolution:
-    """(y, e) from a kernel vector: y_i = (sum_k c_k v^k) / u_i over the
-    numerator block of each component, then the parameter block e."""
+    """(y, e) from a kernel vector in _equation_rows' column order: y_i =
+    (sum_k c_ik v^k) / u_i, then the parameter block e.  The vector is read
+    back in natural order (c_00, c_01, ..., c_10, ..., e) and signed so that
+    its first nonzero coordinate there has a positive leading coefficient."""
     fullvars = dens[0].vars
     v = MPoly.var(fullvars, main_var)
-    y = []
-    pos = 0
+    unknowns = sum(b + 1 for b in bounds)
+    natural = list(vec[:unknowns])[::-1] + list(vec[unknowns:])
+    if next(c for c in natural if c).leading_coeff() < 0:
+        natural = [-c for c in natural]
+    y, pos = [], 0
     for u, b in zip(dens, bounds):
         zi = MPoly.zero(fullvars)
-        for k in range(b + 1):
-            c = vec[pos + k]
-            if not c.is_zero():
+        for k, c in enumerate(natural[pos:pos + b + 1]):
+            if c:
                 zi = zi + c.with_vars(fullvars) * v ** k
         pos += b + 1
         y.append(RatFun(zi) / u)
-    return ParamSolution(y=y, e=list(vec[pos:]), raw=list(vec))
+    return ParamSolution(y=y, e=natural[pos:])
 
 
 def _equation_rows(split: Sequence[list[MPoly]], i: int, bounds: Sequence[int],
@@ -142,7 +140,11 @@ def _equation_rows(split: Sequence[list[MPoly]], i: int, bounds: Sequence[int],
     """Equation i as polynomial rows, one per power of v, from its cleared split.
 
     With y_j = sum_k c_jk v^k / u_j, column c_jk is P_j v^k, plus
-    k W v^(k-1) - V v^k when j = i, and column e_e is E_e.  Zero rows are dropped.
+    k W v^(k-1) - V v^k when j = i, and column e_e is E_e.  The unknown block
+    runs in reverse (last component's top coefficient first), then e: each free
+    unknown column of the canonical kernel gives a solution with e = 0 whose
+    lowest natural-order coordinate is that column, so the free unknown columns
+    are the echelon pivots of the trivial solutions.  Zero rows are dropped.
     """
     n = len(bounds)
     P, (W, V), E = split[:n], split[n:n + 2], split[n + 2:]
@@ -157,8 +159,8 @@ def _equation_rows(split: Sequence[list[MPoly]], i: int, bounds: Sequence[int],
 
     shifts = list(bounds) + [bounds[i] - 1, bounds[i]] + [0] * len(E)
     top = max(len(p) + b for p, b in zip(split, shifts))
-    rows = [[cell(j, k, m) for j in range(n) for k in range(bounds[j] + 1)] + [at(e, m) for e in E]
-            for m in range(top)]
+    rows = [[cell(j, k, m) for j in reversed(range(n)) for k in reversed(range(bounds[j] + 1))]
+            + [at(e, m) for e in E] for m in range(top)]
     return [row for row in rows if any(row)]
 
 
@@ -276,7 +278,7 @@ def universal_denominator(a: RatFun, rhs_dens: list[MPoly],
             u = u * pi ** base
         if k == 1:
             # integer-residue poles: pi | (num - m * pi' * (den/pi))
-            den_red = a.den.divide_exact(pi ** _multiplicity(a.den, pi))
+            den_red = a.den.divide_exact(pi)
             dpi = pi.derivative(main_var)
             remaining = pi
             for m in range(_RESIDUE_CAP, 0, -1):
@@ -348,8 +350,10 @@ def rational_solve_cascade(A: Sequence[Sequence[RatFun]],
     level carrying a solution with a nonzero parameter block (levels with
     only parameter-free solutions are trivial certificates and keep the
     search going).  A level is solved exactly only if the screen finds such
-    a solution with the passive variables frozen.  Returns None when the
-    system is not lower-triangular.
+    a solution with the passive variables frozen.  The level's basis elements
+    with a nonzero parameter block are returned as they are: the solver's
+    column order makes each the representative modulo trivial solutions that
+    vanishes on their echelon pivots.  None when A is not lower-triangular.
     """
     n = len(A)
     for i in range(n):
@@ -383,9 +387,9 @@ def rational_solve_cascade(A: Sequence[Sequence[RatFun]],
             continue
         if exact is None:
             exact = ParamSystem(A, B, dens, main_var)
-        sols = solve_parametrized_system(exact, bounds)
-        if any(_has_parameter(s) for s in sols):
-            return reduce_modulo_trivial(sols, exact, bounds)
+        particular = [s for s in solve_parametrized_system(exact, bounds) if _has_parameter(s)]
+        if particular:
+            return particular
     return []
 
 
@@ -423,43 +427,6 @@ def _screen(frozen: Sequence[ParamSystem | None], bounds: Sequence[int]) -> bool
         if any(_has_parameter(s) for s in sols):
             return True
     return False
-
-
-def reduce_modulo_trivial(sols: list[ParamSolution], system: ParamSystem,
-                          bounds: Sequence[int]) -> list[ParamSolution]:
-    """Quotient the solution basis by the parameter-free (trivial) subspace.
-
-    Solutions with zero parameter block witness exact certificates (no
-    telescoper); echelon-reducing the others against them, pivoting each
-    trivial vector at its lowest nonzero coordinate, yields a canonical
-    representative independent of the solver's basis choice.
-    """
-    trivial = [s for s in sols if not _has_parameter(s)]
-    particular = [s for s in sols if _has_parameter(s)]
-    if not trivial:
-        return particular
-
-    echelon: list[tuple[int, list[RatFun]]] = []
-    for g in trivial:
-        vec = _echelon_reduce(g.raw, echelon)
-        pivot = next((i for i, a in enumerate(vec) if not a.is_zero()), None)
-        if pivot is not None:
-            echelon.append((pivot, vec))
-    echelon.sort(key=lambda pv: pv[0])
-
-    return [_solution_from_vector(clear_vector(_echelon_reduce(s.raw, echelon), system.kvars),
-                                  system.dens, bounds, system.main_var)
-            for s in particular]
-
-
-def _echelon_reduce(raw: Sequence[MPoly], echelon: Sequence[tuple[int, list[RatFun]]]) -> list[RatFun]:
-    """Subtract from raw the multiple of each echelon vector that clears its pivot."""
-    vec = [RatFun(p) for p in raw]
-    for piv, basis_vec in echelon:
-        if not vec[piv].is_zero():
-            factor = vec[piv] / basis_vec[piv]
-            vec = [a - factor * b for a, b in zip(vec, basis_vec)]
-    return vec
 
 
 # ---------------------------------------------------------------------------

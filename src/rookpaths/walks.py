@@ -83,7 +83,10 @@ class SeqTable:
 
     @staticmethod
     def from_json(text: str) -> SeqTable:
-        data = json.loads(text)
+        return SeqTable.from_json_dict(json.loads(text))
+
+    @staticmethod
+    def from_json_dict(data) -> SeqTable:
         try:
             return SeqTable(data["name"], [_integer_term(t) for t in data["terms"]], data["provenance"])
         except (KeyError, TypeError, IndexError) as exc:

@@ -151,6 +151,9 @@ MUST_NAME = {"rec-unroll-initial-wrong-variable": "terms", "rec-unroll-negative-
              "rec-unroll-zero-denominator": "malformed recurrence JSON",
              "ode-to-rec-zero-denominator": "malformed operator JSON"}
 TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
+# nested past the parser's recursion limit; the message names the file
+DEEP = "[" * 100_000 + "]" * 100_000
+MUST_NAME.update({f"{name}-deep": "bad.json" for name in INPUT_PATHS})
 
 
 @pytest.mark.parametrize("args, payload", [
@@ -193,7 +196,8 @@ TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
     (["rec-unroll", "--n", "10", "--input", "BAD"], {"terms": [{"exp": [0], "coeff": "1/0"}]}),
     (["ode-to-rec", "--input", "BAD"], op_json((1, "1/0"))),
 ] + [(args, TRUNCATED) for args, _ in INPUT_PATHS.values()]
-  + [(args, payload) for args, payload in INPUT_PATHS.values()],
+  + [(args, payload) for args, payload in INPUT_PATHS.values()]
+  + [(args, DEEP) for args, _ in INPUT_PATHS.values()],
     ids=["verify-cert", "local-exponents", "rec-unroll-input", "rec-unroll-initial", "ode-to-rec",
          "ode-to-rec-zero", "local-exponents-zero", "local-exponents-noncanonical",
          "ode-to-rec-negative-power", "ode-to-rec-negative-derivative",
@@ -207,7 +211,8 @@ TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
          "asymptotics-zero-denominator-tolerance", "asymptotics-text-tolerance", "asymptotics-small-n",
          "rook-terms-negative-n", "queen-terms-negative-n", "diag-negative-n", "guess-rec-zero-n",
          "rec-unroll-zero-denominator", "ode-to-rec-zero-denominator"]
-    + [f"{name}-truncated" for name in INPUT_PATHS] + [f"{name}-wrong-variable" for name in INPUT_PATHS])
+    + [f"{name}-truncated" for name in INPUT_PATHS] + [f"{name}-wrong-variable" for name in INPUT_PATHS]
+    + [f"{name}-deep" for name in INPUT_PATHS])
 def test_malformed_input_exits_two(tmp_path, request, args, payload):
     # a malformed file or a negative size is bad input (exit 2, one line), not
     # a crash; a str payload is written as it is, anything else as JSON

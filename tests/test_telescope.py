@@ -288,6 +288,9 @@ def test_stage_c_is_instance_generic(walk, monkeypatch):
     if walk is SIMPLE:
         assert P == DiffOp(X, X, {(2,): RatFun(poly("x*(27*x-1)", X)),
                                   (1,): RatFun(poly("54*x-1", X)), (0,): RatFun.from_scalar(6, X)})
+        # the representative modulo trivial certificates, not just some solution
+        assert {e: c.text() for e, c in Q.terms.items()} == {
+            (0, 0): "6*s^1", (1, 0): "(-12*s^4 + 27*s^3 + -17*s^2 + 30*x^1*s^1 + 2*s^1)/(2)"}
     rec = diffop_to_rec(P)
     dp = diagonal_sequence(walk, 40)
     unrolled = rec_unroll(rec, SeqTable(walk.name, dp.terms[:rec.order()], "dp"), 40)
@@ -353,6 +356,18 @@ def test_cascade_scalar_integration():
     sol = sols[0]
     assert not sol.e[0].is_zero()
     assert sol.y[0].derivative("x").constant_value() == sol.e[0].constant_value()
+
+
+def test_cascade_returns_the_reduced_representative():
+    from rookpaths.telescope import rational_solve_cascade
+    # y' - y/(1+t) = e (t^2+2t-1)/(1+t): the level carrying e also carries the
+    # trivial y = 1+t, and the cascade returns the representative vanishing on
+    # that solution's lowest coordinate (the constant one), not y = t^2 + 1
+    T = ("t",)
+    sols = rational_solve_cascade([[ratfun("(0-1)/(1+t)", T)]], [[ratfun("(t^2+2*t-1)/(1+t)", T)]], "t")
+    assert len(sols) == 1
+    assert sols[0].y == [ratfun("t-t^2", T)]
+    assert sols[0].e == [MPoly.const((), -1)]
 
 
 def test_cascade_unlucky_screening_points():

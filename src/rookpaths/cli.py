@@ -205,8 +205,13 @@ def _cmd_rec_unroll(args, out: Path) -> bool:
     rec = RecOp.from_json_dict(_read_json(args.input)[0]) if args.input else rookdata.recurrence_order3()
     initial = _load_seq(args.initial, 2)
     seq = rec_unroll(rec, initial, args.n)
-    _write(out, "unrolled.json", seq.to_json())
-    print(f"unrolled to n={args.n}; a_{args.n} = {seq[args.n]}")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the terms may pass the digit limit; input parsing keeps it
+    try:
+        _write(out, "unrolled.json", seq.to_json())
+        print(f"unrolled to n={args.n}; a_{args.n} = {seq[args.n]}")
+    finally:
+        sys.set_int_max_str_digits(limit)
     return True
 
 

@@ -13,14 +13,23 @@ The monomial order is graded lexicographic, ranking variables by their
 position in the tuple (the toolkit lists them as x, s, t, ...): compare total
 degree first, then exponents of the last variable down.  All normal forms
 (leading coefficients, sign conventions, canonical text) refer to this order.
+
+Exact division (try_divide) runs on the primitive integer parts with packed
+exponents (Monagan and Pearce, CASC 2007): one int per exponent vector, the
+total degree in the top field and e_{n-1} ... e_0 below it, each field with a
+guard bit, so int order is graded-lex order and a monomial product is one
+addition.  Scaling by a rational constant divides integers exactly and makes
+a Fraction only for a coefficient that stays fractional.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd as _int_gcd
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 from typing import Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -41,6 +50,22 @@ def _as_fraction(c: Coeff) -> Fraction:
 
 def _all_int(terms: Mapping[tuple[int, ...], Coeff]) -> bool:
     return all(isinstance(c, int) for c in terms.values())
+
+
+def _content(terms: Mapping[tuple[int, ...], Coeff]) -> tuple[int, int]:
+    """gcd of the numerators and lcm of the denominators of nonzero terms."""
+    if _all_int(terms):
+        return _int_gcd(*terms.values()), 1
+    return _int_gcd(*(c.numerator for c in terms.values())), lcm(*(c.denominator for c in terms.values()))
+
+
+def _scaled(terms: Mapping[tuple[int, ...], Coeff], p: int, q: int) -> dict[tuple[int, ...], Coeff]:
+    """Every coefficient times p/q (p, q nonzero), demoted, in the same order."""
+    out = {}
+    for exp, c in terms.items():
+        n, d = c.numerator * p, c.denominator * q
+        out[exp] = n // d if n % d == 0 else Fraction(n, d)
+    return out
 
 
 def monomial_key(exp: tuple[int, ...]) -> tuple:
@@ -65,6 +90,13 @@ class MPoly:
                 clean[tuple(exp)] = c
         self.terms = clean
         self._hash = None
+
+    @staticmethod
+    def _of(vars: tuple[str, ...], terms: dict[tuple[int, ...], Coeff]) -> MPoly:
+        """Wrap terms that are already nonzero, demoted and of the right length."""
+        p = object.__new__(MPoly)
+        p.vars, p.terms, p._hash = vars, terms, None
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -150,13 +182,9 @@ class MPoly:
         i = self.vars.index(name)
         return max(exp[i] for exp in self.terms)
 
-    def leading_monomial(self) -> tuple[int, ...]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=monomial_key)
-
     def leading_coeff(self) -> Coeff:
-        return self.terms[self.leading_monomial()]
+        """Coefficient of the largest monomial; ValueError for zero."""
+        return self.terms[max(self.terms, key=monomial_key)]
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -191,7 +219,7 @@ class MPoly:
     __radd__ = __add__
 
     def __neg__(self) -> MPoly:
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> MPoly:
         if isinstance(other, (int, Fraction)):
@@ -205,7 +233,7 @@ class MPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return MPoly.zero(self.vars)
-            return MPoly(self.vars, {e: c * other for e, c in self.terms.items()})
+            return MPoly._of(self.vars, _scaled(self.terms, other.numerator, other.denominator))
         self._check(other)
         if not self.terms or not other.terms:
             return MPoly.zero(self.vars)
@@ -284,7 +312,7 @@ class MPoly:
                     exp.append(rem // s_)
                     rem %= s_
                 out[tuple(exp)] = sign * digit
-        return MPoly(self.vars, out)
+        return MPoly._of(self.vars, out)
 
     def __pow__(self, k: int) -> MPoly:
         if k < 0:
@@ -305,25 +333,18 @@ class MPoly:
         """Positive rational c with self/c integer-coefficient and primitive."""
         if not self.terms:
             return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for coef in self.terms.values():
-            if isinstance(coef, int):
-                num_gcd = _int_gcd(num_gcd, coef)
-            else:
-                num_gcd = _int_gcd(num_gcd, coef.numerator)
-                d = coef.denominator
-                den_lcm = den_lcm * d // _int_gcd(den_lcm, d)
-        return Fraction(num_gcd, den_lcm)
+        return Fraction(*_content(self.terms))
 
     def primitive_part(self) -> MPoly:
         """self / rational_content, sign-fixed to positive leading coefficient."""
         if not self.terms:
             return self
-        c = self.rational_content()
+        num, den = _content(self.terms)
         if self.leading_coeff() < 0:
-            c = -c
-        return self * (1 / c)
+            num = -num
+        if num == den == 1:
+            return self
+        return MPoly._of(self.vars, _scaled(self.terms, den, num))
 
     # -- calculus & substitution ---------------------------------------
 
@@ -382,49 +403,63 @@ class MPoly:
     def try_divide(self, divisor: MPoly) -> MPoly | None:
         """Exact quotient self/divisor, or None when division is inexact.
 
-        Leading terms are consumed through a lazy max-heap: every new target
-        monomial is strictly smaller in the order, so each exponent is
-        processed at most once and stale heap entries are skipped.
+        With both contents split off, Gauss's lemma gives an exact quotient by
+        the primitive divisor integer coefficients: a divmod remainder means None.
+        Every monomial met sorts below a dividend term, so fields of
+        D.bit_length() + 1 bits hold it, D the dividend's total degree; the
+        top bit of a field is its guard, set in a difference only where an
+        exponent went negative.  A lazy max-heap of packed keys yields each
+        leading term once; the content ratio scales the quotient at the end.
         """
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self
-        import heapq
-
-        def negkey(exp: tuple[int, ...]) -> tuple:
-            return (-sum(exp), tuple(-e for e in reversed(exp)))
-
-        lead = divisor.leading_monomial()
-        lead_c = divisor.terms[lead]
-        rem = dict(self.terms)
-        heap = [(negkey(e), e) for e in rem]
-        heapq.heapify(heap)
-        quo: dict[tuple[int, ...], Coeff] = {}
+        deg = max(map(sum, self.terms))
+        if max(map(sum, divisor.terms)) > deg:
+            return None
+        na, da = _content(self.terms)
+        nb, db = _content(divisor.terms)
+        a = self.terms if na == da == 1 else _scaled(self.terms, da, na)
+        b = divisor.terms if nb == db == 1 else _scaled(divisor.terms, db, nb)
+        n = len(self.vars)
+        width = deg.bit_length() + 1
+        shifts = range(0, n * width, width)
+        weights = [(1 << s) + (1 << (n * width)) for s in shifts]  # field i plus the degree field
+        guard = sum(1 << (s + width - 1) for s in shifts)
+        rem = {sum(map(mul, e, weights)): c for e, c in a.items()}
+        rest = {sum(map(mul, e, weights)): c for e, c in b.items()}
+        lead = max(rest)
+        lead_c = rest.pop(lead)
+        heap = [-k for k in rem]
+        heapify(heap)
+        quo: dict[int, int] = {}
         while heap:
-            _, exp = heapq.heappop(heap)
-            coeff = rem.pop(exp, None)
-            if coeff is None:
+            k = -heappop(heap)
+            c = rem.pop(k, None)
+            if c is None:
                 continue
-            diff = tuple(a - b for a, b in zip(exp, lead))
-            if any(d < 0 for d in diff):
+            diff = k - lead
+            qc, r = divmod(c, lead_c)
+            if diff < 0 or diff & guard or r:
                 return None
-            c = _demote(_as_fraction(coeff) / lead_c)
-            quo[diff] = c
-            for de, dc in divisor.terms.items():
-                if de == lead:
-                    continue
-                tgt = tuple(a + b for a, b in zip(diff, de))
+            quo[diff] = qc
+            for dk, dc in rest.items():
+                tgt = diff + dk
                 cur = rem.get(tgt)
-                val = (0 if cur is None else cur) - c * dc
+                if cur is None:
+                    heappush(heap, -tgt)
+                val = (cur or 0) - qc * dc
                 if val:
-                    if cur is None:
-                        heapq.heappush(heap, (negkey(tgt), tgt))
                     rem[tgt] = val
-                elif cur is not None:
+                else:
                     del rem[tgt]
-        return MPoly(self.vars, quo)
+        mask = (1 << width) - 1
+        out = {tuple((k >> s) & mask for s in shifts): c for k, c in quo.items()}
+        if na * db != da * nb:
+            out = _scaled(out, na * db, da * nb)
+        return MPoly._of(self.vars, out)
 
     def divide_exact(self, divisor: MPoly) -> MPoly:
         q = self.try_divide(divisor)
@@ -639,8 +674,8 @@ def _monomial_content(p: MPoly) -> tuple[int, ...]:
 def _shift_down(p: MPoly, mins: tuple[int, ...]) -> MPoly:
     if not any(mins):
         return p
-    return MPoly(p.vars, {tuple(e - m for e, m in zip(exp, mins)): c
-                          for exp, c in p.terms.items()})
+    return MPoly._of(p.vars, {tuple(e - m for e, m in zip(exp, mins)): c
+                              for exp, c in p.terms.items()})
 
 
 _HEU_TRIES = 6
@@ -684,12 +719,8 @@ def _heu_gcd(a: MPoly, b: MPoly) -> MPoly | None:
 
 def _split_content(p: MPoly) -> tuple[int, MPoly]:
     """Integer content of a nonzero integer-coefficient p, and p divided by it."""
-    c = 0
-    for v in p.terms.values():
-        c = _int_gcd(c, v)
-        if c == 1:
-            return 1, p
-    return c, MPoly(p.vars, {e: v // c for e, v in p.terms.items()})
+    c = _int_gcd(*p.terms.values())
+    return c, p if c == 1 else MPoly._of(p.vars, {e: v // c for e, v in p.terms.items()})
 
 
 def _eval_var(p: MPoly, i: int, xi: int) -> MPoly:

@@ -42,8 +42,9 @@ class RatFun:
         scale = 1 / frac_gcd(num.rational_content(), den.rational_content())
         if den.leading_coeff() < 0:
             scale = -scale
-        self.num = num * scale
-        self.den = den * scale
+        if scale != 1:
+            num, den = num * scale, den * scale
+        self.num, self.den = num, den
 
     # -- constructors -----------------------------------------------------
 
@@ -139,12 +140,8 @@ class RatFun:
         if self.is_zero() or o.is_zero():
             return RatFun.from_scalar(0, self.vars)
         # Cross-reduce before multiplying to keep intermediates small.
-        g1 = mpoly_gcd(self.num, o.den)
-        g2 = mpoly_gcd(o.num, self.den)
-        n1 = self.num.divide_exact(g1)
-        d2 = o.den.divide_exact(g1)
-        n2 = o.num.divide_exact(g2)
-        d1 = self.den.divide_exact(g2)
+        n1, d2 = _cross_reduce(self.num, o.den)
+        n2, d1 = _cross_reduce(o.num, self.den)
         return RatFun(n1 * n2, d1 * d2, _reduced=True)
 
     __rmul__ = __mul__
@@ -210,6 +207,14 @@ class RatFun:
             ntext, _, dtext = text[1:-1].partition(")/(")
             return RatFun(MPoly.parse(ntext, vars), MPoly.parse(dtext, vars))
         return RatFun(MPoly.parse(text, vars))
+
+
+def _cross_reduce(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
+    """num and den divided by their gcd; a constant side shares nothing."""
+    if num.is_constant() or den.is_constant():
+        return num, den
+    g = mpoly_gcd(num, den)
+    return (num, den) if g.is_constant() else (num.divide_exact(g), den.divide_exact(g))
 
 
 def _eval_poly_at_ratfun(p: MPoly, values: Mapping[str, RatFun], tvars: tuple[str, ...]) -> RatFun:

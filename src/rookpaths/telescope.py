@@ -259,6 +259,7 @@ def universal_denominator(a: RatFun, rhs_dens: list[MPoly],
     where the right sides b range over fractions with the listed
     denominators."""
     vars = a.vars
+    point = {v: w for v, w in _SCREEN_POINTS[0].items() if v in vars and v != main_var}
     pool = _squarefree_decomposition(a.den, main_var)
     for den in rhs_dens:
         pool.extend(_squarefree_decomposition(den, main_var))
@@ -278,19 +279,27 @@ def universal_denominator(a: RatFun, rhs_dens: list[MPoly],
             u = u * pi ** base
         if k == 1:
             # integer-residue poles: pi | (num - m * pi' * (den/pi))
-            den_red = a.den.divide_exact(pi)
-            dpi = pi.derivative(main_var)
+            slope = pi.derivative(main_var) * a.den.divide_exact(pi)
             remaining = pi
+            # With every passive variable at the point and lc(pi), hence lc(remaining),
+            # nonzero there, a gcd of positive degree keeps its degree, so an m with a
+            # constant image gcd is skipped; a vanishing probe image never is.
+            screen = len(point) == len(vars) - 1 > 0 and bool(pi.coeffs_in(main_var)[-1].eval_at(point))
+            if screen:
+                num_at, slope_at, rem_at = (p.eval_at(point) for p in (a.num, slope, pi))
             for m in range(_RESIDUE_CAP, 0, -1):
                 if m <= base:
                     break
-                probe = a.num - (dpi * den_red) * m
-                g = mpoly_gcd(remaining, probe)
+                if screen and mpoly_gcd(rem_at, num_at - slope_at * m).is_constant():
+                    continue
+                g = mpoly_gcd(remaining, a.num - slope * m)
                 if g.degree(main_var) > 0:
                     u = u * g ** (m - base)
                     remaining = remaining.divide_exact(g)
                     if remaining.degree(main_var) == 0:
                         break
+                    if screen:
+                        rem_at = remaining.eval_at(point)
     return u.primitive_part()
 
 

@@ -45,6 +45,22 @@ def test_guess_and_unroll(tmp_path):
     assert seq["terms"][3] == "9918"
 
 
+def test_rec_unroll_past_the_digit_limit(tmp_path, capsys):
+    # a_3000 has more digits than Python's default int-to-str limit (4,300);
+    # the program's own results are exempt, input parsing is not
+    limit = sys.get_int_max_str_digits()
+    assert run_cli(["rec-unroll", "--n", "3000"], tmp_path) == 0
+    assert sys.get_int_max_str_digits() == limit
+    terms = json.loads((tmp_path / "unrolled.json").read_text())["terms"]
+    assert len(terms) == 3001 and len(terms[-1]) > 4300
+    capsys.readouterr()
+    big = tmp_path / "big.json"
+    big.write_text('{"name": "a", "terms": ["1", "3", ' + "9" * 5000 + '], "provenance": "dp"}')
+    assert run_cli(["rec-unroll", "--n", "5", "--initial", str(big)], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "4300 digits" in err
+
+
 def test_ode_to_rec(tmp_path, capsys):
     assert run_cli(["ode-to-rec"], tmp_path) == 0
     rec = json.loads((tmp_path / "recurrence.json").read_text())

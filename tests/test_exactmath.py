@@ -95,6 +95,70 @@ def test_gcd_matches_prs_and_sympy_oracles():
     check()
 
 
+def test_division_and_content_match_sympy():
+    # the integer kernel: try_divide on packed exponents, primitive_part and
+    # scaling by a Fraction, against sympy's div and primitive in 0 to 3
+    # variables; exponents 2^k - 1 and 2^k sit at the packed fields' boundaries
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    coeffs = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4))
+    exps = st.sampled_from([0, 1, 2, 3, 4, 7, 8, 15, 16])
+
+    @st.composite
+    def operands(draw):
+        vars = XST[:draw(st.integers(0, 3))]
+        polys = st.dictionaries(st.tuples(*[exps] * len(vars)), coeffs, max_size=4).map(
+            lambda terms: MPoly(vars, terms))
+        return vars, draw(polys), draw(polys), draw(polys)
+
+    def to_sympy(p):
+        terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+        return sympy.Poly.from_dict(terms or {(0,) * len(p.vars): 0}, *sympy.symbols(p.vars),
+                                    domain=sympy.QQ)
+
+    def from_sympy(p, vars):
+        return MPoly(vars, {e: Fraction(int(c.p), int(c.q)) for e, c in p.terms() if c})
+
+    def demoted(p):
+        return all(isinstance(c, int) or c.denominator > 1 for c in p.terms.values()) and all(p.terms.values())
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(operands(), st.fractions(-9, 9, max_denominator=7))
+    @hypothesis.example((XST, poly("2*x^7*s^8", XST), poly("s^8*t-1/2", XST), poly("x^8", XST)), Fraction(-3, 2))
+    @hypothesis.example((XST[:2], poly("x^7-2*s^8", XST[:2]), poly("-3/2", XST[:2]), poly("x^15", XST[:2])),
+                        Fraction(5, 3))
+    @hypothesis.example((XST, poly("x^15", XST), poly("x*s^16+t", XST), MPoly.zero(XST)), Fraction(1))
+    @hypothesis.example(((), MPoly.const((), 3), MPoly.const((), Fraction(-2, 5)), MPoly.zero(())), Fraction(0))
+    def check(case, scale):
+        vars, a, b, q = case
+        for p in (a, b):
+            scaled = p * scale
+            assert demoted(scaled)
+            if vars:
+                assert scaled == from_sympy(to_sympy(p) * sympy.Rational(scale.numerator, scale.denominator), vars)
+                if p:
+                    content, prim = to_sympy(p).primitive()
+                    prim = from_sympy(prim, vars)
+                    assert p.rational_content() == abs(Fraction(int(content.p), int(content.q)))
+                    expected = prim if prim.leading_coeff() > 0 else -prim
+                    assert p.primitive_part() == expected and demoted(p.primitive_part())
+        if not b:
+            return
+        for dividend in (a, a * b, a * b + q):
+            got = dividend.try_divide(b)
+            if not vars:
+                assert got == MPoly.const((), dividend.constant_value() / b.constant_value())
+                continue
+            quo, rem = sympy.div(to_sympy(dividend), to_sympy(b))
+            if rem.is_zero:
+                assert got == from_sympy(quo, vars) and demoted(got)
+            else:
+                assert got is None
+
+    check()
+
+
 def test_gcd_prs_fallback_gives_the_same_results(monkeypatch):
     a = poly("s*t^2-s^2*t-x*s*t+x*s^2-t^2+s*t+x*t-x*s", XST)
     q1 = poly(Q1_TEXT, XST)

@@ -414,3 +414,27 @@ def test_universal_denominator_mixed_multiplicities():
     assert universal_denominator(a, [], "x") == poly("x-1", X)
     # right side raises the order at the double pole: ord 5 - ord 2 = 3
     assert universal_denominator(a, [poly("x^5*(x-1)", X)], "x") == poly("x^3*(x-1)", X)
+
+
+@pytest.mark.parametrize("pi1, u_text", [
+    ("t-x", "1*t^2 + -2*x^1*t^1 + 1*x^2"),
+    # lc_t(pi) vanishes at the screening value x = 7/13, where pi1's image is
+    # constant: the screen would drop the residue, so every m is probed exactly
+    ("(13*x-7)*t-1", "169*x^2*t^2 + -182*x^1*t^2 + 49*t^2 + -26*x^1*t^1 + 14*t^1 + 1"),
+])
+def test_universal_denominator_screens_integer_residues(monkeypatch, pi1, u_text):
+    from rookpaths import telescope
+    # pi = pi1 * pi2 is one squarefree factor; a has residue 2 along pi1 and
+    # 1/2 along pi2, so u = pi1^2 and pi2 drops out
+    XT = ("x", "t")
+    pi1, pi2 = poly(pi1, XT), poly("t^2+x*t+3", XT)
+    a = RatFun(pi1.derivative("t") * 2, pi1) + RatFun(pi2.derivative("t"), pi2 * 2)
+    exact = []
+    gcd = telescope.mpoly_gcd
+    monkeypatch.setattr(telescope, "mpoly_gcd", lambda p, q: exact.append(p.vars == XT) or gcd(p, q))
+    assert telescope.universal_denominator(a, [], "t").text() == u_text
+    screened = pi1.coeffs_in("t")[-1].eval_at({"x": telescope._SCREEN_POINTS[0]["x"]})
+    if screened:
+        assert sum(exact) < 5  # only m = 2 survives the univariate screen
+    else:
+        assert sum(exact) >= telescope._RESIDUE_CAP  # one exact probe per m

@@ -1,65 +1,91 @@
 """Sparse multivariate polynomials over the rationals.
 
-A polynomial carries an ordered tuple of variable names and a dict mapping
-exponent tuples to nonzero rational coefficients:
+A polynomial carries an ordered tuple of variable names and one dict from
+packed exponent vectors (Monagan and Pearce, CASC 2007) to nonzero rational
+coefficients.  A key holds e_0 in its lowest FIELD_BITS-bit field, e_1 in the
+next, ..., e_{n-1}, and the total degree in the top field:
 
-    x^2*s - 3/2  over ("x", "s")  ->  {(2, 1): 1, (0, 0): Fraction(-3, 2)}
+    x^2*s - 3/2  over ("x", "s")  ->  {2 + (1 << 32) + (3 << 64): 1, 0: Fraction(-3, 2)}
+
+The top bit of an exponent field is a guard bit, so exponents are capped at
+EXPONENT_CAP = 2^31 - 1: construction, parse, poly and products past it raise
+ValueError naming the cap.  Int order is then graded lexicographic order
+(total degree, then the exponents of the last variable down; the toolkit lists
+variables as x, s, t, ...), which all normal forms refer to; a monomial
+product is one int addition and the constant monomial is key 0.
+`MPoly.terms` is a read-only view of the same dict under exponent tuples: its
+length is the dict's, a lookup packs the tuple and iteration unpacks the keys.
 
 Coefficients are Fraction, demoted to int whenever the denominator is 1
-(int arithmetic is markedly faster and mixes freely with Fraction).
-The zero polynomial has an empty term dict.
-
-The monomial order is graded lexicographic, ranking variables by their
-position in the tuple (the toolkit lists them as x, s, t, ...): compare total
-degree first, then exponents of the last variable down.  All normal forms
-(leading coefficients, sign conventions, canonical text) refer to this order.
-
-Exact division (try_divide) runs on the primitive integer parts with packed
-exponents (Monagan and Pearce, CASC 2007): one int per exponent vector, the
-total degree in the top field and e_{n-1} ... e_0 below it, each field with a
-guard bit, so int order is graded-lex order and a monomial product is one
-addition.  Scaling by a rational constant divides integers exactly and makes
-a Fraction only for a coefficient that stays fractional.
+(int arithmetic is markedly faster and mixes freely with Fraction); scaling
+by a rational constant makes a Fraction only for a coefficient that stays
+fractional.  The zero polynomial has an empty dict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd as _int_gcd
 from math import isqrt, lcm
-from operator import mul
-from typing import Mapping, Sequence, Union
+from operator import or_
+from typing import Iterator, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
+
+FIELD_BITS = 32
+EXPONENT_CAP = (1 << (FIELD_BITS - 1)) - 1
+_MASK = (1 << FIELD_BITS) - 1
+
+
+def _weight(i: int, n: int) -> int:
+    """The key of variable i among n."""
+    return (1 << (FIELD_BITS * i)) + (1 << (FIELD_BITS * n))
+
+
+def _guard(n: int) -> int:
+    """The guard bits of n exponent fields."""
+    return ((1 << (FIELD_BITS * n)) - 1) // _MASK << (FIELD_BITS - 1)
+
+
+def _pack(exp: Sequence[int]) -> int:
+    """The key of an exponent vector with entries in 0..EXPONENT_CAP."""
+    return sum(e << (FIELD_BITS * i) for i, e in enumerate(exp)) + (sum(exp) << (FIELD_BITS * len(exp)))
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    return tuple(key >> s & _MASK for s in range(0, FIELD_BITS * n, FIELD_BITS))
+
+
+def _cap_error(what: str) -> ValueError:
+    return ValueError(f"{what} has an exponent outside 0..{EXPONENT_CAP}, the cap of a packed field")
 
 
 def _demote(c: Coeff) -> Coeff:
     """Return c as int when exact, else as Fraction."""
-    if isinstance(c, int):
-        return c
-    if c.denominator == 1:
-        return c.numerator
-    return c
+    return c.numerator if c.denominator == 1 else c
+
+
+def _nonzero(terms: dict[int, Coeff]) -> dict[int, Coeff]:
+    """The nonzero terms, demoted, in the same order."""
+    return {k: c if c.__class__ is int else _demote(c) for k, c in terms.items() if c}
 
 
 def _as_fraction(c: Coeff) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
-def _all_int(terms: Mapping[tuple[int, ...], Coeff]) -> bool:
-    return all(isinstance(c, int) for c in terms.values())
-
-
-def _content(terms: Mapping[tuple[int, ...], Coeff]) -> tuple[int, int]:
+def _content(terms: Mapping[int, Coeff]) -> tuple[int, int]:
     """gcd of the numerators and lcm of the denominators of nonzero terms."""
-    if _all_int(terms):
+    try:
         return _int_gcd(*terms.values()), 1
-    return _int_gcd(*(c.numerator for c in terms.values())), lcm(*(c.denominator for c in terms.values()))
+    except TypeError:  # a Fraction among them
+        return _int_gcd(*(c.numerator for c in terms.values())), lcm(*(c.denominator for c in terms.values()))
 
 
-def _scaled(terms: Mapping[tuple[int, ...], Coeff], p: int, q: int) -> dict[tuple[int, ...], Coeff]:
+def _scaled(terms: Mapping[int, Coeff], p: int, q: int) -> dict[int, Coeff]:
     """Every coefficient times p/q (p, q nonzero), demoted, in the same order."""
     out = {}
     for exp, c in terms.items():
@@ -73,69 +99,91 @@ def monomial_key(exp: tuple[int, ...]) -> tuple:
     return (sum(exp), tuple(reversed(exp)))
 
 
+class _Terms(Mapping):
+    """Read-only view of a packed term dict under exponent-tuple keys."""
+
+    def __init__(self, packed: dict[int, Coeff], n: int):
+        self._packed, self._n = packed, n
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __getitem__(self, exp: tuple[int, ...]) -> Coeff:
+        if len(exp) == self._n and all(0 <= e <= EXPONENT_CAP for e in exp):
+            return self._packed[_pack(exp)]
+        raise KeyError(exp)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return (_unpack(k, self._n) for k in self._packed)
+
+    def items(self):
+        return [(_unpack(k, self._n), c) for k, c in self._packed.items()]
+
+    def values(self):
+        return self._packed.values()
+
+
 class MPoly:
     """Immutable sparse multivariate polynomial with exact coefficients."""
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "packed", "_hash")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple[int, ...], Coeff]):
         self.vars = tuple(vars)
-        clean: dict[tuple[int, ...], Coeff] = {}
+        packed: dict[int, Coeff] = {}
         n = len(self.vars)
         for exp, c in terms.items():
             if len(exp) != n:
                 raise ValueError(f"exponent {exp} has wrong length for vars {self.vars}")
+            if not all(0 <= e <= EXPONENT_CAP for e in exp):
+                raise _cap_error(f"the monomial {tuple(exp)}")
             c = _demote(c)
             if c != 0:
-                clean[tuple(exp)] = c
-        self.terms = clean
+                packed[_pack(exp)] = c
+        self.packed = packed
         self._hash = None
 
     @staticmethod
-    def _of(vars: tuple[str, ...], terms: dict[tuple[int, ...], Coeff]) -> MPoly:
-        """Wrap terms that are already nonzero, demoted and of the right length."""
+    def _of(vars: tuple[str, ...], packed: dict[int, Coeff]) -> MPoly:
+        """Wrap packed terms that are already nonzero and demoted."""
         p = object.__new__(MPoly)
-        p.vars, p.terms, p._hash = vars, terms, None
+        p.vars, p.packed, p._hash = vars, packed, None
         return p
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Coeff]:
+        """The terms under exponent tuples, a read-only view of `packed`."""
+        return _Terms(self.packed, len(self.vars))
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(vars: Sequence[str]) -> MPoly:
-        return MPoly(vars, {})
+        return MPoly._of(tuple(vars), {})
 
     @staticmethod
     def const(vars: Sequence[str], value: Coeff) -> MPoly:
         value = _demote(Fraction(value) if not isinstance(value, (int, Fraction)) else value)
-        if value == 0:
-            return MPoly.zero(vars)
-        return MPoly(vars, {(0,) * len(vars): value})
+        return MPoly._of(tuple(vars), {0: value} if value else {})
 
     @staticmethod
     def var(vars: Sequence[str], name: str) -> MPoly:
         vars = tuple(vars)
         if name not in vars:
             raise ValueError(f"{name!r} not among {vars}")
-        exp = tuple(1 if v == name else 0 for v in vars)
-        return MPoly(vars, {exp: 1})
+        return MPoly._of(vars, {_weight(vars.index(name), len(vars)): 1})
 
     def with_vars(self, newvars: Sequence[str]) -> MPoly:
         """Re-embed into a superset variable tuple (same canonical order)."""
         newvars = tuple(newvars)
         if newvars == self.vars:
             return self
-        pos = []
         for v in self.vars:
             if v not in newvars:
                 raise ValueError(f"cannot drop variable {v!r}")
-            pos.append(newvars.index(v))
-        terms: dict[tuple[int, ...], Coeff] = {}
-        for exp, c in self.terms.items():
-            new = [0] * len(newvars)
-            for p, e in zip(pos, exp):
-                new[p] = e
-            terms[tuple(new)] = c
-        return MPoly(newvars, terms)
+        weights = [_weight(newvars.index(v), len(newvars)) for v in self.vars]
+        return MPoly._of(newvars, {sum(e * w for e, w in zip(_unpack(k, len(self.vars)), weights)): c
+                                   for k, c in self.packed.items()})
 
     def restricted(self, newvars: Sequence[str]) -> MPoly:
         """Project onto fewer variables; the dropped ones must have degree 0."""
@@ -148,8 +196,7 @@ class MPoly:
                 raise ValueError(f"cannot drop live variable {v!r}")
         if tuple(self.vars[i] for i in keep) != newvars:
             raise ValueError("restricted variables must keep canonical order")
-        terms = {tuple(exp[i] for i in keep): c for exp, c in self.terms.items()}
-        return MPoly(newvars, terms)
+        return MPoly(newvars, {tuple(exp[i] for i in keep): c for exp, c in self.terms.items()})
 
     def aligned(self, newvars: Sequence[str]) -> MPoly:
         """Re-express over another variable tuple, dropping only dead variables."""
@@ -160,45 +207,40 @@ class MPoly:
     # -- predicates & basic data --------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
+        return not any(self.packed)
 
     def constant_value(self) -> Fraction:
         """The coefficient of the constant monomial (0 if absent)."""
-        zero = (0,) * len(self.vars)
-        return _as_fraction(self.terms.get(zero, 0))
+        return _as_fraction(self.packed.get(0, 0))
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(exp) for exp in self.terms)
+        return max(self.packed, default=0) >> (FIELD_BITS * len(self.vars))
 
     def degree(self, name: str) -> int:
         """Degree in one variable; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        i = self.vars.index(name)
-        return max(exp[i] for exp in self.terms)
+        s = FIELD_BITS * self.vars.index(name)
+        return max((k >> s & _MASK for k in self.packed), default=0)
 
     def leading_coeff(self) -> Coeff:
         """Coefficient of the largest monomial; ValueError for zero."""
-        return self.terms[max(self.terms, key=monomial_key)]
+        return self.packed[max(self.packed)]
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = MPoly.const(self.vars, other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self.packed == other.packed
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.vars, frozenset(self.terms.items())))
+            self._hash = hash((self.vars, frozenset(self.packed.items())))
         return self._hash
 
     # -- arithmetic ----------------------------------------------------
@@ -211,15 +253,16 @@ class MPoly:
         if isinstance(other, (int, Fraction)):
             other = MPoly.const(self.vars, other)
         self._check(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            out[exp] = out.get(exp, 0) + c
-        return MPoly(self.vars, out)
+        out = dict(self.packed)
+        get = out.get
+        for k, c in other.packed.items():
+            out[k] = get(k, 0) + c
+        return MPoly._of(self.vars, _nonzero(out))
 
     __radd__ = __add__
 
     def __neg__(self) -> MPoly:
-        return MPoly._of(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly._of(self.vars, {k: -c for k, c in self.packed.items()})
 
     def __sub__(self, other) -> MPoly:
         if isinstance(other, (int, Fraction)):
@@ -233,26 +276,29 @@ class MPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return MPoly.zero(self.vars)
-            return MPoly._of(self.vars, _scaled(self.terms, other.numerator, other.denominator))
+            return MPoly._of(self.vars, _scaled(self.packed, other.numerator, other.denominator))
         self._check(other)
-        if not self.terms or not other.terms:
+        a, b = self.packed, other.packed
+        if not a or not b:
             return MPoly.zero(self.vars)
-        work = len(self.terms) * len(other.terms)
-        if work > 256 and _all_int(self.terms) and _all_int(other.terms):
+        work = len(a) * len(b)
+        if work > 256 and all(isinstance(c, int) for c in chain(a.values(), b.values())):
             box = 1
             for v in self.vars:
                 box *= self.degree(v) + other.degree(v) + 1
             if box <= 2 * work:  # dense enough that the box walk pays off
                 return self._mul_packed(other)
-        a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[tuple[int, ...], Coeff] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                exp = tuple(i + j for i, j in zip(ea, eb))
-                out[exp] = out.get(exp, 0) + ca * cb
-        return MPoly(self.vars, out)
+        out: dict[int, Coeff] = {}
+        get = out.get
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        if reduce(or_, out) & _guard(len(self.vars)):  # a field overflowed into its guard bit
+            raise _cap_error("a product")
+        return MPoly._of(self.vars, _nonzero(out))
 
     __rmul__ = __mul__
 
@@ -268,26 +314,29 @@ class MPoly:
         """
         nv = len(self.vars)
         dims = [self.degree(v) + other.degree(v) + 1 for v in self.vars]
+        if max(dims, default=1) > EXPONENT_CAP + 1:
+            raise _cap_error("a product")
         strides = [1] * nv
         for i in range(nv - 2, -1, -1):
             strides[i] = strides[i + 1] * dims[i + 1]
-        total = strides[0] * dims[0]
-        max_a = max(abs(c) for c in self.terms.values())
-        max_b = max(abs(c) for c in other.terms.values())
-        pairs = min(len(self.terms), len(other.terms))
+        total = strides[0] * dims[0] if nv else 1
+        max_a = max(abs(c) for c in self.packed.values())
+        max_b = max(abs(c) for c in other.packed.values())
+        pairs = min(len(self.packed), len(other.packed))
         nbytes = ((pairs * max_a * max_b).bit_length() + 2 + 7) // 8
         width = nbytes * 8
+        shifts = range(0, FIELD_BITS * nv, FIELD_BITS)
 
         def pack(terms) -> int:
             pos = bytearray(total * nbytes)
             neg = bytearray(total * nbytes)
-            for exp, c in terms.items():
-                slot = sum(e * s for e, s in zip(exp, strides)) * nbytes
+            for k, c in terms.items():
+                slot = sum((k >> s & _MASK) * st for s, st in zip(shifts, strides)) * nbytes
                 buf, val = (pos, c) if c > 0 else (neg, -c)
                 buf[slot:slot + nbytes] = val.to_bytes(nbytes, "little")
             return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
-        prod = pack(self.terms) * pack(other.terms)
+        prod = pack(self.packed) * pack(other.packed)
         sign = 1
         if prod < 0:
             sign = -1
@@ -295,7 +344,8 @@ class MPoly:
         data = prod.to_bytes(total * nbytes + nbytes, "little")
         half = 1 << (width - 1)
         modulus = 1 << width
-        out: dict[tuple[int, ...], Coeff] = {}
+        weights = [_weight(i, nv) for i in range(nv)]
+        out: dict[int, Coeff] = {}
         carry = 0
         for idx in range(total):
             raw = int.from_bytes(data[idx * nbytes:(idx + 1) * nbytes], "little") + carry
@@ -306,12 +356,11 @@ class MPoly:
                 digit = raw
                 carry = 0
             if digit:
-                rem = idx
-                exp = []
-                for s_ in strides:
-                    exp.append(rem // s_)
-                    rem %= s_
-                out[tuple(exp)] = sign * digit
+                rem, key = idx, 0
+                for st, w in zip(strides, weights):
+                    e, rem = divmod(rem, st)
+                    key += e * w
+                out[key] = sign * digit
         return MPoly._of(self.vars, out)
 
     def __pow__(self, k: int) -> MPoly:
@@ -331,32 +380,32 @@ class MPoly:
 
     def rational_content(self) -> Fraction:
         """Positive rational c with self/c integer-coefficient and primitive."""
-        if not self.terms:
+        if not self.packed:
             return Fraction(0)
-        return Fraction(*_content(self.terms))
+        return Fraction(*_content(self.packed))
 
     def primitive_part(self) -> MPoly:
         """self / rational_content, sign-fixed to positive leading coefficient."""
-        if not self.terms:
+        if not self.packed:
             return self
-        num, den = _content(self.terms)
+        num, den = _content(self.packed)
         if self.leading_coeff() < 0:
             num = -num
         if num == den == 1:
             return self
-        return MPoly._of(self.vars, _scaled(self.terms, den, num))
+        return MPoly._of(self.vars, _scaled(self.packed, den, num))
 
     # -- calculus & substitution ---------------------------------------
 
     def derivative(self, name: str) -> MPoly:
         i = self.vars.index(name)
-        out: dict[tuple[int, ...], Coeff] = {}
-        for exp, c in self.terms.items():
-            e = exp[i]
+        s, w = FIELD_BITS * i, _weight(i, len(self.vars))
+        out = {}
+        for k, c in self.packed.items():
+            e = k >> s & _MASK
             if e:
-                new = exp[:i] + (e - 1,) + exp[i + 1:]
-                out[new] = out.get(new, 0) + c * e
-        return MPoly(self.vars, out)
+                out[k - w] = c * e
+        return MPoly._of(self.vars, _nonzero(out))
 
     def eval_at(self, values: Mapping[str, Coeff]) -> MPoly:
         """Substitute rational values for a subset of the variables."""
@@ -383,19 +432,9 @@ class MPoly:
         """Substitute a polynomial (same vars) for one variable, by Horner."""
         if repl.vars != self.vars:
             raise ValueError("replacement must share the variable tuple")
-        i = self.vars.index(name)
-        buckets: dict[int, dict[tuple[int, ...], Coeff]] = {}
-        for exp, c in self.terms.items():
-            stripped = exp[:i] + (0,) + exp[i + 1:]
-            buckets.setdefault(exp[i], {})[stripped] = c
-        if not buckets:
-            return MPoly.zero(self.vars)
-        top = max(buckets)
         acc = MPoly.zero(self.vars)
-        for e in range(top, -1, -1):
-            acc = acc * repl
-            if e in buckets:
-                acc = acc + MPoly(self.vars, buckets[e])
+        for c in reversed(self.coeffs_in(name)):
+            acc = acc * repl + c
         return acc
 
     # -- division ------------------------------------------------------
@@ -405,31 +444,25 @@ class MPoly:
 
         With both contents split off, Gauss's lemma gives an exact quotient by
         the primitive divisor integer coefficients: a divmod remainder means None.
-        Every monomial met sorts below a dividend term, so fields of
-        D.bit_length() + 1 bits hold it, D the dividend's total degree; the
-        top bit of a field is its guard, set in a difference only where an
-        exponent went negative.  A lazy max-heap of packed keys yields each
-        leading term once; the content ratio scales the quotient at the end.
+        A quotient monomial is a key difference; a field's guard bit is set in
+        it exactly where an exponent went negative.  Every field of a key met
+        stays below 2^FIELD_BITS (a checked quotient monomial plus a divisor
+        monomial), so no field carries into the next.  A lazy max-heap of keys
+        yields each leading term once; the content ratio scales the quotient
+        at the end.
         """
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self
-        deg = max(map(sum, self.terms))
-        if max(map(sum, divisor.terms)) > deg:
+        if divisor.total_degree() > self.total_degree():
             return None
-        na, da = _content(self.terms)
-        nb, db = _content(divisor.terms)
-        a = self.terms if na == da == 1 else _scaled(self.terms, da, na)
-        b = divisor.terms if nb == db == 1 else _scaled(divisor.terms, db, nb)
-        n = len(self.vars)
-        width = deg.bit_length() + 1
-        shifts = range(0, n * width, width)
-        weights = [(1 << s) + (1 << (n * width)) for s in shifts]  # field i plus the degree field
-        guard = sum(1 << (s + width - 1) for s in shifts)
-        rem = {sum(map(mul, e, weights)): c for e, c in a.items()}
-        rest = {sum(map(mul, e, weights)): c for e, c in b.items()}
+        na, da = _content(self.packed)
+        nb, db = _content(divisor.packed)
+        rem = dict(self.packed) if na == da == 1 else _scaled(self.packed, da, na)
+        rest = dict(divisor.packed) if nb == db == 1 else _scaled(divisor.packed, db, nb)
+        guard = _guard(len(self.vars))
         lead = max(rest)
         lead_c = rest.pop(lead)
         heap = [-k for k in rem]
@@ -455,11 +488,9 @@ class MPoly:
                     rem[tgt] = val
                 else:
                     del rem[tgt]
-        mask = (1 << width) - 1
-        out = {tuple((k >> s) & mask for s in shifts): c for k, c in quo.items()}
         if na * db != da * nb:
-            out = _scaled(out, na * db, da * nb)
-        return MPoly._of(self.vars, out)
+            quo = _scaled(quo, na * db, da * nb)
+        return MPoly._of(self.vars, quo)
 
     def divide_exact(self, divisor: MPoly) -> MPoly:
         q = self.try_divide(divisor)
@@ -472,24 +503,24 @@ class MPoly:
     def coeffs_in(self, name: str) -> list[MPoly]:
         """Coefficients of powers of one variable, low to high, same vars."""
         i = self.vars.index(name)
-        d = self.degree(name)
-        out = [dict() for _ in range(d + 1)]
-        for exp, c in self.terms.items():
-            stripped = exp[:i] + (0,) + exp[i + 1:]
-            out[exp[i]][stripped] = c
-        return [MPoly(self.vars, t) for t in out]
+        s, w = FIELD_BITS * i, _weight(i, len(self.vars))
+        out = [{} for _ in range(self.degree(name) + 1)]
+        for k, c in self.packed.items():
+            e = k >> s & _MASK
+            out[e][k - e * w] = c
+        return [MPoly._of(self.vars, t) for t in out]
 
     # -- text form -------------------------------------------------------
 
     def text(self) -> str:
         """Canonical sparse text: terms in descending monomial order."""
-        if not self.terms:
+        if not self.packed:
             return "0"
         parts = []
-        for exp in sorted(self.terms, key=monomial_key, reverse=True):
-            c = _as_fraction(self.terms[exp])
+        for k in sorted(self.packed, reverse=True):
+            c = _as_fraction(self.packed[k])
             piece = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            for v, e in zip(self.vars, exp):
+            for v, e in zip(self.vars, _unpack(k, len(self.vars))):
                 if e:
                     piece += f"*{v}^{e}"
             parts.append(piece)
@@ -647,35 +678,24 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
     b = b.primitive_part()
     ea = _monomial_content(a)
     eb = _monomial_content(b)
-    shared = tuple(min(i, j) for i, j in zip(ea, eb))
-    if any(shared):
-        a = _shift_down(a, ea)
-        b = _shift_down(b, eb)
+    shared = _pack([min(i, j) for i, j in zip(ea, eb)])
+    if shared:
+        a = _shift(a, -_pack(ea))
+        b = _shift(b, -_pack(eb))
     g = _heu_gcd(a, b)
     if g is None:
         g = _gcd_core(a, b)
-    if any(shared):
-        g = MPoly(a.vars, {tuple(e + s for e, s in zip(exp, shared)): c
-                           for exp, c in g.terms.items()})
-    return g.primitive_part()
+    return _shift(g, shared).primitive_part()
 
 
-def _monomial_content(p: MPoly) -> tuple[int, ...]:
-    it = iter(p.terms)
-    first = next(it)
-    mins = list(first)
-    for exp in it:
-        for i, e in enumerate(exp):
-            if e < mins[i]:
-                mins[i] = e
-    return tuple(mins)
+def _monomial_content(p: MPoly) -> list[int]:
+    """The least exponent of each variable over the terms of a nonzero p."""
+    return [min(k >> s & _MASK for k in p.packed) for s in range(0, FIELD_BITS * len(p.vars), FIELD_BITS)]
 
 
-def _shift_down(p: MPoly, mins: tuple[int, ...]) -> MPoly:
-    if not any(mins):
-        return p
-    return MPoly._of(p.vars, {tuple(e - m for e, m in zip(exp, mins)): c
-                              for exp, c in p.terms.items()})
+def _shift(p: MPoly, key: int) -> MPoly:
+    """p times the monomial of key, or divided by that of -key."""
+    return MPoly._of(p.vars, {k + key: c for k, c in p.packed.items()}) if key else p
 
 
 _HEU_TRIES = 6
@@ -698,8 +718,9 @@ def _heu_gcd(a: MPoly, b: MPoly) -> MPoly | None:
     c = _int_gcd(cf, cg)
     if f.is_constant() or g.is_constant():
         return MPoly.const(a.vars, c)
-    i = max(j for exp in chain(f.terms, g.terms) for j, e in enumerate(exp) if e)
-    xi = 2 * min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values()))) + 2
+    live = reduce(or_, chain(f.packed, g.packed)) & ((1 << (FIELD_BITS * len(a.vars))) - 1)
+    i = (live.bit_length() - 1) // FIELD_BITS  # the last live variable
+    xi = 2 * min(max(map(abs, f.packed.values())), max(map(abs, g.packed.values()))) + 2
     for _ in range(_HEU_TRIES):
         ff = _eval_var(f, i, xi)
         gg = _eval_var(g, i, xi)
@@ -712,46 +733,48 @@ def _heu_gcd(a: MPoly, b: MPoly) -> MPoly | None:
                 return MPoly.const(a.vars, c)  # a constant divides both
             h = _split_content(h)[1]
             if f.try_divide(h) is not None and g.try_divide(h) is not None:
-                return MPoly(a.vars, {e: v * c for e, v in h.terms.items()})
+                return MPoly._of(a.vars, {k: v * c for k, v in h.packed.items()})
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
     return None
 
 
 def _split_content(p: MPoly) -> tuple[int, MPoly]:
     """Integer content of a nonzero integer-coefficient p, and p divided by it."""
-    c = _int_gcd(*p.terms.values())
-    return c, p if c == 1 else MPoly._of(p.vars, {e: v // c for e, v in p.terms.items()})
+    c = _int_gcd(*p.packed.values())
+    return c, p if c == 1 else MPoly._of(p.vars, {k: v // c for k, v in p.packed.items()})
 
 
 def _eval_var(p: MPoly, i: int, xi: int) -> MPoly:
-    """Substitute the integer xi for variable i; the exponent slot becomes 0."""
+    """Substitute the integer xi for variable i; the exponent field becomes 0."""
+    s, w = FIELD_BITS * i, _weight(i, len(p.vars))
     powers = [1]
-    out: dict[tuple[int, ...], int] = {}
-    for exp, v in p.terms.items():
-        k = exp[i]
-        if k:
-            while len(powers) <= k:
+    out: dict[int, int] = {}
+    for k, v in p.packed.items():
+        e = k >> s & _MASK
+        if e:
+            while len(powers) <= e:
                 powers.append(powers[-1] * xi)
-            v *= powers[k]
-            exp = exp[:i] + (0,) + exp[i + 1:]
-        out[exp] = out.get(exp, 0) + v
-    return MPoly(p.vars, out)
+            v *= powers[e]
+            k -= e * w
+        out[k] = out.get(k, 0) + v
+    return MPoly._of(p.vars, {k: v for k, v in out.items() if v})
 
 
 def _interpolate(image: MPoly, i: int, xi: int) -> MPoly:
     """Spread each integer coefficient into symmetric base-xi digits in variable i."""
     half = xi // 2
-    out: dict[tuple[int, ...], int] = {}
-    for exp, v in image.terms.items():
-        k = 0
+    w = _weight(i, len(image.vars))
+    out: dict[int, int] = {}
+    for k, v in image.packed.items():
         while v:
             d = v % xi
             if d > half:
                 d -= xi
-            out[exp[:i] + (k,) + exp[i + 1:]] = d
+            if d:
+                out[k] = d
             v = (v - d) // xi
-            k += 1
-    return MPoly(image.vars, out)
+            k += w
+    return MPoly._of(image.vars, out)
 
 
 def _gcd_core(a: MPoly, b: MPoly) -> MPoly:

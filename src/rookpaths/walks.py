@@ -9,6 +9,7 @@ earlier rows; a full table costs O(|dirs| * I*J*K) additions.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -88,39 +89,48 @@ class SeqTable:
     @staticmethod
     def from_json_dict(data) -> SeqTable:
         try:
-            return SeqTable(data["name"], [_integer_term(t) for t in data["terms"]], data["provenance"])
+            return SeqTable(data["name"], [_integer_term(n, t) for n, t in enumerate(data["terms"])],
+                            data["provenance"])
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed sequence JSON: {type(exc).__name__}: {exc}") from None
 
 
-def _integer_term(t) -> int:
-    """One sequence term, given as an integer or as its decimal text."""
+def _integer_term(n: int, t) -> int:
+    """Term n of a sequence, given as an integer or as its decimal text."""
     if isinstance(t, (int, str)) and not isinstance(t, bool):
         try:
             return int(t)
         except ValueError:
-            pass
+            if isinstance(t, str) and t.strip().lstrip("+-").isdecimal():
+                raise ValueError(f"malformed sequence JSON: term {n} is longer than the "
+                                 f"{sys.get_int_max_str_digits()}-digit limit for integer text") from None
     raise ValueError(f"malformed sequence JSON: terms must hold integer literals, got {t!r}")
 
 
 def count_paths(dirs: DirectionSet, bound: tuple[int, int, int]) -> CountTable:
     """Count walks to every cell within the bound (origin counts 1)."""
+    return CountTable(bound, list(_planes(dirs, bound)))
+
+
+def _planes(dirs: DirectionSet, bound: tuple[int, int, int]):
+    """Yield the DP planes r[i] for i = 0..I, holding only the planes still read."""
     I, J, K = bound
     if I < 0 or J < 0 or K < 0:
         raise ValueError("bound must be componentwise >= 0")
     repeat = dirs.repeat
     # each direction but (0,0,1) adds the row (i-di, j-dj) shifted by dk along
     # k, plus with repeat its running sum there, cum_d(i,j)[k] = sum over m >= 1
-    # of r at (i,j,k) - m*d; cum planes older than i - max(di) are not read again
+    # of r at (i,j,k) - m*d; planes older than i - max(di) are not read again
     across = [d for d in dirs.directions if d[:2] != (0, 0)]
     along = len(across) < len(dirs.directions)
-    r = [[None] * (J + 1) for _ in range(I + 1)]
+    r = [None] * (I + 1)
     cum = [[[[0] * (K + 1)] * (J + 1) for _ in range(I + 1)] for _ in across] if repeat else ()
     top = max((d[0] for d in across), default=0)
     for i in range(I + 1):
         if i > top:
-            for planes in cum:
+            for planes in (r, *cum):
                 planes[i - top - 1] = None
+        r[i] = [None] * (J + 1)
         for j in range(J + 1):
             x = None
             for n, (di, dj, dk) in enumerate(across):
@@ -147,15 +157,14 @@ def count_paths(dirs: DirectionSet, bound: tuple[int, int, int]) -> CountTable:
             elif along:
                 x = list(accumulate(x))
             r[i][j] = x
-    return CountTable(bound, r)
+        yield r[i]
 
 
 def diagonal_sequence(dirs: DirectionSet, n_max: int) -> SeqTable:
     """The diagonal counts r[n][n][n] for n = 0..n_max, from the DP oracle."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    table = count_paths(dirs, (n_max, n_max, n_max))
-    terms = [table[(n, n, n)] for n in range(n_max + 1)]
+    terms = [plane[n][n] for n, plane in enumerate(_planes(dirs, (n_max, n_max, n_max)))]
     label = dirs.name or "walks"
     return SeqTable(f"{label}-diagonal", terms, "dp")
 

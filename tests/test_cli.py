@@ -1,6 +1,8 @@
 """Command-line frontend: exit codes, artifacts, determinism."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from rookpaths.cli import main
+
+CERTIFICATE_SHA256 = "27e7212f5b006ccd5fc81d474add7f943418901cd27799000822e2aa696aa422"
 
 
 def run_cli(args, out):
@@ -59,6 +63,32 @@ def test_rec_unroll_past_the_digit_limit(tmp_path, capsys):
     assert run_cli(["rec-unroll", "--n", "5", "--initial", str(big)], tmp_path) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "4300 digits" in err
+
+
+def test_over_limit_sequence_term_is_named_not_quoted(tmp_path):
+    # a term given as decimal text past the digit limit: one short line that
+    # names the limit and the term's index, without echoing the term
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"name": "a", "terms": ["1", "3", "9" * 5000], "provenance": "dp"}))
+    result = subprocess.run([sys.executable, "-m", "rookpaths.cli", "--out", str(tmp_path),
+                             "rec-unroll", "--n", "5", "--initial", str(big)], capture_output=True, text=True)
+    assert result.returncode == 2
+    line, = result.stderr.strip().splitlines()
+    assert "4300-digit limit" in line and "term 2" in line and len(line) < 200
+
+
+def test_prove_all_is_byte_identical_across_hash_seeds(tmp_path):
+    # two processes with different string hashing must write the same bytes
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        result = subprocess.run([sys.executable, "-m", "rookpaths.cli", "--out", str(out), "prove-all"],
+                                capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        assert result.returncode == 0, result.stderr
+        outputs.append((result.stdout,
+                        {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0][1]["certificate.json"]).hexdigest() == CERTIFICATE_SHA256
 
 
 def test_ode_to_rec(tmp_path, capsys):

@@ -557,6 +557,128 @@ def test_clear_vector_properties():
     check()
 
 
+# -- packed monomial keys ------------------------------------------------------------
+
+CAP = mpoly_module.EXPONENT_CAP
+
+
+def sympy_ring(vars):
+    """sympy's sparse ring in grlex over vars reversed, plus an unused last
+    generator: its term order is then MPoly's, and 0 variables need no case."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.orderings import grlex
+    from sympy.polys.rings import ring
+    return ring(",".join([*reversed(vars), "unused"]), sympy.QQ, grlex)[0]
+
+
+def to_ring(p, R):
+    return R.from_dict({(*reversed(e), 0): R.domain(c.numerator, c.denominator) for e, c in p.terms.items()})
+
+
+def from_ring(f, vars):
+    return MPoly(vars, {tuple(reversed(m[:-1])): Fraction(int(c.numerator), int(c.denominator))
+                        for m, c in f.terms()})
+
+
+def assert_views_match_ring(p, R, values):
+    # leading coefficient, degrees, derivatives, substitution and canonical
+    # text of one polynomial against sympy's sparse ring
+    f = to_ring(p, R)
+    assert MPoly(p.vars, dict(p.terms)) == p and len(p.terms) == len(f)
+    assert p.is_constant() == (f.is_ground or not f)
+    if p:
+        assert p.leading_coeff() == f.LC
+        assert p.total_degree() == max(map(sum, f.monoms()))
+    gens = dict(zip(reversed(p.vars), R.gens))
+    for v in p.vars:
+        assert p.degree(v) == max(f.degree(gens[v]), 0)
+        assert p.derivative(v) == from_ring(f.diff(gens[v]), p.vars)
+    at = f.subs([(gens[v], R.domain(c.numerator, c.denominator)) for v, c in values.items()]) if values else f
+    assert p.eval_at(values).with_vars(p.vars) == from_ring(at, p.vars)
+    assert p.eval_at(values).vars == tuple(v for v in p.vars if v not in values)
+    assert MPoly.parse(p.text(), p.vars) == p
+    # text lists the terms in descending order, as sympy's terms() does
+    order = [next(iter(MPoly.parse(chunk, p.vars).terms)) for chunk in p.text().split(" + ")] if p else []
+    assert order == [tuple(reversed(m[:-1])) for m in f.monoms()]
+
+
+@pytest.fixture(scope="module")
+def kernel_strategies():
+    pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coeffs = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4))
+
+    def operands(exps, values):
+        @st.composite
+        def draw_operands(draw):
+            vars = XST[:draw(st.integers(0, 3))]
+            polys = st.dictionaries(st.tuples(*[exps] * len(vars)), coeffs, max_size=4).map(
+                lambda terms: MPoly(vars, terms))
+            point = draw(st.dictionaries(st.sampled_from(vars), values, max_size=len(vars))) if vars else {}
+            return vars, draw(polys), draw(polys), point
+        return draw_operands()
+
+    return st, operands
+
+
+def test_packed_keys_match_sympy_at_the_exponent_cap(kernel_strategies):
+    # exponents at the cap: round trips, views and products, where a product
+    # over the cap and a monomial one over it both raise ValueError naming it
+    hypothesis = pytest.importorskip("hypothesis")
+    st, operands = kernel_strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(operands(st.sampled_from([0, 1, 2, CAP - 1, CAP]), st.sampled_from([-1, 0, 1])))
+    # a product that lands on the cap, and one that passes it
+    @hypothesis.example((XST, poly("x^2147483646*t^2-s", XST), poly("3/2*x-s^2147483646", XST), {"t": -1}))
+    @hypothesis.example((XST[:1], poly("x^2147483647", XST[:1]), poly("x", XST[:1]), {}))
+    def check(operands):
+        vars, a, b, point = operands
+        R = sympy_ring(vars)
+        for p in (a, b):
+            assert_views_match_ring(p, R, point)
+        if a and b and any(a.degree(v) + b.degree(v) > CAP for v in vars):
+            with pytest.raises(ValueError, match=str(CAP)):
+                a * b
+        else:
+            assert a * b == from_ring(to_ring(a, R) * to_ring(b, R), vars)
+        for i in range(len(vars)):
+            with pytest.raises(ValueError, match=str(CAP)):
+                MPoly(vars, {tuple(CAP + (j == i) for j in range(len(vars))): 1})
+
+    check()
+
+
+def test_kernel_matches_sympy_in_packed_keys(kernel_strategies):
+    # small exponents: both product paths, gcd, coefficients in a variable and
+    # the views, with rational substitution values
+    hypothesis = pytest.importorskip("hypothesis")
+    st, operands = kernel_strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(operands(st.integers(0, 3), st.fractions(-3, 3, max_denominator=3)),
+                      st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-4, 4), max_size=3))
+    def check(operands, shared):
+        vars, a, b, point = operands
+        R = sympy_ring(vars)
+        g = MPoly(vars, {e[:len(vars)]: c for e, c in shared.items()})
+        for p in (a, b, g):
+            assert_views_match_ring(p, R, point)
+        prod = from_ring(to_ring(a, R) * to_ring(b, R), vars)
+        assert a * b == prod
+        if a and b and all(isinstance(c, int) for c in [*a.terms.values(), *b.terms.values()]):
+            assert a._mul_packed(b) == prod
+        fa, fb = a * g, b * g
+        ref = from_ring(to_ring(fa, R).gcd(to_ring(fb, R)), vars).primitive_part()
+        assert mpoly_gcd(fa, fb) == ref
+        gens = dict(zip(reversed(vars), R.gens))
+        for v in vars:
+            f = to_ring(a, R)
+            assert a.coeffs_in(v) == [from_ring(f.coeff_wrt(gens[v], k), vars) for k in range(a.degree(v) + 1)]
+
+    check()
+
+
 # -- multiplication and division internals -----------------------------------------
 
 

@@ -88,6 +88,17 @@ def test_count_table_matches_recursive_oracle_on_random_sets():
     check()
 
 
+@pytest.mark.parametrize("dirs", [DirectionSet(((2, 1, 1), (0, 1, 0), (1, 0, 2)), name="window-2"),
+                                  DirectionSet(QUEEN.directions, repeat=False, name="plain-queen")],
+                         ids=["window-2", "repeat-false"])
+def test_diagonal_sequence_matches_the_count_table(dirs):
+    # diagonal_sequence keeps only the planes the DP still reads: (2, 1, 1)
+    # reads two planes back, and repeat=False has no running sums
+    table = count_paths(dirs, (9, 9, 9))
+    assert diagonal_sequence(dirs, 9).terms == [table[(n, n, n)] for n in range(10)]
+    assert any(diagonal_sequence(dirs, 9).terms[1:])
+
+
 def test_origin_counts_one():
     assert count_paths(ROOK, (0, 0, 0))[(0, 0, 0)] == 1
 

@@ -281,13 +281,6 @@ class MPoly:
         a, b = self.packed, other.packed
         if not a or not b:
             return MPoly.zero(self.vars)
-        work = len(a) * len(b)
-        if work > 256 and all(isinstance(c, int) for c in chain(a.values(), b.values())):
-            box = 1
-            for v in self.vars:
-                box *= self.degree(v) + other.degree(v) + 1
-            if box <= 2 * work:  # dense enough that the box walk pays off
-                return self._mul_packed(other)
         if len(a) > len(b):
             a, b = b, a
         out: dict[int, Coeff] = {}
@@ -301,67 +294,6 @@ class MPoly:
         return MPoly._of(self.vars, _nonzero(out))
 
     __rmul__ = __mul__
-
-    def _mul_packed(self, other: MPoly) -> MPoly:
-        """Kronecker-packed product via one native bigint multiplication.
-
-        Both operands must have integer coefficients.  Exponents flatten to a
-        mixed-radix index over the product degree box; each convolution
-        coefficient fits a byte-aligned field, so packing and unpacking are
-        linear byte-array passes and the multiply itself is Python's
-        subquadratic bigint product.  Operands split into positive and
-        negative parts so fields never interact while packing.
-        """
-        nv = len(self.vars)
-        dims = [self.degree(v) + other.degree(v) + 1 for v in self.vars]
-        if max(dims, default=1) > EXPONENT_CAP + 1:
-            raise _cap_error("a product")
-        strides = [1] * nv
-        for i in range(nv - 2, -1, -1):
-            strides[i] = strides[i + 1] * dims[i + 1]
-        total = strides[0] * dims[0] if nv else 1
-        max_a = max(abs(c) for c in self.packed.values())
-        max_b = max(abs(c) for c in other.packed.values())
-        pairs = min(len(self.packed), len(other.packed))
-        nbytes = ((pairs * max_a * max_b).bit_length() + 2 + 7) // 8
-        width = nbytes * 8
-        shifts = range(0, FIELD_BITS * nv, FIELD_BITS)
-
-        def pack(terms) -> int:
-            pos = bytearray(total * nbytes)
-            neg = bytearray(total * nbytes)
-            for k, c in terms.items():
-                slot = sum((k >> s & _MASK) * st for s, st in zip(shifts, strides)) * nbytes
-                buf, val = (pos, c) if c > 0 else (neg, -c)
-                buf[slot:slot + nbytes] = val.to_bytes(nbytes, "little")
-            return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-        prod = pack(self.packed) * pack(other.packed)
-        sign = 1
-        if prod < 0:
-            sign = -1
-            prod = -prod
-        data = prod.to_bytes(total * nbytes + nbytes, "little")
-        half = 1 << (width - 1)
-        modulus = 1 << width
-        weights = [_weight(i, nv) for i in range(nv)]
-        out: dict[int, Coeff] = {}
-        carry = 0
-        for idx in range(total):
-            raw = int.from_bytes(data[idx * nbytes:(idx + 1) * nbytes], "little") + carry
-            if raw >= half:
-                digit = raw - modulus
-                carry = 1
-            else:
-                digit = raw
-                carry = 0
-            if digit:
-                rem, key = idx, 0
-                for st, w in zip(strides, weights):
-                    e, rem = divmod(rem, st)
-                    key += e * w
-                out[key] = sign * digit
-        return MPoly._of(self.vars, out)
 
     def __pow__(self, k: int) -> MPoly:
         if k < 0:

@@ -202,11 +202,16 @@ class RatFun:
 
     @staticmethod
     def parse(text: str, vars: Sequence[str]) -> RatFun:
+        return RatFun(*RatFun.parse_sides(text, vars))
+
+    @staticmethod
+    def parse_sides(text: str, vars: Sequence[str]) -> tuple[MPoly, MPoly]:
+        """The numerator and denominator as written, before any gcd reduces them."""
         text = text.strip()
         if text.startswith("(") and ")/(" in text and text.endswith(")"):
             ntext, _, dtext = text[1:-1].partition(")/(")
-            return RatFun(MPoly.parse(ntext, vars), MPoly.parse(dtext, vars))
-        return RatFun(MPoly.parse(text, vars))
+            return MPoly.parse(ntext, vars), MPoly.parse(dtext, vars)
+        return MPoly.parse(text, vars), MPoly.const(vars, 1)
 
 
 def _cross_reduce(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:

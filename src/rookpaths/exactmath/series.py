@@ -110,10 +110,8 @@ class PowerSeries:
         o = self._coerce(other)
         n = min(self.order, o.order)
         (a, da), (b, db) = self._cleared(n), o._cleared(n)
-        # dense integer products take MPoly's Kronecker-packed multiplication
-        prod = (_sparse(self.var, a) * _sparse(self.var, b)).terms
         d = da * db
-        return PowerSeries(self.var, [Fraction(prod.get((i,), 0), d) for i in range(n + 1)])
+        return PowerSeries(self.var, [Fraction(c, d) for c in _times(a, _pairs(b))])
 
     __rmul__ = __mul__
 
@@ -163,8 +161,8 @@ class PowerSeries:
         if (0,) in f.num.terms or (0,) not in f.den.terms:
             raise ValueError("composition needs a map f = N/D with N(0) = 0 and D(0) != 0")
         n = self.order
-        num, den = f.num.terms, f.den.terms
-        C, L = self._cleared(n // min(num)[0] if num else 0)
+        num, den = _pairs(_dense(f.num, n)), _pairs(_dense(f.den, n))
+        C, L = self._cleared(n // num[0][0] if num else 0)
         acc = [C[-1]] + [0] * n
         den_power = [1] + [0] * n  # D^(K-k)
         for c in reversed(C[:-1]):
@@ -217,14 +215,15 @@ def _dense(p: MPoly, n: int) -> list[int]:
     return [p.terms.get((i,), 0) for i in range(n + 1)]
 
 
-def _sparse(var: str, a: list[int]) -> MPoly:
-    return MPoly((var,), {(i,): c for i, c in enumerate(a) if c})
+def _pairs(a: list[int]) -> list[tuple[int, int]]:
+    """The (exponent, coefficient) pairs of the nonzero entries of a, lowest first."""
+    return [(e, c) for e, c in enumerate(a) if c]
 
 
-def _times(a: list[int], factor: dict[tuple[int], int]) -> list[int]:
-    """a * factor mod x^len(a), for the terms {(e,): c} of a short polynomial."""
+def _times(a: list[int], factor: list[tuple[int, int]]) -> list[int]:
+    """a * factor mod x^len(a), for the (exponent, coefficient) pairs of a polynomial."""
     out = [0] * len(a)
-    for (e,), c in factor.items():
+    for e, c in factor:
         out[e:] = [o + c * x for o, x in zip(out[e:], a)]
     return out
 

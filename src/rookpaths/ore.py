@@ -26,6 +26,20 @@ from .walks import SeqTable
 
 N_VARS = ("n",)
 
+# Caps on operators read from files, far above every operator and certificate the
+# pipeline writes (order 4, degree 16); verify-cert at both caps takes seconds.
+ORDER_CAP = 12
+DEGREE_CAP = 256
+
+
+def check_input_caps(field: str, polys: Sequence[MPoly], order: int = 0) -> None:
+    """Reject a file's field whose operator order or polynomial degree passes its cap."""
+    if order > ORDER_CAP:
+        raise ValueError(f"{field}: operator order {order} is over the input cap of {ORDER_CAP}")
+    degree = max((p.total_degree() for p in polys), default=0)
+    if degree > DEGREE_CAP:
+        raise ValueError(f"{field}: polynomial degree {degree} is over the input cap of {DEGREE_CAP}")
+
 
 class InsufficientTermsError(ValueError):
     """Raised when a guessing ansatz would be underdetermined."""
@@ -288,7 +302,10 @@ class DiffOp:
         try:
             cvars = tuple(data["vars"])
             dvars = tuple(data["dvars"])
-            terms = {tuple(t["exp"]): RatFun.parse(t["coeff"], cvars) for t in data["terms"]}
+            sides = {tuple(t["exp"]): RatFun.parse_sides(t["coeff"], cvars) for t in data["terms"]}
+            check_input_caps("terms", [p for pair in sides.values() for p in pair],
+                             max(map(sum, sides), default=0))
+            terms = {e: RatFun(*pair) for e, pair in sides.items()}
         except (KeyError, TypeError, IndexError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed operator JSON: {type(exc).__name__}: {exc}") from None
         return DiffOp(cvars, dvars, terms)
@@ -457,7 +474,9 @@ class RecOp:
             terms = {t["exp"][0]: MPoly.parse(t["coeff"], N_VARS) for t in data["terms"]}
         except (KeyError, TypeError, IndexError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed recurrence JSON: {type(exc).__name__}: {exc}") from None
-        return RecOp(terms)
+        op = RecOp(terms)
+        check_input_caps("terms", list(op.terms.values()), op.order())
+        return op
 
 
 def _shift_n(p: MPoly, delta: int) -> MPoly:

@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .exactmath import (MPoly, RatFun, clear_denominators, frac_gcd, linear_nullspace, monomial_key,
                         mpoly_gcd)
-from .ore import DiffOp, _derivative_from_cache
+from .ore import DiffOp, _derivative_from_cache, check_input_caps
 
 XST = ("x", "s", "t")
 
@@ -492,14 +492,17 @@ class Certificate:
     @staticmethod
     def from_json_dict(data: dict) -> "Certificate":
         try:
+            sides = {name: RatFun.parse_sides(data[name], XST) for name in ("S", "T")}
+            for name, pair in sides.items():
+                check_input_caps(name, pair)
             return Certificate(
                 P=DiffOp.from_json_dict(data["P"]),
-                S=RatFun.parse(data["S"], XST),
-                T=RatFun.parse(data["T"], XST),
+                S=RatFun(*sides["S"]),
+                T=RatFun(*sides["T"]),
                 verified=bool(data.get("verified", False)),
                 stage_log=list(data.get("stage_log", [])),
             )
-        except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        except (KeyError, TypeError, IndexError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed certificate JSON: {type(exc).__name__}: {exc}") from None
 
 

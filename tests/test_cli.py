@@ -195,7 +195,8 @@ MUST_NAME = {"rec-unroll-initial-wrong-variable": "terms", "rec-unroll-negative-
              "asymptotics-small-n": "--n", "rook-terms-negative-n": "--n", "queen-terms-negative-n": "--n",
              "diag-negative-n": "--n", "guess-rec-zero-n": "--n",
              "rec-unroll-zero-denominator": "malformed recurrence JSON",
-             "ode-to-rec-zero-denominator": "malformed operator JSON"}
+             "ode-to-rec-zero-denominator": "malformed operator JSON",
+             "verify-cert-zero-denominator": "malformed certificate JSON"}
 TRUNCATED = '{"vars": ["x"], "dvars": ["x"], "terms": [{"exp": [2], "co'
 # nested past the parser's recursion limit; the message names the file
 DEEP = "[" * 100_000 + "]" * 100_000
@@ -241,6 +242,7 @@ MUST_NAME.update({f"{name}-deep": "bad.json" for name in INPUT_PATHS})
     (["guess-rec", "--n", "0", "--order", "3", "--degree", "4"], None),
     (["rec-unroll", "--n", "10", "--input", "BAD"], {"terms": [{"exp": [0], "coeff": "1/0"}]}),
     (["ode-to-rec", "--input", "BAD"], op_json((1, "1/0"))),
+    (["verify-cert", "--input", "BAD"], {"P": op_json((1, "1")), "S": "(1)/(0)", "T": "0"}),
 ] + [(args, TRUNCATED) for args, _ in INPUT_PATHS.values()]
   + [(args, payload) for args, payload in INPUT_PATHS.values()]
   + [(args, DEEP) for args, _ in INPUT_PATHS.values()],
@@ -256,7 +258,7 @@ MUST_NAME.update({f"{name}-deep": "bad.json" for name in INPUT_PATHS})
          "asymptotics-negative-tolerance", "asymptotics-zero-tolerance",
          "asymptotics-zero-denominator-tolerance", "asymptotics-text-tolerance", "asymptotics-small-n",
          "rook-terms-negative-n", "queen-terms-negative-n", "diag-negative-n", "guess-rec-zero-n",
-         "rec-unroll-zero-denominator", "ode-to-rec-zero-denominator"]
+         "rec-unroll-zero-denominator", "ode-to-rec-zero-denominator", "verify-cert-zero-denominator"]
     + [f"{name}-truncated" for name in INPUT_PATHS] + [f"{name}-wrong-variable" for name in INPUT_PATHS]
     + [f"{name}-deep" for name in INPUT_PATHS])
 def test_malformed_input_exits_two(tmp_path, request, args, payload):
@@ -272,6 +274,54 @@ def test_malformed_input_exits_two(tmp_path, request, args, payload):
     assert "Traceback" not in result.stderr
     assert len(result.stderr.strip().splitlines()) == 1
     assert MUST_NAME.get(request.node.callspec.id, "") in result.stderr
+
+
+class WorkStarted(Exception):
+    pass
+
+
+def _start_work(*args, **kwargs):
+    raise WorkStarted
+
+
+def _cap_cases(order, degree):
+    """One file per capped field, with the operator order and the polynomial degree given."""
+    rec = {"terms": [{"exp": [0], "coeff": f"1*n^{degree} + 1"}, {"exp": [order], "coeff": "1"}]}
+    return {
+        "ode-to-rec": (["ode-to-rec"], op_json((order, f"1*x^{degree}"), (0, "1")), "terms"),
+        # a denominator is read before any gcd reduces it
+        "local-exponents": (["local-exponents"], op_json((2, f"(1)/(1*x^{degree} + 1)"), (0, "1")), "terms"),
+        "rec-unroll": (["rec-unroll", "--n", "20"], rec, "terms"),
+        "verify-cert-P": (["verify-cert"], {"P": op_json((order, f"1*x^{degree}")), "S": "0", "T": "0"}, "terms"),
+        "verify-cert-S": (["verify-cert"], {"P": op_json((1, "1")), "S": f"1*x^{degree}", "T": "0"}, "S"),
+        "verify-cert-T": (["verify-cert"],
+                          {"P": op_json((1, "1")), "S": "0", "T": f"(1)/(1*s^{degree - 1}*t^1 + 1)"}, "T"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_cap_cases(1, 1)))
+def test_operator_files_are_capped_before_any_work(tmp_path, capsys, monkeypatch, name):
+    # an input at both caps reaches the work; one over a cap exits 2 with one
+    # line naming the field and the cap, and no work starts
+    from rookpaths import cli
+    from rookpaths.ore import DEGREE_CAP, ORDER_CAP
+    for work in ("verify_key_equation", "diffop_to_rec", "local_exponents", "rec_unroll"):
+        monkeypatch.setattr(cli, work, _start_work)
+    bad = tmp_path / "bad.json"
+    args, payload, field = _cap_cases(ORDER_CAP, DEGREE_CAP)[name]
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(WorkStarted):
+        run_cli(args + ["--input", str(bad)], tmp_path)
+    over = [_cap_cases(ORDER_CAP, DEGREE_CAP + 1)]
+    if field == "terms" and name != "local-exponents":
+        over.append(_cap_cases(ORDER_CAP + 1, DEGREE_CAP))
+    for cases, cap in zip(over, (DEGREE_CAP, ORDER_CAP)):
+        args, payload, field = cases[name]
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli(args + ["--input", str(bad)], tmp_path) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and f"{field}:" in err and f"cap of {cap}" in err, err
 
 
 def test_failing_check_exits_one(tmp_path):

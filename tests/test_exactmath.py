@@ -336,7 +336,7 @@ def test_series_product_matches_schoolbook_convolution():
     # zeros, negatives, denominators up to 10^15 and some numerators scaled by 10^6
     coeffs = st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=10 ** 15).map(
         lambda q: q * 10 ** 6 if q.numerator % 2 else q))
-    # dense operands this long take MPoly's packed product
+    # long dense operands: every coefficient nonzero, numerators up to 53 bits
     dense = [Fraction((-1) ** k * (k * k + 7) ** 5, 3 ** (k % 7)) for k in range(40)]
 
     @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -650,14 +650,19 @@ def test_packed_keys_match_sympy_at_the_exponent_cap(kernel_strategies):
 
 
 def test_kernel_matches_sympy_in_packed_keys(kernel_strategies):
-    # small exponents: both product paths, gcd, coefficients in a variable and
-    # the views, with rational substitution values
+    # small exponents: products, gcd, coefficients in a variable and the
+    # views, with rational substitution values
     hypothesis = pytest.importorskip("hypothesis")
     st, operands = kernel_strategies
+    # dense integer operands in (x, s, t) with 27 * 27 = 729 term pairs
+    cube = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
+    dense_a = MPoly(XST, {e: (-1) ** sum(e) * (10 ** 6 * sum(e) ** 3 + 1) for e in cube})
+    dense_b = MPoly(XST, {e: 7 * e[0] - 5 * e[1] + 3 * e[2] + 11 for e in cube})
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @hypothesis.given(operands(st.integers(0, 3), st.fractions(-3, 3, max_denominator=3)),
                       st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-4, 4), max_size=3))
+    @hypothesis.example((XST, dense_a, dense_b, {"s": Fraction(1, 2)}), {(1, 0, 1): 2, (0, 0, 0): -3})
     def check(operands, shared):
         vars, a, b, point = operands
         R = sympy_ring(vars)
@@ -666,8 +671,6 @@ def test_kernel_matches_sympy_in_packed_keys(kernel_strategies):
             assert_views_match_ring(p, R, point)
         prod = from_ring(to_ring(a, R) * to_ring(b, R), vars)
         assert a * b == prod
-        if a and b and all(isinstance(c, int) for c in [*a.terms.values(), *b.terms.values()]):
-            assert a._mul_packed(b) == prod
         fa, fb = a * g, b * g
         ref = from_ring(to_ring(fa, R).gcd(to_ring(fb, R)), vars).primitive_part()
         assert mpoly_gcd(fa, fb) == ref
@@ -696,7 +699,6 @@ def test_packed_multiplication_matches_schoolbook():
                 e = tuple(i + j for i, j in zip(ea, eb))
                 ref[e] = ref.get(e, 0) + ca * cb
         ref = {e: c for e, c in ref.items() if c}
-        assert a._mul_packed(b).terms == ref
         assert (a * b).terms == ref
 
 

@@ -20,7 +20,8 @@ from .exactmath import RatFun
 from .hypergeom import (HypergeomSpec, SING_POINTS, TRIED_TRIPLES, asymptotics_check, closed_form_check,
                         identity_checks, local_exponents, pullback_search, symbolic_solution_check)
 from .numerics import decimal_str
-from .ore import DiffOp, RecOp, diffop_to_rec, guess_rec, prove_rec_reduction, rec_unroll
+from .ore import (DiffOp, NonIntegerTermError, RecOp, SingularRecurrenceError, diffop_to_rec, guess_rec,
+                  prove_rec_reduction, rec_unroll)
 # stage_a_search is not called here; it stays imported because the benchmark's
 # wrapper check (perfbench/tests) expects every stage function at this site.
 from .telescope import (Certificate, lipshitz_bounds, stage_a_pair, stage_a_search,  # noqa: F401
@@ -204,7 +205,14 @@ def _cmd_rec_unroll(args, out: Path) -> bool:
     _at_least(args.n, 0, "--n")
     rec = RecOp.from_json_dict(_read_json(args.input)[0]) if args.input else rookdata.recurrence_order3()
     initial = _load_seq(args.initial, 2)
-    seq = rec_unroll(rec, initial, args.n)
+    try:
+        seq = rec_unroll(rec, initial, args.n)
+    except (SingularRecurrenceError, NonIntegerTermError) as exc:
+        files = [f for f in (args.input, args.initial) if f]
+        if not files:
+            raise  # the built-in recurrence and terms: a transcription bug
+        what = "leading coefficient vanishes" if isinstance(exc, SingularRecurrenceError) else "non-integer term"
+        raise ValueError(f"{' with '.join(files)}: unrolling stops, {what} at n={exc.index}") from None
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # the terms may pass the digit limit; input parsing keeps it
     try:
@@ -399,11 +407,10 @@ def _cmd_prove_all(args, out: Path) -> bool:
         checks.append((name, ok))
         print(f"[{'PASS' if ok else 'FAIL'}] {name}")
 
-    rook9 = diagonal_sequence(ROOK, 8)
-    record("rook diagonal terms (DP)", rook9.terms == [
+    dp40 = diagonal_sequence(ROOK, 40)
+    record("rook diagonal terms (DP)", dp40.terms[:9] == [
         1, 6, 222, 9918, 486924, 25267236, 1359631776, 75059524392, 4223303759148])
-    queen8 = diagonal_sequence(QUEEN, 7)
-    record("queen diagonal terms (DP)", queen8.terms == [
+    record("queen diagonal terms (DP)", diagonal_sequence(QUEEN, 7).terms == [
         1, 13, 638, 41476, 3015296, 232878412, 18691183682, 1540840801552])
 
     F = rookdata.embedded_f()
@@ -423,7 +430,6 @@ def _cmd_prove_all(args, out: Path) -> bool:
     rec = diffop_to_rec(result[0])
     record("telescoper recurrence matches the order-4 form",
            rec == rookdata.recurrence_order4().normalized())
-    dp40 = diagonal_sequence(ROOK, 40)
     unrolled = rec_unroll(rec, SeqTable("rook", dp40.terms[:4], "dp"), 40)
     record("order-4 recurrence reproduces DP terms to n=40", unrolled.terms == dp40.terms)
 
@@ -431,7 +437,7 @@ def _cmd_prove_all(args, out: Path) -> bool:
     record("order-3 recurrence guessed from 25 terms",
            len(guessed) == 1 and guessed[0] == rookdata.recurrence_order3().normalized())
     red = prove_rec_reduction(rookdata.recurrence_order4(), rookdata.recurrence_order3(),
-                              rookdata.reduction_multiplier(), rookdata.reduction_cofactor())
+                              rookdata.reduction_multiplier(), rookdata.reduction_cofactor(), dp40)
     record("order reduction proof", red.passed)
 
     spec = HypergeomSpec(*rookdata.closed_form_parameters())

@@ -4,7 +4,7 @@ truncated power series, and fraction-free linear algebra."""
 from .mpoly import MPoly, frac_gcd, monomial_key, mpoly_gcd, mpoly_lcm, poly, resultant
 from .ratfun import RatFun, ratfun
 from .series import PowerSeries
-from .linalg import clear_denominators, linear_nullspace
+from .linalg import clear_denominators, linear_nullspace, strip_content
 
 __all__ = [
     "MPoly",
@@ -19,4 +19,5 @@ __all__ = [
     "PowerSeries",
     "clear_denominators",
     "linear_nullspace",
+    "strip_content",
 ]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .mpoly import MPoly, frac_gcd, mpoly_gcd, mpoly_lcm
@@ -45,7 +45,7 @@ def linear_nullspace(matrix: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
             raise ValueError("mixed variable tuples in matrix")
     if vars:
         return _kernel([{j: p for j, p in enumerate(row) if p} for row in matrix], ncols,
-                       MPoly.const(vars, 1), mpoly_gcd, MPoly.divide_exact, _strip_content,
+                       MPoly.const(vars, 1), mpoly_gcd, MPoly.divide_exact, strip_content,
                        lambda e: (len(e.terms), e.total_degree()), MPoly.leading_coeff)
     return [[MPoly.const((), c) for c in vec]
             for vec in _kernel([_integer_row(row) for row in matrix], ncols,
@@ -133,24 +133,23 @@ def _strip_integers(row: dict[int, int]) -> dict[int, int]:
     return row if g == 1 else {j: e // g for j, e in row.items()}
 
 
-def _strip_content(row: dict[int, MPoly]) -> dict[int, MPoly]:
-    entries = list(row.values())
-    g = entries[0]
-    for e in entries[1:]:
+def strip_content(row: dict) -> dict:
+    """Nonzero MPoly values (under any keys) divided by their content: the primitive
+    gcd of the polynomials, then the positive gcd of the rational contents left."""
+    entries = iter(row.values())
+    g = next(entries)
+    for e in entries:
         if g.is_constant():
             break
         g = mpoly_gcd(g, e)
-    if g.is_constant():
-        c = Fraction(0)
-        for e in entries:
-            c = frac_gcd(c, e.rational_content())
-        if c == 1:
-            return row
-        inv = 1 / c
-        return {j: e * inv for j, e in row.items()}
-    g = g.primitive_part()
-    stripped = {j: e.divide_exact(g) for j, e in row.items()}
-    return _strip_content(stripped)
+    if not g.is_constant():
+        g = g.primitive_part()
+        row = {j: e.divide_exact(g) for j, e in row.items()}
+    c = reduce(frac_gcd, (e.rational_content() for e in row.values()))
+    if c == 1:
+        return row
+    inv = 1 / c
+    return {j: e * inv for j, e in row.items()}
 
 
 def clear_denominators(entries: Sequence[RatFun], vars: tuple[str, ...]) -> list[MPoly]:

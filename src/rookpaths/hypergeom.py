@@ -116,8 +116,8 @@ def local_exponents(L: DiffOp) -> SingularityReport:
     roots, rest = _rational_roots(cleared.coeff((2,)).as_mpoly())
     if not rest.is_constant():
         raise HypergeomError(
-            "leading coefficient has a non-rational factor; singular-point "
-            f"analysis over Q cannot continue: {rest.text()}")
+            f"leading coefficient has a non-rational factor of degree {rest.total_degree()}; "
+            "singular-point analysis over Q cannot continue")
     points = [_classify_point(cleared, root) for root, _mult in roots]
     points.append(_classify_point(cleared, "inf"))
     points.sort(key=lambda p: (isinstance(p.location, str), p.location if not isinstance(p.location, str) else 0))
@@ -474,14 +474,16 @@ def closed_form_check(n_max: int) -> CheckReport:
     """Coefficient n of the closed form equals (n+1) a_{n+1} for n < n_max."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    terms = diagonal_sequence(ROOK, n_max + 1)
-    rhs = closed_form_series(n_max + 1)
-    for n in range(n_max):
-        expected = Fraction((n + 1) * terms[n + 1])
-        if rhs.coeff(n) != expected:
-            return CheckReport("closed-form", False,
-                               f"coefficient mismatch at n={n}", n_max)
-    return CheckReport("closed-form", True, "matches the derivative of the diagonal series", n_max)
+    n = _derivative_mismatch(closed_form_series(n_max + 1), n_max)
+    detail = "matches the derivative of the diagonal series" if n is None else f"coefficient mismatch at n={n}"
+    return CheckReport("closed-form", n is None, detail, n_max)
+
+
+def _derivative_mismatch(series: PowerSeries, count: int) -> int | None:
+    """The first n < count where coefficient n of the series is not (n+1) a_(n+1),
+    the derivative of the rook diagonal; None when they all agree."""
+    terms = diagonal_sequence(ROOK, count)
+    return next((n for n in range(count) if series.coeff(n) != (n + 1) * terms[n + 1]), None)
 
 
 def f21_at_one(spec: HypergeomSpec) -> Fraction:
@@ -607,9 +609,6 @@ def _alternative_form_check(order: int) -> CheckReport:
     pre = PowerSeries.from_ratfun(ratfun("(1-x)/(2*(1+6*x))", X), "x", work)
     lever = PowerSeries.from_ratfun(ratfun("1-4*x", X), "x", work)
     rhs = pre * (lever * H.derivative() - 4 * H)
-    terms = diagonal_sequence(ROOK, order + 2)
-    for n in range(order + 1):
-        if rhs.coeff(n) != Fraction((n + 1) * terms[n + 1]):
-            return CheckReport("alternative-form", False, f"mismatch at n={n}", order)
-    return CheckReport("alternative-form", True,
-                       "matches the derivative of the diagonal series", order)
+    n = _derivative_mismatch(rhs, order + 1)
+    detail = "matches the derivative of the diagonal series" if n is None else f"mismatch at n={n}"
+    return CheckReport("alternative-form", n is None, detail, order)

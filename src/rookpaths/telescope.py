@@ -21,9 +21,9 @@ the cleared equations into rows for its degree bounds.  The system is also
 frozen once at two rational values of the passive variables, and each degree
 level is first screened on the frozen copies, whose kernels are computed on
 integers; the exact solve is always the decider and everything returned
-re-verifies.  Stage A then strips the operator block's polynomial content
-and fixes the remaining gauge phi -> phi - lambda(x, s)/F, so the
-certificates come out in a canonical form.
+re-verifies.  One content strip (exactmath.strip_content) serves the nullspace,
+DiffOp.normalized and both stages' operator blocks, whose certificate side is
+divided by the factor removed; stage A then fixes the gauge phi -> phi - lambda(x, s)/F.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import (MPoly, RatFun, clear_denominators, frac_gcd, linear_nullspace, monomial_key,
-                        mpoly_gcd)
+from .exactmath import MPoly, RatFun, clear_denominators, linear_nullspace, monomial_key, mpoly_gcd
 from .ore import DiffOp, _derivative_from_cache, check_input_caps
 
 XST = ("x", "s", "t")
@@ -555,12 +554,11 @@ def stage_a_search(F: RatFun, total_order: int, ansatz: Ansatz | None = None) ->
     """Operators sum eta_e d^e (support e) with P(F) = d/dt(phi F).
 
     Default support is every d_x^i d_s^j with i+j <= total_order; an explicit
-    ansatz restricts the support.  The operator block is freed of its
-    polynomial content and phi of the gauge term lambda(x, s)/F that cancels
-    a pole of phi; results are then scaled so the operator block has integer
-    content 1 and the designated (highest-support) coefficient a positive
-    leading coefficient.  Every certificate is re-verified before being
-    returned.
+    ansatz restricts the support.  The operator block is brought to content 1
+    with its highest-support coefficient positive (_canonical_block), phi is
+    divided by the factor removed and freed of the gauge term lambda(x, s)/F
+    that cancels a pole of phi.  Every certificate is re-verified before
+    being returned.
     """
     if total_order < 0:
         raise ValueError("total order must be >= 0")
@@ -586,19 +584,26 @@ def stage_a_pair(F: RatFun) -> list[StageACertificate]:
 
 def _stage_a_solution_to_cert(sol: ParamSolution, support: tuple[tuple[int, int], ...],
                               F: RatFun) -> StageACertificate:
-    content = MPoly.zero(sol.e[0].vars)
-    for p in sol.e:
-        content = mpoly_gcd(content, p)
-    eta_block = [p.divide_exact(content) for p in sol.e]
-    phi = _fix_gauge(sol.y[0] / RatFun(content.with_vars(F.vars)), F)
-    scale = _operator_block_scale(eta_block, support)
-    op = DiffOp(("x", "s"), ("x", "s"),
-                {e: RatFun(p.with_vars(("x", "s")) * scale)
-                 for e, p in zip(support, eta_block)})
-    cert = StageACertificate(operator=op, phi=phi * scale)
+    op, g = _canonical_block(sol, support, ("x", "s"))
+    cert = StageACertificate(operator=op, phi=_fix_gauge(_divided(sol.y[0], g), F))
     if not cert.verify(F):
         raise TelescopeError("stage A produced a certificate that fails its identity")
     return cert
+
+
+def _canonical_block(sol: ParamSolution, support: Sequence[tuple[int, ...]],
+                     vars: tuple[str, ...]) -> tuple[DiffOp, MPoly]:
+    """The block sum e_i d^support_i over vars as DiffOp.normalized makes it (content 1,
+    top coefficient positive) and the factor g = old/new removed from it."""
+    op = DiffOp(vars, vars, {e: RatFun(p.with_vars(vars), _reduced=True)
+                             for e, p in zip(support, sol.e)}).normalized()
+    top = max(op.terms, key=monomial_key)
+    return op, sol.e[support.index(top)].with_vars(vars).divide_exact(op.terms[top].num)
+
+
+def _divided(y: RatFun, g: MPoly) -> RatFun:
+    """y / g, with a constant g applied as a Fraction."""
+    return y * (1 / g.constant_value()) if g.is_constant() else y / RatFun(g.with_vars(y.vars))
 
 
 def _fix_gauge(phi: RatFun, F: RatFun) -> RatFun:
@@ -623,18 +628,6 @@ def _fix_gauge(phi: RatFun, F: RatFun) -> RatFun:
         if shifted.den.degree("t") < phi.den.degree("t"):
             return shifted
     return phi
-
-
-def _operator_block_scale(block: Sequence[MPoly], support: Sequence[tuple[int, ...]]) -> Fraction:
-    content = Fraction(0)
-    for p in block:
-        if not p.is_zero():
-            content = frac_gcd(content, p.rational_content())
-    designated = max(range(len(support)), key=lambda i: monomial_key(tuple(support[i])))
-    probe = block[designated]
-    if probe.is_zero():
-        probe = next((p for p in reversed(block) if not p.is_zero()), probe)
-    return Fraction(-1 if probe.leading_coeff() < 0 else 1) / content
 
 
 # ---------------------------------------------------------------------------
@@ -684,10 +677,8 @@ def stage_b_search(P1: DiffOp, P2: DiffOp, d: int) -> tuple[DiffOp, DiffOp] | No
 
 
 def _stage_b_solution_to_ops(sol: ParamSolution, d: int) -> tuple[DiffOp, DiffOp]:
-    support = [(i,) for i in range(d + 1)]
-    scale = _operator_block_scale(sol.e, support)
-    P = DiffOp(("x",), ("x",), {(i,): RatFun(p * scale) for (i,), p in zip(support, sol.e)})
-    Q = DiffOp(("x", "s"), ("x", "s"), {(0, 0): sol.y[0] * scale, (1, 0): sol.y[1] * scale})
+    P, g = _canonical_block(sol, [(i,) for i in range(d + 1)], ("x",))
+    Q = DiffOp(("x", "s"), ("x", "s"), {(0, 0): _divided(sol.y[0], g), (1, 0): _divided(sol.y[1], g)})
     return (P, Q)
 
 

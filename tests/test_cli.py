@@ -12,6 +12,14 @@ import pytest
 from rookpaths.cli import main
 
 CERTIFICATE_SHA256 = "27e7212f5b006ccd5fc81d474add7f943418901cd27799000822e2aa696aa422"
+STAGE_SHA256 = {
+    "stage-a-operator-1.json": "4486f641c83238c9c1a5057904182f3847b9eb34166459a6a752b1cdbcd4b471",
+    "stage-a-operator-2.json": "0cb032ce1592fd177d8e33ed055b8cf5cec2632d278911095bed8ee79d4893ea",
+    "stage-a-phi-1.txt": "d3b12242a75a9faa390d268c211664b3873165c4db8e527547f76489c3aa663d",
+    "stage-a-phi-2.txt": "3b1ba46947216168b6aa1169fbfabc4a2f11c9a1a7ecceb1cdce49140f3a73a9",
+    "stage-b-P.json": "3524900543eb05cd6ea11cba9cc2e4692393c8442e3e9e91600077fa48ec1302",
+    "stage-b-Q.json": "3177fa03de625c11d0c32d4b0685a173dc2d3c44bfe9d7aa449ef5137bbcac67",
+}
 
 
 def run_cli(args, out):
@@ -78,17 +86,38 @@ def test_over_limit_sequence_term_is_named_not_quoted(tmp_path):
 
 
 def test_prove_all_is_byte_identical_across_hash_seeds(tmp_path):
-    # two processes with different string hashing must write the same bytes
+    # two processes with different string hashing must write the same bytes, for
+    # prove-all and for telescope, whose stage artifacts are pinned as well
     outputs = []
     for seed in ("0", "1"):
-        out = tmp_path / f"seed{seed}"
-        result = subprocess.run([sys.executable, "-m", "rookpaths.cli", "--out", str(out), "prove-all"],
-                                capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
-        assert result.returncode == 0, result.stderr
-        outputs.append((result.stdout,
-                        {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        runs = {}
+        for command in ("prove-all", "telescope"):
+            out = tmp_path / f"seed{seed}-{command}"
+            result = subprocess.run([sys.executable, "-m", "rookpaths.cli", "--out", str(out), command],
+                                    capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
+            assert result.returncode == 0, result.stderr
+            runs[command] = (result.stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        outputs.append(runs)
     assert outputs[0] == outputs[1]
-    assert hashlib.sha256(outputs[0][1]["certificate.json"]).hexdigest() == CERTIFICATE_SHA256
+    assert hashlib.sha256(outputs[0]["prove-all"][1]["certificate.json"]).hexdigest() == CERTIFICATE_SHA256
+    artifacts = outputs[0]["telescope"][1]
+    assert {name: hashlib.sha256(artifacts[name]).hexdigest() for name in STAGE_SHA256} == STAGE_SHA256
+
+
+def test_prove_all_computes_the_diagonal_five_times(tmp_path, monkeypatch, capsys):
+    # the pinned rook terms are a prefix of the n = 40 table, which also serves
+    # the order reduction's base cases; the other tables are the queen's and the
+    # closed-form, identity and asymptotics checks' own, each to the last term read
+    from rookpaths import cli, hypergeom, walks
+    sizes, dp = [], walks.diagonal_sequence
+
+    def counted(model, n):
+        sizes.append(n)
+        return dp(model, n)
+    for module in (cli, hypergeom, walks):
+        monkeypatch.setattr(module, "diagonal_sequence", counted)
+    assert run_cli(["prove-all"], tmp_path) == 0
+    assert sorted(sizes) == [2, 7, 26, 30, 40]
 
 
 def test_ode_to_rec(tmp_path, capsys):
@@ -334,3 +363,32 @@ def test_diag_queen_model(tmp_path):
     data = json.loads((tmp_path / "queen-diag-series.json").read_text())
     assert data["terms"][:3] == ["1", "13", "638"]
     assert data["provenance"] == "series"
+
+
+@pytest.mark.parametrize("flag, values, n", [
+    ("--input", ["1*n^1 + -5", "1"], 5),
+    ("--input", ["2", "1"], 4),
+    ("--initial", ["1", "1", "1"], 3),
+], ids=["singular", "non-integer", "initial-terms"])
+def test_unusable_recurrence_file_exits_two(tmp_path, capsys, flag, values, n):
+    # a well-formed recurrence (or set of initial terms) that cannot unroll exits 2
+    # with one line naming the file and the index; only the built-in recurrence
+    # and terms keep the transcription-bug wording, as a traceback
+    path = tmp_path / "file.json"
+    if flag == "--input":
+        path.write_text(json.dumps({"terms": [{"exp": [j], "coeff": c} for j, c in enumerate(values)]}))
+    else:
+        path.write_text(json.dumps({"name": "a", "terms": values, "provenance": "dp"}))
+    assert run_cli(["rec-unroll", "--n", "10", flag, str(path)], tmp_path) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and str(path) in err and f"at n={n}" in err, err
+    assert "transcription" not in err
+
+
+def test_non_rational_factor_is_named_by_its_degree(tmp_path, capsys):
+    # the factor's degree, not its text: one short line even at the degree cap
+    bad = tmp_path / "op.json"
+    bad.write_text(json.dumps(op_json((2, "1*x^256 + -2"), (0, "1"))))
+    assert run_cli(["local-exponents", "--input", str(bad)], tmp_path) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "non-rational factor of degree 256;" in err and len(err) < 200, err

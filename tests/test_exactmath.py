@@ -8,7 +8,7 @@ import pytest
 
 from rookpaths import rookdata
 from rookpaths.exactmath import (MPoly, PowerSeries, RatFun, clear_denominators, linear_nullspace,
-                                 mpoly_gcd, poly, ratfun, resultant)
+                                 mpoly_gcd, poly, ratfun, resultant, strip_content)
 from rookpaths.exactmath import mpoly as mpoly_module
 
 X = ("x",)
@@ -472,6 +472,15 @@ def test_nullspace_vectors_are_content_free():
     # a fraction after an entry of content 1 must still be cleared
     m = [[MPoly.const((), v) for v in row] for row in ([1, 0, -1], [0, 2, -1])]
     assert linear_nullspace(m) == [[MPoly.const((), 2), MPoly.const((), 1), MPoly.const((), 2)]]
+
+
+def test_strip_content_divides_out_the_row_content():
+    # under any keys, the polynomial gcd and the rational content go and the signs stay
+    row = {("a", 1): poly("-3/5*(x-2)*x", X), ("b", 2): poly("6/5*(x-2)", X)}
+    assert strip_content(row) == {("a", 1): poly("-x", X), ("b", 2): poly("2", X)}
+    assert strip_content({0: poly("4", X), 1: poly("-6*x", X)}) == {0: poly("2", X), 1: poly("-3*x", X)}
+    stripped = {0: poly("x+1", X), 1: poly("2*x", X)}
+    assert strip_content(stripped) is stripped
 
 
 def test_constant_nullspace_matches_sympy_and_polynomial_path():

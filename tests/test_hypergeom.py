@@ -147,7 +147,7 @@ def test_irregular_singularity_rejected():
 def test_non_rational_leading_factor_rejected():
     # (x^2-2) y'' + y = 0 is singular at +-sqrt(2), which the analysis over Q cannot place
     op = DiffOp(X, X, {(2,): RatFun(poly("x^2-2", X)), (0,): RatFun.from_scalar(1, X)})
-    with pytest.raises(HypergeomError, match=r"non-rational factor.*1\*x\^2 \+ -2"):
+    with pytest.raises(HypergeomError, match=r"non-rational factor of degree 2;"):
         local_exponents(op)
     roots, rest = _rational_roots(poly("x^2*(3*x-1)^2*(x^2-2)", X))
     assert roots == [(Fr(0), 2), (Fr(1, 3), 2)]

@@ -172,6 +172,19 @@ def test_rec_unroll_reports_non_integer_index():
         rec_unroll(rec, SeqTable("t", [1], "dp"), 6)
 
 
+def test_diffop_normalized_strips_polynomial_content_and_fixes_the_sign():
+    # every coefficient shares (x-1) and, once cleared of the denominator x+1,
+    # the factor 2; the top coefficient comes out negative and is flipped
+    op = DiffOp(X, X, {(2,): ratfun("-2*x*(x-1)", X), (1,): ratfun("4*(x-1)", X),
+                       (0,): ratfun("6*(x-1)/(x+1)", X)})
+    expected = DiffOp(X, X, {(2,): ratfun("x^2+x", X), (1,): ratfun("-2*x-2", X),
+                             (0,): ratfun("-3", X)})
+    assert op.normalized() == expected
+    assert expected.normalized() == expected
+    scaled = DiffOp(X, X, {e: c * ratfun("-7/(x+5)", X) for e, c in op.terms.items()})
+    assert scaled.normalized() == expected
+
+
 # -- guessing ----------------------------------------------------------------------
 
 

@@ -629,11 +629,7 @@ def prove_rec_reduction(big: RecOp, small: RecOp, multiplier: MPoly,
         n_hi = small.shift_normalized().order() + 7
         terms = diagonal_sequence(ROOK, n_hi)
     sm = small.shift_normalized()
-    base: dict[int, Fraction] = {}
-    for n, value in sm.apply(terms.terms):
-        if n > sm.order() + 7:
-            break
-        base[n] = value
+    base: dict[int, Fraction] = dict(sm.apply(terms.terms[:sm.order() + 8]))
     base_ok = all(v == 0 for v in base.values())
 
     passed = identity_ok and base_ok

@@ -585,7 +585,7 @@ def stage_a_pair(F: RatFun) -> list[StageACertificate]:
 def _stage_a_solution_to_cert(sol: ParamSolution, support: tuple[tuple[int, int], ...],
                               F: RatFun) -> StageACertificate:
     op, g = _canonical_block(sol, support, ("x", "s"))
-    cert = StageACertificate(operator=op, phi=_fix_gauge(_divided(sol.y[0], g), F))
+    cert = StageACertificate(operator=op, phi=_fix_gauge(sol.y[0] / RatFun(g.with_vars(sol.y[0].vars)), F))
     if not cert.verify(F):
         raise TelescopeError("stage A produced a certificate that fails its identity")
     return cert
@@ -599,11 +599,6 @@ def _canonical_block(sol: ParamSolution, support: Sequence[tuple[int, ...]],
                              for e, p in zip(support, sol.e)}).normalized()
     top = max(op.terms, key=monomial_key)
     return op, sol.e[support.index(top)].with_vars(vars).divide_exact(op.terms[top].num)
-
-
-def _divided(y: RatFun, g: MPoly) -> RatFun:
-    """y / g, with a constant g applied as a Fraction."""
-    return y * (1 / g.constant_value()) if g.is_constant() else y / RatFun(g.with_vars(y.vars))
 
 
 def _fix_gauge(phi: RatFun, F: RatFun) -> RatFun:
@@ -678,7 +673,8 @@ def stage_b_search(P1: DiffOp, P2: DiffOp, d: int) -> tuple[DiffOp, DiffOp] | No
 
 def _stage_b_solution_to_ops(sol: ParamSolution, d: int) -> tuple[DiffOp, DiffOp]:
     P, g = _canonical_block(sol, [(i,) for i in range(d + 1)], ("x",))
-    Q = DiffOp(("x", "s"), ("x", "s"), {(0, 0): _divided(sol.y[0], g), (1, 0): _divided(sol.y[1], g)})
+    phi0, phi1 = (y / RatFun(g.with_vars(y.vars)) for y in sol.y)
+    Q = DiffOp(("x", "s"), ("x", "s"), {(0, 0): phi0, (1, 0): phi1})
     return (P, Q)
 
 

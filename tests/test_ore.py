@@ -227,6 +227,16 @@ def test_reduction_proof_passes():
     assert all(v == 0 for v in report.base_cases.values())
 
 
+def test_reduction_proof_reads_only_the_base_case_prefix():
+    # a longer table gives the same eight base cases; entries past them are never read
+    dp = diagonal_sequence(ROOK, 10).terms
+    report = prove_rec_reduction(rookdata.recurrence_order4(), rookdata.recurrence_order3(),
+                                 rookdata.reduction_multiplier(), rookdata.reduction_cofactor(),
+                                 SeqTable("rook", dp + [None] * 30, "dp"))
+    assert report.passed
+    assert set(report.base_cases) == set(range(3, 11))
+
+
 def test_reduction_proof_identity_case():
     rec = rookdata.recurrence_order3()
     report = prove_rec_reduction(rec, rec, poly("1", N), RecOp({0: 1}))

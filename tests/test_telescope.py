@@ -10,8 +10,9 @@ from rookpaths.diagonal import residue_embedding
 from rookpaths.exactmath import MPoly, RatFun, poly, ratfun
 from rookpaths.ore import DiffOp, diffop_to_rec, rec_unroll
 from rookpaths.telescope import (Ansatz, Certificate, DivisionRemainderError, ParamSolution, ParamSystem,
-                                 _canonical_block, _stage_b_solution_to_ops, lipshitz_bounds, solve_parametrized_system, stage_a_pair, stage_a_search,
-                                 stage_b_search, stage_c_reconstruct, verify_key_equation)
+                                 _stage_b_solution_to_ops, lipshitz_bounds, solve_parametrized_system,
+                                 stage_a_pair, stage_a_search, stage_b_search, stage_c_reconstruct,
+                                 verify_key_equation)
 from rookpaths.walks import ROOK, DirectionSet, SeqTable, diagonal_sequence, step_generating_function
 
 X = ("x",)
@@ -169,17 +170,15 @@ def test_stage_b_rejects_pair_outside_basis(stage_a_certs):
 def test_canonical_block_strips_a_planted_factor(factor):
     # the block carries factor times a primitive block whose top coefficient is
     # positive, with a zero coefficient on the largest support exponent: P comes
-    # out as the primitive block, g as the factor and Q as y/g
+    # out as the primitive block and Q as y/factor
     g = poly(factor, X)
     block = [poly("x^2+1", X), poly("-3*x", X), poly("2", X), MPoly.zero(X)]
     y = [ratfun("(x*s+1)/(s-x)", XS), ratfun("s/(x+3)", XS)]
-    sol = ParamSolution(y=y, e=[g * p for p in block])
-    P, removed = _canonical_block(sol, [(i,) for i in range(4)], X)
+    P, Q = _stage_b_solution_to_ops(ParamSolution(y=y, e=[g * p for p in block]), 3)
     assert P == DiffOp(X, X, {(i,): RatFun(p) for i, p in enumerate(block)})
-    assert removed == g
-    P, Q = _stage_b_solution_to_ops(sol, 3)
     assert P.order() == 2
-    assert Q == DiffOp(XS, XS, {(0, 0): y[0] / RatFun(g.with_vars(XS)), (1, 0): y[1] / RatFun(g.with_vars(XS))})
+    gxs = RatFun(g.with_vars(XS))
+    assert Q == DiffOp(XS, XS, {(0, 0): y[0] / gxs, (1, 0): y[1] / gxs})
 
 
 # -- stage C ------------------------------------------------------------------------

@@ -29,6 +29,9 @@ from .telescope import (Certificate, lipshitz_bounds, stage_a_pair, stage_a_sear
 from .walks import QUEEN, ROOK, SeqTable, diagonal_sequence, queens_dominant_root, step_generating_function
 
 MODELS = {"rook": ROOK, "queen": QUEEN}
+# Caps on the size flags, checked before any work starts. On a 2-CPU Xeon the rook
+# DP to n = 200 takes about 6 s and 50 MB; at n = 2600 it ran out of memory.
+TERMS_CAP, DIAG_CAP, UNROLL_CAP, MAX_DEGREE_CAP = 200, 100, 5000, 16
 
 
 class UsageError(Exception):
@@ -66,15 +69,15 @@ def _build_parser() -> argparse.ArgumentParser:
         return c
 
     c = cmd("rook-terms", _cmd_terms, help="diagonal rook counts from the DP oracle")
-    c.add_argument("--n", type=int, default=8)
+    c.add_argument("--n", type=int, default=8, help=f"last index, at most {TERMS_CAP}")
     c.set_defaults(model="rook")
 
     c = cmd("queen-terms", _cmd_terms, help="diagonal queen counts from the DP oracle")
-    c.add_argument("--n", type=int, default=7)
+    c.add_argument("--n", type=int, default=7, help=f"last index, at most {TERMS_CAP}")
     c.set_defaults(model="queen")
 
     c = cmd("diag", _cmd_diag, help="diagonal by trivariate series expansion")
-    c.add_argument("--n", type=int, default=8)
+    c.add_argument("--n", type=int, default=8, help=f"last index, at most {DIAG_CAP}")
     c.add_argument("--model", choices=MODELS, default="rook")
 
     c = cmd("step-gf", _cmd_step_gf, help="rational step generating function")
@@ -87,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--input", help="SeqTable JSON (default: rook DP terms)")
 
     c = cmd("rec-unroll", _cmd_rec_unroll, help="extend a sequence by a recurrence")
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=int, required=True, help=f"last index, at most {UNROLL_CAP}")
     c.add_argument("--input", help="operator JSON (default: the order-3 recurrence)")
     c.add_argument("--initial", help="SeqTable JSON with initial terms")
 
@@ -108,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, default=30)
 
     c = cmd("pullback-search", _cmd_pullback, help="rational pullback search")
-    c.add_argument("--max-degree", type=int, default=6)
+    c.add_argument("--max-degree", type=int, default=6, help=f"largest map degree, at most {MAX_DEGREE_CAP}")
 
     c = cmd("local-exponents", _cmd_local_exponents, help="singularity analysis")
     c.add_argument("--input", help="operator JSON (default: the closed-form operator)")
@@ -135,9 +138,9 @@ def _dump_json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _at_least(value: int, low: int, flag: str) -> int:
-    if value < low:
-        raise UsageError(f"{flag} must be >= {low}")
+def _in_range(value: int, low: int, flag: str, cap: float = float("inf")) -> int:
+    if not low <= value <= cap:
+        raise UsageError(f"{flag} must be >= {low}" if value < low else f"{flag} must be <= {cap}")
     return value
 
 
@@ -160,7 +163,7 @@ def _load_seq(path: str | None, default_n: int) -> SeqTable:
 
 
 def _cmd_terms(args, out: Path) -> bool:
-    seq = diagonal_sequence(MODELS[args.model], _at_least(args.n, 0, "--n"))
+    seq = diagonal_sequence(MODELS[args.model], _in_range(args.n, 0, "--n", TERMS_CAP))
     _write(out, f"{args.model}-terms.json", seq.to_json())
     print(f"{args.model} diagonal terms a_0..a_{args.n}:")
     print(" ", ", ".join(str(t) for t in seq.terms))
@@ -169,7 +172,7 @@ def _cmd_terms(args, out: Path) -> bool:
 
 def _cmd_diag(args, out: Path) -> bool:
     gf = step_generating_function(MODELS[args.model])
-    seq = expand_diagonal(gf, _at_least(args.n, 0, "--n"), name=f"{args.model}-diagonal")
+    seq = expand_diagonal(gf, _in_range(args.n, 0, "--n", DIAG_CAP), name=f"{args.model}-diagonal")
     _write(out, f"{args.model}-diag-series.json", seq.to_json())
     oracle = diagonal_sequence(MODELS[args.model], args.n)
     ok = seq.terms == oracle.terms
@@ -186,9 +189,9 @@ def _cmd_step_gf(args, out: Path) -> bool:
 
 
 def _cmd_guess_rec(args, out: Path) -> bool:
-    _at_least(args.n, 1, "--n")
-    _at_least(args.order, 0, "--order")
-    _at_least(args.degree, 0, "--degree")
+    _in_range(args.n, 1, "--n")
+    _in_range(args.order, 0, "--order")
+    _in_range(args.degree, 0, "--degree")
     seq = _load_seq(args.input, args.n - 1)
     seq = SeqTable(seq.name, seq.terms[: args.n], seq.provenance)
     found = guess_rec(seq, args.order, args.degree)
@@ -202,7 +205,7 @@ def _cmd_guess_rec(args, out: Path) -> bool:
 
 
 def _cmd_rec_unroll(args, out: Path) -> bool:
-    _at_least(args.n, 0, "--n")
+    _in_range(args.n, 0, "--n", UNROLL_CAP)
     rec = RecOp.from_json_dict(_read_json(args.input)[0]) if args.input else rookdata.recurrence_order3()
     initial = _load_seq(args.initial, 2)
     try:
@@ -240,7 +243,7 @@ def _run_stage_a(F: RatFun):
 
 
 def _cmd_telescope(args, out: Path) -> bool:
-    _at_least(args.degree, 0, "--degree")
+    _in_range(args.degree, 0, "--degree")
     F = rookdata.embedded_f()
     certs = _run_stage_a(F)
     print("stage A: two certificates found and verified")
@@ -286,7 +289,7 @@ def _cmd_prove_reduction(args, out: Path) -> bool:
 
 
 def _cmd_closed_form(args, out: Path) -> bool:
-    series_report = closed_form_check(_at_least(args.n, 0, "--n"))
+    series_report = closed_form_check(_in_range(args.n, 0, "--n"))
     spec = HypergeomSpec(*rookdata.closed_form_parameters())
     symbolic = symbolic_solution_check(rookdata.operator_p2(), rookdata.closed_form_prefactor(),
                                        spec, rookdata.closed_form_pullback())
@@ -301,7 +304,7 @@ def _cmd_closed_form(args, out: Path) -> bool:
 
 
 def _cmd_pullback(args, out: Path) -> bool:
-    _at_least(args.max_degree, 1, "--max-degree")
+    _in_range(args.max_degree, 1, "--max-degree", MAX_DEGREE_CAP)
     candidates = []
     for triple in TRIED_TRIPLES:
         candidates = pullback_search(SING_POINTS, triple, args.max_degree)
@@ -342,7 +345,7 @@ def _cmd_local_exponents(args, out: Path) -> bool:
 
 
 def _cmd_identities(args, out: Path) -> bool:
-    reports = identity_checks(_at_least(args.order, 0, "--order"))
+    reports = identity_checks(_in_range(args.order, 0, "--order"))
     _write(out, "identity-checks.json", _dump_json([r.to_json_dict() for r in reports]))
     ok = True
     for r in reports:
@@ -358,7 +361,7 @@ def _cmd_asymptotics(args, out: Path) -> bool:
         raise UsageError(f"--tolerance must be a rational number, got {args.tolerance!r}") from None
     if tol <= 0:
         raise UsageError("--tolerance must be > 0")
-    report = asymptotics_check(_at_least(args.n, 100, "--n"), tol)
+    report = asymptotics_check(_in_range(args.n, 100, "--n"), tol)
     for line in report.lines():
         print(" ", line)
     _write(out, "asymptotics.json", _dump_json({
@@ -400,7 +403,7 @@ def _cmd_queens_root(args, out: Path) -> bool:
 
 
 def _cmd_prove_all(args, out: Path) -> bool:
-    _at_least(args.truncation, 0, "--truncation")
+    _in_range(args.truncation, 0, "--truncation")
     checks: list[tuple[str, bool]] = []
 
     def record(name: str, ok: bool):

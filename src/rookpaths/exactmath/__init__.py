@@ -1,7 +1,7 @@
 """Exact arithmetic kernel: rationals, sparse polynomials, rational functions,
 truncated power series, and fraction-free linear algebra."""
 
-from .mpoly import MPoly, frac_gcd, monomial_key, mpoly_gcd, mpoly_lcm, poly, resultant
+from .mpoly import MPoly, frac_gcd, monomial_key, mpoly_gcd, mpoly_lcm, poly
 from .ratfun import RatFun, ratfun
 from .series import PowerSeries
 from .linalg import clear_denominators, linear_nullspace, strip_content
@@ -13,7 +13,6 @@ __all__ = [
     "mpoly_gcd",
     "mpoly_lcm",
     "poly",
-    "resultant",
     "RatFun",
     "ratfun",
     "PowerSeries",

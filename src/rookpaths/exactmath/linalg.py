@@ -54,7 +54,7 @@ def linear_nullspace(matrix: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
 
 def _integer_row(row: Sequence[MPoly]) -> dict[int, int]:
     """A row of constants times the lcm of its denominators."""
-    values = [p.terms.get((), 0) for p in row]
+    values = [p.constant_value() for p in row]
     den = math.lcm(*(c.denominator for c in values))
     return {j: c.numerator * (den // c.denominator) for j, c in enumerate(values) if c}
 

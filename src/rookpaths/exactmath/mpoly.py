@@ -577,7 +577,7 @@ class _ExprParser:
         return ch
 
 
-# -- gcd / resultant ------------------------------------------------------
+# -- gcd ------------------------------------------------------------------
 
 
 def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -784,57 +784,3 @@ def mpoly_lcm(a: MPoly, b: MPoly) -> MPoly:
         return MPoly.zero(a.vars)
     g = mpoly_gcd(a, b)
     return (a * b).divide_exact(g).primitive_part()
-
-
-def resultant(a: MPoly, b: MPoly, v: str) -> MPoly:
-    """Resultant with respect to v, via fraction-free Sylvester determinant."""
-    if a.vars != b.vars:
-        raise ValueError("variable mismatch")
-    da, db = a.degree(v), b.degree(v)
-    if da == 0 or db == 0:
-        base = a if da == 0 else b
-        other_deg = db if da == 0 else da
-        return base ** other_deg
-    ac = a.coeffs_in(v)
-    bc = b.coeffs_in(v)
-    size = da + db
-    zero = MPoly.zero(a.vars)
-    rows: list[list[MPoly]] = []
-    for i in range(db):
-        row = [zero] * size
-        for j, cf in enumerate(reversed(ac)):
-            row[i + j] = cf
-        rows.append(row)
-    for i in range(da):
-        row = [zero] * size
-        for j, cf in enumerate(reversed(bc)):
-            row[i + j] = cf
-        rows.append(row)
-    return _det_bareiss(rows)
-
-
-def _det_bareiss(m: list[list[MPoly]]) -> MPoly:
-    """Determinant by fraction-free Bareiss elimination (exact divisions)."""
-    n = len(m)
-    if n == 0:
-        raise ValueError("empty matrix")
-    vars = m[0][0].vars
-    m = [row[:] for row in m]
-    prev = MPoly.const(vars, 1)
-    sign = 1
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return MPoly.zero(vars)
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (piv * m[i][j] - m[i][k] * m[k][j]).divide_exact(prev)
-            m[i][k] = MPoly.zero(vars)
-        prev = piv
-    return m[n - 1][n - 1] * sign

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import MPoly, PowerSeries, RatFun, mpoly_gcd, poly, ratfun, resultant
+from .exactmath import MPoly, PowerSeries, RatFun, linear_nullspace, mpoly_gcd, poly, ratfun
 from .numerics import decimal_str, extrapolate_partial_sums, pi_rational, sqrt_rational
 from .ore import DiffOp, RecOp, diffop_to_rec, rec_unroll
 from . import rookdata
@@ -360,18 +360,30 @@ def _solve_power_condition(points, exps, power: int):
     of degree |S| - 1 with lead deg N - deg D.  Hence Q^(power-1) divides
     R: the degree test (power-1) * M/power <= |S| - 1 rejects most vectors
     before any polynomial is built.  Q also divides
-    G = gcd(R, R', ..., R^(power-2)), so c*N - D and G share a root and c
-    is a rational root of their resultant in x (never 0: R, and so G, has
-    no root in S, where D vanishes).  For each such c, Q is the power-th
-    root of (c*N - D)/k read in 1/x, accepted only when the exact
-    re-expansion k * Q^power = c*N - D holds.
+    G = gcd(R, R', ..., R^(power-2)), so c*N - D and G share a root alpha
+    and c = h(alpha) for h = D/N (G, a factor of R, has no root in S).
+    These values h(alpha) are the roots of the minimal polynomial mu of h
+    modulo G, the least-degree mu with mu(h) = 0 in Q[x]/(G).
+    Cleared by N^d, a relation of degree d reads
+
+        sum_(i <= d) mu_i D^i N^(d-i) = G * W,  deg W = d*M - deg G,
+
+    one constant system in the mu_i and the coefficients of W, solved by
+    linear_nullspace for each d with d*M >= deg G (below, only mu = 0
+    solves it: h is transcendental over Q).  The first d with a kernel
+    vector gives mu, and the loop ends by d = deg G, where the system has
+    more unknowns (d*M + 2) than rows (d*M + 1).  The products stay in
+    integers: h is D.rational_content()/N.rational_content() times the
+    quotient of the primitive parts, and the roots are scaled back.  For
+    each c, Q is the power-th root of (c*N - D)/k read in 1/x, accepted
+    only when the exact re-expansion k * Q^power = c*N - D holds.
     """
     dn = sum(e for e in exps if e > 0)
     dd = -sum(e for e in exps if e < 0)
     M = max(dn, dd)
-    support = {p: e for p, e in zip(points, exps) if e}
-    if dn == dd or M % power or (power - 1) * (M // power) > len(support) - 1:
+    if dn == dd or M % power or (power - 1) * (M // power) > len(exps) - exps.count(0) - 1:
         return []
+    support = {p: e for p, e in zip(points, exps) if e}
     q_deg = M // power
     R = MPoly.zero(X)
     for p, e in support.items():
@@ -384,15 +396,24 @@ def _solve_power_condition(points, exps, power: int):
     for _ in range(power - 2):
         R = R.derivative("x")
         G = mpoly_gcd(G, R)
-    if G.degree("x") < q_deg:  # Q divides G
+    g = G.degree("x")
+    if g < q_deg:  # Q divides G
         return []
     N, D = _monic_parts(points, exps)
-    XC = ("x", "c")
-    shifted = MPoly.var(XC, "c") * N.with_vars(XC) - D.with_vars(XC)
-    res = resultant(shifted.primitive_part(), G.primitive_part().with_vars(XC), "x")
-    roots, _ = _rational_roots(res.restricted(("c",)))
+    num, den = N.primitive_part(), D.primitive_part()
+    g_coeffs = {e: c for (e,), c in G.primitive_part().terms.items()}
+    for d in range(-(-g // M), g + 1):  # from the least d with d*M >= deg G
+        columns = [{e: c for (e,), c in (den ** i * num ** (d - i)).terms.items()} for i in range(d + 1)]
+        columns += [{e + j: -c for e, c in g_coeffs.items()} for j in range(d * M - g + 1)]
+        kernel = linear_nullspace([[MPoly.const((), col.get(row, 0)) for col in columns]
+                                   for row in range(d * M + 1)])
+        if kernel:
+            break
+    mu = MPoly(X, {(i,): m.constant_value() for i, m in enumerate(kernel[0][:d + 1])})
+    scale = D.rational_content() / N.rational_content()
     out = []
-    for c, _mult in roots:
+    for r, _mult in _rational_roots(mu)[0]:
+        c = r * scale
         lhs = N * c - D
         k = Fraction(lhs.leading_coeff())  # c when deg N > deg D, else -1
         in_y = PowerSeries("x", [lhs.terms.get((M - j,), 0) / k for j in range(q_deg + 1)])

@@ -20,6 +20,7 @@ STAGE_SHA256 = {
     "stage-b-P.json": "3524900543eb05cd6ea11cba9cc2e4692393c8442e3e9e91600077fa48ec1302",
     "stage-b-Q.json": "3177fa03de625c11d0c32d4b0685a173dc2d3c44bfe9d7aa449ef5137bbcac67",
 }
+PULLBACK_SHA256 = "0e76c77e6e99c9912cfd979178343fc9e0acdd1fcb7c2a22539fccc00039b951"
 
 
 def run_cli(args, out):
@@ -87,11 +88,11 @@ def test_over_limit_sequence_term_is_named_not_quoted(tmp_path):
 
 def test_prove_all_is_byte_identical_across_hash_seeds(tmp_path):
     # two processes with different string hashing must write the same bytes, for
-    # prove-all and for telescope, whose stage artifacts are pinned as well
+    # prove-all, telescope and pullback-search, whose artifacts are pinned as well
     outputs = []
     for seed in ("0", "1"):
         runs = {}
-        for command in ("prove-all", "telescope"):
+        for command in ("prove-all", "telescope", "pullback-search"):
             out = tmp_path / f"seed{seed}-{command}"
             result = subprocess.run([sys.executable, "-m", "rookpaths.cli", "--out", str(out), command],
                                     capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
@@ -102,6 +103,8 @@ def test_prove_all_is_byte_identical_across_hash_seeds(tmp_path):
     assert hashlib.sha256(outputs[0]["prove-all"][1]["certificate.json"]).hexdigest() == CERTIFICATE_SHA256
     artifacts = outputs[0]["telescope"][1]
     assert {name: hashlib.sha256(artifacts[name]).hexdigest() for name in STAGE_SHA256} == STAGE_SHA256
+    candidates = outputs[0]["pullback-search"][1]["pullback-candidates.json"]
+    assert hashlib.sha256(candidates).hexdigest() == PULLBACK_SHA256
 
 
 def test_prove_all_computes_the_diagonal_five_times(tmp_path, monkeypatch, capsys):
@@ -351,6 +354,29 @@ def test_operator_files_are_capped_before_any_work(tmp_path, capsys, monkeypatch
         assert run_cli(args + ["--input", str(bad)], tmp_path) == 2
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and f"{field}:" in err and f"cap of {cap}" in err, err
+
+
+@pytest.mark.parametrize("args, work, cap", [
+    (["rook-terms", "--n"], "diagonal_sequence", "TERMS_CAP"),
+    (["queen-terms", "--n"], "diagonal_sequence", "TERMS_CAP"),
+    (["diag", "--n"], "expand_diagonal", "DIAG_CAP"),
+    (["rec-unroll", "--n"], "rec_unroll", "UNROLL_CAP"),
+    (["pullback-search", "--max-degree"], "pullback_search", "MAX_DEGREE_CAP"),
+], ids=["rook-terms", "queen-terms", "diag", "rec-unroll", "pullback-search"])
+def test_size_flags_are_capped_before_any_work(tmp_path, capsys, monkeypatch, args, work, cap):
+    # --help states the cap; a size at the cap reaches the work, and one past it
+    # exits 2 with one line naming the flag before any work starts
+    from rookpaths import cli
+    cap = getattr(cli, cap)
+    with pytest.raises(SystemExit):
+        main([args[0], "--help"])
+    assert f"at most {cap}" in capsys.readouterr().out
+    monkeypatch.setattr(cli, work, _start_work)
+    with pytest.raises(WorkStarted):
+        run_cli(args + [str(cap)], tmp_path)
+    assert run_cli(args + [str(cap + 1)], tmp_path) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and f"{args[1]} must be <= {cap}" in err, err
 
 
 def test_failing_check_exits_one(tmp_path):

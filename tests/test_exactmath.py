@@ -8,7 +8,7 @@ import pytest
 
 from rookpaths import rookdata
 from rookpaths.exactmath import (MPoly, PowerSeries, RatFun, clear_denominators, linear_nullspace,
-                                 mpoly_gcd, poly, ratfun, resultant, strip_content)
+                                 mpoly_gcd, poly, ratfun, strip_content)
 from rookpaths.exactmath import mpoly as mpoly_module
 
 X = ("x",)
@@ -181,14 +181,6 @@ def test_gcd_prs_fallback_gives_the_same_results(monkeypatch):
     monkeypatch.setattr(mpoly_module, "_gcd_core", counting_core)
     assert [mpoly_gcd(p, q) for p, q in pairs] == expected
     assert len(reached) >= len(pairs)
-
-
-def test_discriminant_matches_factored_reference_form():
-    q1 = poly(Q1_TEXT, XST)
-    res = resultant(q1, q1.derivative("t"), "t")
-    lc = q1.coeffs_in("t")[q1.degree("t")]
-    disc = -res.divide_exact(lc)
-    assert disc == poly("(x-s)*(16*x*s^2-4*s^3-24*x*s+4*s^2+9*x-s)", XST)
 
 
 # -- rational functions --------------------------------------------------------

@@ -6,13 +6,14 @@ from itertools import accumulate
 
 import pytest
 
-from rookpaths import rookdata
+from rookpaths import hypergeom, rookdata
 from rookpaths.exactmath import MPoly, RatFun, poly, ratfun
 from rookpaths.hypergeom import (HypergeomSpec, HypergeomError, SING_POINTS, asymptotics_check,
                                  closed_form_check, closed_form_series, exponents_at,
                                  f21_at_one, f21_series, gauss_operator, identity_checks,
                                  local_exponents, operator_pullback, pullback_search,
-                                 symbolic_solution_check, _exponent_vectors, _rational_roots)
+                                 symbolic_solution_check, _exponent_vectors, _monic_parts,
+                                 _rational_roots, _solve_power_condition)
 from rookpaths.numerics import decimal_str, extrapolate_partial_sums, pi_rational, sqrt_rational
 from rookpaths.ore import DiffOp
 
@@ -250,6 +251,21 @@ def test_pullback_search_matches_sympy_oracle(points, triple, max_degree, count)
     cands = pullback_search(points, triple, max_degree)
     assert {(cand.exponent_tuple(), cand.constant) for cand in cands} == expected
     assert len(expected) == count
+
+
+@pytest.mark.parametrize("exps, constant", [((1, -1, 3, -2), Fr(-1)), ((3, 1, -1, -2), Fr(-9, 16))])
+def test_power_condition_with_a_cubic_minimal_polynomial(monkeypatch, exps, constant):
+    # mu is cubic only from max-degree 4, past the sympy oracle's reach; its one
+    # rational root gives the constant, and since no Q has c*N - D = k*Q^2 there,
+    # the vector has no candidate
+    points = (Fr(0), Fr(1), Fr(1, 4), Fr(-1, 8))
+    seen = []
+    monkeypatch.setattr(hypergeom, "_rational_roots", lambda p: seen.append(p) or _rational_roots(p))
+    assert _solve_power_condition(points, exps, 2) == []
+    mu, = seen
+    N, D = _monic_parts(points, exps)
+    assert mu.degree("x") == 3
+    assert [r * D.rational_content() / N.rational_content() for r, _ in _rational_roots(mu)[0]] == [constant]
 
 
 def test_pullback_all_integer_triple_is_empty():

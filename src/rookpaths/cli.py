@@ -29,9 +29,12 @@ from .telescope import (Certificate, lipshitz_bounds, stage_a_pair, stage_a_sear
 from .walks import QUEEN, ROOK, SeqTable, diagonal_sequence, queens_dominant_root, step_generating_function
 
 MODELS = {"rook": ROOK, "queen": QUEEN}
-# Caps on the size flags, checked before any work starts. On a 2-CPU Xeon the rook
-# DP to n = 200 takes about 6 s and 50 MB; at n = 2600 it ran out of memory.
+# Caps on the size flags, checked before any work starts. On a 2-CPU Xeon the rook DP
+# to n = 200 takes about 3 s and 50 MB (at n = 2600 it ran out of memory), each series
+# check at order 100 under 1 s (identity-checks at 200, 24 s) and asymptotics at
+# n = 10000 under 1 s and 18 MB.
 TERMS_CAP, DIAG_CAP, UNROLL_CAP, MAX_DEGREE_CAP = 200, 100, 5000, 16
+SERIES_CAP, ASYMPTOTICS_CAP = 100, 10000
 
 
 class UsageError(Exception):
@@ -108,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="prove the order-3 recurrence from the order-4 one")
 
     c = cmd("closed-form-check", _cmd_closed_form, help="series check of the closed form")
-    c.add_argument("--n", type=int, default=30)
+    c.add_argument("--n", type=int, default=30, help=f"series order, at most {SERIES_CAP}")
 
     c = cmd("pullback-search", _cmd_pullback, help="rational pullback search")
     c.add_argument("--max-degree", type=int, default=6, help=f"largest map degree, at most {MAX_DEGREE_CAP}")
@@ -117,16 +120,16 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--input", help="operator JSON (default: the closed-form operator)")
 
     c = cmd("identity-checks", _cmd_identities, help="series identity suite")
-    c.add_argument("--order", type=int, default=30)
+    c.add_argument("--order", type=int, default=30, help=f"series order, at most {SERIES_CAP}")
 
     c = cmd("asymptotics", _cmd_asymptotics, help="growth constant checks")
-    c.add_argument("--n", type=int, default=2000)
+    c.add_argument("--n", type=int, default=2000, help=f"probe index, at most {ASYMPTOTICS_CAP}")
     c.add_argument("--tolerance", default="1/100")
 
     cmd("lipshitz-bounds", _cmd_lipshitz, help="counting-argument size report")
     cmd("queens-root", _cmd_queens_root, help="queens dominant singularity root")
     c = cmd("prove-all", _cmd_prove_all, help="full discovery-and-proof pipeline")
-    c.add_argument("--truncation", type=int, default=30)
+    c.add_argument("--truncation", type=int, default=30, help=f"series order, at most {SERIES_CAP}")
     return p
 
 
@@ -289,7 +292,7 @@ def _cmd_prove_reduction(args, out: Path) -> bool:
 
 
 def _cmd_closed_form(args, out: Path) -> bool:
-    series_report = closed_form_check(_in_range(args.n, 0, "--n"))
+    series_report = closed_form_check(_in_range(args.n, 0, "--n", SERIES_CAP))
     spec = HypergeomSpec(*rookdata.closed_form_parameters())
     symbolic = symbolic_solution_check(rookdata.operator_p2(), rookdata.closed_form_prefactor(),
                                        spec, rookdata.closed_form_pullback())
@@ -345,7 +348,7 @@ def _cmd_local_exponents(args, out: Path) -> bool:
 
 
 def _cmd_identities(args, out: Path) -> bool:
-    reports = identity_checks(_in_range(args.order, 0, "--order"))
+    reports = identity_checks(_in_range(args.order, 0, "--order", SERIES_CAP))
     _write(out, "identity-checks.json", _dump_json([r.to_json_dict() for r in reports]))
     ok = True
     for r in reports:
@@ -361,7 +364,7 @@ def _cmd_asymptotics(args, out: Path) -> bool:
         raise UsageError(f"--tolerance must be a rational number, got {args.tolerance!r}") from None
     if tol <= 0:
         raise UsageError("--tolerance must be > 0")
-    report = asymptotics_check(_in_range(args.n, 100, "--n"), tol)
+    report = asymptotics_check(_in_range(args.n, 100, "--n", ASYMPTOTICS_CAP), tol)
     for line in report.lines():
         print(" ", line)
     _write(out, "asymptotics.json", _dump_json({
@@ -403,7 +406,7 @@ def _cmd_queens_root(args, out: Path) -> bool:
 
 
 def _cmd_prove_all(args, out: Path) -> bool:
-    _in_range(args.truncation, 0, "--truncation")
+    _in_range(args.truncation, 0, "--truncation", SERIES_CAP)
     checks: list[tuple[str, bool]] = []
 
     def record(name: str, ok: bool):

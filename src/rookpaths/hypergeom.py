@@ -11,13 +11,14 @@ series identities connecting the two hypergeometric expressions.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .exactmath import MPoly, PowerSeries, RatFun, linear_nullspace, mpoly_gcd, poly, ratfun
 from .numerics import decimal_str, extrapolate_partial_sums, pi_rational, sqrt_rational
-from .ore import DiffOp, RecOp, diffop_to_rec, rec_unroll
+from .ore import DiffOp, RecOp, diffop_to_rec, unrolled_terms
 from . import rookdata
 from .walks import ROOK, diagonal_sequence
 
@@ -572,12 +573,11 @@ def asymptotics_check(n_probe: int = 2000, tolerance: Fraction = Fraction(1, 100
     gauss_ok = abs(value - target) < target / 10 ** digits
 
     base = diagonal_sequence(ROOK, 2)
-    seq = rec_unroll(rookdata.recurrence_order3(), base, n_probe)
+    previous, an = deque(unrolled_terms(rookdata.recurrence_order3(), base, n_probe), maxlen=2)
     rho = Fraction(9) * sqrt3 / (40 * pi)
-    an = Fraction(seq[n_probe])
-    ratio = an * n_probe / Fraction(64) ** n_probe
+    ratio = Fraction(an * n_probe, 64 ** n_probe)
     rel_err = abs(ratio - rho) / rho
-    growth = Fraction(seq[n_probe]) / Fraction(seq[n_probe - 1])
+    growth = Fraction(an, previous)
     growth_ok = abs(growth - 64) < Fraction(64) / 100
 
     return AsymptoticsReport(

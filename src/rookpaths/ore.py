@@ -516,6 +516,13 @@ def diffop_to_rec(op: DiffOp) -> RecOp:
 
 def rec_unroll(rec: RecOp, initial: SeqTable, n_max: int) -> SeqTable:
     """Extend a sequence exactly to n_max using a backward recurrence."""
+    terms = list(unrolled_terms(rec, initial, n_max))
+    return SeqTable(initial.name, terms,
+                    initial.provenance if len(initial.terms) > n_max + 1 else "recurrence")
+
+
+def unrolled_terms(rec: RecOp, initial: SeqTable, n_max: int):
+    """Yield terms 0..n_max of rec_unroll's table, holding only the last rec.order() terms."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     op = rec.shift_normalized()
@@ -523,19 +530,23 @@ def rec_unroll(rec: RecOp, initial: SeqTable, n_max: int) -> SeqTable:
     if len(initial.terms) < r:
         raise ValueError(f"need at least {r} initial terms, got {len(initial.terms)}")
     if len(initial.terms) > n_max + 1:
-        return SeqTable(initial.name, initial.terms[: n_max + 1], initial.provenance)
+        yield from initial.terms[: n_max + 1]
+        return
     terms: list[int] = []
     for n, v in enumerate(initial.terms):
         v = Fraction(v)
         if v.denominator != 1:
             raise NonIntegerTermError(n)
         terms.append(v.numerator)
-    # q_j scaled by one common denominator, as integer coefficients by falling degree
+    yield from terms
+    # q_j scaled by one common denominator, as integer coefficients by falling
+    # degree; the rest are negated, since q_0(n) u_n = -sum_(j > 0) q_j(n) u_(n-j)
     scale = math.lcm(*(c.denominator for q in op.terms.values() for c in q.terms.values()))
     horner = {j: [int(scale * q.terms.get((k,), 0)) for k in range(q.degree("n"), -1, -1)]
               for j, q in op.terms.items()}
     lead_coeffs = horner.pop(0, [])
-    rest = list(horner.items())
+    rest = [(j, [-c for c in cs]) for j, cs in horner.items()]
+    window = terms[len(terms) - r:]
     for n in range(len(terms), n_max + 1):
         lead = 0
         for c in lead_coeffs:
@@ -547,12 +558,12 @@ def rec_unroll(rec: RecOp, initial: SeqTable, n_max: int) -> SeqTable:
             q = 0
             for c in cs:
                 q = q * n + c
-            acc += q * terms[n - j]
-        value, rem = divmod(-acc, lead)
+            acc += q * window[r - j]
+        value, rem = divmod(acc, lead)
         if rem:
             raise NonIntegerTermError(n)
-        terms.append(value)
-    return SeqTable(initial.name, terms, "recurrence")
+        window = window[1:] + [value]
+        yield value
 
 
 def guess_rec(seq: SeqTable, max_order: int, max_degree: int) -> list[RecOp]:

@@ -3,7 +3,9 @@
 The dynamic program counts walks from the origin whose steps are positive
 integer multiples of a direction set's primitive vectors.  It builds the
 table a row r[i][j][0..K] at a time from whole-row big-integer additions on
-earlier rows; a full table costs O(|dirs| * I*J*K) additions.
+earlier rows; a full table costs O(|dirs| * I*J*K) additions, and half that
+when the set is closed under swapping the first two axes and I = J (the rook,
+the queen, the simple-step walk, 3D Delannoy): then only rows j <= i are built.
 """
 
 from __future__ import annotations
@@ -109,11 +111,19 @@ def _integer_term(n: int, t) -> int:
 
 def count_paths(dirs: DirectionSet, bound: tuple[int, int, int]) -> CountTable:
     """Count walks to every cell within the bound (origin counts 1)."""
-    return CountTable(bound, list(_planes(dirs, bound)))
+    planes = list(_planes(dirs, bound))
+    # a mirrored DP leaves the rows j > i unbuilt; they copy r[j][i]
+    for i, plane in enumerate(planes):
+        for j in range(i + 1, len(plane)):
+            if plane[j] is None:
+                plane[j] = list(planes[j][i])
+    return CountTable(bound, planes)
 
 
 def _planes(dirs: DirectionSet, bound: tuple[int, int, int]):
-    """Yield the DP planes r[i] for i = 0..I, holding only the planes still read."""
+    """Yield the DP planes r[i] for i = 0..I, holding only the planes still read;
+    a set closed under (di, dj, dk) -> (dj, di, dk) with I = J is mirrored, and
+    plane i builds only its rows j <= i, half the work, leaving the rest None."""
     I, J, K = bound
     if I < 0 or J < 0 or K < 0:
         raise ValueError("bound must be componentwise >= 0")
@@ -123,6 +133,10 @@ def _planes(dirs: DirectionSet, bound: tuple[int, int, int]):
     # of r at (i,j,k) - m*d; planes older than i - max(di) are not read again
     across = [d for d in dirs.directions if d[:2] != (0, 0)]
     along = len(across) < len(dirs.directions)
+    # mirrored, r[a][b] = r[b][a] and cum_d(a,b) = cum_(swap d)(b,a): a row (a, b)
+    # with b > a is read at (b, a), which the window holds (b > a >= i - max(di))
+    swap = [(dj, di, dk) for di, dj, dk in across]
+    mirror = [across.index(d) for d in swap] if I == J and sorted(swap) == sorted(across) else None
     r = [None] * (I + 1)
     cum = [[[[0] * (K + 1)] * (J + 1) for _ in range(I + 1)] for _ in across] if repeat else ()
     top = max((d[0] for d in across), default=0)
@@ -131,14 +145,17 @@ def _planes(dirs: DirectionSet, bound: tuple[int, int, int]):
             for planes in (r, *cum):
                 planes[i - top - 1] = None
         r[i] = [None] * (J + 1)
-        for j in range(J + 1):
+        for j in range(i + 1 if mirror else J + 1):
             x = None
             for n, (di, dj, dk) in enumerate(across):
                 if i < di or j < dj:
                     continue
-                c = r[i - di][j - dj]
+                a, b, m = i - di, j - dj, n
+                if mirror and b > a:
+                    a, b, m = b, a, mirror[n]
+                c = r[a][b]
                 if repeat:
-                    c = cum[n][i][j] = ([0] * dk + list(map(add, c, cum[n][i - di][j - dj])))[:K + 1]
+                    c = cum[n][i][j] = ([0] * dk + list(map(add, c, cum[m][a][b])))[:K + 1]
                 else:
                     c = ([0] * dk + c)[:K + 1]
                 x = c if x is None else list(map(add, x, c))

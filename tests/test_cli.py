@@ -21,6 +21,10 @@ STAGE_SHA256 = {
     "stage-b-Q.json": "3177fa03de625c11d0c32d4b0685a173dc2d3c44bfe9d7aa449ef5137bbcac67",
 }
 PULLBACK_SHA256 = "0e76c77e6e99c9912cfd979178343fc9e0acdd1fcb7c2a22539fccc00039b951"
+TERMS_SHA256 = {
+    "rook-terms.json": "bc4e9bd2bf01eab116da115513615d416c712358f8cc6138ef70c0817a540af6",
+    "queen-terms.json": "a293b9bbe9abb4ccb056e961557ae72b427a8890a396324d336403354324041b",
+}
 
 
 def run_cli(args, out):
@@ -172,6 +176,14 @@ def test_telescope_and_verify_cert(tmp_path):
     cert_path = tmp_path / "certificate.json"
     assert cert_path.exists()
     assert run_cli(["verify-cert", "--input", str(cert_path)], tmp_path) == 0
+
+
+def test_dp_terms_keep_their_pinned_bytes(tmp_path):
+    # the DP's terms past the sizes that other tests check, as bytes
+    assert run_cli(["rook-terms", "--n", "100"], tmp_path) == 0
+    assert run_cli(["queen-terms", "--n", "40"], tmp_path) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in TERMS_SHA256}
+    assert digests == TERMS_SHA256
 
 
 def test_artifacts_are_deterministic(tmp_path):
@@ -362,7 +374,12 @@ def test_operator_files_are_capped_before_any_work(tmp_path, capsys, monkeypatch
     (["diag", "--n"], "expand_diagonal", "DIAG_CAP"),
     (["rec-unroll", "--n"], "rec_unroll", "UNROLL_CAP"),
     (["pullback-search", "--max-degree"], "pullback_search", "MAX_DEGREE_CAP"),
-], ids=["rook-terms", "queen-terms", "diag", "rec-unroll", "pullback-search"])
+    (["closed-form-check", "--n"], "closed_form_check", "SERIES_CAP"),
+    (["identity-checks", "--order"], "identity_checks", "SERIES_CAP"),
+    (["prove-all", "--truncation"], "diagonal_sequence", "SERIES_CAP"),
+    (["asymptotics", "--n"], "asymptotics_check", "ASYMPTOTICS_CAP"),
+], ids=["rook-terms", "queen-terms", "diag", "rec-unroll", "pullback-search", "closed-form-check",
+        "identity-checks", "prove-all", "asymptotics"])
 def test_size_flags_are_capped_before_any_work(tmp_path, capsys, monkeypatch, args, work, cap):
     # --help states the cap; a size at the cap reaches the work, and one past it
     # exits 2 with one line naming the flag before any work starts

@@ -15,7 +15,8 @@ from rookpaths.hypergeom import (HypergeomSpec, HypergeomError, SING_POINTS, asy
                                  symbolic_solution_check, _exponent_vectors, _monic_parts,
                                  _rational_roots, _solve_power_condition)
 from rookpaths.numerics import decimal_str, extrapolate_partial_sums, pi_rational, sqrt_rational
-from rookpaths.ore import DiffOp
+from rookpaths.ore import DiffOp, rec_unroll
+from rookpaths.walks import SeqTable
 
 X = ("x",)
 
@@ -379,6 +380,11 @@ def test_f21_at_one_extrapolates_series_partial_sums(spec):
 def test_asymptotics_check():
     report = asymptotics_check(500, Fr(1, 100))
     assert report.passed()
+    # the check keeps only the last terms of the unroll; its error is the one
+    # that rec_unroll's whole table gives
+    a = rec_unroll(rookdata.recurrence_order3(), SeqTable("rook", [1, 6, 222], "dp"), 500).terms
+    rho = Fr(9) * sqrt_rational(Fr(3)) / (40 * pi_rational())
+    assert report.ratio_error == abs(Fr(a[500] * 500, 64 ** 500) - rho) / rho
 
 
 def test_identity_checks_pass():

@@ -9,7 +9,7 @@ import pytest
 from rookpaths import rookdata
 from rookpaths.exactmath import MPoly, PowerSeries, RatFun, poly, ratfun
 from rookpaths.ore import (DiffOp, InsufficientTermsError, RecOp, SingularRecurrenceError,
-                           diffop_to_rec, guess_rec, prove_rec_reduction, rec_unroll)
+                           diffop_to_rec, guess_rec, prove_rec_reduction, rec_unroll, unrolled_terms)
 from rookpaths.walks import ROOK, SeqTable, diagonal_sequence
 
 X = ("x",)
@@ -170,6 +170,34 @@ def test_rec_unroll_reports_non_integer_index():
     rec = RecOp({0: poly("n", N), 1: -1})
     with pytest.raises(ArithmeticError, match="n=2;"):
         rec_unroll(rec, SeqTable("t", [1], "dp"), 6)
+
+
+def test_rec_unroll_truncates_a_long_initial_table():
+    # more initial terms than asked for come back as they are; exactly enough are unrolled
+    order3 = rookdata.recurrence_order3()
+    seq = rec_unroll(order3, SeqTable("rook", [1, 6, 222, 9918], "dp"), 2)
+    assert (seq.terms, seq.provenance) == ([1, 6, 222], "dp")
+    seq = rec_unroll(order3, SeqTable("rook", [1, 6, 222], "dp"), 2)
+    assert (seq.terms, seq.provenance) == ([1, 6, 222], "recurrence")
+
+
+@pytest.mark.parametrize("rec, initial, n_max, error, streamed", [
+    (rookdata.recurrence_order3(), [1, 6], 0, "need at least 3 initial terms", 0),
+    (rookdata.recurrence_order3(), [1, 6, 222], -1, "n_max must be >= 0", 0),
+    (rookdata.recurrence_order3(), [1, Fraction(1, 2), 222], 8, "non-integer term at n=1;", 0),
+    (RecOp({0: poly("n-2", N), 1: 1}), [1, 1], 6, "vanishes at index 2", 2),
+    (RecOp({0: poly("n", N), 1: -1}), [1], 6, "non-integer term at n=2;", 2),
+], ids=["short-initial-table", "negative-n", "non-integer-initial-term", "singular", "non-integer-term"])
+def test_unrolled_terms_fail_where_rec_unroll_fails(rec, initial, n_max, error, streamed):
+    # a short initial table fails before the truncated early return, a bad initial
+    # term before any term streams out, and the unroll at the index it reports
+    with pytest.raises((ValueError, ArithmeticError), match=error) as whole:
+        rec_unroll(rec, SeqTable("t", initial, "dp"), n_max)
+    terms = []
+    with pytest.raises(type(whole.value), match=error):
+        for t in unrolled_terms(rec, SeqTable("t", initial, "dp"), n_max):
+            terms.append(t)
+    assert len(terms) == streamed
 
 
 def test_diffop_normalized_strips_polynomial_content_and_fixes_the_sign():

@@ -10,7 +10,7 @@ import pytest
 from rookpaths.diagonal import expand_diagonal
 from rookpaths.exactmath import ratfun
 from rookpaths.numerics import decimal_str
-from rookpaths.walks import (DirectionSet, QUEEN, ROOK, ROOK_GF_TEXT, SeqTable, count_paths,
+from rookpaths.walks import (DirectionSet, QUEEN, ROOK, ROOK_GF_TEXT, SeqTable, _planes, count_paths,
                              diagonal_sequence, queens_dominant_root, step_generating_function)
 
 ROOK_TERMS = [1, 6, 222, 9918, 486924, 25267236, 1359631776, 75059524392, 4223303759148]
@@ -55,8 +55,9 @@ def recursive_table(dirs, bound):
 
 
 ORACLE_SETS = [ROOK.directions, QUEEN.directions, ((1, 2, 0), (0, 0, 1), (2, 1, 3)), ((1, 1, 1),),
-               ((0, 0, 1),), ((1, 0, 0), (0, 1, 1)), ((0, 1, 2), (1, 0, 0))]
-ORACLE_BOUNDS = [(0, 0, 0), (0, 0, 6), (6, 2, 0), (4, 6, 9), (3, 3, 3)]
+               ((0, 0, 1),), ((1, 0, 0), (0, 1, 1)), ((0, 1, 2), (1, 0, 0)),
+               ((2, 1, 1), (1, 2, 1), (0, 0, 1)), ((1, 0, 2), (0, 1, 2), (1, 1, 1))]
+ORACLE_BOUNDS = [(0, 0, 0), (0, 0, 6), (6, 2, 0), (4, 6, 9), (3, 3, 3), (5, 5, 5)]
 
 
 def assert_table_matches_oracle(dirs, bound):
@@ -89,14 +90,32 @@ def test_count_table_matches_recursive_oracle_on_random_sets():
 
 
 @pytest.mark.parametrize("dirs", [DirectionSet(((2, 1, 1), (0, 1, 0), (1, 0, 2)), name="window-2"),
-                                  DirectionSet(QUEEN.directions, repeat=False, name="plain-queen")],
-                         ids=["window-2", "repeat-false"])
+                                  DirectionSet(QUEEN.directions, repeat=False, name="plain-queen"),
+                                  DirectionSet(((2, 1, 1), (1, 2, 1), (0, 0, 1)), name="mirrored-window-2")],
+                         ids=["window-2", "repeat-false", "mirrored-window-2"])
 def test_diagonal_sequence_matches_the_count_table(dirs):
     # diagonal_sequence keeps only the planes the DP still reads: (2, 1, 1)
-    # reads two planes back, and repeat=False has no running sums
+    # reads two planes back, and repeat=False has no running sums; the mirrored
+    # set reads rows (a, b) with b > a at (b, a) in those planes
     table = count_paths(dirs, (9, 9, 9))
     assert diagonal_sequence(dirs, 9).terms == [table[(n, n, n)] for n in range(10)]
     assert any(diagonal_sequence(dirs, 9).terms[1:])
+
+
+@pytest.mark.parametrize("directions, bound, mirrored", [
+    (ROOK.directions, (5, 5, 5), True),
+    (QUEEN.directions, (4, 4, 0), True),
+    (ROOK.directions, (5, 4, 5), False),
+    (ROOK.directions + ((1, 2, 0),), (5, 5, 5), False),
+], ids=["rook", "queen", "rook-off-cube", "rook-plus-one"])
+def test_only_swap_closed_sets_on_square_bounds_build_half_planes(directions, bound, mirrored):
+    # a set closed under swapping the first two axes with I = J builds the rows
+    # j <= i of plane i; any other input builds every row and still matches the oracle
+    for repeat in (True, False):
+        dirs = DirectionSet(directions, repeat)
+        for i, plane in enumerate(_planes(dirs, bound)):
+            assert all((row is None) == (mirrored and j > i) for j, row in enumerate(plane))
+        assert_table_matches_oracle(dirs, bound)
 
 
 def test_origin_counts_one():

@@ -31,10 +31,11 @@ from .walks import QUEEN, ROOK, SeqTable, diagonal_sequence, queens_dominant_roo
 MODELS = {"rook": ROOK, "queen": QUEEN}
 # Caps on the size flags, checked before any work starts. On a 2-CPU Xeon the rook DP
 # to n = 200 takes about 3 s and 50 MB (at n = 2600 it ran out of memory), each series
-# check at order 100 under 1 s (identity-checks at 200, 24 s) and asymptotics at
-# n = 10000 under 1 s and 18 MB.
+# check at order 100 under 1 s (identity-checks at 200, 24 s), asymptotics at
+# n = 10000 under 1 s and 18 MB, and telescope at order 6 about 4 s and 27 MB (order
+# 8, 25 s). guess-rec's default terms are the rook DP to --n - 1.
 TERMS_CAP, DIAG_CAP, UNROLL_CAP, MAX_DEGREE_CAP = 200, 100, 5000, 16
-SERIES_CAP, ASYMPTOTICS_CAP = 100, 10000
+SERIES_CAP, ASYMPTOTICS_CAP, GUESS_CAP, TELESCOPE_CAP = 100, 10000, TERMS_CAP + 1, 6
 
 
 class UsageError(Exception):
@@ -87,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--model", choices=MODELS, default="rook")
 
     c = cmd("guess-rec", _cmd_guess_rec, help="guess recurrences from sequence terms")
-    c.add_argument("--n", type=int, default=25, help="number of terms to use")
+    c.add_argument("--n", type=int, default=25, help=f"number of terms to use, at most {GUESS_CAP}")
     c.add_argument("--order", type=int, required=True)
     c.add_argument("--degree", type=int, required=True)
     c.add_argument("--input", help="SeqTable JSON (default: rook DP terms)")
@@ -102,7 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = cmd("telescope", _cmd_telescope, help="creative-telescoping stages")
     c.add_argument("--stage", choices=["A", "B", "C", "all"], default="all")
-    c.add_argument("--degree", type=int, default=3, help="telescoper order for stage B")
+    c.add_argument("--degree", type=int, default=3,
+                   help=f"telescoper order for stage B, at most {TELESCOPE_CAP}")
 
     c = cmd("verify-cert", _cmd_verify_cert, help="re-verify a certificate file")
     c.add_argument("--input", required=True)
@@ -192,7 +194,7 @@ def _cmd_step_gf(args, out: Path) -> bool:
 
 
 def _cmd_guess_rec(args, out: Path) -> bool:
-    _in_range(args.n, 1, "--n")
+    _in_range(args.n, 1, "--n", GUESS_CAP)
     _in_range(args.order, 0, "--order")
     _in_range(args.degree, 0, "--degree")
     seq = _load_seq(args.input, args.n - 1)
@@ -246,7 +248,7 @@ def _run_stage_a(F: RatFun):
 
 
 def _cmd_telescope(args, out: Path) -> bool:
-    _in_range(args.degree, 0, "--degree")
+    _in_range(args.degree, 0, "--degree", TELESCOPE_CAP)
     F = rookdata.embedded_f()
     certs = _run_stage_a(F)
     print("stage A: two certificates found and verified")

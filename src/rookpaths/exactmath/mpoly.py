@@ -594,11 +594,11 @@ def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
 def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
     """Greatest common divisor, primitive with positive leading coefficient.
 
-    After the rational content and the shared monomial are split off, the
-    heuristic gcd (_heu_gcd) runs on the integer-coefficient operands; only
-    when it gives up does the recursive primitive pseudo-remainder sequence
-    (_gcd_core) run.  Both return the gcd up to a unit, so the normalized
-    result is the same either way.  gcd(p, 0) = normalized p.
+    After the rational content is split off, the heuristic gcd (_heu_gcd)
+    runs on the integer-coefficient operands; only when it gives up does the
+    recursive primitive pseudo-remainder sequence (_gcd_core) run.  Both
+    return the gcd up to a unit, so the normalized result is the same either
+    way.  gcd(p, 0) = normalized p.
     """
     if a.vars != b.vars:
         raise ValueError(f"variable mismatch: {a.vars} vs {b.vars}")
@@ -608,26 +608,10 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
         return a.primitive_part()
     a = a.primitive_part()
     b = b.primitive_part()
-    ea = _monomial_content(a)
-    eb = _monomial_content(b)
-    shared = _pack([min(i, j) for i, j in zip(ea, eb)])
-    if shared:
-        a = _shift(a, -_pack(ea))
-        b = _shift(b, -_pack(eb))
     g = _heu_gcd(a, b)
     if g is None:
         g = _gcd_core(a, b)
-    return _shift(g, shared).primitive_part()
-
-
-def _monomial_content(p: MPoly) -> list[int]:
-    """The least exponent of each variable over the terms of a nonzero p."""
-    return [min(k >> s & _MASK for k in p.packed) for s in range(0, FIELD_BITS * len(p.vars), FIELD_BITS)]
-
-
-def _shift(p: MPoly, key: int) -> MPoly:
-    """p times the monomial of key, or divided by that of -key."""
-    return MPoly._of(p.vars, {k + key: c for k, c in p.packed.items()}) if key else p
+    return g.primitive_part()
 
 
 _HEU_TRIES = 6

@@ -52,9 +52,6 @@ class HypergeomSpec:
 
 def f21_series(spec: HypergeomSpec, order: int) -> PowerSeries:
     """Exact truncated 2F1 series via the Pochhammer term ratio."""
-    c = Fraction(spec.c)
-    if c.denominator == 1 and -order <= c <= 0:
-        raise HypergeomError("parameter pole inside the truncation range")
     coeffs = [Fraction(1)]
     term = Fraction(1)
     for n in range(order):
@@ -277,7 +274,6 @@ class PullbackCandidate:
     map: RatFun
     parameters: HypergeomSpec
     cube_root: MPoly = field(repr=False, default=None)
-    cube_scale: Fraction = Fraction(1)
 
     def exponent_tuple(self) -> tuple[int, ...]:
         return tuple(self.exponents.get(p, 0) for p in self.points)
@@ -316,12 +312,12 @@ def pullback_search(sing_set: Sequence[Fraction], target_triple, max_degree: int
     params = HypergeomSpec.from_exponent_triple(*search_triple)
     results: list[PullbackCandidate] = []
     for exps in _exponent_vectors(len(points), max_degree):
-        for const, Q, scale in _solve_power_condition(points, exps, power):
+        for const, Q in _solve_power_condition(points, exps, power):
             num, den = _monic_parts(points, exps)
             results.append(PullbackCandidate(
                 points=tuple(points), exponents={p: e for p, e in zip(points, exps) if e},
                 constant=const, map=RatFun(num * const, den), parameters=params,
-                cube_root=Q, cube_scale=scale))
+                cube_root=Q))
     return results
 
 
@@ -347,7 +343,7 @@ def _monic_parts(points, exps) -> tuple[MPoly, MPoly]:
 
 
 def _solve_power_condition(points, exps, power: int):
-    """Constants c (and root Q, scale k) with c*N - D = k * Q^power.
+    """Constants c (and monic root Q) with c*N - D = k * Q^power for a constant k.
 
     N and D are the monic numerator/denominator of the exponent vector,
     M = max(deg N, deg D) with deg N != deg D, and Q is monic of degree
@@ -421,7 +417,7 @@ def _solve_power_condition(points, exps, power: int):
         root = in_y.power(Fraction(1, power)).coeffs
         Q = MPoly(X, {(q_deg - j,): qj for j, qj in enumerate(root)})
         if k * Q ** power == lhs:  # exact re-expansion check
-            out.append((c, Q, k))
+            out.append((c, Q))
     return out
 
 

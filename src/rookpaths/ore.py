@@ -582,12 +582,9 @@ def guess_rec(seq: SeqTable, max_order: int, max_degree: int) -> list[RecOp]:
     terms = seq.terms
     r = max_order
     rows_avail = len(terms) - r
-    degree = None
-    for d in range(max_degree, -1, -1):
-        if (r + 1) * (d + 1) + oversample <= rows_avail:
-            degree = d
-            break
-    if degree is None:
+    # the largest d <= max_degree with (r + 1)(d + 1) + oversample <= rows_avail
+    degree = min(max_degree, (rows_avail - oversample) // (r + 1) - 1)
+    if degree < 0:
         need = r + (r + 1) + oversample
         raise InsufficientTermsError(
             f"guessing order {r} needs at least {need} terms even at degree 0; got {len(terms)}")

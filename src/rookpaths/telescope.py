@@ -257,13 +257,11 @@ def universal_denominator(a: RatFun, rhs_dens: list[MPoly],
     """Denominator multiple for rational solutions of y' + a y = b,
     where the right sides b range over fractions with the listed
     denominators."""
-    vars = a.vars
-    point = {v: w for v, w in _SCREEN_POINTS[0].items() if v in vars and v != main_var}
     pool = _squarefree_decomposition(a.den, main_var)
     for den in rhs_dens:
         pool.extend(_squarefree_decomposition(den, main_var))
     basis = _gcd_free_basis(pool, main_var)
-    u = MPoly.const(vars, 1)
+    u = MPoly.const(a.vars, 1)
     for pi in basis:
         k = _multiplicity(a.den, pi)
         ordb = 0
@@ -280,25 +278,13 @@ def universal_denominator(a: RatFun, rhs_dens: list[MPoly],
             # integer-residue poles: pi | (num - m * pi' * (den/pi))
             slope = pi.derivative(main_var) * a.den.divide_exact(pi)
             remaining = pi
-            # With every passive variable at the point and lc(pi), hence lc(remaining),
-            # nonzero there, a gcd of positive degree keeps its degree, so an m with a
-            # constant image gcd is skipped; a vanishing probe image never is.
-            screen = len(point) == len(vars) - 1 > 0 and bool(pi.coeffs_in(main_var)[-1].eval_at(point))
-            if screen:
-                num_at, slope_at, rem_at = (p.eval_at(point) for p in (a.num, slope, pi))
-            for m in range(_RESIDUE_CAP, 0, -1):
-                if m <= base:
-                    break
-                if screen and mpoly_gcd(rem_at, num_at - slope_at * m).is_constant():
-                    continue
+            for m in range(_RESIDUE_CAP, base, -1):
                 g = mpoly_gcd(remaining, a.num - slope * m)
                 if g.degree(main_var) > 0:
                     u = u * g ** (m - base)
                     remaining = remaining.divide_exact(g)
                     if remaining.degree(main_var) == 0:
                         break
-                    if screen:
-                        rem_at = remaining.eval_at(point)
     return u.primitive_part()
 
 

@@ -378,8 +378,10 @@ def test_operator_files_are_capped_before_any_work(tmp_path, capsys, monkeypatch
     (["identity-checks", "--order"], "identity_checks", "SERIES_CAP"),
     (["prove-all", "--truncation"], "diagonal_sequence", "SERIES_CAP"),
     (["asymptotics", "--n"], "asymptotics_check", "ASYMPTOTICS_CAP"),
+    (["guess-rec", "--order", "0", "--degree", "0", "--n"], "diagonal_sequence", "GUESS_CAP"),
+    (["telescope", "--degree"], "stage_a_pair", "TELESCOPE_CAP"),
 ], ids=["rook-terms", "queen-terms", "diag", "rec-unroll", "pullback-search", "closed-form-check",
-        "identity-checks", "prove-all", "asymptotics"])
+        "identity-checks", "prove-all", "asymptotics", "guess-rec", "telescope"])
 def test_size_flags_are_capped_before_any_work(tmp_path, capsys, monkeypatch, args, work, cap):
     # --help states the cap; a size at the cap reaches the work, and one past it
     # exits 2 with one line naming the flag before any work starts
@@ -393,7 +395,7 @@ def test_size_flags_are_capped_before_any_work(tmp_path, capsys, monkeypatch, ar
         run_cli(args + [str(cap)], tmp_path)
     assert run_cli(args + [str(cap + 1)], tmp_path) == 2
     err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1 and f"{args[1]} must be <= {cap}" in err, err
+    assert len(err.splitlines()) == 1 and f"{args[-1]} must be <= {cap}" in err, err
 
 
 def test_failing_check_exits_one(tmp_path):

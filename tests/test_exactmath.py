@@ -183,6 +183,35 @@ def test_gcd_prs_fallback_gives_the_same_results(monkeypatch):
     assert len(reached) >= len(pairs)
 
 
+MONOMIAL_CONTENT_CASES = {
+    "pure-monomial": ("x^3*s^2", "x*s^5*(x+t)"),
+    "pure-monomials": ("x^4*t", "x^2*s*t^3"),
+    "shared-content": ("x^2*s^3*t*(x+s*t+1)*(x+s)", "x^4*s*t^2*(x+s*t+1)*(t-1)"),
+    "content-and-q1": (f"x*s^2*({Q1_TEXT})", f"x^3*s*t*({Q1_TEXT})*(2*x-3)"),
+    "exponent-near-200": ("x^199*s^2*(x+s)", "x^200*s*t*(x+s)*(x-t)"),
+}
+
+
+@pytest.mark.parametrize("path", ["heuristic", "prs"])
+@pytest.mark.parametrize("name", MONOMIAL_CONTENT_CASES)
+def test_gcd_with_monomial_content_matches_sympy(monkeypatch, name, path):
+    # a monomial factor is read back from GCDHEU's digits like any other
+    # factor, and the PRS fallback splits it off as content in each variable
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x s t")
+    a, b = (poly(text, XST) for text in MONOMIAL_CONTENT_CASES[name])
+    expected = sympy.gcd(sympy.sympify(a.text()), sympy.sympify(b.text()))
+    expected = MPoly(XST, {e: Fraction(int(c.p), int(c.q)) for e, c in sympy.Poly(expected, *gens).terms()})
+    fallbacks = []
+    if path == "prs":
+        monkeypatch.setattr(mpoly_module, "_heu_gcd", lambda p, q: None)
+    else:
+        core = mpoly_module._gcd_core
+        monkeypatch.setattr(mpoly_module, "_gcd_core", lambda p, q: fallbacks.append(1) or core(p, q))
+    assert mpoly_gcd(a, b) == mpoly_gcd(b, a) == expected.primitive_part()
+    assert not fallbacks
+
+
 # -- rational functions --------------------------------------------------------
 
 

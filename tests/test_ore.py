@@ -237,6 +237,27 @@ def test_guess_insufficient_terms():
         guess_rec(SeqTable("short", [1, 2, 3], "dp"), 3, 2)
 
 
+def test_guess_degree_is_the_largest_feasible(monkeypatch, dp40):
+    # the degree is read off in closed form: a huge bound costs nothing, and
+    # each case gets the degree the countdown over max_degree..0 would pick
+    from rookpaths import ore
+    seq = SeqTable("rook", dp40.terms[:25], "dp")
+    assert guess_rec(seq, 3, 10 ** 18) == guess_rec(seq, 3, 4)
+    widths = []
+    nullspace = ore.linear_nullspace
+    monkeypatch.setattr(ore, "linear_nullspace", lambda rows: widths.append(len(rows[0])) or nullspace(rows))
+    for length, order, max_degree in itertools.product(range(1, 16), range(4), range(5)):
+        seq = SeqTable("geom", [3 ** n for n in range(length)], "dp")
+        rows = length - order
+        feasible = [d for d in range(max_degree + 1) if (order + 1) * (d + 1) + 2 <= rows]
+        if not feasible:
+            with pytest.raises(InsufficientTermsError):
+                guess_rec(seq, order, max_degree)
+            continue
+        guess_rec(seq, order, max_degree)
+        assert widths[-1] == (order + 1) * (max(feasible) + 1)
+
+
 def test_guess_validates_beyond_window(dp40):
     found = guess_rec(SeqTable("rook", dp40.terms[:25], "dp"), 3, 4)
     seq = rec_unroll(found[0], SeqTable("rook", dp40.terms[:3], "dp"), 40)

@@ -434,8 +434,7 @@ def test_universal_denominator_mixed_multiplicities():
 
 @pytest.mark.parametrize("pi1, u_text", [
     ("t-x", "1*t^2 + -2*x^1*t^1 + 1*x^2"),
-    # lc_t(pi) vanishes at the screening value x = 7/13, where pi1's image is
-    # constant: the screen would drop the residue, so every m is probed exactly
+    # a pole factor whose leading coefficient in t depends on x
     ("(13*x-7)*t-1", "169*x^2*t^2 + -182*x^1*t^2 + 49*t^2 + -26*x^1*t^1 + 14*t^1 + 1"),
 ])
 def test_universal_denominator_screens_integer_residues(monkeypatch, pi1, u_text):
@@ -449,8 +448,14 @@ def test_universal_denominator_screens_integer_residues(monkeypatch, pi1, u_text
     gcd = telescope.mpoly_gcd
     monkeypatch.setattr(telescope, "mpoly_gcd", lambda p, q: exact.append(p.vars == XT) or gcd(p, q))
     assert telescope.universal_denominator(a, [], "t").text() == u_text
-    screened = pi1.coeffs_in("t")[-1].eval_at({"x": telescope._SCREEN_POINTS[0]["x"]})
-    if screened:
-        assert sum(exact) < 5  # only m = 2 survives the univariate screen
-    else:
-        assert sum(exact) >= telescope._RESIDUE_CAP  # one exact probe per m
+    assert sum(exact) >= telescope._RESIDUE_CAP  # one exact probe per m
+
+
+def test_universal_denominator_reaches_the_residue_cap():
+    # the first m probed is the cap itself: a = cap/(t-x) has residue cap
+    from rookpaths.telescope import _RESIDUE_CAP, universal_denominator
+    XT = ("x", "t")
+    pi = poly("t-x", XT)
+    a = RatFun(MPoly.const(XT, _RESIDUE_CAP), pi)
+    assert universal_denominator(a, [], "t") == pi ** _RESIDUE_CAP
+    assert universal_denominator(RatFun(MPoly.const(XT, _RESIDUE_CAP + 1), pi), [], "t").is_constant()

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
@@ -31,32 +32,38 @@ from .mpoly import MPoly, frac_gcd, mpoly_gcd, mpoly_lcm
 from .ratfun import RatFun
 
 
-def linear_nullspace(matrix: Sequence[Sequence[MPoly]]) -> list[list[MPoly]]:
-    """Basis of the right kernel of a nonempty polynomial matrix, cleared to
-    content-1 polynomial vectors."""
+def linear_nullspace(matrix: Sequence[Sequence[MPoly | int | Fraction]]) -> list[list]:
+    """Basis of the right kernel of a nonempty matrix, cleared to content-1 vectors.
+
+    The cells are MPolys over one variable tuple, or plain ints and Fractions;
+    constants of either kind run the elimination on Python ints, and a matrix
+    of plain numbers gets int vectors back."""
     if not matrix or not matrix[0]:
         raise ValueError("matrix must be nonempty")
-    vars = matrix[0][0].vars
     ncols = len(matrix[0])
-    for row in matrix:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        if any(e.vars != vars for e in row):
-            raise ValueError("mixed variable tuples in matrix")
+    if any(len(row) != ncols for row in matrix):
+        raise ValueError("ragged matrix")
+    kinds = {e.vars if isinstance(e, MPoly) else None for row in matrix for e in row}
+    if len(kinds) > 1:
+        raise ValueError("mixed variable tuples in matrix")
+    (vars,) = kinds
     if vars:
         return _kernel([{j: p for j, p in enumerate(row) if p} for row in matrix], ncols,
                        MPoly.const(vars, 1), mpoly_gcd, MPoly.divide_exact, strip_content,
                        lambda e: (len(e.terms), e.total_degree()), MPoly.leading_coeff)
+    if vars is None:
+        return _integer_kernel(matrix, ncols)
     return [[MPoly.const((), c) for c in vec]
-            for vec in _kernel([_integer_row(row) for row in matrix], ncols,
-                               1, math.gcd, operator.floordiv, _strip_integers, abs, int)]
+            for vec in _integer_kernel([[p.constant_value() for p in row] for row in matrix], ncols)]
 
 
-def _integer_row(row: Sequence[MPoly]) -> dict[int, int]:
-    """A row of constants times the lcm of its denominators."""
-    values = [p.constant_value() for p in row]
-    den = math.lcm(*(c.denominator for c in values))
-    return {j: c.numerator * (den // c.denominator) for j, c in enumerate(values) if c}
+def _integer_kernel(matrix: Sequence[Sequence[int | Fraction]], ncols: int) -> list[list[int]]:
+    """The kernel of a matrix of numbers, each row first cleared of its denominators."""
+    rows = []
+    for row in matrix:
+        den = math.lcm(*(c.denominator for c in row))
+        rows.append({j: c.numerator * (den // c.denominator) for j, c in enumerate(row) if c})
+    return _kernel(rows, ncols, 1, math.gcd, operator.floordiv, _strip_integers, abs, int)
 
 
 def _kernel(rows: list[dict], ncols: int, one, gcd, quo, strip, size, lead) -> list[list]:

@@ -10,7 +10,9 @@ series identities connecting the two hypergeometric expressions.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -311,8 +313,9 @@ def pullback_search(sing_set: Sequence[Fraction], target_triple, max_degree: int
     search_triple = (rest[0], fractional[0], rest[1])
     params = HypergeomSpec.from_exponent_triple(*search_triple)
     results: list[PullbackCandidate] = []
-    for exps in _exponent_vectors(len(points), max_degree):
-        for const, Q in _solve_power_condition(points, exps, power):
+    cofactors = functools.cache(_cofactors)  # built once per support in this search
+    for exps in _exponent_vectors(len(points), max_degree, power):
+        for const, Q in _solve_power_condition(points, exps, power, cofactors):
             num, den = _monic_parts(points, exps)
             results.append(PullbackCandidate(
                 points=tuple(points), exponents={p: e for p, e in zip(points, exps) if e},
@@ -321,12 +324,17 @@ def pullback_search(sing_set: Sequence[Fraction], target_triple, max_degree: int
     return results
 
 
-def _exponent_vectors(npts: int, max_degree: int):
-    """Nonzero integer exponent vectors with map degree max(sum+, sum-) <= max_degree,
-    that degree being (|e|_1 + |sum e|) / 2."""
-    span = range(-max_degree, max_degree + 1)
-    return (e for e in itertools.product(span, repeat=npts)
-            if 0 < sum(map(abs, e)) + abs(sum(e)) <= 2 * max_degree)
+def _exponent_vectors(npts: int, max_degree: int, power: int):
+    """The exponent vectors that pass the degree test of _solve_power_condition, in
+    lexicographic order: deg N != deg D, M = max(deg N, deg D) <= max_degree,
+    power | M and (power-1) * M/power <= |support| - 1.  Then |e_i| <= M, a
+    multiple of power at most (npts-1) * power/(power-1), so only that span is visited."""
+    top = min(max_degree, (npts - 1) * power // (power - 1)) // power * power
+    for e in itertools.product(range(-top, top + 1), repeat=npts):
+        total = sum(e)
+        M = sum(v for v in e if v > 0) - min(total, 0)
+        if total and M <= max_degree and not M % power and (power - 1) * (M // power) < npts - e.count(0):
+            yield e
 
 
 def _monic_parts(points, exps) -> tuple[MPoly, MPoly]:
@@ -342,21 +350,36 @@ def _monic_parts(points, exps) -> tuple[MPoly, MPoly]:
     return num, den
 
 
-def _solve_power_condition(points, exps, power: int):
+def _cofactors(support) -> list[list[int]]:
+    """For each p = a/b of the support, b * prod_(q != p) (b_q x - a_q) for q = a_q/b_q,
+    as integer coefficients from x^0 up: (prod_q b_q) * prod_(q != p) (x - q)."""
+    rows = []
+    for p in support:
+        row = [p.denominator]
+        for q in support:
+            if q != p:
+                row = [q.denominator * lower - q.numerator * same for lower, same in zip([0] + row, row + [0])]
+        rows.append(row)
+    return rows
+
+
+def _solve_power_condition(points, exps, power: int, cofactors=_cofactors):
     """Constants c (and monic root Q) with c*N - D = k * Q^power for a constant k.
 
-    N and D are the monic numerator/denominator of the exponent vector,
-    M = max(deg N, deg D) with deg N != deg D, and Q is monic of degree
-    M/power.  For c != 0, Q is prime to N and D, so with f = c*N/D a root
-    of Q of multiplicity m is a root of f - 1 of multiplicity power*m, of
-    f' of multiplicity power*m - 1, and so of the numerator of the
-    logarithmic derivative f'/f over the support S of the vector,
+    N and D are the monic numerator/denominator of an exponent vector that
+    passes _exponent_vectors' degree test, M = max(deg N, deg D) with
+    deg N != deg D, and Q is monic of degree M/power.  For c != 0, Q is
+    prime to N and D, so with f = c*N/D a root of Q of multiplicity m is a
+    root of f - 1 of multiplicity power*m, of f' of multiplicity power*m - 1,
+    and so of the numerator of the logarithmic derivative f'/f over the
+    support S of the vector,
 
         R = sum_p e_p prod_(q in S, q != p) (x - q),
 
     of degree |S| - 1 with lead deg N - deg D.  Hence Q^(power-1) divides
-    R: the degree test (power-1) * M/power <= |S| - 1 rejects most vectors
-    before any polynomial is built.  Q also divides
+    R, which is the degree test (power-1) * M/power <= |S| - 1.  R is built
+    up to a positive constant, which no step below reads, from the support's
+    integer cofactors (`cofactors` is _cofactors or a cache of it).  Q also divides
     G = gcd(R, R', ..., R^(power-2)), so c*N - D and G share a root alpha
     and c = h(alpha) for h = D/N (G, a factor of R, has no root in S).
     These values h(alpha) are the roots of the minimal polynomial mu of h
@@ -375,20 +398,11 @@ def _solve_power_condition(points, exps, power: int):
     each c, Q is the power-th root of (c*N - D)/k read in 1/x, accepted
     only when the exact re-expansion k * Q^power = c*N - D holds.
     """
-    dn = sum(e for e in exps if e > 0)
-    dd = -sum(e for e in exps if e < 0)
-    M = max(dn, dd)
-    if dn == dd or M % power or (power - 1) * (M // power) > len(exps) - exps.count(0) - 1:
-        return []
-    support = {p: e for p, e in zip(points, exps) if e}
+    M = max(sum(e for e in exps if e > 0), -sum(e for e in exps if e < 0))
     q_deg = M // power
-    R = MPoly.zero(X)
-    for p, e in support.items():
-        term = MPoly.const(X, e)
-        for q in support:
-            if q != p:
-                term = term * MPoly(X, {(1,): 1, (0,): -q})
-        R = R + term
+    weights = [e for e in exps if e]
+    rows = cofactors(tuple(p for p, e in zip(points, exps) if e))
+    R = MPoly(X, {(j,): sum(map(operator.mul, weights, column)) for j, column in enumerate(zip(*rows))})
     G = R
     for _ in range(power - 2):
         R = R.derivative("x")
@@ -402,11 +416,10 @@ def _solve_power_condition(points, exps, power: int):
     for d in range(-(-g // M), g + 1):  # from the least d with d*M >= deg G
         columns = [{e: c for (e,), c in (den ** i * num ** (d - i)).terms.items()} for i in range(d + 1)]
         columns += [{e + j: -c for e, c in g_coeffs.items()} for j in range(d * M - g + 1)]
-        kernel = linear_nullspace([[MPoly.const((), col.get(row, 0)) for col in columns]
-                                   for row in range(d * M + 1)])
+        kernel = linear_nullspace([[col.get(row, 0) for col in columns] for row in range(d * M + 1)])
         if kernel:
             break
-    mu = MPoly(X, {(i,): m.constant_value() for i, m in enumerate(kernel[0][:d + 1])})
+    mu = MPoly(X, {(i,): m for i, m in enumerate(kernel[0][:d + 1])})
     scale = D.rational_content() / N.rational_content()
     out = []
     for r, _mult in _rational_roots(mu)[0]:

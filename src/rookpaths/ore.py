@@ -590,18 +590,14 @@ def guess_rec(seq: SeqTable, max_order: int, max_degree: int) -> list[RecOp]:
             f"guessing order {r} needs at least {need} terms even at degree 0; got {len(terms)}")
 
     cols = [(j, k) for j in range(r + 1) for k in range(degree + 1)]
-    basis = linear_nullspace([[MPoly.const((), n ** k * terms[n - j]) for j, k in cols]
-                              for n in range(r, len(terms))])
+    basis = linear_nullspace([[n ** k * terms[n - j] for j, k in cols] for n in range(r, len(terms))])
 
     found = []
     for vec in basis:
         coeffs: dict[int, MPoly] = {}
-        for (j, k), p in zip(cols, vec):
-            if p.is_zero():
-                continue
-            c = p.constant_value()
-            cur = coeffs.get(j, MPoly.zero(N_VARS))
-            coeffs[j] = cur + MPoly(N_VARS, {(k,): c})
+        for (j, k), c in zip(cols, vec):
+            if c:
+                coeffs[j] = coeffs.get(j, MPoly.zero(N_VARS)) + MPoly(N_VARS, {(k,): c})
         found.append(RecOp(coeffs).normalized())
     return found
 

@@ -111,6 +111,12 @@ def test_prove_all_is_byte_identical_across_hash_seeds(tmp_path):
     assert hashlib.sha256(candidates).hexdigest() == PULLBACK_SHA256
 
 
+def test_pullback_search_at_the_degree_cap_writes_the_default_candidates(tmp_path):
+    assert run_cli(["pullback-search", "--max-degree", "16"], tmp_path) == 0
+    candidates = (tmp_path / "pullback-candidates.json").read_bytes()
+    assert hashlib.sha256(candidates).hexdigest() == PULLBACK_SHA256
+
+
 def test_prove_all_computes_the_diagonal_five_times(tmp_path, monkeypatch, capsys):
     # the pinned rook terms are a prefix of the n = 40 table, which also serves
     # the order reduction's base cases; the other tables are the queen's and the

@@ -539,6 +539,8 @@ def test_constant_nullspace_matches_sympy_and_polynomial_path():
         expected = [canonical(vec) for vec in sympy.Matrix(rows).nullspace()]
         integer_path = linear_nullspace([[MPoly.const((), e) for e in row] for row in rows])
         assert [[p.constant_value() for p in vec] for vec in integer_path] == expected
+        assert linear_nullspace(rows) == expected  # plain numbers in, ints out
+        assert all(type(e) is int for vec in linear_nullspace(rows) for e in vec)
         polynomial_path = linear_nullspace([[MPoly.const(X, e) for e in row] for row in rows])
         assert [[p.constant_value() for p in vec] for vec in polynomial_path] == expected
         assert all(p.is_constant() for vec in polynomial_path for p in vec)
@@ -551,7 +553,8 @@ def test_constant_nullspace_matches_sympy_and_polynomial_path():
     [[]],
     [[poly("x", X), poly("1", X)], [poly("x", X)]],
     [[poly("x", X), MPoly.const(XST, 1)]],
-], ids=["no-rows", "empty-row", "ragged", "mixed-vars"])
+    [[MPoly.const((), 1), 2]],
+], ids=["no-rows", "empty-row", "ragged", "mixed-vars", "mpoly-and-number"])
 def test_nullspace_rejects_malformed_matrix(matrix):
     with pytest.raises(ValueError):
         linear_nullspace(matrix)

@@ -1,5 +1,6 @@
 """Hypergeometric layer: series, exponents, pullbacks, asymptotics, identities."""
 
+import itertools
 import random
 from fractions import Fraction as Fr
 from itertools import accumulate
@@ -229,13 +230,17 @@ def test_pullback_search_rejects_repeated_point():
 ])
 def test_pullback_search_matches_sympy_oracle(points, triple, max_degree, count):
     # independent solve of c*N - D = k*Q^power, Q a general monic polynomial
-    # of degree M/power, for every map the degree test does not rule out too
+    # of degree M/power, for every nonzero vector of map degree <= max_degree,
+    # enumerated here: the oracle also covers each vector the degree test rejects
     sympy = pytest.importorskip("sympy")
     power = max(e.denominator for e in triple)
     x, c, k = sympy.symbols("x c k")
     pts = [sympy.Rational(p.numerator, p.denominator) for p in points]
     expected = set()
-    for exps in _exponent_vectors(len(pts), max_degree):
+    span = range(-max_degree, max_degree + 1)
+    for exps in itertools.product(span, repeat=len(pts)):
+        if not 0 < sum(map(abs, exps)) + abs(sum(exps)) <= 2 * max_degree:
+            continue
         N = sympy.Mul(*[(x - p) ** e for p, e in zip(pts, exps) if e > 0])
         D = sympy.Mul(*[(x - p) ** -e for p, e in zip(pts, exps) if e < 0])
         dn, dd = sympy.degree(N, x), sympy.degree(D, x)
@@ -252,6 +257,47 @@ def test_pullback_search_matches_sympy_oracle(points, triple, max_degree, count)
     cands = pullback_search(points, triple, max_degree)
     assert {(cand.exponent_tuple(), cand.constant) for cand in cands} == expected
     assert len(expected) == count
+
+
+def _passes_degree_test(exps, power, max_degree):
+    # restated from _solve_power_condition: deg N != deg D, M = max(deg N, deg D)
+    # <= max_degree, power | M and Q^(power-1) of degree (power-1)*M/power divides
+    # R, of degree |support| - 1
+    dn = sum(e for e in exps if e > 0)
+    dd = -sum(e for e in exps if e < 0)
+    M = max(dn, dd)
+    support = sum(1 for e in exps if e)
+    return dn != dd and M <= max_degree and M % power == 0 and (power - 1) * M // power <= support - 1
+
+
+def test_exponent_vectors_match_brute_force():
+    # the pruned enumeration yields exactly the degree-test survivors of the full
+    # lexicographic enumeration, in the same order
+    for npts in (2, 3, 4):
+        # (map degree, vector) over the span of max-degree 8, in product order
+        full = [((sum(map(abs, e)) + abs(sum(e))) // 2, e) for e in itertools.product(range(-8, 9), repeat=npts)]
+        full = [(degree, e) for degree, e in full if 0 < degree <= 8]
+        for power, max_degree in itertools.product((2, 3, 4, 6), range(1, 9)):
+            expected = [e for degree, e in full if degree <= max_degree and _passes_degree_test(e, power, max_degree)]
+            assert list(_exponent_vectors(npts, max_degree, power)) == expected, (npts, power, max_degree)
+
+
+def test_pullback_search_solves_only_admitted_vectors(monkeypatch):
+    # past the degree at which the degree test stops admitting new vectors the
+    # search does the same work and finds the same candidates
+    cube = (Fr(0), Fr(0), Fr(1, 3))
+    solve = hypergeom._solve_power_condition
+    seen = []
+    monkeypatch.setattr(hypergeom, "_solve_power_condition",
+                        lambda points, exps, *rest: seen.append(exps) or solve(points, exps, *rest))
+    calls, rows = [], []
+    for max_degree in (6, 8, 16):
+        seen.clear()
+        cands = pullback_search(SING_POINTS, cube, max_degree)
+        assert all(_passes_degree_test(e, 3, max_degree) for e in seen)
+        calls.append(len(seen))
+        rows.append([(c.exponent_tuple(), c.constant, c.map.text(), c.cube_root.text()) for c in cands])
+    assert calls == [168] * 3 and rows[0] == rows[1] == rows[2] and len(rows[0]) == 2
 
 
 @pytest.mark.parametrize("exps, constant", [((1, -1, 3, -2), Fr(-1)), ((3, 1, -1, -2), Fr(-9, 16))])

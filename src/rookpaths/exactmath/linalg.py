@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
-from .mpoly import MPoly, frac_gcd, mpoly_gcd, mpoly_lcm
+from .mpoly import MPoly, _rational_roots, frac_gcd, mpoly_gcd, mpoly_lcm
 from .ratfun import RatFun
 
 
@@ -55,6 +55,38 @@ def linear_nullspace(matrix: Sequence[Sequence[MPoly | int | Fraction]]) -> list
         return _integer_kernel(matrix, ncols)
     return [[MPoly.const((), c) for c in vec]
             for vec in _integer_kernel([[p.constant_value() for p in row] for row in matrix], ncols)]
+
+
+def root_values(a: MPoly, b: MPoly, G: MPoly) -> list[Fraction]:
+    """The rational values of a/b at the roots of a univariate G prime to b, sorted.
+
+    They are the rational roots of mu, the least-degree polynomial with
+    mu(a/b) = 0 in Q[x]/(G).  With M = max(deg a, deg b), a relation of degree d
+    cleared by b^d reads sum_(i <= d) mu_i a^i b^(d-i) = G * W, deg W = d*M - deg G:
+    one integer system per d, from the least d with d*M >= deg G (1 when M = 0)
+    to deg G at most, where it has more unknowns than rows.  Below that d the sum
+    would vanish identically, which only a constant a/b allows, and then the first
+    kernel vector is x - a/b.  a and b lose their rational contents, which scale
+    the roots back, and each power is built once, when d first needs it.
+    """
+    (var,) = G.vars
+    g = G.degree(var)
+    ca, cb = a.rational_content() or Fraction(1), b.rational_content()
+    a, b = a * (1 / ca), b * (1 / cb)
+    M = max(a.degree(var), b.degree(var))
+    g_coeffs = {e: c for (e,), c in G.primitive_part().terms.items()}
+    a_pows, b_pows = [MPoly.const(G.vars, 1)], [MPoly.const(G.vars, 1)]
+    for d in range(-(-g // M) if M else 1, g + 1):
+        while len(a_pows) <= d:
+            a_pows.append(a_pows[-1] * a)
+            b_pows.append(b_pows[-1] * b)
+        columns = [{e: c for (e,), c in (a_pows[i] * b_pows[d - i]).terms.items()} for i in range(d + 1)]
+        columns += [{e + j: -c for e, c in g_coeffs.items()} for j in range(d * M - g + 1)]
+        kernel = linear_nullspace([[col.get(row, 0) for col in columns] for row in range(d * M + 1)])
+        if kernel:
+            break
+    mu = MPoly(G.vars, {(i,): m for i, m in enumerate(kernel[0][:d + 1])})
+    return [r * ca / cb for r, _mult in _rational_roots(mu)[0]]
 
 
 def _integer_kernel(matrix: Sequence[Sequence[int | Fraction]], ncols: int) -> list[list[int]]:

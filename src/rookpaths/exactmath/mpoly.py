@@ -768,3 +768,80 @@ def mpoly_lcm(a: MPoly, b: MPoly) -> MPoly:
         return MPoly.zero(a.vars)
     g = mpoly_gcd(a, b)
     return (a * b).divide_exact(g).primitive_part()
+
+
+# -- rational roots -------------------------------------------------------
+
+
+def multiplicity(p: MPoly, f: MPoly) -> tuple[int, MPoly]:
+    """The multiplicity k of a nonconstant f in a nonzero p, and p / f^k."""
+    k = 0
+    while (q := p.try_divide(f)) is not None:
+        p, k = q, k + 1
+    return k, p
+
+
+def _rational_roots(p: MPoly) -> tuple[list[tuple[Fraction, int]], MPoly]:
+    """Rational roots of a nonzero univariate p, and the cofactor without them.
+
+    Returns the sorted (root, multiplicity) pairs and the primitive part of
+    p with every (x - root)^multiplicity divided out; the cofactor has no
+    rational root, and it is constant exactly when p splits over Q.
+    """
+    work = p.primitive_part()
+    roots: list[tuple[Fraction, int]] = []
+    zero_mult = min(exp[0] for exp in work.terms)
+    if zero_mult:  # an indicial polynomial often has the exponent 0
+        roots.append((Fraction(0), zero_mult))
+        work = MPoly(p.vars, {(e - zero_mult,): c for (e,), c in work.terms.items()})
+    while not work.is_constant():
+        root = _find_rational_root(work)
+        if root is None:
+            break
+        mult, work = multiplicity(work, MPoly(p.vars, {(1,): root.denominator, (0,): -root.numerator}))
+        roots.append((root, mult))
+    return sorted(roots), work
+
+
+def _find_rational_root(p: MPoly) -> Fraction | None:
+    """A rational root of a primitive univariate p, or None.
+
+    With q its squarefree part, L the lead and d the degree of q, y = L*x
+    turns q into the monic integer polynomial m(y) = L^(d-1) q(y/L), whose
+    rational roots are integers below B = 1 + max|coefficient of m|.  Modulo
+    a prime at which every root of m is simple, each integer root reduces to
+    one of those roots, and Newton (Hensel) lifting recovers it modulo a
+    power of the prime above 2B.  No coefficient is factored, so huge
+    coefficients cost only their length.
+    """
+    (var,) = p.vars
+    q = p.divide_exact(mpoly_gcd(p, p.derivative(var)))
+    d = q.degree(var)
+    lead = int(q.terms[(d,)])
+    m = [int(q.terms.get((i,), 0)) * lead ** (d - 1 - i) for i in range(d)] + [1]
+    dm = [i * c for i, c in enumerate(m)][1:]
+    bound = 1 + max(abs(c) for c in m[:-1])
+
+    def value(coeffs: list[int], y: int, modulus: int) -> int:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * y + c) % modulus
+        return acc
+
+    prime = 1
+    while True:
+        prime += 1
+        if any(prime % k == 0 for k in range(2, prime)):
+            continue
+        residues = [r for r in range(prime) if value(m, r, prime) == 0]
+        if all(value(dm, r, prime) for r in residues):
+            break
+    for r in residues:
+        modulus = prime
+        while modulus <= 2 * bound:
+            modulus *= modulus
+            r = (r - value(m, r, modulus) * pow(value(dm, r, modulus), -1, modulus)) % modulus
+        root = Fraction(r if 2 * r < modulus else r - modulus, lead)
+        if q.eval_full({var: root}) == 0:
+            return root
+    return None

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import MPoly, PowerSeries, RatFun, linear_nullspace, mpoly_gcd, poly, ratfun
+from .exactmath import MPoly, PowerSeries, RatFun, mpoly_gcd, poly, ratfun, root_values
+from .exactmath.mpoly import _rational_roots
 from .numerics import decimal_str, extrapolate_partial_sums, pi_rational, sqrt_rational
 from .ore import DiffOp, RecOp, diffop_to_rec, unrolled_terms
 from . import rookdata
@@ -134,76 +135,6 @@ def _cleared(L: DiffOp) -> DiffOp:
         raise HypergeomError("the operator must be univariate in its series variable, "
                              f"got vars {list(L.cvars)} and dvars {list(L.dvars)}")
     return L.clear_denominators()
-
-
-def _rational_roots(p: MPoly) -> tuple[list[tuple[Fraction, int]], MPoly]:
-    """Rational roots of a nonzero univariate p, and the cofactor without them.
-
-    Returns the sorted (root, multiplicity) pairs and the primitive part of
-    p with every (x - root)^multiplicity divided out; the cofactor has no
-    rational root, and it is constant exactly when p splits over Q.
-    """
-    work = p.primitive_part()
-    roots: list[tuple[Fraction, int]] = []
-    zero_mult = min(exp[0] for exp in work.terms)
-    if zero_mult:  # an indicial polynomial often has the exponent 0
-        roots.append((Fraction(0), zero_mult))
-        work = MPoly(p.vars, {(e - zero_mult,): c for (e,), c in work.terms.items()})
-    while not work.is_constant():
-        root = _find_rational_root(work)
-        if root is None:
-            break
-        mult = 0
-        factor = MPoly(p.vars, {(1,): root.denominator, (0,): -root.numerator})
-        while (q := work.try_divide(factor)) is not None:
-            work = q
-            mult += 1
-        roots.append((root, mult))
-    return sorted(roots), work
-
-
-def _find_rational_root(p: MPoly) -> Fraction | None:
-    """A rational root of a primitive univariate p, or None.
-
-    With q its squarefree part, L the lead and d the degree of q, y = L*x
-    turns q into the monic integer polynomial m(y) = L^(d-1) q(y/L), whose
-    rational roots are integers below B = 1 + max|coefficient of m|.  Modulo
-    a prime at which every root of m is simple, each integer root reduces to
-    one of those roots, and Newton (Hensel) lifting recovers it modulo a
-    power of the prime above 2B.  No coefficient is factored, so huge
-    coefficients cost only their length.
-    """
-    (var,) = p.vars
-    q = p.divide_exact(mpoly_gcd(p, p.derivative(var)))
-    d = q.degree(var)
-    lead = int(q.terms[(d,)])
-    m = [int(q.terms.get((i,), 0)) * lead ** (d - 1 - i) for i in range(d)] + [1]
-    dm = [i * c for i, c in enumerate(m)][1:]
-    bound = 1 + max(abs(c) for c in m[:-1])
-
-    def value(coeffs: list[int], y: int, modulus: int) -> int:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * y + c) % modulus
-        return acc
-
-    prime = 1
-    while True:
-        prime += 1
-        if any(prime % k == 0 for k in range(2, prime)):
-            continue
-        residues = [r for r in range(prime) if value(m, r, prime) == 0]
-        if all(value(dm, r, prime) for r in residues):
-            break
-    for r in residues:
-        modulus = prime
-        while modulus <= 2 * bound:
-            modulus *= modulus
-            r = (r - value(m, r, modulus) * pow(value(dm, r, modulus), -1, modulus)) % modulus
-        root = Fraction(r if 2 * r < modulus else r - modulus, lead)
-        if q.eval_full({var: root}) == 0:
-            return root
-    return None
 
 
 def _classify_point(L: DiffOp, location: Fraction | str) -> PointReport:
@@ -381,22 +312,10 @@ def _solve_power_condition(points, exps, power: int, cofactors=_cofactors):
     up to a positive constant, which no step below reads, from the support's
     integer cofactors (`cofactors` is _cofactors or a cache of it).  Q also divides
     G = gcd(R, R', ..., R^(power-2)), so c*N - D and G share a root alpha
-    and c = h(alpha) for h = D/N (G, a factor of R, has no root in S).
-    These values h(alpha) are the roots of the minimal polynomial mu of h
-    modulo G, the least-degree mu with mu(h) = 0 in Q[x]/(G).
-    Cleared by N^d, a relation of degree d reads
-
-        sum_(i <= d) mu_i D^i N^(d-i) = G * W,  deg W = d*M - deg G,
-
-    one constant system in the mu_i and the coefficients of W, solved by
-    linear_nullspace for each d with d*M >= deg G (below, only mu = 0
-    solves it: h is transcendental over Q).  The first d with a kernel
-    vector gives mu, and the loop ends by d = deg G, where the system has
-    more unknowns (d*M + 2) than rows (d*M + 1).  The products stay in
-    integers: h is D.rational_content()/N.rational_content() times the
-    quotient of the primitive parts, and the roots are scaled back.  For
-    each c, Q is the power-th root of (c*N - D)/k read in 1/x, accepted
-    only when the exact re-expansion k * Q^power = c*N - D holds.
+    and c = D(alpha)/N(alpha): c is one of root_values(D, N, G) (G, a
+    factor of R, has no root in S, so it is prime to N).  For each c, Q is
+    the power-th root of (c*N - D)/k read in 1/x, accepted only when the
+    exact re-expansion k * Q^power = c*N - D holds.
     """
     M = max(sum(e for e in exps if e > 0), -sum(e for e in exps if e < 0))
     q_deg = M // power
@@ -407,23 +326,11 @@ def _solve_power_condition(points, exps, power: int, cofactors=_cofactors):
     for _ in range(power - 2):
         R = R.derivative("x")
         G = mpoly_gcd(G, R)
-    g = G.degree("x")
-    if g < q_deg:  # Q divides G
+    if G.degree("x") < q_deg:  # Q divides G
         return []
     N, D = _monic_parts(points, exps)
-    num, den = N.primitive_part(), D.primitive_part()
-    g_coeffs = {e: c for (e,), c in G.primitive_part().terms.items()}
-    for d in range(-(-g // M), g + 1):  # from the least d with d*M >= deg G
-        columns = [{e: c for (e,), c in (den ** i * num ** (d - i)).terms.items()} for i in range(d + 1)]
-        columns += [{e + j: -c for e, c in g_coeffs.items()} for j in range(d * M - g + 1)]
-        kernel = linear_nullspace([[col.get(row, 0) for col in columns] for row in range(d * M + 1)])
-        if kernel:
-            break
-    mu = MPoly(X, {(i,): m for i, m in enumerate(kernel[0][:d + 1])})
-    scale = D.rational_content() / N.rational_content()
     out = []
-    for r, _mult in _rational_roots(mu)[0]:
-        c = r * scale
+    for c in root_values(D, N, G):
         lhs = N * c - D
         k = Fraction(lhs.leading_coeff())  # c when deg N > deg D, else -1
         in_y = PowerSeries("x", [lhs.terms.get((M - j,), 0) / k for j in range(q_deg + 1)])

@@ -28,12 +28,14 @@ divided by the factor removed; stage A then fixes the gauge phi -> phi - lambda(
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import MPoly, RatFun, clear_denominators, linear_nullspace, monomial_key, mpoly_gcd
+from .exactmath import (MPoly, RatFun, clear_denominators, linear_nullspace, monomial_key, mpoly_gcd, multiplicity,
+                        root_values)
 from .ore import DiffOp, _derivative_from_cache, check_input_caps
 
 XST = ("x", "s", "t")
@@ -191,19 +193,6 @@ def _check_param_solution(A, B, sol: ParamSolution, main_var: str) -> bool:
 # same way the tight bounds do.
 # ---------------------------------------------------------------------------
 
-_RESIDUE_CAP = 30
-
-
-def _multiplicity(p: MPoly, f: MPoly) -> int:
-    m = 0
-    while True:
-        q = p.try_divide(f)
-        if q is None:
-            return m
-        p = q
-        m += 1
-
-
 def _squarefree_decomposition(p: MPoly, v: str) -> list[MPoly]:
     """Yun decomposition: one factor per multiplicity class (classes merged).
 
@@ -263,10 +252,8 @@ def universal_denominator(a: RatFun, rhs_dens: list[MPoly],
     basis = _gcd_free_basis(pool, main_var)
     u = MPoly.const(a.vars, 1)
     for pi in basis:
-        k = _multiplicity(a.den, pi)
-        ordb = 0
-        for den in rhs_dens:
-            ordb = max(ordb, _multiplicity(den, pi))
+        k = multiplicity(a.den, pi)[0]
+        ordb = max((multiplicity(den, pi)[0] for den in rhs_dens), default=0)
         if k >= 2:
             bound = max(ordb - k, 0)
             u = u * pi ** bound if bound else u
@@ -275,16 +262,21 @@ def universal_denominator(a: RatFun, rhs_dens: list[MPoly],
         if base:
             u = u * pi ** base
         if k == 1:
-            # integer-residue poles: pi | (num - m * pi' * (den/pi))
+            # integer-residue poles: pi | (num - m * slope).  m is a value of num/slope at a
+            # root of pi, read at the first passive point keeping deg pi and pi prime to slope
+            # (the others are zeros of lc(pi) * Res(pi, slope)); the exact gcd confirms it.
             slope = pi.derivative(main_var) * a.den.divide_exact(pi)
-            remaining = pi
-            for m in range(_RESIDUE_CAP, base, -1):
-                g = mpoly_gcd(remaining, a.num - slope * m)
-                if g.degree(main_var) > 0:
-                    u = u * g ** (m - base)
-                    remaining = remaining.divide_exact(g)
-                    if remaining.degree(main_var) == 0:
-                        break
+            passive = [v for v in a.vars if v != main_var]
+            for point in (dict(zip(passive, p)) for n in itertools.count(1)
+                          for p in itertools.product(range(1, n + 1), repeat=len(passive))):
+                pi_p, slope_p = pi.eval_at(point), slope.eval_at(point)
+                if pi_p.degree(main_var) == pi.degree(main_var) and mpoly_gcd(pi_p, slope_p).is_constant():
+                    break
+            for m in root_values(a.num.eval_at(point), slope_p, pi_p):
+                if m.denominator == 1 and m > base:
+                    g = mpoly_gcd(pi, a.num - slope * m)
+                    if g.degree(main_var) > 0:
+                        u = u * g ** (int(m) - base)
     return u.primitive_part()
 
 

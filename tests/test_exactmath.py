@@ -8,7 +8,7 @@ import pytest
 
 from rookpaths import rookdata
 from rookpaths.exactmath import (MPoly, PowerSeries, RatFun, clear_denominators, linear_nullspace,
-                                 mpoly_gcd, poly, ratfun, strip_content)
+                                 mpoly_gcd, multiplicity, poly, ratfun, root_values, strip_content)
 from rookpaths.exactmath import mpoly as mpoly_module
 
 X = ("x",)
@@ -558,6 +558,46 @@ def test_constant_nullspace_matches_sympy_and_polynomial_path():
 def test_nullspace_rejects_malformed_matrix(matrix):
     with pytest.raises(ValueError):
         linear_nullspace(matrix)
+
+
+def _at_sqrt2(p: MPoly) -> tuple[Fraction, Fraction]:
+    """p(sqrt 2) as (u, v) with p(sqrt 2) = u + v*sqrt(2)."""
+    u = v = Fraction(0)
+    for (e,), c in p.terms.items():
+        if e % 2:
+            v += c * 2 ** (e // 2)
+        else:
+            u += c * 2 ** (e // 2)
+    return u, v
+
+
+def test_root_values_match_direct_evaluation():
+    # G = prod (x - r)^k * (x^2 - 2): the values of a/b at the roots of G that are
+    # rational are a(r)/b(r) at the rational roots r, plus the value at +-sqrt(2)
+    # exactly when a/b is rational there (its two conjugate values then agree)
+    rng = random.Random(26)
+    for trial in range(60):
+        roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+        G = poly("x^2-2", X) * rng.choice([1, -3, Fraction(1, 5)])
+        for r in roots:
+            G = G * MPoly(X, {(1,): r.denominator, (0,): -r.numerator}) ** rng.randint(1, 2)
+        b = rand_poly(rng, X, 3, 3)
+        while b.is_zero() or any(b.eval_full({"x": r}) == 0 for r in roots) or _at_sqrt2(b) == (0, 0):
+            b = rand_poly(rng, X, 3, 3)
+        # a constant h (at a nonconstant b too) and a zero a are the edge cases
+        a = [MPoly.zero(X), b * Fraction(-7, 3), rand_poly(rng, X, 4, 5)][trial % 3]
+        expected = {a.eval_full({"x": r}) / b.eval_full({"x": r}) for r in roots}
+        (ua, va), (ub, vb) = _at_sqrt2(a), _at_sqrt2(b)
+        if ua * vb == va * ub:
+            expected.add(ua / ub if ub else va / vb)
+        assert root_values(a, b, G) == sorted(expected), (a, b, G)
+
+
+def test_multiplicity_returns_the_cofactor():
+    p = poly("(x-1)^3*(x+2)", X)
+    assert multiplicity(p, poly("x-1", X)) == (3, poly("x+2", X))
+    assert multiplicity(p, poly("2*x-2", X)) == (3, poly("x+2", X) * Fraction(1, 8))
+    assert multiplicity(p, poly("x", X)) == (0, p)
 
 
 def test_parse_rejects_noncanonical_text_in_one_line():

@@ -8,13 +8,14 @@ from itertools import accumulate
 import pytest
 
 from rookpaths import hypergeom, rookdata
-from rookpaths.exactmath import MPoly, RatFun, poly, ratfun
+from rookpaths.exactmath import MPoly, RatFun, linalg, poly, ratfun
+from rookpaths.exactmath.mpoly import _rational_roots
 from rookpaths.hypergeom import (HypergeomSpec, HypergeomError, SING_POINTS, asymptotics_check,
                                  closed_form_check, closed_form_series, exponents_at,
                                  f21_at_one, f21_series, gauss_operator, identity_checks,
                                  local_exponents, operator_pullback, pullback_search,
                                  symbolic_solution_check, _exponent_vectors, _monic_parts,
-                                 _rational_roots, _solve_power_condition)
+                                 _solve_power_condition)
 from rookpaths.numerics import decimal_str, extrapolate_partial_sums, pi_rational, sqrt_rational
 from rookpaths.ore import DiffOp, rec_unroll
 from rookpaths.walks import SeqTable
@@ -307,7 +308,7 @@ def test_power_condition_with_a_cubic_minimal_polynomial(monkeypatch, exps, cons
     # the vector has no candidate
     points = (Fr(0), Fr(1), Fr(1, 4), Fr(-1, 8))
     seen = []
-    monkeypatch.setattr(hypergeom, "_rational_roots", lambda p: seen.append(p) or _rational_roots(p))
+    monkeypatch.setattr(linalg, "_rational_roots", lambda p: seen.append(p) or _rational_roots(p))
     assert _solve_power_condition(points, exps, 2) == []
     mu, = seen
     N, D = _monic_parts(points, exps)

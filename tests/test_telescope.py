@@ -447,15 +447,38 @@ def test_universal_denominator_screens_integer_residues(monkeypatch, pi1, u_text
     exact = []
     gcd = telescope.mpoly_gcd
     monkeypatch.setattr(telescope, "mpoly_gcd", lambda p, q: exact.append(p.vars == XT) or gcd(p, q))
+    basis = telescope._gcd_free_basis(telescope._squarefree_decomposition(a.den, "t"), "t")
+    setup = sum(exact)  # the exact gcds that build the one simple-pole factor
+    exact.clear()
     assert telescope.universal_denominator(a, [], "t").text() == u_text
-    assert sum(exact) >= telescope._RESIDUE_CAP  # one exact probe per m
+    # the residue step probes only the integer values of num/slope at the roots of
+    # pi: at most deg_t pi exact gcds
+    assert len(basis) == 1 and 1 <= sum(exact) - setup <= basis[0].degree("t")
 
 
-def test_universal_denominator_reaches_the_residue_cap():
-    # the first m probed is the cap itself: a = cap/(t-x) has residue cap
-    from rookpaths.telescope import _RESIDUE_CAP, universal_denominator
+def test_universal_denominator_reads_any_integer_residue():
+    # a = m/(t-x) has residue m at t = x, so y = (t-x)^-m solves y' + a y = 0 for every m
+    from rookpaths.telescope import universal_denominator
     XT = ("x", "t")
     pi = poly("t-x", XT)
-    a = RatFun(MPoly.const(XT, _RESIDUE_CAP), pi)
-    assert universal_denominator(a, [], "t") == pi ** _RESIDUE_CAP
-    assert universal_denominator(RatFun(MPoly.const(XT, _RESIDUE_CAP + 1), pi), [], "t").is_constant()
+    for m in (30, 31, 100):
+        assert universal_denominator(RatFun(MPoly.const(XT, m), pi), [], "t") == pi ** m
+
+
+@pytest.mark.parametrize("vars, pole_texts, residues", [
+    # lc_t(pi) = x - 1 vanishes at the walk's first point x = 1
+    (("x", "t"), ["(x-1)*t-1"], [3]),
+    # lc_t(pi) = x - s vanishes at (1, 1), the first point of the boxes of side 1 and 2
+    (("x", "s", "t"), ["(x-s)*t-1"], [2]),
+    # at x = 1 the factor t - x meets the other pole t - 1: pi is not prime to slope there
+    (("x", "t"), ["t-x", "t-1"], [2, 3]),
+], ids=["lead-vanishes", "lead-vanishes-in-two-passives", "meets-another-pole"])
+def test_universal_denominator_walks_past_unusable_points(vars, pole_texts, residues):
+    from rookpaths.telescope import universal_denominator
+    poles = [poly(text, vars) for text in pole_texts]
+    a = RatFun.from_scalar(0, vars)
+    u = MPoly.const(vars, 1)
+    for pi, m in zip(poles, residues):
+        a = a + RatFun(pi.derivative("t") * m, pi)
+        u = u * pi ** m
+    assert universal_denominator(a, [], "t") == u.primitive_part()

@@ -4,7 +4,8 @@ A PowerSeries stores coefficients c_0..c_N; N is the truncation order (the
 series is known through the coefficient of var^N).  Binary operations carry
 the minimum of the two operand orders.  Division requires an invertible
 (nonzero constant term) divisor and runs in integers; composition takes a
-rational map N/D with N(0) = 0 and D(0) != 0 and keeps the outer order.
+rational map N/D with N(0) = 0 and D(0) != 0, runs in the map's own scale
+x = D(0)*y, where the divisor has constant term 1, and keeps the outer order.
 """
 
 from __future__ import annotations
@@ -152,24 +153,27 @@ class PowerSeries:
     def compose(self, f: RatFun) -> PowerSeries:
         """self(f(var)) for a rational map f = N/D in var with N(0) = 0 and D(0) != 0.
 
-        Only c_k with k <= K = n // v(N) reach x^n.  With c_k = C_k / L over one
-        denominator, Horner in integers, acc <- acc*N + C_k*D^(K-k) mod x^(n+1),
-        builds L * D^K * self(f); one division by D^K and L ends it.
+        With x = d0*y and d0 = D(0), f = N'/D' for the integer polynomials
+        N'(y) = N(d0*y)/d0 and D'(y) = D(d0*y)/d0, and D'(0) = 1.  Only c_k with
+        k <= K = n // v(N) reach y^n.  With c_k = C_k / L over one denominator,
+        Horner in integers, acc <- acc*N' + C_k*D'^(K-k) mod y^(n+1), builds
+        L * D'^K * self(f); one division by D'^K and L, and by d0^i at y^i, ends it.
         """
         if f.vars != (self.var,):
             raise ValueError(f"composition needs a rational map in {self.var!r} alone")
         if (0,) in f.num.terms or (0,) not in f.den.terms:
             raise ValueError("composition needs a map f = N/D with N(0) = 0 and D(0) != 0")
-        n = self.order
-        num, den = _pairs(_dense(f.num, n)), _pairs(_dense(f.den, n))
+        n, d0 = self.order, f.den.terms[(0,)]
+        powers = list(accumulate([1] + [d0] * n, mul))  # d0^i
+        num, den = (_pairs([c * w // d0 for c, w in zip(_dense(p, n), powers)]) for p in (f.num, f.den))
         C, L = self._cleared(n // num[0][0] if num else 0)
         acc = [C[-1]] + [0] * n
-        den_power = [1] + [0] * n  # D^(K-k)
+        den_power = [1] + [0] * n  # D'^(K-k)
         for c in reversed(C[:-1]):
             acc, den_power = _times(acc, num), _times(den_power, den)
             if c:
                 acc = [a + c * p for a, p in zip(acc, den_power)]
-        return _quotient(self.var, acc, den_power, Fraction(1, L))
+        return _quotient(self.var, acc, den_power, Fraction(1, L), d0)
 
     def power(self, alpha: Scalar) -> PowerSeries:
         """self^alpha for a rational alpha, by J.C.P. Miller's recurrence.
@@ -228,11 +232,12 @@ def _times(a: list[int], factor: list[tuple[int, int]]) -> list[int]:
     return out
 
 
-def _quotient(var: str, a: list[int], b: list[int], scale: Fraction) -> PowerSeries:
-    """scale * a / b through x^(len(a)-1), for integer coefficient lists with b[0] != 0.
+def _quotient(var: str, a: list[int], b: list[int], scale: Fraction, step: int = 1) -> PowerSeries:
+    """scale * (a / b)(x / step) through x^(len(a)-1), for integer coefficient lists with b[0] != 0.
 
     h_i = b_0^(i+1) q_i of the quotient q = a / b obeys the division-free
-    h_i = b_0^i a_i - sum_{j>=1} b_j b_0^(j-1) h_(i-j), as in expand_diagonal.
+    h_i = b_0^i a_i - sum_{j>=1} b_j b_0^(j-1) h_(i-j), as in expand_diagonal;
+    coefficient i is then one Fraction, scale * h_i / (b_0 (b_0 step)^i).
     """
     if not b[0]:
         raise ValueError("division needs a divisor with nonzero constant term")
@@ -243,5 +248,5 @@ def _quotient(var: str, a: list[int], b: list[int], scale: Fraction) -> PowerSer
     h: list[int] = []
     for x, w in zip(a, powers):
         h.append(x * w - sum(map(mul, tail, reversed(h))))
-    p, q = scale.numerator, scale.denominator
-    return PowerSeries(var, [Fraction(x * p, d * q) for x, d in zip(h, powers[1:])])
+    dens = accumulate([scale.denominator * b[0]] + [b[0] * step] * len(a), mul)
+    return PowerSeries(var, [Fraction(x * scale.numerator, d) for x, d in zip(h, dens)])

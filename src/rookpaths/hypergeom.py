@@ -428,7 +428,7 @@ def f21_at_one(spec: HypergeomSpec) -> Fraction:
     """Numeric value of 2F1(a,b;c;1) by extrapolated exact partial sums.
 
     Direct partial sums converge like a power of 1/n, far too slowly; since
-    they admit an asymptotic expansion in 1/n, exact Neville extrapolation
+    they admit an asymptotic expansion in 1/n, exact polynomial extrapolation
     through a dozen partial sums reaches many digits.  The result is a
     rational enclosure, independent of the Gauss evaluation formula.
     """

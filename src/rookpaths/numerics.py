@@ -8,6 +8,7 @@ delivered as rational enclosures good to a requested number of digits.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Callable, Sequence
 
 
@@ -82,22 +83,16 @@ def pi_rational(digits: int = 30) -> Fraction:
     return Fraction(int(pi * scale), scale)
 
 
-def neville_extrapolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Fraction:
-    """Polynomial extrapolation of (xs, ys) to x = 0, exact arithmetic."""
-    n = len(xs)
-    if n != len(ys) or n == 0:
-        raise ValueError("need matching nonempty nodes")
-    p = list(ys)
-    for level in range(1, n):
-        for i in range(n - level):
-            # Neville update for target 0: p_i = (x_{i+level} p_i - x_i p_{i+1}) / (x_{i+level} - x_i)
-            p[i] = (xs[i + level] * p[i] - xs[i] * p[i + 1]) / (xs[i + level] - xs[i])
-    return p[0]
-
-
 def extrapolate_partial_sums(partial_sum: Callable[[int], Fraction],
                              nodes: Sequence[int]) -> Fraction:
-    """Extrapolate S(n) to n = infinity assuming an expansion in 1/n."""
-    xs = [Fraction(1, n) for n in nodes]
-    ys = [partial_sum(n) for n in nodes]
-    return neville_extrapolate(xs, ys)
+    """Extrapolate S(n) to n = infinity assuming an expansion in 1/n.
+
+    The polynomial through the points (1/n_i, S(n_i)) takes at 0 the value
+    sum_i S(n_i) prod_{j != i} n_i / (n_i - n_j) (Lagrange form), whose
+    weights are ratios of small integers; the nodes must be distinct and nonzero.
+    """
+    if not nodes:
+        raise ValueError("need at least one node")
+    return sum((partial_sum(n) * Fraction(n ** (len(nodes) - 1),
+                                          prod(n - m for j, m in enumerate(nodes) if j != i))
+                for i, n in enumerate(nodes)), Fraction(0))

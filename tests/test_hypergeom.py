@@ -1,5 +1,6 @@
 """Hypergeometric layer: series, exponents, pullbacks, asymptotics, identities."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction as Fr
@@ -9,6 +10,7 @@ import pytest
 
 from rookpaths import hypergeom, rookdata
 from rookpaths.exactmath import MPoly, RatFun, linalg, poly, ratfun
+from rookpaths.exactmath import series as series_module
 from rookpaths.exactmath.mpoly import _rational_roots
 from rookpaths.hypergeom import (HypergeomSpec, HypergeomError, SING_POINTS, asymptotics_check,
                                  closed_form_check, closed_form_series, exponents_at,
@@ -384,6 +386,45 @@ def test_closed_form_check_passes():
     assert closed_form_check(30).passed
 
 
+def test_series_checks_pass_at_the_benchmark_order():
+    assert all(report.passed for report in identity_checks(60))
+    assert closed_form_check(60).passed
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+GOURSAT_OUTER = HypergeomSpec(Fr(1, 12), Fr(5, 12), Fr(1))
+
+
+@pytest.mark.parametrize("spec, order, pullback, digest", [
+    (GOURSAT_OUTER, 60, ratfun(rookdata.GOURSAT_PULLBACK_TEXT, X),
+     "0ae1de8469320e76e57fa1f95874e7ad3e766dffa9fab4e3ae7a9d3bf75442ee"),
+    (HypergeomSpec(*rookdata.closed_form_parameters()), 61, rookdata.closed_form_pullback(),
+     "62c47061da0d313d15bf0ffa885c2ae828ef678fb7830a4f91ac849897e8c15c"),
+], ids=["goursat", "closed-form"])
+def test_compose_keeps_its_pinned_coefficients(spec, order, pullback, digest):
+    # digests of the coefficient texts, as the unscaled division by D^K gives them
+    composed = f21_series(spec, order).compose(pullback)
+    assert _sha256(",".join(str(c) for c in composed.coeffs)) == digest
+
+
+def test_compose_divides_by_a_unit_constant_term(monkeypatch):
+    # the Goursat map has D(0) = 729; compose must hand the division D'^K with D'(0) = 1
+    divisors = []
+    quotient = series_module._quotient
+
+    def spy(var, a, b, *args):
+        divisors.append(b)
+        return quotient(var, a, b, *args)
+
+    monkeypatch.setattr(series_module, "_quotient", spy)
+    f21_series(GOURSAT_OUTER, 60).compose(ratfun(rookdata.GOURSAT_PULLBACK_TEXT, X))
+    assert [abs(b[0]) for b in divisors] == [1]
+    assert max(abs(c) for c in divisors[0]).bit_length() < 1000
+
+
 def test_closed_form_check_detects_wrong_prefactor(monkeypatch):
     # prefactor 7 instead of 6: mismatch at n = 0
     monkeypatch.setattr(rookdata, "closed_form_prefactor",
@@ -408,6 +449,7 @@ def test_gauss_value_numeric():
     target = Fr(9, 4) * sqrt_rational(Fr(3)) / pi_rational()
     assert abs(value - target) < target / 10 ** 10
     assert decimal_str(value, 6) == "1.240490"
+    assert _sha256(str(value)) == "4d897b2ab5506d0b9873d90768758d391f0636f392153ca135543117fb960238"
 
 
 def test_f21_at_one_rejects_divergent_parameters():
@@ -416,12 +458,49 @@ def test_f21_at_one_rejects_divergent_parameters():
             f21_at_one(spec)
 
 
-@pytest.mark.parametrize("spec", [HypergeomSpec(Fr(1, 12), Fr(5, 12), Fr(3, 2)),
-                                  HypergeomSpec(Fr(-1, 3), Fr(1, 4), Fr(7, 3))])
-def test_f21_at_one_extrapolates_series_partial_sums(spec):
+def neville_at_zero(xs, ys):
+    """The interpolating polynomial of (xs, ys) at 0 by Neville's triangle."""
+    p = list(ys)
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - level):
+            p[i] = (xs[i + level] * p[i] - xs[i] * p[i + 1]) / (xs[i + level] - xs[i])
+    return p[0]
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (HypergeomSpec(Fr(1, 12), Fr(5, 12), Fr(3, 2)),
+     "53db4d4b91b08ed0f0d082295f02c637e54161e8df2c067fbc64f7853beafcfd"),
+    (HypergeomSpec(Fr(-1, 3), Fr(1, 4), Fr(7, 3)),
+     "5bff7ac0c2e0a074acba8c2d55783ecc9f13214331094ddc77d52d8665ac1cba"),
+], ids=["spec0", "spec1"])
+def test_f21_at_one_extrapolates_series_partial_sums(spec, digest):
+    # the series' own partial sums through Neville's triangle at 1/n = 0, and
+    # the digest of the value's text as that triangle gives it
     nodes = [200 + 100 * i for i in range(12)]
     sums = list(accumulate(f21_series(spec, max(nodes)).coeffs))
-    assert f21_at_one(spec) == extrapolate_partial_sums(lambda n: sums[n], nodes)
+    value = f21_at_one(spec)
+    assert value == neville_at_zero([Fr(1, n) for n in nodes], [sums[n] for n in nodes])
+    assert _sha256(str(value)) == digest
+
+
+def test_extrapolation_matches_neville_triangle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    nonzero = st.integers(-10 ** 6, 10 ** 6).filter(bool)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(nonzero, min_size=1, max_size=14, unique=True), st.data())
+    def check(nodes, data):
+        values = {n: data.draw(st.fractions(max_denominator=10 ** 12)) for n in nodes}
+        expected = neville_at_zero([Fr(1, n) for n in nodes], [values[n] for n in nodes])
+        assert extrapolate_partial_sums(values.__getitem__, nodes) == expected
+
+    check()
+
+
+def test_extrapolation_needs_a_node():
+    with pytest.raises(ValueError, match="at least one node"):
+        extrapolate_partial_sums(lambda n: Fr(n), [])
 
 
 def test_asymptotics_check():

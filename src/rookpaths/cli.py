@@ -33,9 +33,12 @@ MODELS = {"rook": ROOK, "queen": QUEEN}
 # to n = 200 takes about 3 s and 50 MB (at n = 2600 it ran out of memory), each series
 # check at order 100 under 1 s (identity-checks at 200, 24 s), asymptotics at
 # n = 10000 under 1 s and 18 MB, and telescope at order 6 about 4 s and 27 MB (order
-# 8, 25 s). guess-rec's default terms are the rook DP to --n - 1.
+# 8, 25 s). guess-rec's default terms are the rook DP to --n - 1. A sequence file at
+# the 4,300-digit parse limit (rec-unroll's output to about n = 2,380) is 5.1 MB.
 TERMS_CAP, DIAG_CAP, UNROLL_CAP, MAX_DEGREE_CAP = 200, 100, 5000, 16
 SERIES_CAP, ASYMPTOTICS_CAP, GUESS_CAP, TELESCOPE_CAP = 100, 10000, TERMS_CAP + 1, 6
+INPUT_BYTES_CAP = 16 << 20
+FILE_CAP = f", at most {INPUT_BYTES_CAP >> 20} MiB"
 
 
 class UsageError(Exception):
@@ -91,15 +94,15 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, default=25, help=f"number of terms to use, at most {GUESS_CAP}")
     c.add_argument("--order", type=int, required=True)
     c.add_argument("--degree", type=int, required=True)
-    c.add_argument("--input", help="SeqTable JSON (default: rook DP terms)")
+    c.add_argument("--input", help=f"SeqTable JSON (default: rook DP terms){FILE_CAP}")
 
     c = cmd("rec-unroll", _cmd_rec_unroll, help="extend a sequence by a recurrence")
     c.add_argument("--n", type=int, required=True, help=f"last index, at most {UNROLL_CAP}")
-    c.add_argument("--input", help="operator JSON (default: the order-3 recurrence)")
-    c.add_argument("--initial", help="SeqTable JSON with initial terms")
+    c.add_argument("--input", help=f"operator JSON (default: the order-3 recurrence){FILE_CAP}")
+    c.add_argument("--initial", help=f"SeqTable JSON with initial terms{FILE_CAP}")
 
     c = cmd("ode-to-rec", _cmd_ode_to_rec, help="translate an ODE into a recurrence")
-    c.add_argument("--input", help="operator JSON (default: the certified telescoper)")
+    c.add_argument("--input", help=f"operator JSON (default: the certified telescoper){FILE_CAP}")
 
     c = cmd("telescope", _cmd_telescope, help="creative-telescoping stages")
     c.add_argument("--stage", choices=["A", "B", "C", "all"], default="all")
@@ -107,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"telescoper order for stage B, at most {TELESCOPE_CAP}")
 
     c = cmd("verify-cert", _cmd_verify_cert, help="re-verify a certificate file")
-    c.add_argument("--input", required=True)
+    c.add_argument("--input", required=True, help=f"certificate JSON{FILE_CAP}")
 
     cmd("prove-rec-reduction", _cmd_prove_reduction,
         help="prove the order-3 recurrence from the order-4 one")
@@ -119,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--max-degree", type=int, default=6, help=f"largest map degree, at most {MAX_DEGREE_CAP}")
 
     c = cmd("local-exponents", _cmd_local_exponents, help="singularity analysis")
-    c.add_argument("--input", help="operator JSON (default: the closed-form operator)")
+    c.add_argument("--input", help=f"operator JSON (default: the closed-form operator){FILE_CAP}")
 
     c = cmd("identity-checks", _cmd_identities, help="series identity suite")
     c.add_argument("--order", type=int, default=30, help=f"series order, at most {SERIES_CAP}")
@@ -150,7 +153,9 @@ def _in_range(value: int, low: int, flag: str, cap: float = float("inf")) -> int
 
 
 def _read_json(path: str):
-    """An input file's parsed JSON and its text; nesting too deep to parse is an input error."""
+    """An input file's parsed JSON and its text; over-cap (unread) or too deeply nested is an input error."""
+    if Path(path).stat().st_size > INPUT_BYTES_CAP:
+        raise ValueError(f"{path}: over the {INPUT_BYTES_CAP}-byte cap on input files")
     text = Path(path).read_text()
     try:
         return json.loads(text), text
@@ -415,8 +420,8 @@ def _cmd_prove_all(args, out: Path) -> bool:
         checks.append((name, ok))
         print(f"[{'PASS' if ok else 'FAIL'}] {name}")
 
-    dp40 = diagonal_sequence(ROOK, 40)
-    record("rook diagonal terms (DP)", dp40.terms[:9] == [
+    dp = diagonal_sequence(ROOK, max(40, args.truncation))  # each rook claim reads a prefix
+    record("rook diagonal terms (DP)", dp.terms[:9] == [
         1, 6, 222, 9918, 486924, 25267236, 1359631776, 75059524392, 4223303759148])
     record("queen diagonal terms (DP)", diagonal_sequence(QUEEN, 7).terms == [
         1, 13, 638, 41476, 3015296, 232878412, 18691183682, 1540840801552])
@@ -438,24 +443,24 @@ def _cmd_prove_all(args, out: Path) -> bool:
     rec = diffop_to_rec(result[0])
     record("telescoper recurrence matches the order-4 form",
            rec == rookdata.recurrence_order4().normalized())
-    unrolled = rec_unroll(rec, SeqTable("rook", dp40.terms[:4], "dp"), 40)
-    record("order-4 recurrence reproduces DP terms to n=40", unrolled.terms == dp40.terms)
+    unrolled = rec_unroll(rec, SeqTable("rook", dp.terms[:4], "dp"), 40)
+    record("order-4 recurrence reproduces DP terms to n=40", unrolled.terms == dp.terms[:41])
 
-    guessed = guess_rec(SeqTable("rook", dp40.terms[:25], "dp"), 3, 4)
+    guessed = guess_rec(SeqTable("rook", dp.terms[:25], "dp"), 3, 4)
     record("order-3 recurrence guessed from 25 terms",
            len(guessed) == 1 and guessed[0] == rookdata.recurrence_order3().normalized())
     red = prove_rec_reduction(rookdata.recurrence_order4(), rookdata.recurrence_order3(),
-                              rookdata.reduction_multiplier(), rookdata.reduction_cofactor(), dp40)
+                              rookdata.reduction_multiplier(), rookdata.reduction_cofactor(), dp)
     record("order reduction proof", red.passed)
 
     spec = HypergeomSpec(*rookdata.closed_form_parameters())
     sym = symbolic_solution_check(rookdata.operator_p2(), rookdata.closed_form_prefactor(),
                                   spec, rookdata.closed_form_pullback())
     record("closed form (symbolic proof)", sym.passed)
-    record("closed form (series check)", closed_form_check(args.truncation).passed)
-    for r in identity_checks(args.truncation, min(args.truncation, 25)):
+    record("closed form (series check)", closed_form_check(args.truncation, dp).passed)
+    for r in identity_checks(args.truncation, min(args.truncation, 25), dp):
         record(f"identity: {r.check}", r.passed)
-    asym = asymptotics_check(2000)
+    asym = asymptotics_check(2000, terms=dp)
     record("asymptotics", asym.passed())
 
     ok = all(flag for _, flag in checks)

@@ -340,19 +340,32 @@ class MPoly:
         return MPoly._of(self.vars, _nonzero(out))
 
     def eval_at(self, values: Mapping[str, Coeff]) -> MPoly:
-        """Substitute rational values for a subset of the variables."""
+        """Substitute rational values for a subset of the variables: a value p/q for a
+        variable of degree D tabulates p^e * q^(D-e) at the exponents e that occur, so
+        every term is an integer over one denominator and each output one Fraction."""
         keep = [v for v in self.vars if v not in values]
-        idx_keep = [self.vars.index(v) for v in keep]
-        idx_sub = [(i, _as_fraction(values[v])) for i, v in enumerate(self.vars) if v in values]
-        out: dict[tuple[int, ...], Coeff] = {}
-        for exp, c in self.terms.items():
-            coef = _as_fraction(c)
-            for i, val in idx_sub:
-                if exp[i]:
-                    coef *= val ** exp[i]
-            key = tuple(exp[i] for i in idx_keep)
-            out[key] = out.get(key, 0) + coef
-        return MPoly(tuple(keep), out)
+        lcd = den = lcm(*(c.denominator for c in self.packed.values()))
+        tables, moves = [], []
+        for i, v in enumerate(self.vars):
+            s = FIELD_BITS * i
+            if v in values:
+                p, q = _as_fraction(values[v]).as_integer_ratio()
+                exps = {k >> s & _MASK for k in self.packed}
+                top = max(exps, default=0)
+                tables.append((s, {e: p ** e * q ** (top - e) for e in exps}))
+                den *= q ** top
+            else:
+                moves.append((s, _weight(len(moves), len(keep))))
+        out: dict[int, int] = {}
+        for k, c in self.packed.items():
+            num = c.numerator * (lcd // c.denominator)
+            for s, table in tables:
+                num *= table[k >> s & _MASK]
+            key = 0
+            for s, w in moves:
+                key += (k >> s & _MASK) * w
+            out[key] = out.get(key, 0) + num
+        return MPoly._of(tuple(keep), {k: _demote(Fraction(c, den)) for k, c in out.items() if c})
 
     def eval_full(self, values: Mapping[str, Coeff]) -> Fraction:
         res = self.eval_at(values)

@@ -23,7 +23,7 @@ from .exactmath.mpoly import _rational_roots
 from .numerics import decimal_str, extrapolate_partial_sums, pi_rational, sqrt_rational
 from .ore import DiffOp, RecOp, diffop_to_rec, unrolled_terms
 from . import rookdata
-from .walks import ROOK, diagonal_sequence
+from .walks import ROOK, SeqTable, diagonal_sequence
 
 X = ("x",)
 
@@ -408,19 +408,21 @@ def closed_form_series(order: int) -> PowerSeries:
     return prefactor * outer.compose(rookdata.closed_form_pullback())
 
 
-def closed_form_check(n_max: int) -> CheckReport:
-    """Coefficient n of the closed form equals (n+1) a_{n+1} for n < n_max."""
+def closed_form_check(n_max: int, terms: SeqTable | None = None) -> CheckReport:
+    """Coefficient n of the closed form is (n+1) a_{n+1} for n < n_max (a: terms or the rook DP)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    n = _derivative_mismatch(closed_form_series(n_max + 1), n_max)
+    n = _derivative_mismatch(closed_form_series(n_max + 1), n_max, terms)
     detail = "matches the derivative of the diagonal series" if n is None else f"coefficient mismatch at n={n}"
     return CheckReport("closed-form", n is None, detail, n_max)
 
 
-def _derivative_mismatch(series: PowerSeries, count: int) -> int | None:
-    """The first n < count where coefficient n of the series is not (n+1) a_(n+1),
-    the derivative of the rook diagonal; None when they all agree."""
-    terms = diagonal_sequence(ROOK, count)
+def _derivative_mismatch(series: PowerSeries, count: int, terms: SeqTable | None) -> int | None:
+    """The first n < count where coefficient n of the series is not (n+1) a_(n+1), the
+    derivative of the rook diagonal (terms, or counted to n = count); None when all agree."""
+    terms = diagonal_sequence(ROOK, count) if terms is None else terms
+    if len(terms) <= count:
+        raise ValueError(f"need the rook diagonal to n={count}, got {len(terms)} terms")
     return next((n for n in range(count) if series.coeff(n) != (n + 1) * terms[n + 1]), None)
 
 
@@ -475,8 +477,8 @@ class AsymptoticsReport:
 
 
 def asymptotics_check(n_probe: int = 2000, tolerance: Fraction = Fraction(1, 100),
-                      digits: int = 10) -> AsymptoticsReport:
-    """Numeric Gauss value and the recurrence-driven growth constant check."""
+                      digits: int = 10, terms: SeqTable | None = None) -> AsymptoticsReport:
+    """Numeric Gauss value and the growth constant check, unrolled from terms[:3] or the rook DP."""
     if n_probe < 100:
         raise ValueError("n_probe must be at least 100")
     if tolerance <= 0:
@@ -488,7 +490,7 @@ def asymptotics_check(n_probe: int = 2000, tolerance: Fraction = Fraction(1, 100
     target = Fraction(9, 4) * sqrt3 / pi
     gauss_ok = abs(value - target) < target / 10 ** digits
 
-    base = diagonal_sequence(ROOK, 2)
+    base = diagonal_sequence(ROOK, 2) if terms is None else SeqTable(terms.name, terms.terms[:3], "dp")
     previous, an = deque(unrolled_terms(rookdata.recurrence_order3(), base, n_probe), maxlen=2)
     rho = Fraction(9) * sqrt3 / (40 * pi)
     ratio = Fraction(an * n_probe, 64 ** n_probe)
@@ -502,15 +504,16 @@ def asymptotics_check(n_probe: int = 2000, tolerance: Fraction = Fraction(1, 100
         growth_ratio_ok=growth_ok, n_probe=n_probe)
 
 
-def identity_checks(order: int = 30, beukers_order: int = 25) -> list[CheckReport]:
-    """The contiguity, quartic-pullback, and alternative-form series identities."""
+def identity_checks(order: int = 30, beukers_order: int = 25,
+                    terms: SeqTable | None = None) -> list[CheckReport]:
+    """The contiguity, quartic-pullback, and alternative-form (against terms) series identities."""
     for name, size in (("order", order), ("beukers_order", beukers_order)):
         if size < 0:
             raise ValueError(f"{name} must be >= 0")
     return [
         _contiguity_check(order),
         _quartic_pullback_check(order),
-        _alternative_form_check(beukers_order),
+        _alternative_form_check(beukers_order, terms),
     ]
 
 
@@ -534,7 +537,7 @@ def _quartic_pullback_check(order: int) -> CheckReport:
     return CheckReport("quartic-pullback", ok, f"series agree to order {order}", order)
 
 
-def _alternative_form_check(order: int) -> CheckReport:
+def _alternative_form_check(order: int, terms: SeqTable | None) -> CheckReport:
     # G'(x) = (1-x)/(2(1+6x)) * ((1-4x) H'(x) - 4 H(x)),
     # H = g2^(-1/4) * 2F1(1/12,5/12;1; 1/J), 1/J of valuation 3.
     work = order + 2
@@ -546,6 +549,6 @@ def _alternative_form_check(order: int) -> CheckReport:
     pre = PowerSeries.from_ratfun(ratfun("(1-x)/(2*(1+6*x))", X), "x", work)
     lever = PowerSeries.from_ratfun(ratfun("1-4*x", X), "x", work)
     rhs = pre * (lever * H.derivative() - 4 * H)
-    n = _derivative_mismatch(rhs, order + 1)
+    n = _derivative_mismatch(rhs, order + 1, terms)
     detail = "matches the derivative of the diagonal series" if n is None else f"mismatch at n={n}"
     return CheckReport("alternative-form", n is None, detail, order)

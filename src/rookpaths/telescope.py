@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -188,9 +189,9 @@ def _check_param_solution(A, B, sol: ParamSolution, main_var: str) -> bool:
 # of a); at a higher-order pole k it is ord_pi(b) - k; at ordinary points
 # ord_pi(b) - 1.  Triangular systems cascade the analysis component by
 # component.  The degree bound comes from the matching balance at infinity.
-# The minimal-degree loop then finds the lowest numerator degree admitting
-# solutions, which fixes the gauge freedom of the telescoping congruence the
-# same way the tight bounds do.
+# The cascade then finds the lowest numerator degree admitting solutions
+# (bisecting the screen, then solving exactly upward), which fixes the gauge
+# freedom of the telescoping congruence the same way the tight bounds do.
 # ---------------------------------------------------------------------------
 
 def _squarefree_decomposition(p: MPoly, v: str) -> list[MPoly]:
@@ -331,24 +332,45 @@ def rational_solve_cascade(A: Sequence[Sequence[RatFun]],
                            main_var: str) -> list[ParamSolution] | None:
     """Complete rational solving for (block-)triangular first-order systems.
 
-    Universal denominators come from the local pole analysis; the numerator
-    degree rises from zero to the infinity bound and stops at the first
-    level carrying a solution with a nonzero parameter block (levels with
-    only parameter-free solutions are trivial certificates and keep the
-    search going).  A level is solved exactly only if the screen finds such
-    a solution with the passive variables frozen.  The level's basis elements
-    with a nonzero parameter block are returned as they are: the solver's
-    column order makes each the representative modulo trivial solutions that
-    vanishes on their echelon pivots.  None when A is not lower-triangular.
-    """
-    n = len(A)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not A[i][j].is_zero():
-                return None
+    The screen asks, with the passive variables frozen, whether a numerator
+    degree level admits a solution with a nonzero parameter block.  It is
+    monotone in the level (a frozen solution space grows with its bounds), so
+    it runs at level 0, then at the top level (failing: []), then bisects for
+    the least passing level; from there levels are solved exactly up to the
+    first with a nonzero parameter block (trivial certificates alone keep the
+    search going).  Its basis elements with a nonzero parameter block are
+    returned as they are: the solver's column order makes each the
+    representative modulo trivial solutions that vanishes on their echelon
+    pivots.  None when A is not lower-triangular."""
+    if any(not A[i][j].is_zero() for i in range(len(A)) for j in range(i + 1, len(A))):
+        return None
+    dens, caps = _cascade_bounds(A, B, main_var)
+    top = max(caps) if caps else 0
+    frozen = [_freeze(A, B, dens, point, main_var) for point in _SCREEN_POINTS]
+
+    def passes(level: int) -> bool:
+        return _screen(frozen, [min(level, c) for c in caps])
+
+    if passes(0):
+        low = 0
+    elif top and passes(top):
+        low = bisect_left(range(top), True, 1, key=passes)  # the least passing level in 1..top
+    else:
+        return []
+    exact = ParamSystem(A, B, dens, main_var)
+    for level in range(low, top + 1):
+        sols = solve_parametrized_system(exact, [min(level, c) for c in caps])
+        particular = [s for s in sols if _has_parameter(s)]
+        if particular:
+            return particular
+    return []
+
+
+def _cascade_bounds(A, B, main_var: str) -> tuple[list[MPoly], list[int]]:
+    """The universal denominator and numerator degree bound of each component."""
     dens: list[MPoly] = []
     caps: list[int] = []
-    for i in range(n):
+    for i in range(len(A)):
         rhs_dens: list[MPoly] = []
         rhs_degrees: list[int | None] = []
         for j in range(len(B[i])):
@@ -363,20 +385,7 @@ def rational_solve_cascade(A: Sequence[Sequence[RatFun]],
         u = universal_denominator(A[i][i], rhs_dens, main_var)
         dens.append(u)
         caps.append(degree_bound(A[i][i], u, rhs_degrees, main_var))
-
-    frozen = [_freeze(A, B, dens, point, main_var) for point in _SCREEN_POINTS]
-    exact = None
-    top = max(caps) if caps else 0
-    for bound in range(top + 1):
-        bounds = [min(bound, c) for c in caps]
-        if not _screen(frozen, bounds):
-            continue
-        if exact is None:
-            exact = ParamSystem(A, B, dens, main_var)
-        particular = [s for s in solve_parametrized_system(exact, bounds) if _has_parameter(s)]
-        if particular:
-            return particular
-    return []
+    return dens, caps
 
 
 # Fixed evaluation points for screening (deterministic).

@@ -117,20 +117,22 @@ def test_pullback_search_at_the_degree_cap_writes_the_default_candidates(tmp_pat
     assert hashlib.sha256(candidates).hexdigest() == PULLBACK_SHA256
 
 
-def test_prove_all_computes_the_diagonal_five_times(tmp_path, monkeypatch, capsys):
-    # the pinned rook terms are a prefix of the n = 40 table, which also serves
-    # the order reduction's base cases; the other tables are the queen's and the
-    # closed-form, identity and asymptotics checks' own, each to the last term read
+def test_prove_all_counts_the_rook_diagonal_once(tmp_path, monkeypatch, capsys):
+    # one rook table at n = max(40, --truncation): the pinned terms, the unroll,
+    # the reduction's base cases and the closed-form, identity and asymptotics
+    # checks each read a prefix of it; the other table is the queen's
     from rookpaths import cli, hypergeom, walks
-    sizes, dp = [], walks.diagonal_sequence
+    seen, dp = [], walks.diagonal_sequence
 
     def counted(model, n):
-        sizes.append(n)
+        seen.append(n)
         return dp(model, n)
     for module in (cli, hypergeom, walks):
         monkeypatch.setattr(module, "diagonal_sequence", counted)
-    assert run_cli(["prove-all"], tmp_path) == 0
-    assert sorted(sizes) == [2, 7, 26, 30, 40]
+    for truncation, sizes in ((30, [7, 40]), (45, [7, 45])):
+        seen.clear()
+        assert run_cli(["prove-all", "--truncation", str(truncation)], tmp_path) == 0
+        assert sorted(seen) == sizes
 
 
 def test_ode_to_rec(tmp_path, capsys):
@@ -324,6 +326,29 @@ def test_malformed_input_exits_two(tmp_path, request, args, payload):
     assert "Traceback" not in result.stderr
     assert len(result.stderr.strip().splitlines()) == 1
     assert MUST_NAME.get(request.node.callspec.id, "") in result.stderr
+
+
+@pytest.mark.parametrize("name", list(INPUT_PATHS))
+def test_input_files_are_capped_before_any_read(tmp_path, capsys, monkeypatch, name):
+    # --help states the cap; a file one byte over it (sparse, so it takes no disk)
+    # exits 2 with one line naming the cap, and nothing reads the file
+    from rookpaths import cli
+    args, _ = INPUT_PATHS[name]
+    with pytest.raises(SystemExit):
+        main([args[0], "--help"])
+    flag = args[-2]
+    flag_help = " ".join(capsys.readouterr().out.split()).split(f"{flag} {flag[2:].upper()} ")[-1]
+    assert f"at most {cli.INPUT_BYTES_CAP >> 20} MiB" in flag_help.split(" --")[0], flag_help
+
+    def unread(*args, **kwargs):
+        raise AssertionError("an over-cap input file was read")
+    big = tmp_path / "big.json"
+    with big.open("wb") as f:
+        f.truncate(cli.INPUT_BYTES_CAP + 1)
+    monkeypatch.setattr(Path, "read_text", unread)
+    assert run_cli([str(big) if a == "BAD" else a for a in args], tmp_path) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and f"over the {cli.INPUT_BYTES_CAP}-byte cap" in err, err
 
 
 class WorkStarted(Exception):

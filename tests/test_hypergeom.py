@@ -20,7 +20,7 @@ from rookpaths.hypergeom import (HypergeomSpec, HypergeomError, SING_POINTS, asy
                                  _solve_power_condition)
 from rookpaths.numerics import decimal_str, extrapolate_partial_sums, pi_rational, sqrt_rational
 from rookpaths.ore import DiffOp, rec_unroll
-from rookpaths.walks import SeqTable
+from rookpaths.walks import ROOK, SeqTable, diagonal_sequence
 
 X = ("x",)
 
@@ -384,6 +384,19 @@ def test_closed_form_series_constant_coefficient():
 
 def test_closed_form_check_passes():
     assert closed_form_check(30).passed
+
+
+def test_checks_read_a_passed_prefix_of_the_diagonal():
+    # a table through the last index read gives the self-counted results; a
+    # table one term short is refused
+    terms = diagonal_sequence(ROOK, 30)
+    assert closed_form_check(30, terms).passed
+    assert [r.passed for r in identity_checks(10, 29, terms)] == [True] * 3
+    assert asymptotics_check(150, terms=terms) == asymptotics_check(150)
+    short = diagonal_sequence(ROOK, 29)
+    for check in (lambda: closed_form_check(30, short), lambda: identity_checks(10, 29, short)):
+        with pytest.raises(ValueError, match="to n=30, got 30 terms"):
+            check()
 
 
 def test_series_checks_pass_at_the_benchmark_order():

@@ -423,6 +423,107 @@ def test_solver_verify_flag_is_keyword_only():
     assert verify.default is True
 
 
+# -- the cascade's level search ------------------------------------------------------
+
+
+def _cascade_systems(run) -> list[tuple]:
+    """The (A, B, main_var) of every rational_solve_cascade call that run() makes."""
+    from rookpaths import telescope
+    systems, cascade = [], telescope.rational_solve_cascade
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(telescope, "rational_solve_cascade", lambda *args: systems.append(args) or cascade(*args))
+        run()
+    return systems
+
+
+def _screens(A, B, main_var):
+    """The screen as a function of the numerator degree level, and the top level."""
+    from rookpaths import telescope
+    dens, caps = telescope._cascade_bounds(A, B, main_var)
+    frozen = [telescope._freeze(A, B, dens, p, main_var) for p in telescope._SCREEN_POINTS]
+    return (lambda level: telescope._screen(frozen, [min(level, c) for c in caps])), max(caps)
+
+
+def _linear_cascade(A, B, main_var):
+    """The cascade as a linear scan, the oracle for its bisection: screen every level
+    from 0 up and solve each passing one exactly.  Returns the exactly solved levels
+    and the solutions."""
+    from rookpaths import telescope
+    dens, caps = telescope._cascade_bounds(A, B, main_var)
+    frozen = [telescope._freeze(A, B, dens, p, main_var) for p in telescope._SCREEN_POINTS]
+    exact, levels = ParamSystem(A, B, dens, main_var), []
+    for level in range(max(caps) + 1):
+        bounds = [min(level, c) for c in caps]
+        if telescope._screen(frozen, bounds):
+            levels.append(level)
+            particular = [s for s in solve_parametrized_system(exact, bounds) if telescope._has_parameter(s)]
+            if particular:
+                return levels, particular
+    return levels, []
+
+
+@pytest.fixture(scope="module")
+def rook_systems(rook_f, stage_a_certs):
+    P1, P2 = stage_a_certs[0].operator, stage_a_certs[1].operator
+    searches = {"A0": lambda: stage_a_search(rook_f, 0), "A1": lambda: stage_a_search(rook_f, 1),
+                "A2": lambda: stage_a_search(rook_f, 2, Ansatz(support=((0, 0), (1, 0), (2, 0)))),
+                "B2": lambda: stage_b_search(P1, P2, 2), "B3": lambda: stage_b_search(P1, P2, 3)}
+    return {name: _cascade_systems(run)[0] for name, run in searches.items()}
+
+
+def test_screen_is_monotone_in_the_level(rook_systems):
+    # the bisection's premise: over levels 0..top the screen reads False...False,
+    # True...True (a frozen solution space only grows with its bounds)
+    first = {}
+    for name, system in rook_systems.items():
+        passes, top = _screens(*system)
+        flags = [passes(level) for level in range(top + 1)]
+        assert flags == sorted(flags), name
+        first[name] = flags.index(True) if True in flags else None
+    assert first == {"A0": None, "A1": 2, "A2": 4, "B2": None, "B3": 8}
+
+
+def test_refuting_searches_screen_only_the_ends(rook_f, stage_a_certs, monkeypatch):
+    # a search that must fail screens level 0 and the top level (caps 3, and 2 and 5)
+    from rookpaths import telescope
+    screened, screen = [], telescope._screen
+    monkeypatch.setattr(telescope, "_screen",
+                        lambda frozen, bounds: screened.append(list(bounds)) or screen(frozen, bounds))
+    assert stage_a_search(rook_f, 0) == []
+    assert stage_b_search(stage_a_certs[0].operator, stage_a_certs[1].operator, 2) is None
+    assert screened == [[0], [3], [0, 0], [2, 5]]
+
+
+def test_bisection_matches_a_linear_scan(rook_systems):
+    # the same exactly solved levels and the same solutions as screening every
+    # level, on the rook's searches, the simple-step walk's, one system whose
+    # least passing level is the top one (y' = x*t*e, y = x*t^2/2) and one whose
+    # screening points are both unlucky (every level passes the screen)
+    from rookpaths import telescope
+    XT = ("x", "t")
+    a, y = ratfun("1/((13*x-7)*(7*x+5))", XT), RatFun(poly("t", XT))
+    hand = [([[RatFun.from_scalar(0, XT)]], [[ratfun("x*t", XT)]], "t"),
+            ([[a]], [[y.derivative("t") + a * y]], "t")]
+    F = residue_embedding(step_generating_function(SIMPLE))
+    certs = []
+    simple = _cascade_systems(lambda: certs.extend(stage_a_pair(F)))
+    simple += _cascade_systems(lambda: next(d for d in range(1, 5) if stage_b_search(
+        certs[0].operator, certs[1].operator, d) is not None))
+    assert len(simple) == 4  # the stage-A pair, then stage B at orders 1 and 2
+    solve = telescope.solve_parametrized_system
+    for system in list(rook_systems.values()) + simple + hand:
+        solved = []
+
+        def exact_levels(s, bounds, **kwargs):
+            if not kwargs:  # an exact solve, not a screen
+                solved.append(max(bounds))
+            return solve(s, bounds, **kwargs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(telescope, "solve_parametrized_system", exact_levels)
+            sols = telescope.rational_solve_cascade(*system)
+        assert (solved, sols) == _linear_cascade(*system)
+
+
 def test_universal_denominator_mixed_multiplicities():
     from rookpaths.telescope import universal_denominator
     # a = 1/(x^2 (x-1)): double pole at 0 (no contribution), residue 1 at 1

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import rookdata
 from .diagonal import expand_diagonal, residue_embedding
 from .exactmath import RatFun
-from .hypergeom import (HypergeomSpec, SING_POINTS, TRIED_TRIPLES, asymptotics_check, closed_form_check,
+from .hypergeom import (GAP_CAP, HypergeomSpec, SING_POINTS, TRIED_TRIPLES, asymptotics_check, closed_form_check,
                         identity_checks, local_exponents, pullback_search, symbolic_solution_check)
 from .numerics import decimal_str
 from .ore import (DiffOp, NonIntegerTermError, RecOp, SingularRecurrenceError, diffop_to_rec, guess_rec,
@@ -122,7 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--max-degree", type=int, default=6, help=f"largest map degree, at most {MAX_DEGREE_CAP}")
 
     c = cmd("local-exponents", _cmd_local_exponents, help="singularity analysis")
-    c.add_argument("--input", help=f"operator JSON (default: the closed-form operator){FILE_CAP}")
+    c.add_argument("--input", help=f"operator JSON (default: the closed-form operator){FILE_CAP}; "
+                   f"an integer exponent gap over {GAP_CAP} is refused")
 
     c = cmd("identity-checks", _cmd_identities, help="series identity suite")
     c.add_argument("--order", type=int, default=30, help=f"series order, at most {SERIES_CAP}")

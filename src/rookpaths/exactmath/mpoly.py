@@ -373,13 +373,14 @@ class MPoly:
             raise ValueError("not all variables substituted")
         return res.constant_value()
 
-    def subs_poly(self, name: str, repl: MPoly) -> MPoly:
-        """Substitute a polynomial (same vars) for one variable, by Horner."""
-        if repl.vars != self.vars:
-            raise ValueError("replacement must share the variable tuple")
-        acc = MPoly.zero(self.vars)
-        for c in reversed(self.coeffs_in(name)):
-            acc = acc * repl + c
+    def subs(self, name: str, num: MPoly, den: MPoly | Coeff) -> MPoly:
+        """den^D * self(name = num/den), D = deg_name self, by homogenized Horner:
+        acc = acc*num + c_e*den^(D-e) over the coefficients c_e in name, top down."""
+        coeffs = self.coeffs_in(name)
+        acc, power = coeffs[-1], 1
+        for c in reversed(coeffs[:-1]):
+            power = den * power
+            acc = acc * num + c * power
         return acc
 
     # -- division ------------------------------------------------------
@@ -803,14 +804,7 @@ def _rational_roots(p: MPoly) -> tuple[list[tuple[Fraction, int]], MPoly]:
     """
     work = p.primitive_part()
     roots: list[tuple[Fraction, int]] = []
-    zero_mult = min(exp[0] for exp in work.terms)
-    if zero_mult:  # an indicial polynomial often has the exponent 0
-        roots.append((Fraction(0), zero_mult))
-        work = MPoly(p.vars, {(e - zero_mult,): c for (e,), c in work.terms.items()})
-    while not work.is_constant():
-        root = _find_rational_root(work)
-        if root is None:
-            break
+    while not work.is_constant() and (root := _find_rational_root(work)) is not None:
         mult, work = multiplicity(work, MPoly(p.vars, {(1,): root.denominator, (0,): -root.numerator}))
         roots.append((root, mult))
     return sorted(roots), work

@@ -4,7 +4,8 @@ The representation is always reduced: numerator and denominator are coprime,
 the pair carries integer coefficients of joint content 1, and the denominator
 has a positive leading coefficient in the graded-lex monomial order.  With
 that convention two RatFun are equal as rational functions iff their stored
-parts are identical, so equality is a dict comparison.
+parts are identical, so equality is a dict comparison.  `RatFun.subs` puts a
+RatFun for one variable by one `MPoly.subs` per side and one normalization.
 """
 
 from __future__ import annotations
@@ -175,14 +176,14 @@ class RatFun:
     def extend_vars(self, newvars: Sequence[str]) -> RatFun:
         return RatFun(self.num.with_vars(newvars), self.den.with_vars(newvars), _reduced=True)
 
-    def subs(self, values: Mapping[str, "RatFun"]) -> RatFun:
-        """Substitute rational functions for variables (all share one ring)."""
-        if not values:
-            return self
-        target = next(iter(values.values()))
-        num = _eval_poly_at_ratfun(self.num, values, target.vars)
-        den = _eval_poly_at_ratfun(self.den, values, target.vars)
-        return num / den
+    def subs(self, name: str, value: RatFun) -> RatFun:
+        """The function at name = value = a/b, both over the same variables: MPoly.subs per
+        side, the side of lower degree in name times the missing power of b, and one
+        normalization.  A denominator that vanishes there raises ZeroDivisionError."""
+        a, b = value.num, value.den
+        gap = self.num.degree(name) - self.den.degree(name)
+        num = self.num.subs(name, a, b) * b ** max(-gap, 0)
+        return RatFun(num, self.den.subs(name, a, b) * b ** max(gap, 0))
 
     def eval_at(self, values: Mapping[str, Scalar]) -> RatFun:
         den = self.den.eval_at(values)
@@ -220,31 +221,6 @@ def _cross_reduce(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
         return num, den
     g = mpoly_gcd(num, den)
     return (num, den) if g.is_constant() else (num.divide_exact(g), den.divide_exact(g))
-
-
-def _eval_poly_at_ratfun(p: MPoly, values: Mapping[str, RatFun], tvars: tuple[str, ...]) -> RatFun:
-    """Evaluate a polynomial at RatFun arguments over the target variable ring.
-
-    With v = num_v/den_v and deg_v the degree of p in v, the value is
-    sum c * prod num_v^e_v den_v^(deg_v - e_v) over prod den_v^deg_v: one
-    polynomial sum over the common denominator, normalized once.
-    """
-    for v in p.vars:
-        if v not in values:
-            raise ValueError(f"no substitution supplied for {v!r}")
-    degs = [p.degree(v) for v in p.vars]
-    nums = [values[v].num for v in p.vars]
-    dens = [values[v].den for v in p.vars]
-    total = MPoly.zero(tvars)
-    for exp, c in p.terms.items():
-        term = MPoly.const(tvars, c)
-        for num, den, e, d in zip(nums, dens, exp, degs):
-            term = term * num ** e * den ** (d - e)
-        total = total + term
-    common = MPoly.const(tvars, 1)
-    for den, d in zip(dens, degs):
-        common = common * den ** d
-    return RatFun(total, common)
 
 
 def ratfun(text: str, vars: Sequence[str]) -> RatFun:

@@ -26,6 +26,7 @@ from . import rookdata
 from .walks import ROOK, SeqTable, diagonal_sequence
 
 X = ("x",)
+GAP_CAP = 1000  # the Frobenius test takes one recurrence step per unit of an integer exponent gap
 
 
 class HypergeomError(ValueError):
@@ -145,7 +146,8 @@ def _classify_point(L: DiffOp, location: Fraction | str) -> PointReport:
     recurrence of its series solutions is q_i(n) = kappa * chi_i(n-i), so
     q_0 is the indicial polynomial.
     """
-    shift = ratfun("1/x", X) if location == "inf" else RatFun(MPoly(X, {(1,): 1, (0,): location}))
+    one, v = MPoly.const(L.cvars, 1), MPoly(L.cvars, {(1,): 1})
+    shift = RatFun(one, v) if location == "inf" else RatFun(v + location)
     local = L.change_variable(shift).normalized()
     rec = diffop_to_rec(local)
     indicial = rec.coeff(0)
@@ -163,6 +165,8 @@ def _classify_point(L: DiffOp, location: Fraction | str) -> PointReport:
         klass = "logarithmic"
     elif d.denominator != 1:
         klass = "non-removable-other"
+    elif d > GAP_CAP:
+        raise HypergeomError(f"point {location}: integer exponent gap {d} is over the cap of {GAP_CAP}")
     else:
         klass = "removable" if _frobenius_consistent(rec, e1, int(d)) else "logarithmic"
     return PointReport(location, (e1, e2), d, klass)

@@ -218,7 +218,7 @@ class DiffOp:
             if k:
                 power = step * power
             if (k,) in self.terms:
-                c = self.terms[(k,)].subs({var: f})
+                c = self.terms[(k,)].subs(var, f)
                 out = out + DiffOp(self.cvars, self.dvars, {e: c * p for e, p in power.terms.items()})
         return out
 
@@ -473,10 +473,7 @@ class RecOp:
 
 def _shift_n(p: MPoly, delta: int) -> MPoly:
     """Substitute n -> n + delta in a polynomial of Q[n]."""
-    if delta == 0 or p.is_zero():
-        return p
-    repl = MPoly(N_VARS, {(1,): 1, (0,): delta})
-    return p.subs_poly("n", repl)
+    return p if delta == 0 else p.subs("n", MPoly(N_VARS, {(1,): 1, (0,): delta}), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -600,10 +600,8 @@ def _fix_gauge(phi: RatFun, F: RatFun) -> RatFun:
         if f.degree("t") != 1:
             continue
         c0, c1 = f.coeffs_in("t")
-        values = {v: RatFun(MPoly.var(F.vars, v)) for v in F.vars}
-        values["t"] = RatFun(-c0, c1)
         try:
-            lam = (phi * F).subs(values)
+            lam = (phi * F).subs("t", RatFun(-c0, c1))
         except ZeroDivisionError:
             continue  # phi F has a pole at t = r
         shifted = phi - lam / F

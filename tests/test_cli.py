@@ -468,3 +468,107 @@ def test_non_rational_factor_is_named_by_its_degree(tmp_path, capsys):
     assert run_cli(["local-exponents", "--input", str(bad)], tmp_path) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "non-rational factor of degree 256;" in err and len(err) < 200, err
+
+
+def euler_gap(gap):
+    """x^2 d^2 + (1-gap) x d: exponents 0 and gap at 0, and -gap and 0 at infinity."""
+    return op_json((2, "1*x^2"), (1, f"{1 - gap}*x^1"))
+
+
+def test_exponent_gap_is_capped_before_any_frobenius_step(tmp_path, capsys, monkeypatch):
+    # --help states the cap; a gap at the cap is classified, and one past it exits 2
+    # with one line naming the point, the gap and the cap before any Frobenius step
+    from rookpaths import hypergeom
+    cap = hypergeom.GAP_CAP
+    with pytest.raises(SystemExit):
+        main(["local-exponents", "--help"])
+    assert f"gap over {cap} is refused" in " ".join(capsys.readouterr().out.split())
+    bad = tmp_path / "op.json"
+    bad.write_text(json.dumps(euler_gap(cap)))
+    assert run_cli(["local-exponents", "--input", str(bad)], tmp_path) == 0
+    rows = json.loads((tmp_path / "local-exponents.json").read_text())
+    assert [(r["location"], r["difference"], r["class"]) for r in rows] == [
+        ("0", str(cap), "removable"), ("inf", str(cap), "removable")]
+    monkeypatch.setattr(hypergeom, "_frobenius_consistent", _start_work)
+    for gap in (cap + 1, 10 ** 10):
+        bad.write_text(json.dumps(euler_gap(gap)))
+        capsys.readouterr()
+        assert run_cli(["local-exponents", "--input", str(bad)], tmp_path) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1, err
+        assert f"point 0: integer exponent gap {gap} is over the cap of {cap}" in err, err
+
+
+def test_mutated_operator_files_exit_cleanly(tmp_path, capsys):
+    # an operator file with keys dropped or renamed, types swapped, zero
+    # denominators, negative exponents and exponents at or past the caps, read
+    # by local-exponents and ode-to-rec in process: exit 0, 1 or 2, never a
+    # traceback, and an exit 2 prints one line.  Every degree and exponent gap
+    # is small or over its cap, so no case runs long.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from rookpaths import rookdata
+    from rookpaths.exactmath.mpoly import EXPONENT_CAP
+    from rookpaths.hypergeom import GAP_CAP
+    from rookpaths.ore import DEGREE_CAP, ORDER_CAP
+    bases = [rookdata.operator_p2().to_json_dict(), euler_gap(2), euler_gap(GAP_CAP + 1)]
+    values = st.sampled_from([None, 0, -1, 1.5, True, "", "x", [], {}, ["x", "x"], [["x"]], {"x": 1}])
+    exps = st.sampled_from([-1, 0, 1, 2, 3, ORDER_CAP, ORDER_CAP + 1, EXPONENT_CAP, EXPONENT_CAP + 1])
+    degrees = st.sampled_from([-1, 0, 1, 2, 3, DEGREE_CAP + 1, EXPONENT_CAP, EXPONENT_CAP + 1])
+    texts = st.one_of(
+        st.sampled_from(["1/0", "(1)/(0)", "0", "", "x", "1*y^1", "x^2-2", "((1)/(x))", "1*x^1.5"]),
+        st.builds(lambda c, d: f"{c}*x^{d}", st.integers(-3, 3), degrees),
+        st.builds(lambda d: f"(1)/(1*x^{d} + 1)", degrees),
+        st.builds(lambda c, d: f"{c}*x^{d} + -1", st.integers(-3, 3), degrees))
+
+    @st.composite
+    def mutated(draw):
+        data = json.loads(json.dumps(draw(st.sampled_from(bases))))
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["drop", "rename", "swap", "term-drop", "term-swap", "exp", "coeff",
+                                         "extra", "vars", "rename-variable"]))
+            terms = data.get("terms")
+            term = draw(st.sampled_from(terms)) if isinstance(terms, list) and terms else None
+            if kind in ("drop", "rename", "swap") and data:
+                key = draw(st.sampled_from(sorted(data)))
+                if kind == "swap":
+                    data[key] = draw(values)
+                else:
+                    value = data.pop(key)
+                    if kind == "rename":
+                        data[key + "s"] = value
+            elif kind in ("term-drop", "term-swap") and isinstance(term, dict) and term:
+                key = draw(st.sampled_from(sorted(term)))
+                if kind == "term-swap":
+                    term[key] = draw(values)
+                else:
+                    del term[key]
+            elif kind == "exp" and isinstance(term, dict):
+                term["exp"] = [draw(exps)]
+            elif kind == "coeff" and isinstance(term, dict):
+                term["coeff"] = draw(texts)
+            elif kind == "extra" and isinstance(terms, list):
+                terms.append({"exp": [draw(exps)], "coeff": draw(texts)})
+            elif kind == "vars":
+                data[draw(st.sampled_from(["vars", "dvars"]))] = draw(
+                    st.sampled_from([["x", "s"], ["s", "x"], ["y"], [], ["x", "x"], "x", [1]]))
+            elif kind == "rename-variable":  # the same operator in another variable
+                name = draw(st.sampled_from(["n", "y", "t"]))
+                text = json.dumps(data).replace('"x"', f'"{name}"').replace("*x^", f"*{name}^")
+                data = json.loads(text)
+        return data
+
+    bad = tmp_path / "op.json"
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(mutated(), st.sampled_from(["local-exponents", "ode-to-rec"]))
+    def check(data, command):
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = run_cli([command, "--input", str(bad)], tmp_path)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 2:
+            assert len(err.strip().splitlines()) == 1, err
+
+    check()

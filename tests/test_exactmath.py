@@ -262,6 +262,110 @@ def test_canonical_text_round_trip():
         assert MPoly.parse(p.text(), XST) == p
 
 
+# -- substitution ----------------------------------------------------------------
+
+
+def horner_oracle(p, name, repl):
+    """p with the polynomial repl put for name, by plain Horner over p's coefficients."""
+    acc = MPoly.zero(p.vars)
+    for c in reversed(p.coeffs_in(name)):
+        acc = acc * repl + c
+    return acc
+
+
+def test_ratfun_subs_matches_sympy():
+    # one variable of (x, s, t) at a rational function, which may contain the
+    # variable itself (as change_variable passes f(x) for x), against sympy's
+    # cancel(f.subs(v, g)); a denominator vanishing there raises ZeroDivisionError
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    gens = dict(zip(XST, sympy.symbols("x s t")))
+    coeffs = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3))
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), coeffs, max_size=4).map(
+        lambda terms: MPoly(XST, terms))
+    nonzero = polys.filter(bool)
+
+    def to_sympy(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) * gens["x"] ** e[0] * gens["s"] ** e[1]
+                    * gens["t"] ** e[2] for e, c in p.terms.items()), sympy.Integer(0))
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(polys, nonzero, st.sampled_from(XST), polys, nonzero)
+    @hypothesis.example(poly("x^2-x", XST), poly("x^3+2", XST), "x", poly("x+1/2", XST), poly("1", XST))
+    @hypothesis.example(poly("x^2*s-x", XST), poly("x-s^2", XST), "x", poly("1", XST), poly("x", XST))
+    @hypothesis.example(poly("1", XST), poly("t-x", XST), "t", poly("x", XST), poly("1", XST))
+    @hypothesis.example(poly("x", XST), poly("s*t-x^2", XST), "t", poly("x^2", XST), poly("s", XST))
+    def check(n, d, v, a, b):
+        f, g = RatFun(n, d), RatFun(a, b)
+        sym_den = sympy.cancel(to_sympy(f.den).subs(gens[v], to_sympy(g.num) / to_sympy(g.den)))
+        if sym_den == 0:
+            with pytest.raises(ZeroDivisionError):
+                f.subs(v, g)
+            return
+        got = f.subs(v, g)
+        want = sympy.cancel(to_sympy(f.num).subs(gens[v], to_sympy(g.num) / to_sympy(g.den)) / sym_den)
+        assert sympy.cancel(to_sympy(got.num) / to_sympy(got.den) - want) == 0
+        assert RatFun(got.num, got.den) == got  # already normalized
+
+    check()
+
+
+def test_closed_form_map_into_the_gauss_coefficients():
+    # the paper's pullback f = 27x(2-3x)/(1-4x)^3 put into x(1-x), checked by hand
+    f = ratfun("27*x*(2-3*x)/(1-4*x)^3", X)
+    got = ratfun("x*(1-x)", X).subs("x", f)
+    assert got == f * (1 - f)
+    assert got.den == poly("(1-4*x)^6", X)
+
+
+def test_mpoly_subs_with_unit_denominator_is_horner():
+    # den = 1, as an int or as the constant polynomial, is plain Horner
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coeffs = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4))
+
+    @st.composite
+    def operands(draw):
+        vars = XST[:draw(st.integers(1, 3))]
+        polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(vars)), coeffs, max_size=5).map(
+            lambda terms: MPoly(vars, terms))
+        return draw(polys), draw(st.sampled_from(vars)), draw(polys)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(operands())
+    @hypothesis.example((poly("n^4-3*n+1/2", ("n",)), "n", poly("n+7", ("n",))))
+    def check(operands):
+        p, v, repl = operands
+        want = horner_oracle(p, v, repl)
+        assert p.subs(v, repl, 1) == want
+        assert p.subs(v, repl, MPoly.const(p.vars, 1)) == want
+
+    check()
+
+
+def test_mpoly_subs_is_homogenized():
+    # den^D * p(num/den), D the degree in the variable: a constant den scales
+    # coefficient e by den^(D-e), and a variable-free p comes back as it is
+    p = poly("2*x^3*s-x+5", XST)
+    assert p.subs("x", poly("t", XST), 3) == poly("2*t^3*s-9*t+135", XST)
+    assert p.subs("t", poly("x^2", XST), poly("s", XST)) == p
+    assert MPoly.zero(XST).subs("x", poly("s", XST), poly("t", XST)).is_zero()
+    with pytest.raises(ValueError, match="variable mismatch"):
+        p.subs("x", poly("x", X), 1)
+
+
+def test_ratfun_subs_raises_on_a_vanishing_denominator():
+    # the denominator vanishes identically there: ZeroDivisionError, which
+    # _fix_gauge reads as a pole at t = r
+    with pytest.raises(ZeroDivisionError):
+        ratfun("1/(t-x)", XST).subs("t", ratfun("x", XST))
+    with pytest.raises(ZeroDivisionError):
+        ratfun("x/(s*t-x^2)", XST).subs("t", ratfun("x^2/s", XST))
+    # a common factor cancels before the substitution, so this pole is removable
+    assert ratfun("(t-x)/(t^2-x^2)", XST).subs("t", ratfun("x", XST)) == ratfun("1/(2*x)", XST)
+
+
 # -- power series ---------------------------------------------------------------
 
 

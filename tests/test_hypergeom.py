@@ -143,6 +143,18 @@ def test_euler_operator_exponents_by_construction():
             assert rep.klass == "non-removable-other"
 
 
+@pytest.mark.parametrize("name", ["y", "n", "t"])
+def test_local_exponents_read_the_operator_variable(name):
+    # the points are moved to the origin in the operator's own variable, so the
+    # same operator in another variable gets the same report
+    def report(v):
+        vs = (v,)
+        op = DiffOp(vs, vs, {(2,): poly(f"{v}^2*({v}-1)", vs), (1,): poly(f"-2*{v}", vs),
+                             (0,): poly("2", vs)})
+        return [(p.location, p.exponents, p.klass) for p in local_exponents(op).points]
+    assert report(name) == report("x")
+
+
 def test_irregular_singularity_rejected():
     # x^3 y'' - y = 0 has an irregular singular point at 0
     op = DiffOp(X, X, {(2,): RatFun(poly("x^3", X)), (0,): RatFun.from_scalar(-1, X)})

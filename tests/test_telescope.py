@@ -10,7 +10,7 @@ from rookpaths.diagonal import residue_embedding
 from rookpaths.exactmath import MPoly, RatFun, poly, ratfun
 from rookpaths.ore import DiffOp, diffop_to_rec, rec_unroll
 from rookpaths.telescope import (Ansatz, Certificate, DivisionRemainderError, ParamSolution, ParamSystem,
-                                 _stage_b_solution_to_ops, lipshitz_bounds, solve_parametrized_system,
+                                 _fix_gauge, _stage_b_solution_to_ops, lipshitz_bounds, solve_parametrized_system,
                                  stage_a_pair, stage_a_search, stage_b_search, stage_c_reconstruct,
                                  verify_key_equation)
 from rookpaths.walks import ROOK, DirectionSet, SeqTable, diagonal_sequence, step_generating_function
@@ -179,6 +179,32 @@ def test_canonical_block_strips_a_planted_factor(factor):
     assert P.order() == 2
     gxs = RatFun(g.with_vars(XS))
     assert Q == DiffOp(XS, XS, {(0, 0): y[0] / gxs, (1, 0): y[1] / gxs})
+
+
+@pytest.mark.parametrize("phi_text, fixed_text", [
+    ("(t-x+(x+s)*(t-s))/(t-x)", "1"),  # 1 + (x+s)/F: the shift by x+s at t = x
+    ("1/(t-s)^2", "1/(t-s)^2"),  # nothing to shift at t = x: phi comes back
+], ids=["shifted-at-the-next-factor", "unchanged"])
+def test_fix_gauge_tries_the_next_factor_past_a_pole(monkeypatch, phi_text, fixed_text):
+    # F = (t-x)/(t-s): the t-linear factors come as t - s, then t - x.  phi*F
+    # has a pole at t = s, so the first substitution raises and the next factor
+    # is tried; the stage-A pairs never reach this branch
+    F = ratfun("(t-x)/(t-s)", XST)
+    outcomes = []
+    subs = RatFun.subs
+
+    def spy(self, name, value):
+        try:
+            out = subs(self, name, value)
+        except ZeroDivisionError:
+            outcomes.append((value, None))
+            raise
+        outcomes.append((value, out))
+        return out
+    monkeypatch.setattr(RatFun, "subs", spy)
+    assert _fix_gauge(ratfun(phi_text, XST), F) == ratfun(fixed_text, XST)
+    assert [value for value, _ in outcomes] == [ratfun("s", XST), ratfun("x", XST)]
+    assert outcomes[0][1] is None and outcomes[1][1] is not None
 
 
 # -- stage C ------------------------------------------------------------------------

@@ -11,7 +11,7 @@ series identities connecting the two hypergeometric expressions.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
@@ -248,9 +248,9 @@ def pullback_search(sing_set: Sequence[Fraction], target_triple, max_degree: int
     search_triple = (rest[0], fractional[0], rest[1])
     params = HypergeomSpec.from_exponent_triple(*search_triple)
     results: list[PullbackCandidate] = []
-    cofactors = functools.cache(_cofactors)  # built once per support in this search
+    power_gcd = functools.cache(_power_gcd)  # built once per support and weight ray in this search
     for exps in _exponent_vectors(len(points), max_degree, power):
-        for const, Q in _solve_power_condition(points, exps, power, cofactors):
+        for const, Q in _solve_power_condition(points, exps, power, power_gcd):
             num, den = _monic_parts(points, exps)
             results.append(PullbackCandidate(
                 points=tuple(points), exponents={p: e for p, e in zip(points, exps) if e},
@@ -262,14 +262,20 @@ def pullback_search(sing_set: Sequence[Fraction], target_triple, max_degree: int
 def _exponent_vectors(npts: int, max_degree: int, power: int):
     """The exponent vectors that pass the degree test of _solve_power_condition, in
     lexicographic order: deg N != deg D, M = max(deg N, deg D) <= max_degree,
-    power | M and (power-1) * M/power <= |support| - 1.  Then |e_i| <= M, a
-    multiple of power at most (npts-1) * power/(power-1), so only that span is visited."""
+    power | M and (power-1) * M/power <= |support| - 1.  A depth-first walk keeps
+    deg N and deg D within top, the largest such M, and tests the rest at the leaves."""
     top = min(max_degree, (npts - 1) * power // (power - 1)) // power * power
-    for e in itertools.product(range(-top, top + 1), repeat=npts):
-        total = sum(e)
-        M = sum(v for v in e if v > 0) - min(total, 0)
-        if total and M <= max_degree and not M % power and (power - 1) * (M // power) < npts - e.count(0):
-            yield e
+
+    def walk(prefix: tuple[int, ...], deg_n: int, deg_d: int):
+        leaf = len(prefix) == npts - 1
+        for v in range(deg_d - top, top - deg_n + 1):
+            e, n, d = prefix + (v,), deg_n + max(v, 0), deg_d - min(v, 0)
+            if not leaf:
+                yield from walk(e, n, d)
+            elif n != d and not max(n, d) % power and (power - 1) * (max(n, d) // power) < npts - e.count(0):
+                yield e
+
+    return walk((), 0, 0)
 
 
 def _monic_parts(points, exps) -> tuple[MPoly, MPoly]:
@@ -285,20 +291,25 @@ def _monic_parts(points, exps) -> tuple[MPoly, MPoly]:
     return num, den
 
 
-def _cofactors(support) -> list[list[int]]:
-    """For each p = a/b of the support, b * prod_(q != p) (b_q x - a_q) for q = a_q/b_q,
-    as integer coefficients from x^0 up: (prod_q b_q) * prod_(q != p) (x - q)."""
+def _power_gcd(support, ray, power: int) -> MPoly:
+    """G = gcd(R, R', ..., R^(power-2)) for R = sum_p w_p prod_(q != p) (x - q) times
+    prod_q b_q, w the ray's weights on the support's points q = a_q/b_q, given as (a_q, b_q):
+    row p of the cofactors is b_p * prod_(q != p) (b_q x - a_q), coefficients from x^0 up."""
     rows = []
-    for p in support:
-        row = [p.denominator]
-        for q in support:
-            if q != p:
-                row = [q.denominator * lower - q.numerator * same for lower, same in zip([0] + row, row + [0])]
+    for i, (_, b) in enumerate(support):
+        row = [b]
+        for a_q, b_q in support[:i] + support[i + 1:]:
+            row = [b_q * lower - a_q * same for lower, same in zip([0] + row, row + [0])]
         rows.append(row)
-    return rows
+    R = MPoly(X, {(j,): sum(map(operator.mul, ray, column)) for j, column in enumerate(zip(*rows))})
+    G = R
+    for _ in range(power - 2):
+        R = R.derivative("x")
+        G = mpoly_gcd(G, R)
+    return G
 
 
-def _solve_power_condition(points, exps, power: int, cofactors=_cofactors):
+def _solve_power_condition(points, exps, power: int, power_gcd=_power_gcd):
     """Constants c (and monic root Q) with c*N - D = k * Q^power for a constant k.
 
     N and D are the monic numerator/denominator of an exponent vector that
@@ -312,24 +323,22 @@ def _solve_power_condition(points, exps, power: int, cofactors=_cofactors):
         R = sum_p e_p prod_(q in S, q != p) (x - q),
 
     of degree |S| - 1 with lead deg N - deg D.  Hence Q^(power-1) divides
-    R, which is the degree test (power-1) * M/power <= |S| - 1.  R is built
-    up to a positive constant, which no step below reads, from the support's
-    integer cofactors (`cofactors` is _cofactors or a cache of it).  Q also divides
+    R, which is the degree test (power-1) * M/power <= |S| - 1.  Q also divides
     G = gcd(R, R', ..., R^(power-2)), so c*N - D and G share a root alpha
     and c = D(alpha)/N(alpha): c is one of root_values(D, N, G) (G, a
-    factor of R, has no root in S, so it is prime to N).  For each c, Q is
+    factor of R, has no root in S, so it is prime to N).  No step reads G
+    beyond a nonzero constant, and R(g*e) = g*R(e), so power_gcd (_power_gcd
+    or a cache of it) builds G once per support and primitive ray: the
+    weights over their gcd, signed by the first.  For each c, Q is
     the power-th root of (c*N - D)/k read in 1/x, accepted only when the
     exact re-expansion k * Q^power = c*N - D holds.
     """
     M = max(sum(e for e in exps if e > 0), -sum(e for e in exps if e < 0))
     q_deg = M // power
     weights = [e for e in exps if e]
-    rows = cofactors(tuple(p for p, e in zip(points, exps) if e))
-    R = MPoly(X, {(j,): sum(map(operator.mul, weights, column)) for j, column in enumerate(zip(*rows))})
-    G = R
-    for _ in range(power - 2):
-        R = R.derivative("x")
-        G = mpoly_gcd(G, R)
+    unit = math.gcd(*weights) if weights[0] > 0 else -math.gcd(*weights)
+    support = tuple(p.as_integer_ratio() for p, e in zip(points, exps) if e)
+    G = power_gcd(support, tuple(w // unit for w in weights), power)
     if G.degree("x") < q_deg:  # Q divides G
         return []
     N, D = _monic_parts(points, exps)

@@ -43,6 +43,15 @@ def check_input_caps(field: str, polys: Sequence[MPoly], order: int = 0) -> None
         raise ValueError(f"{field}: polynomial degree {degree} is over the input cap of {DEGREE_CAP}")
 
 
+def check_distinct_exponents(exps: Sequence[tuple]) -> None:
+    """Reject a file's terms that give one exponent twice, of which a dict would keep the last."""
+    seen = set()
+    for e in exps:
+        if e in seen:
+            raise ValueError(f"terms: exponent {list(e)} is given twice")
+        seen.add(e)
+
+
 class InsufficientTermsError(ValueError):
     """Raised when a guessing ansatz would be underdetermined."""
 
@@ -299,7 +308,9 @@ class DiffOp:
         try:
             cvars = tuple(data["vars"])
             dvars = tuple(data["dvars"])
-            sides = {tuple(t["exp"]): RatFun.parse_sides(t["coeff"], cvars) for t in data["terms"]}
+            exps = [tuple(t["exp"]) for t in data["terms"]]
+            check_distinct_exponents(exps)
+            sides = {e: RatFun.parse_sides(t["coeff"], cvars) for e, t in zip(exps, data["terms"])}
             check_input_caps("terms", [p for pair in sides.values() for p in pair],
                              max(map(sum, sides), default=0))
             terms = {e: RatFun(*pair) for e, pair in sides.items()}
@@ -463,7 +474,9 @@ class RecOp:
     @staticmethod
     def from_json_dict(data: dict) -> RecOp:
         try:
-            terms = {t["exp"][0]: MPoly.parse(t["coeff"], N_VARS) for t in data["terms"]}
+            exps = [(t["exp"][0],) for t in data["terms"]]
+            check_distinct_exponents(exps)
+            terms = {j: MPoly.parse(t["coeff"], N_VARS) for (j,), t in zip(exps, data["terms"])}
         except (KeyError, TypeError, IndexError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed recurrence JSON: {type(exc).__name__}: {exc}") from None
         op = RecOp(terms)

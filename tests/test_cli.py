@@ -1,5 +1,6 @@
 """Command-line frontend: exit codes, artifacts, determinism."""
 
+import copy
 import hashlib
 import json
 import os
@@ -351,6 +352,27 @@ def test_input_files_are_capped_before_any_read(tmp_path, capsys, monkeypatch, n
     assert len(err.splitlines()) == 1 and f"over the {cli.INPUT_BYTES_CAP}-byte cap" in err, err
 
 
+@pytest.mark.parametrize("name", ["ode-to-rec", "local-exponents", "rec-unroll-input", "verify-cert"])
+def test_repeated_exponent_is_refused_before_any_coefficient(tmp_path, capsys, name):
+    # two terms of one exponent exit 2 with one line naming it, before any coefficient
+    # is parsed (the repeat's "1/0" would be a parse error), where a dict of the
+    # terms kept only the last and the command went on to exit 0
+    args, _ = INPUT_PATHS[name]
+    if name == "rec-unroll-input":
+        payload = {"terms": [{"exp": [0], "coeff": "1*n^1"}, {"exp": [1], "coeff": "-2"},
+                             {"exp": [1], "coeff": "1/0"}]}
+    else:
+        payload = op_json((2, "1*x^2"), (0, "-2"), (1, "1*x^1"), (0, "1/0"))
+        if name == "verify-cert":
+            payload = {"P": payload, "S": "0", "T": "0"}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert run_cli([str(bad) if a == "BAD" else a for a in args], tmp_path) == 2
+    err = capsys.readouterr().err.strip()
+    want = "[1]" if name == "rec-unroll-input" else "[0]"
+    assert len(err.splitlines()) == 1 and f"exponent {want} is given twice" in err, err
+
+
 class WorkStarted(Exception):
     pass
 
@@ -500,8 +522,8 @@ def test_exponent_gap_is_capped_before_any_frobenius_step(tmp_path, capsys, monk
 
 
 def test_mutated_operator_files_exit_cleanly(tmp_path, capsys):
-    # an operator file with keys dropped or renamed, types swapped, zero
-    # denominators, negative exponents and exponents at or past the caps, read
+    # an operator file with keys dropped or renamed, types swapped, zero denominators,
+    # negative exponents, exponents at or past the caps and repeated terms, read
     # by local-exponents and ode-to-rec in process: exit 0, 1 or 2, never a
     # traceback, and an exit 2 prints one line.  Every degree and exponent gap
     # is small or over its cap, so no case runs long.
@@ -512,7 +534,9 @@ def test_mutated_operator_files_exit_cleanly(tmp_path, capsys):
     from rookpaths.hypergeom import GAP_CAP
     from rookpaths.ore import DEGREE_CAP, ORDER_CAP
     bases = [rookdata.operator_p2().to_json_dict(), euler_gap(2), euler_gap(GAP_CAP + 1)]
+    # drawn afresh, so that a later mutation of a drawn list never reaches the next example
     values = st.sampled_from([None, 0, -1, 1.5, True, "", "x", [], {}, ["x", "x"], [["x"]], {"x": 1}])
+    values = values.map(copy.deepcopy)
     exps = st.sampled_from([-1, 0, 1, 2, 3, ORDER_CAP, ORDER_CAP + 1, EXPONENT_CAP, EXPONENT_CAP + 1])
     degrees = st.sampled_from([-1, 0, 1, 2, 3, DEGREE_CAP + 1, EXPONENT_CAP, EXPONENT_CAP + 1])
     texts = st.one_of(
@@ -526,7 +550,7 @@ def test_mutated_operator_files_exit_cleanly(tmp_path, capsys):
         data = json.loads(json.dumps(draw(st.sampled_from(bases))))
         for _ in range(draw(st.integers(1, 3))):
             kind = draw(st.sampled_from(["drop", "rename", "swap", "term-drop", "term-swap", "exp", "coeff",
-                                         "extra", "vars", "rename-variable"]))
+                                         "extra", "repeat", "vars", "rename-variable"]))
             terms = data.get("terms")
             term = draw(st.sampled_from(terms)) if isinstance(terms, list) and terms else None
             if kind in ("drop", "rename", "swap") and data:
@@ -549,6 +573,8 @@ def test_mutated_operator_files_exit_cleanly(tmp_path, capsys):
                 term["coeff"] = draw(texts)
             elif kind == "extra" and isinstance(terms, list):
                 terms.append({"exp": [draw(exps)], "coeff": draw(texts)})
+            elif kind == "repeat" and isinstance(term, dict):
+                terms.append({**term, "coeff": draw(texts)})
             elif kind == "vars":
                 data[draw(st.sampled_from(["vars", "dvars"]))] = draw(
                     st.sampled_from([["x", "s"], ["s", "x"], ["y"], [], ["x", "x"], "x", [1]]))
@@ -566,6 +592,85 @@ def test_mutated_operator_files_exit_cleanly(tmp_path, capsys):
         bad.write_text(json.dumps(data))
         capsys.readouterr()
         code = run_cli([command, "--input", str(bad)], tmp_path)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 2:
+            assert len(err.strip().splitlines()) == 1, err
+
+    check()
+
+
+def test_mutated_recurrence_and_sequence_files_exit_cleanly(tmp_path, capsys):
+    # the recurrence file of rec-unroll --input and the sequence files of
+    # rec-unroll --initial and guess-rec --input, with keys dropped or renamed, types
+    # swapped, "1/0", negative and huge exponents, repeated exponents and 5,000-digit
+    # terms: exit 0, 1 or 2, never a traceback, and an exit 2 prints one line.  Orders,
+    # degrees and lengths stay small or over their caps, so no case runs long.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from rookpaths import rookdata
+    from rookpaths.exactmath.mpoly import EXPONENT_CAP
+    from rookpaths.ore import DEGREE_CAP, ORDER_CAP
+    from rookpaths.walks import ROOK, diagonal_sequence
+    long = "9" * 5000  # past the 4,300-digit limit on integer text
+    recurrence = rookdata.recurrence_order3().to_json_dict()
+    sequence = json.loads(diagonal_sequence(ROOK, 12).to_json())
+    values = st.sampled_from([None, 0, -1, 1.5, True, "", "n", [], {}, ["1"], [[1]], {"n": 1}]).map(copy.deepcopy)
+    exps = st.sampled_from([-2, -1, 0, 1, 2, 3, ORDER_CAP, ORDER_CAP + 1, EXPONENT_CAP + 1, 10 ** 30])
+    degrees = st.sampled_from([-1, 0, 1, 2, 3, DEGREE_CAP + 1, EXPONENT_CAP + 1, 10 ** 30])
+    texts = st.one_of(
+        st.sampled_from(["1/0", "(1)/(0)", "0", "", "n", "1*x^1", "n^2-2", "1*n^1.5", long, f"{long}*n^1"]),
+        st.builds(lambda c, d: f"{c}*n^{d} + -1", st.integers(-3, 3), degrees))
+    terms = st.one_of(values, st.sampled_from(["1/0", "0", "-1", "7", " 8", "1e3", long, "-" + long]),
+                      st.integers(-10, 10))
+
+    @st.composite
+    def mutated(draw, base, leaf):
+        data = json.loads(json.dumps(base))
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["drop", "rename", "swap", "term", "term-drop", "extra", "repeat"]))
+            items = data.get("terms")
+            i = draw(st.integers(0, len(items) - 1)) if isinstance(items, list) and items else None
+            if kind in ("drop", "rename", "swap") and data:
+                key = draw(st.sampled_from(sorted(data)))
+                if kind == "swap":
+                    data[key] = draw(values)
+                else:
+                    value = data.pop(key)
+                    if kind == "rename":
+                        data[key + "s"] = value
+            elif kind == "term-drop" and i is not None:
+                del items[i]
+            elif kind == "term" and i is not None:
+                items[i] = draw(leaf(items[i]))
+            elif kind in ("extra", "repeat") and i is not None:
+                items.append(draw(leaf(items[i] if kind == "repeat" else None)))
+        return data
+
+    def recurrence_term(term):
+        # a term with its exponent or coefficient changed; a repeat keeps the exponent
+        if not isinstance(term, dict):
+            return st.builds(lambda e, c: {"exp": [e], "coeff": c}, exps, texts)
+        return st.one_of(st.builds(lambda e: {**term, "exp": [e]}, exps),
+                         st.builds(lambda c: {**term, "coeff": c}, texts),
+                         st.builds(lambda v: {**term, "exp": v}, values))
+
+    files = {
+        "rec-unroll-input": (["rec-unroll", "--n", "12", "--input"], mutated(recurrence, recurrence_term)),
+        "rec-unroll-initial": (["rec-unroll", "--n", "12", "--initial"], mutated(sequence, lambda _: terms)),
+        "guess-rec": (["guess-rec", "--n", "13", "--order", "2", "--degree", "1", "--input"],
+                      mutated(sequence, lambda _: terms)),
+    }
+    bad = tmp_path / "file.json"
+
+    @hypothesis.settings(max_examples=90, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.sampled_from(sorted(files)).flatmap(
+        lambda name: st.tuples(st.just(files[name][0]), files[name][1])))
+    def check(case):
+        args, data = case
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = run_cli(args + [str(bad)], tmp_path)
         err = capsys.readouterr().err
         assert code in (0, 1, 2) and "Traceback" not in err
         if code == 2:

@@ -1,5 +1,6 @@
 """Hypergeometric layer: series, exponents, pullbacks, asymptotics, identities."""
 
+import functools
 import hashlib
 import itertools
 import random
@@ -286,13 +287,14 @@ def _passes_degree_test(exps, power, max_degree):
 
 
 def test_exponent_vectors_match_brute_force():
-    # the pruned enumeration yields exactly the degree-test survivors of the full
-    # lexicographic enumeration, in the same order
-    for npts in (2, 3, 4):
-        # (map degree, vector) over the span of max-degree 8, in product order
-        full = [((sum(map(abs, e)) + abs(sum(e))) // 2, e) for e in itertools.product(range(-8, 9), repeat=npts)]
-        full = [(degree, e) for degree, e in full if 0 < degree <= 8]
-        for power, max_degree in itertools.product((2, 3, 4, 6), range(1, 9)):
+    # the walk yields exactly the degree-test survivors of the full lexicographic
+    # enumeration, in the same order; five points (infinity as a fifth) up to max-degree 4
+    for npts, span in ((2, 8), (3, 8), (4, 8), (5, 4)):
+        # (map degree, vector) over the span of max-degree span, in product order
+        box = itertools.product(range(-span, span + 1), repeat=npts)
+        full = [((sum(map(abs, e)) + abs(sum(e))) // 2, e) for e in box]
+        full = [(degree, e) for degree, e in full if 0 < degree <= span]
+        for power, max_degree in itertools.product((2, 3, 4, 6), range(1, span + 1)):
             expected = [e for degree, e in full if degree <= max_degree and _passes_degree_test(e, power, max_degree)]
             assert list(_exponent_vectors(npts, max_degree, power)) == expected, (npts, power, max_degree)
 
@@ -313,6 +315,33 @@ def test_pullback_search_solves_only_admitted_vectors(monkeypatch):
         calls.append(len(seen))
         rows.append([(c.exponent_tuple(), c.constant, c.map.text(), c.cube_root.text()) for c in cands])
     assert calls == [168] * 3 and rows[0] == rows[1] == rows[2] and len(rows[0]) == 2
+
+
+def test_pullback_search_builds_one_power_gcd_per_weight_ray(monkeypatch):
+    # e, -e and 2e share G: the rook cube search's 168 vectors need at most 84 of them,
+    # one per support and primitive ray
+    power_gcd = hypergeom._power_gcd
+    keys = []
+    monkeypatch.setattr(hypergeom, "_power_gcd", lambda *key: keys.append(key) or power_gcd(*key))
+    assert len(pullback_search(SING_POINTS, (Fr(0), Fr(0), Fr(1, 3)), 6)) == 2
+    assert len(keys) == len(set(keys)) <= 84
+
+
+@pytest.mark.parametrize("points, power, max_degree", [
+    pytest.param(SING_POINTS, 3, 6, id="rook-cube"),
+    pytest.param((Fr(0), Fr(1), Fr(1, 4), Fr(-1, 8)), 2, 3, id="square"),  # G = R
+])
+def test_power_condition_is_the_same_with_a_shared_power_gcd(points, power, max_degree):
+    # one cache across each admitted vector e, then -e and 2e, gives the (c, Q) pairs
+    # of a G built afresh for each
+    shared = functools.cache(hypergeom._power_gcd)
+    found = 0
+    for exps in _exponent_vectors(len(points), max_degree, power):
+        for e in (exps, tuple(-v for v in exps), tuple(2 * v for v in exps)):
+            pairs = _solve_power_condition(points, e, power, shared)
+            assert pairs == _solve_power_condition(points, e, power), e
+            found += len(pairs)
+    assert found and shared.cache_info().hits
 
 
 @pytest.mark.parametrize("exps, constant", [((1, -1, 3, -2), Fr(-1)), ((3, 1, -1, -2), Fr(-9, 16))])

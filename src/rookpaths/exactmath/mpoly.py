@@ -778,10 +778,10 @@ def _prem(a: MPoly, b: MPoly, v: str) -> MPoly:
 
 
 def mpoly_lcm(a: MPoly, b: MPoly) -> MPoly:
+    """The primitive lcm a*(b/g), g = gcd(a, b): the exact division is of b, not of a*b."""
     if a.is_zero() or b.is_zero():
         return MPoly.zero(a.vars)
-    g = mpoly_gcd(a, b)
-    return (a * b).divide_exact(g).primitive_part()
+    return (a * b.divide_exact(mpoly_gcd(a, b))).primitive_part()
 
 
 # -- rational roots -------------------------------------------------------

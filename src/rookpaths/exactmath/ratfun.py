@@ -5,7 +5,9 @@ the pair carries integer coefficients of joint content 1, and the denominator
 has a positive leading coefficient in the graded-lex monomial order.  With
 that convention two RatFun are equal as rational functions iff their stored
 parts are identical, so equality is a dict comparison.  `RatFun.subs` puts a
-RatFun for one variable by one `MPoly.subs` per side and one normalization.
+RatFun for one variable by one `MPoly.subs` per side and one normalization.  The
+gcd runs only where a factor can cancel: not when one side is constant, and in
+`derivative` only against gcd(d, d_v), which holds every factor that can.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class RatFun:
             self.num = num
             self.den = MPoly.const(num.vars, 1)
             return
-        if not _reduced:
+        if not (_reduced or num.is_constant() or den.is_constant()):
             g = mpoly_gcd(num, den)
             if not (g.is_constant() and g.constant_value() == 1):
                 num = num.divide_exact(g)
@@ -164,14 +166,24 @@ class RatFun:
     # -- calculus & substitution ---------------------------------------------
 
     def derivative(self, name: str) -> RatFun:
+        """d/dv (n/d) = N/(d*(d/g)), g = gcd(d, d_v), N = n_v*(d/g) - n*(d_v/g), reduced by h = gcd(N, g).
+
+        Write d = c*e with c the v-content of d; then g = c*gcd(e, e_v).  An irreducible
+        p | e of multiplicity k divides d_v exactly k-1 times, so p | d/g, p does not
+        divide d_v/g nor n, and p does not divide N.  Only v-free factors, which all
+        divide c, can cancel: gcd(N, d*(d/g)) = gcd(N, c) = gcd(N, g).  For d/dt of
+        (t+s)/(s*t): g = s, N = -s, h = s and the result is -1/t^2.
+        """
         dn = self.num.derivative(name)
         dd = self.den.derivative(name)
         if dd.is_zero():
             return RatFun(dn, self.den)
         g = mpoly_gcd(self.den, dd)
-        # d/dv (n/d) = (n' d - n d')/d^2, with the common factor g pre-split.
-        d_red = self.den.divide_exact(g)
-        return RatFun(dn * d_red - self.num * dd.divide_exact(g), d_red * self.den)
+        d_red, den = self.den.divide_exact(g), self.den
+        num = dn * d_red - self.num * dd.divide_exact(g)
+        if not g.is_constant() and not (h := mpoly_gcd(num, g)).is_constant():
+            num, den = num.divide_exact(h), den.divide_exact(h)
+        return RatFun(num, d_red * den, _reduced=True)
 
     def extend_vars(self, newvars: Sequence[str]) -> RatFun:
         return RatFun(self.num.with_vars(newvars), self.den.with_vars(newvars), _reduced=True)

@@ -451,17 +451,19 @@ def f21_at_one(spec: HypergeomSpec) -> Fraction:
         raise HypergeomError("2F1(a, b; c; 1) diverges unless c - a - b > 0")
     (an, ad), (bn, bd), (cn, cd) = (p.as_integer_ratio() for p in (spec.a, spec.b, spec.c))
     nodes = [200 + 100 * i for i in range(12)]
-    # term n is num/den and the partial sum through it total/den, unreduced
+    # term n is num/den and the partial sum through it total/den, unreduced; den is a
+    # running product, so each node's den divides the last one's and the sums are
+    # extrapolated as integers over that one denominator
     num = den = total = 1
-    sums: dict[int, Fraction] = {}
+    sums: dict[int, tuple[int, int]] = {}
     for n in range(max(nodes)):
         num *= (an + n * ad) * (bn + n * bd) * cd
         q = ad * bd * (cn + n * cd) * (n + 1)
         den *= q
         total = total * q + num
         if n + 1 in nodes:
-            sums[n + 1] = Fraction(total, den)
-    return extrapolate_partial_sums(lambda n: sums[n], nodes)
+            sums[n + 1] = total, den
+    return extrapolate_partial_sums(lambda n: sums[n][0] * (den // sums[n][1]), nodes) / den
 
 
 @dataclass

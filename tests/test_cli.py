@@ -677,3 +677,75 @@ def test_mutated_recurrence_and_sequence_files_exit_cleanly(tmp_path, capsys):
             assert len(err.strip().splitlines()) == 1, err
 
     check()
+
+
+def test_mutated_certificate_files_exit_cleanly(tmp_path, capsys):
+    # a fresh certificate.json with keys dropped or renamed, types swapped, "1/0" or
+    # a 5,000-digit coefficient in P, S or T, and negative, huge or repeated
+    # exponents in P, through verify-cert in process (which differentiates S and T):
+    # exit 0, 1 or 2, never a traceback, and an exit 2 prints one line.  Orders stay
+    # small or over their cap, so no case runs long.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from rookpaths.exactmath.mpoly import EXPONENT_CAP
+    from rookpaths.ore import DEGREE_CAP, ORDER_CAP
+    assert run_cli(["telescope"], tmp_path) == 0
+    certificate = json.loads((tmp_path / "certificate.json").read_text())
+    long = "9" * 5000  # past the 4,300-digit limit on integer text
+    values = st.sampled_from([None, 0, -1, 1.5, True, "", "x", [], {}, ["x"], [["x"]], {"x": 1}]).map(copy.deepcopy)
+    exps = st.sampled_from([-2, -1, 0, 1, 2, 3, ORDER_CAP + 1, EXPONENT_CAP + 1, 10 ** 30])
+    texts = st.sampled_from(["1/0", "(1)/(0)", "(1)/(1*x^1 + -1*x^1)", "0", "", "x", "1*y^1", "1*x^1.5", "1*x^-1",
+                             f"1*x^{DEGREE_CAP + 1}", f"1*t^{EXPONENT_CAP + 1}", long, f"{long}*s^1",
+                             f"(1)/({long}*t^1)"])
+
+    @st.composite
+    def mutated(draw):
+        data = copy.deepcopy(certificate)
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["drop", "rename", "swap", "side", "swap-sides", "P-key", "term-drop",
+                                         "term-swap", "exp", "coeff", "repeat"]))
+            op = data.get("P")
+            terms = op.get("terms") if isinstance(op, dict) else None
+            term = draw(st.sampled_from(terms)) if isinstance(terms, list) and terms else None
+            if kind in ("drop", "rename", "swap") and data:
+                key = draw(st.sampled_from(sorted(data)))
+                if kind == "swap":
+                    data[key] = draw(values)
+                else:
+                    value = data.pop(key)
+                    if kind == "rename":
+                        data[key + "s"] = value
+            elif kind == "side":
+                data[draw(st.sampled_from(["S", "T"]))] = draw(texts)
+            elif kind == "swap-sides" and "S" in data and "T" in data:
+                data["S"], data["T"] = data["T"], data["S"]
+            elif kind == "P-key" and isinstance(op, dict) and op:
+                op[draw(st.sampled_from(sorted(op)))] = draw(values)
+            elif kind in ("term-drop", "term-swap") and isinstance(term, dict) and term:
+                key = draw(st.sampled_from(sorted(term)))
+                if kind == "term-swap":
+                    term[key] = draw(values)
+                else:
+                    del term[key]
+            elif kind == "exp" and isinstance(term, dict):
+                term["exp"] = [draw(exps)]
+            elif kind == "coeff" and isinstance(term, dict):
+                term["coeff"] = draw(texts)
+            elif kind == "repeat" and isinstance(term, dict):
+                terms.append({**term, "coeff": draw(texts)})
+        return data
+
+    bad = tmp_path / "cert.json"
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(mutated())
+    def check(data):
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = run_cli(["verify-cert", "--input", str(bad)], tmp_path)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 2:
+            assert len(err.strip().splitlines()) == 1, err
+
+    check()

@@ -8,7 +8,7 @@ import pytest
 
 from rookpaths import rookdata
 from rookpaths.exactmath import (MPoly, PowerSeries, RatFun, clear_denominators, linear_nullspace,
-                                 mpoly_gcd, multiplicity, poly, ratfun, root_values, strip_content)
+                                 mpoly_gcd, mpoly_lcm, multiplicity, poly, ratfun, root_values, strip_content)
 from rookpaths.exactmath import mpoly as mpoly_module
 
 X = ("x",)
@@ -247,6 +247,111 @@ def test_ratfun_field_arithmetic():
     assert a + b == ratfun("(x*(1+x)+(1-x))/((1-x)*(1+x))", X)
     assert a * b / b == a
     assert (a - a).is_zero()
+
+
+def test_derivative_divides_out_only_the_common_factor_of_g():
+    # d/dt of (t+s)/(s*t): g = gcd(s*t, s) = s and N = -s, so only the v-free
+    # factor s cancels, once, and the stored result is -1/t^2
+    got = RatFun(poly("t+s", XST), poly("s*t", XST)).derivative("t")
+    assert (got.num, got.den) == (poly("-1", XST), poly("t^2", XST))
+
+
+def test_ratfun_derivative_matches_sympy_and_the_unsplit_quotient():
+    # the derivative in each of x, s and t of n/d, d a product of factors with
+    # multiplicities up to 3, some of them free of the variable, against sympy's
+    # reduced quotient and against RatFun(n'd - nd', d^2); equality of RatFun is
+    # identity of the stored parts, so a result that is not reduced fails too
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x s t")
+    factors = st.sampled_from(["x", "s", "t", "s+1", "x-s", "t+s", "2*x-1", "s*t-x", "x^2+t", "t^2-s*x+3",
+                               "x*s+t^2", "s^2+2"]).map(lambda text: poly(text, XST))
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                            st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3)),
+                            max_size=4).map(lambda terms: MPoly(XST, terms))
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator)
+                                     for e, c in p.terms.items()} or {(0, 0, 0): 0},
+                                    *gens, domain=sympy.QQ)
+
+    def from_sympy(p):
+        return MPoly(XST, {e: Fraction(int(c.p), int(c.q)) for e, c in p.terms() if c})
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(polys, st.lists(st.tuples(factors, st.integers(1, 3)), min_size=1, max_size=3),
+                      st.integers(1, 5))
+    def check(n, powers, c):
+        d = MPoly.const(XST, c)
+        for p, k in powers:
+            d = d * p ** k
+        f = RatFun(n, d)
+        for v in XST:
+            got = f.derivative(v)
+            num, den = to_sympy(f.num), to_sympy(f.den)
+            p, q = (num.diff(gens[XST.index(v)]) * den - num * den.diff(gens[XST.index(v)])).cancel(
+                den ** 2, include=True)
+            assert got == RatFun(from_sympy(p), from_sympy(q))
+            old = f.num.derivative(v) * f.den - f.num * f.den.derivative(v)
+            assert got == RatFun(old, f.den * f.den)
+
+    check()
+
+
+def test_lcm_matches_sympy():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x s t")
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                            st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3)),
+                            max_size=3).map(lambda terms: MPoly(XST, terms))
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator)
+                                     for e, c in p.terms.items()} or {(0, 0, 0): 0},
+                                    *gens, domain=sympy.QQ)
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(polys, polys, polys)
+    def check(a, b, g):
+        a, b = a * g, b * g  # a shared factor, so that the lcm is not always the product
+        if not (a and b):
+            assert mpoly_lcm(a, b).is_zero()
+            return
+        want = MPoly(XST, {e: Fraction(int(c.p), int(c.q))
+                           for e, c in to_sympy(a).lcm(to_sympy(b)).terms() if c}).primitive_part()
+        assert mpoly_lcm(a, b) == want
+
+    check()
+
+
+def test_ratfun_with_a_constant_side_is_the_gcd_normalized_one():
+    # RatFun(c, d) and RatFun(n, c) skip the gcd; the stored parts must be those
+    # that dividing out mpoly_gcd(num, den) first gives
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    scalars = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=5)).filter(bool)
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), scalars, max_size=4).map(
+        lambda terms: MPoly(XST, terms))
+
+    def gcd_normalized(num, den):
+        g = mpoly_gcd(num, den)
+        return RatFun(num.divide_exact(g), den.divide_exact(g), _reduced=True)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(polys, scalars)
+    def check(p, c):
+        c = MPoly.const(XST, c)
+        want = gcd_normalized(c, p) if p else None
+        if want is not None:
+            got = RatFun(c, p)
+            assert (got.num, got.den) == (want.num, want.den)
+        got, want = RatFun(p, c), gcd_normalized(p, c)
+        assert (got.num, got.den) == (want.num, want.den)
+
+    check()
 
 
 def test_canonical_text_round_trip():

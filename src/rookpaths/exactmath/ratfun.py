@@ -36,11 +36,8 @@ class RatFun:
             self.num = num
             self.den = MPoly.const(num.vars, 1)
             return
-        if not (_reduced or num.is_constant() or den.is_constant()):
-            g = mpoly_gcd(num, den)
-            if not (g.is_constant() and g.constant_value() == 1):
-                num = num.divide_exact(g)
-                den = den.divide_exact(g)
+        if not _reduced:
+            num, den = _cross_reduce(num, den)
         # Joint scaling: integer coefficients, content 1, positive lead in den.
         scale = 1 / frac_gcd(num.rational_content(), den.rational_content())
         if den.leading_coeff() < 0:

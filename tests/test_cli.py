@@ -680,11 +680,11 @@ def test_mutated_recurrence_and_sequence_files_exit_cleanly(tmp_path, capsys):
 
 
 def test_mutated_certificate_files_exit_cleanly(tmp_path, capsys):
-    # a fresh certificate.json with keys dropped or renamed, types swapped, "1/0" or
-    # a 5,000-digit coefficient in P, S or T, and negative, huge or repeated
-    # exponents in P, through verify-cert in process (which differentiates S and T):
-    # exit 0, 1 or 2, never a traceback, and an exit 2 prints one line.  Orders stay
-    # small or over their cap, so no case runs long.
+    # a fresh certificate.json with keys dropped or renamed, types swapped (a list
+    # nested 100 deep among them), "1/0" or a 5,000-digit coefficient in P, S or T,
+    # and negative, huge or repeated exponents in P, through verify-cert in process
+    # (which differentiates S and T): exit 0, 1 or 2, never a traceback, and an exit 2
+    # prints one line.  Orders stay small or over their cap, so no case runs long.
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     from rookpaths.exactmath.mpoly import EXPONENT_CAP
@@ -692,7 +692,9 @@ def test_mutated_certificate_files_exit_cleanly(tmp_path, capsys):
     assert run_cli(["telescope"], tmp_path) == 0
     certificate = json.loads((tmp_path / "certificate.json").read_text())
     long = "9" * 5000  # past the 4,300-digit limit on integer text
-    values = st.sampled_from([None, 0, -1, 1.5, True, "", "x", [], {}, ["x"], [["x"]], {"x": 1}]).map(copy.deepcopy)
+    nested = json.loads("[" * 100 + "]" * 100)
+    values = st.sampled_from([None, 0, -1, 1.5, True, "", "x", [], {}, ["x"], [["x"]], {"x": 1}, nested])
+    values = values.map(copy.deepcopy)
     exps = st.sampled_from([-2, -1, 0, 1, 2, 3, ORDER_CAP + 1, EXPONENT_CAP + 1, 10 ** 30])
     texts = st.sampled_from(["1/0", "(1)/(0)", "(1)/(1*x^1 + -1*x^1)", "0", "", "x", "1*y^1", "1*x^1.5", "1*x^-1",
                              f"1*x^{DEGREE_CAP + 1}", f"1*t^{EXPONENT_CAP + 1}", long, f"{long}*s^1",

@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="prove the order-3 recurrence from the order-4 one")
 
     c = cmd("closed-form-check", _cmd_closed_form, help="series check of the closed form")
-    c.add_argument("--n", type=int, default=30, help=f"series order, at most {SERIES_CAP}")
+    c.add_argument("--n", type=int, default=30, help=f"series order, at least 1 and at most {SERIES_CAP}")
 
     c = cmd("pullback-search", _cmd_pullback, help="rational pullback search")
     c.add_argument("--max-degree", type=int, default=6, help=f"largest map degree, at most {MAX_DEGREE_CAP}")
@@ -135,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd("lipshitz-bounds", _cmd_lipshitz, help="counting-argument size report")
     cmd("queens-root", _cmd_queens_root, help="queens dominant singularity root")
     c = cmd("prove-all", _cmd_prove_all, help="full discovery-and-proof pipeline")
-    c.add_argument("--truncation", type=int, default=30, help=f"series order, at most {SERIES_CAP}")
+    c.add_argument("--truncation", type=int, default=30, help=f"series order, at least 1 and at most {SERIES_CAP}")
     return p
 
 
@@ -300,7 +300,7 @@ def _cmd_prove_reduction(args, out: Path) -> bool:
 
 
 def _cmd_closed_form(args, out: Path) -> bool:
-    series_report = closed_form_check(_in_range(args.n, 0, "--n", SERIES_CAP))
+    series_report = closed_form_check(_in_range(args.n, 1, "--n", SERIES_CAP))
     spec = HypergeomSpec(*rookdata.closed_form_parameters())
     symbolic = symbolic_solution_check(rookdata.operator_p2(), rookdata.closed_form_prefactor(),
                                        spec, rookdata.closed_form_pullback())
@@ -414,7 +414,7 @@ def _cmd_queens_root(args, out: Path) -> bool:
 
 
 def _cmd_prove_all(args, out: Path) -> bool:
-    _in_range(args.truncation, 0, "--truncation", SERIES_CAP)
+    _in_range(args.truncation, 1, "--truncation", SERIES_CAP)
     checks: list[tuple[str, bool]] = []
 
     def record(name: str, ok: bool):

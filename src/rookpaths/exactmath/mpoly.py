@@ -181,22 +181,23 @@ class MPoly:
         for v in self.vars:
             if v not in newvars:
                 raise ValueError(f"cannot drop variable {v!r}")
-        weights = [_weight(newvars.index(v), len(newvars)) for v in self.vars]
-        return MPoly._of(newvars, {sum(e * w for e, w in zip(_unpack(k, len(self.vars)), weights)): c
-                                   for k, c in self.packed.items()})
+        return self._repacked(newvars)
 
     def restricted(self, newvars: Sequence[str]) -> MPoly:
         """Project onto fewer variables; the dropped ones must have degree 0."""
         newvars = tuple(newvars)
-        keep = []
         for v in self.vars:
-            if v in newvars:
-                keep.append(self.vars.index(v))
-            elif self.degree(v) != 0:
+            if v not in newvars and self.degree(v) != 0:
                 raise ValueError(f"cannot drop live variable {v!r}")
-        if tuple(self.vars[i] for i in keep) != newvars:
+        if tuple(v for v in self.vars if v in newvars) != newvars:
             raise ValueError("restricted variables must keep canonical order")
-        return MPoly(newvars, {tuple(exp[i] for i in keep): c for exp, c in self.terms.items()})
+        return self._repacked(newvars)
+
+    def _repacked(self, newvars: tuple[str, ...]) -> MPoly:
+        """The keys moved to newvars, which hold every live variable in the same order."""
+        weights = [_weight(newvars.index(v), len(newvars)) if v in newvars else 0 for v in self.vars]
+        return MPoly._of(newvars, {sum(e * w for e, w in zip(_unpack(k, len(self.vars)), weights)): c
+                                   for k, c in self.packed.items()})
 
     def aligned(self, newvars: Sequence[str]) -> MPoly:
         """Re-express over another variable tuple, dropping only dead variables."""

@@ -423,8 +423,8 @@ def closed_form_series(order: int) -> PowerSeries:
 
 def closed_form_check(n_max: int, terms: SeqTable | None = None) -> CheckReport:
     """Coefficient n of the closed form is (n+1) a_{n+1} for n < n_max (a: terms or the rook DP)."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     n = _derivative_mismatch(closed_form_series(n_max + 1), n_max, terms)
     detail = "matches the derivative of the diagonal series" if n is None else f"coefficient mismatch at n={n}"
     return CheckReport("closed-form", n is None, detail, n_max)

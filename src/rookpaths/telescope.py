@@ -19,9 +19,9 @@ makes the canonical kernel return the others already reduced modulo them.
 Each system is validated and cleared once (ParamSystem); a solve only slices
 the cleared equations into rows for its degree bounds.  The system is also
 frozen once at two rational values of the passive variables, and each degree
-level is first screened on the frozen copies, whose kernels are computed on
-integers; the exact solve is always the decider and everything returned
-re-verifies.  One content strip (exactmath.strip_content) serves the nullspace,
+level is first screened on the frozen copies.  A frozen copy has no passive
+variables, so it holds plain rationals from its split to its integer kernel;
+the exact solve is always the decider and everything returned re-verifies.  One content strip (exactmath.strip_content) serves the nullspace,
 DiffOp.normalized and both stages' operator blocks, whose certificate side is
 divided by the factor removed; stage A then fixes the gauge phi -> phi - lambda(x, s)/F.
 """
@@ -70,7 +70,8 @@ class ParamSolution:
 class ParamSystem:
     """dy/dv + A y = B e with y_i = z_i/denominator_i, validated and cleared once:
     for equation i, one clearing of A_ij/u_j (every j), 1/u_i, u_i'/u_i^2 and -B_ie
-    gives P_j, W, V and E_e, each split by powers of the main variable v."""
+    gives P_j, W, V and E_e, each split by powers of the main variable v.  The split
+    holds MPolys over the passive variables, or plain rationals when there are none."""
 
     def __init__(self, A: Sequence[Sequence[RatFun]], B: Sequence[Sequence[RatFun]],
                  denominators: Sequence[MPoly], main_var: str):
@@ -85,11 +86,13 @@ class ParamSystem:
             raise ValueError("need one denominator per component")
         self.A, self.B, self.main_var = A, B, main_var
         self.kvars = tuple(v for v in fullvars if v != main_var)
+        self.zero = MPoly.zero(self.kvars) if self.kvars else 0
         self.dens = [RatFun(dc.aligned(fullvars)) for dc in denominators]
         self.split = []
         for i, u in enumerate(self.dens):
             fracs = [a / w for a, w in zip(A[i], self.dens)] + [1 / u, u.derivative(main_var) / (u * u)]
-            self.split.append([[c.restricted(self.kvars) for c in p.coeffs_in(main_var)] if p else []
+            self.split.append([[c.restricted(self.kvars) if self.kvars else c.packed.get(0, 0)
+                                for c in p.coeffs_in(main_var)] if p else []
                                for p in clear_denominators(fracs + [-b for b in B[i]], fullvars)])
 
 
@@ -104,9 +107,9 @@ def solve_parametrized_system(system: ParamSystem, bounds: Sequence[int], *,
         raise ValueError("need one degree bound per component")
     ncols = sum(b + 1 for b in bounds) + len(system.B[0])
     eq_rows = [row for i, split in enumerate(system.split)
-               for row in _equation_rows(split, i, bounds, system.kvars)]
+               for row in _equation_rows(split, i, bounds, system.zero)]
     solutions = []
-    for vec in linear_nullspace(eq_rows or [[MPoly.zero(system.kvars)] * ncols]):
+    for vec in linear_nullspace(eq_rows or [[system.zero] * ncols]):
         sol = _solution_from_vector(vec, system.dens, bounds, system.main_var)
         if verify and not _check_param_solution(system.A, system.B, sol, system.main_var):
             raise TelescopeError("parametrized solver produced a non-solution")
@@ -119,26 +122,29 @@ def _solution_from_vector(vec: Sequence[MPoly], dens: Sequence[RatFun], bounds: 
     """(y, e) from a kernel vector in _equation_rows' column order: y_i =
     (sum_k c_ik v^k) / u_i, then the parameter block e.  The vector is read
     back in natural order (c_00, c_01, ..., c_10, ..., e) and signed so that
-    its first nonzero coordinate there has a positive leading coefficient."""
+    its first nonzero coordinate there has a positive leading coefficient.  With
+    no passive variables the vector holds ints, read straight into z_i and e."""
     fullvars = dens[0].vars
     v = MPoly.var(fullvars, main_var)
+    numbers = fullvars == (main_var,)
     unknowns = sum(b + 1 for b in bounds)
     natural = list(vec[:unknowns])[::-1] + list(vec[unknowns:])
-    if next(c for c in natural if c).leading_coeff() < 0:
+    first = next(c for c in natural if c)
+    if (first if numbers else first.leading_coeff()) < 0:
         natural = [-c for c in natural]
     y, pos = [], 0
     for u, b in zip(dens, bounds):
-        zi = MPoly.zero(fullvars)
-        for k, c in enumerate(natural[pos:pos + b + 1]):
-            if c:
-                zi = zi + c.with_vars(fullvars) * v ** k
+        chunk = natural[pos:pos + b + 1]
+        if numbers:
+            zi = MPoly(fullvars, {(k,): c for k, c in enumerate(chunk)})
+        else:
+            zi = sum((c.with_vars(fullvars) * v ** k for k, c in enumerate(chunk) if c), MPoly.zero(fullvars))
         pos += b + 1
         y.append(RatFun(zi) / u)
-    return ParamSolution(y=y, e=natural[pos:])
+    return ParamSolution(y=y, e=[MPoly.const((), c) for c in natural[pos:]] if numbers else natural[pos:])
 
 
-def _equation_rows(split: Sequence[list[MPoly]], i: int, bounds: Sequence[int],
-                   kvars: tuple[str, ...]) -> list[list[MPoly]]:
+def _equation_rows(split: Sequence[list], i: int, bounds: Sequence[int], zero: MPoly | int) -> list[list]:
     """Equation i as polynomial rows, one per power of v, from its cleared split.
 
     With y_j = sum_k c_jk v^k / u_j, column c_jk is P_j v^k, plus
@@ -150,12 +156,11 @@ def _equation_rows(split: Sequence[list[MPoly]], i: int, bounds: Sequence[int],
     """
     n = len(bounds)
     P, (W, V), E = split[:n], split[n:n + 2], split[n + 2:]
-    zero = MPoly.zero(kvars)
 
-    def at(coeffs: list[MPoly], m: int) -> MPoly:
+    def at(coeffs: list, m: int):
         return coeffs[m] if 0 <= m < len(coeffs) else zero
 
-    def cell(j: int, k: int, m: int) -> MPoly:
+    def cell(j: int, k: int, m: int):
         c = at(P[j], m - k)
         return c + at(W, m - k + 1) * k - at(V, m - k) if j == i else c
 

@@ -246,7 +246,8 @@ MUST_NAME = {"rec-unroll-initial-wrong-variable": "terms", "rec-unroll-negative-
              "asymptotics-zero-denominator-tolerance": "--tolerance",
              "asymptotics-text-tolerance": "--tolerance",
              "asymptotics-small-n": "--n", "rook-terms-negative-n": "--n", "queen-terms-negative-n": "--n",
-             "diag-negative-n": "--n", "guess-rec-zero-n": "--n",
+             "diag-negative-n": "--n", "guess-rec-zero-n": "--n", "closed-form-zero-n": "--n",
+             "prove-all-zero-truncation": "--truncation",
              "rec-unroll-zero-denominator": "malformed recurrence JSON",
              "ode-to-rec-zero-denominator": "malformed operator JSON",
              "verify-cert-zero-denominator": "malformed certificate JSON"}
@@ -293,6 +294,8 @@ MUST_NAME.update({f"{name}-deep": "bad.json" for name in INPUT_PATHS})
     (["queen-terms", "--n", "-1"], None),
     (["diag", "--n", "-1"], None),
     (["guess-rec", "--n", "0", "--order", "3", "--degree", "4"], None),
+    (["closed-form-check", "--n", "0"], None),
+    (["prove-all", "--truncation", "0"], None),
     (["rec-unroll", "--n", "10", "--input", "BAD"], {"terms": [{"exp": [0], "coeff": "1/0"}]}),
     (["ode-to-rec", "--input", "BAD"], op_json((1, "1/0"))),
     (["verify-cert", "--input", "BAD"], {"P": op_json((1, "1")), "S": "(1)/(0)", "T": "0"}),
@@ -311,6 +314,7 @@ MUST_NAME.update({f"{name}-deep": "bad.json" for name in INPUT_PATHS})
          "asymptotics-negative-tolerance", "asymptotics-zero-tolerance",
          "asymptotics-zero-denominator-tolerance", "asymptotics-text-tolerance", "asymptotics-small-n",
          "rook-terms-negative-n", "queen-terms-negative-n", "diag-negative-n", "guess-rec-zero-n",
+         "closed-form-zero-n", "prove-all-zero-truncation",
          "rec-unroll-zero-denominator", "ode-to-rec-zero-denominator", "verify-cert-zero-denominator"]
     + [f"{name}-truncated" for name in INPUT_PATHS] + [f"{name}-wrong-variable" for name in INPUT_PATHS]
     + [f"{name}-deep" for name in INPUT_PATHS])
@@ -449,6 +453,25 @@ def test_size_flags_are_capped_before_any_work(tmp_path, capsys, monkeypatch, ar
     assert run_cli(args + [str(cap + 1)], tmp_path) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and f"{args[-1]} must be <= {cap}" in err, err
+
+
+@pytest.mark.parametrize("args, work", [
+    (["closed-form-check", "--n"], "closed_form_check"),
+    (["prove-all", "--truncation"], "diagonal_sequence"),
+], ids=["closed-form-check", "prove-all"])
+def test_series_checks_compare_at_least_one_coefficient(tmp_path, capsys, monkeypatch, args, work):
+    # a series order of 0 would compare no coefficient and report a vacuous PASS:
+    # --help states the floor, 1 reaches the work and 0 exits 2 before any work
+    from rookpaths import cli
+    with pytest.raises(SystemExit):
+        main([args[0], "--help"])
+    assert f"{args[-1]} {args[-1][2:].upper()} series order, at least 1" in " ".join(capsys.readouterr().out.split())
+    monkeypatch.setattr(cli, work, _start_work)
+    with pytest.raises(WorkStarted):
+        run_cli(args + ["1"], tmp_path)
+    assert run_cli(args + ["0"], tmp_path) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and f"{args[-1]} must be >= 1" in err, err
 
 
 def test_failing_check_exits_one(tmp_path):

@@ -159,6 +159,43 @@ def test_division_and_content_match_sympy():
     check()
 
 
+def test_restricted_matches_the_exponent_tuple_route():
+    # restricted re-packs keys straight onto the kept variables; the oracle goes through
+    # exponent tuples and the constructor.  A live dropped variable and a kept tuple out
+    # of canonical order still raise
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coeffs = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4))
+    exps = st.sampled_from([0, 1, 2, 3, 7, 8, 15, 16])
+
+    @st.composite
+    def cases(draw):
+        keep = tuple(v for v in XST if draw(st.booleans()))
+        monomials = st.tuples(*[exps if v in keep else st.just(0) for v in XST])
+        return MPoly(XST, draw(st.dictionaries(monomials, coeffs, max_size=5))), keep
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((poly("x^15*t^16-3/2", XST), ("x", "t")))
+    @hypothesis.example((poly("7", XST), ()))
+    def check(case):
+        p, keep = case
+        index = [XST.index(v) for v in keep]
+        got = p.restricted(keep)
+        assert got.vars == keep
+        assert got == MPoly(keep, {tuple(exp[i] for i in index): c for exp, c in p.terms.items()})
+        assert got.with_vars(XST) == p
+        for v in XST:
+            if v not in keep:
+                with pytest.raises(ValueError, match=f"cannot drop live variable {v!r}"):
+                    (p + MPoly.var(XST, v)).restricted(keep)
+        if len(keep) > 1:
+            with pytest.raises(ValueError, match="canonical order"):
+                p.restricted(keep[::-1])
+
+    check()
+
+
 def test_gcd_prs_fallback_gives_the_same_results(monkeypatch):
     a = poly("s*t^2-s^2*t-x*s*t+x*s^2-t^2+s*t+x*t-x*s", XST)
     q1 = poly(Q1_TEXT, XST)

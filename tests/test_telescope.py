@@ -509,6 +509,31 @@ def test_screen_is_monotone_in_the_level(rook_systems):
     assert first == {"A0": None, "A1": 2, "A2": 4, "B2": None, "B3": 8}
 
 
+def test_screen_on_numbers_matches_a_sympy_kernel(rook_systems):
+    # a frozen system has no passive variables, so its split holds plain rationals,
+    # not MPolys; at each screening point and every level, the screen passes exactly
+    # when the frozen rows have a kernel vector with a nonzero parameter block
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    from rookpaths import telescope
+    for name, (A, B, main_var) in rook_systems.items():
+        dens, caps = telescope._cascade_bounds(A, B, main_var)
+        for point in telescope._SCREEN_POINTS:
+            system = telescope._freeze(A, B, dens, point, main_var)
+            assert system.kvars == ()
+            assert not any(isinstance(c, MPoly) for split in system.split for part in split for c in part), name
+            for level in range(max(caps) + 1):
+                bounds = [min(level, c) for c in caps]
+                rows = [row for i, split in enumerate(system.split)
+                        for row in telescope._equation_rows(split, i, bounds, system.zero)]
+                kernel = DomainMatrix([[QQ(c.numerator, c.denominator) for c in row] for row in rows],
+                                      (len(rows), len(rows[0])), QQ).nullspace().to_list()
+                with_parameter = any(any(vec[-len(B[0]):]) for vec in kernel)
+                assert telescope._screen([system], bounds) == with_parameter, (name, point, level)
+
+
 def test_refuting_searches_screen_only_the_ends(rook_f, stage_a_certs, monkeypatch):
     # a search that must fail screens level 0 and the top level (caps 3, and 2 and 5)
     from rookpaths import telescope

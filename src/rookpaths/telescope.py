@@ -21,7 +21,8 @@ the cleared equations into rows for its degree bounds.  The system is also
 frozen once at two rational values of the passive variables, and each degree
 level is first screened on the frozen copies.  A frozen copy has no passive
 variables, so it holds plain rationals from its split to its integer kernel;
-the exact solve is always the decider and everything returned re-verifies.  One content strip (exactmath.strip_content) serves the nullspace,
+the exact solve is always the decider and everything returned re-verifies.
+One content strip (exactmath.strip_content) serves the nullspace,
 DiffOp.normalized and both stages' operator blocks, whose certificate side is
 divided by the factor removed; stage A then fixes the gauge phi -> phi - lambda(x, s)/F.
 """
@@ -117,7 +118,7 @@ def solve_parametrized_system(system: ParamSystem, bounds: Sequence[int], *,
     return solutions
 
 
-def _solution_from_vector(vec: Sequence[MPoly], dens: Sequence[RatFun], bounds: Sequence[int],
+def _solution_from_vector(vec: Sequence[MPoly | int], dens: Sequence[RatFun], bounds: Sequence[int],
                           main_var: str) -> ParamSolution:
     """(y, e) from a kernel vector in _equation_rows' column order: y_i =
     (sum_k c_ik v^k) / u_i, then the parameter block e.  The vector is read

@@ -7,8 +7,8 @@ Sylvester's identity the stripped content always contains the Bareiss pivot
 factor, so growth is no worse than classical fraction-free elimination while
 the representation never leaves the polynomial ring.  Back-substitution
 stays in the ring too: each solved coordinate scales the vector by its
-pivot's cofactor.  A matrix of constants (no variables) runs the same
-elimination on Python ints, cleared row by row, with math.gcd content strips.
+pivot's cofactor.  A matrix of plain numbers runs the same elimination on
+Python ints, cleared row by row, with math.gcd content strips.
 
 Kernel vectors are canonical: for each free column the unique solution with
 that coordinate 1 and the other free coordinates 0, cleared to polynomials
@@ -35,9 +35,8 @@ from .ratfun import RatFun
 def linear_nullspace(matrix: Sequence[Sequence[MPoly | int | Fraction]]) -> list[list]:
     """Basis of the right kernel of a nonempty matrix, cleared to content-1 vectors.
 
-    The cells are MPolys over one variable tuple, or plain ints and Fractions;
-    constants of either kind run the elimination on Python ints, and a matrix
-    of plain numbers gets int vectors back."""
+    The cells are MPolys over one nonempty variable tuple, or plain ints and
+    Fractions, which run the elimination on Python ints and get int vectors back."""
     if not matrix or not matrix[0]:
         raise ValueError("matrix must be nonempty")
     ncols = len(matrix[0])
@@ -47,14 +46,13 @@ def linear_nullspace(matrix: Sequence[Sequence[MPoly | int | Fraction]]) -> list
     if len(kinds) > 1:
         raise ValueError("mixed variable tuples in matrix")
     (vars,) = kinds
-    if vars:
-        return _kernel([{j: p for j, p in enumerate(row) if p} for row in matrix], ncols,
-                       MPoly.const(vars, 1), mpoly_gcd, MPoly.divide_exact, strip_content,
-                       lambda e: (len(e.terms), e.total_degree()), MPoly.leading_coeff)
     if vars is None:
         return _integer_kernel(matrix, ncols)
-    return [[MPoly.const((), c) for c in vec]
-            for vec in _integer_kernel([[p.constant_value() for p in row] for row in matrix], ncols)]
+    if not vars:
+        raise ValueError("MPolys over no variables: pass plain numbers")
+    return _kernel([{j: p for j, p in enumerate(row) if p} for row in matrix], ncols,
+                   MPoly.const(vars, 1), mpoly_gcd, MPoly.divide_exact, strip_content,
+                   lambda e: (len(e.terms), e.total_degree()), MPoly.leading_coeff)
 
 
 def root_values(a: MPoly, b: MPoly, G: MPoly) -> list[Fraction]:

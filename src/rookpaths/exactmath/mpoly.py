@@ -24,6 +24,7 @@ fractional.  The zero polynomial has an empty dict.
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
@@ -509,87 +510,45 @@ class MPoly:
 
 
 def poly(text: str, vars: Sequence[str]) -> MPoly:
-    """Build an MPoly from a small ``+``/``-``/``*``/``^`` expression.
+    """Build an MPoly from a ``+``/``-``/``*``/``^`` expression, ``/`` only by a constant.
 
-    Accepts parenthesized products like ``(s-1)*(3*s-2)^2``, handy for
-    transcribing reference polynomials exactly.
+    Accepts parenthesized products like ``(s-1)*(3*s-2)^2`` and coefficients
+    like ``3/2*x``, handy for transcribing reference polynomials exactly.
     """
-    return _ExprParser(text, tuple(vars)).parse()
+    return _poly_of(_expr(text), tuple(vars), text)
 
 
-class _ExprParser:
-    def __init__(self, text: str, vars: tuple[str, ...]):
-        self.text = text.replace(" ", "")
-        self.pos = 0
-        self.vars = vars
+def _expr(text: str) -> ast.expr:
+    """The Python syntax tree of text, with ^ read as a power."""
+    try:
+        return ast.parse(text.replace("^", "**").strip(), mode="eval").body
+    except (SyntaxError, ValueError):
+        raise ValueError(f"cannot read {text!r}: not an expression") from None
 
-    def parse(self) -> MPoly:
-        node = self._sum()
-        if self.pos != len(self.text):
-            raise ValueError(f"trailing input at {self.text[self.pos:]!r}")
-        return node
 
-    def _sum(self) -> MPoly:
-        sign = 1
-        if self._peek() in ("+", "-"):
-            sign = -1 if self._next() == "-" else 1
-        node = self._product() * sign
-        while self._peek() in ("+", "-"):
-            op = self._next()
-            term = self._product()
-            node = node + (term if op == "+" else -term)
-        return node
+_ARITHMETIC = {ast.Add: MPoly.__add__, ast.Sub: MPoly.__sub__, ast.Mult: MPoly.__mul__}
 
-    def _product(self) -> MPoly:
-        node = self._power()
-        while self._peek() == "*":
-            self._next()
-            node = node * self._power()
-        return node
 
-    def _power(self) -> MPoly:
-        node = self._atom()
-        if self._peek() == "^":
-            self._next()
-            digits = self._take_digits()
-            node = node ** int(digits)
-        return node
-
-    def _atom(self) -> MPoly:
-        ch = self._peek()
-        if ch == "(":
-            self._next()
-            node = self._sum()
-            if self._next() != ")":
-                raise ValueError("unbalanced parenthesis")
-            return node
-        if ch.isdigit():
-            num = self._take_digits()
-            if self._peek() == "/":
-                self._next()
-                den = self._take_digits()
-                return MPoly.const(self.vars, Fraction(int(num), int(den)))
-            return MPoly.const(self.vars, int(num))
-        if ch.isalpha():
-            name = self._next()
-            return MPoly.var(self.vars, name)
-        raise ValueError(f"unexpected character {ch!r}")
-
-    def _take_digits(self) -> str:
-        start = self.pos
-        while self._peek().isdigit():
-            self._next()
-        if start == self.pos:
-            raise ValueError("expected digits")
-        return self.text[start:self.pos]
-
-    def _peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _next(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        return ch
+def _poly_of(node: ast.expr, vars: tuple[str, ...], text: str) -> MPoly:
+    """The MPoly of a tree of int literals, names in vars, unary + and -, +, -, *,
+    / by a nonzero constant and ** by an int literal; any other node raises."""
+    match node:
+        case ast.Constant(value=int(c)) if type(c) is int:
+            return MPoly.const(vars, c)
+        case ast.Name(id=name) if name in vars:
+            return MPoly.var(vars, name)
+        case ast.UnaryOp(op=ast.UAdd() | ast.USub() as op, operand=a):
+            p = _poly_of(a, vars, text)
+            return -p if isinstance(op, ast.USub) else p
+        case ast.BinOp(left=a, op=ast.Pow(), right=ast.Constant(value=int(k))) if type(k) is int:
+            return _poly_of(a, vars, text) ** k
+        case ast.BinOp(left=a, op=op, right=b) if type(op) in _ARITHMETIC:
+            return _ARITHMETIC[type(op)](_poly_of(a, vars, text), _poly_of(b, vars, text))
+        case ast.BinOp(left=a, op=ast.Div(), right=b):
+            den = _poly_of(b, vars, text)
+            if den.is_constant() and den:
+                return _poly_of(a, vars, text) * (1 / den.constant_value())
+    raise ValueError(f"cannot read {text!r} as a polynomial over {vars}: {ast.unparse(node)!r}")
 
 
 # -- gcd ------------------------------------------------------------------

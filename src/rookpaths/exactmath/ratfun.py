@@ -12,10 +12,11 @@ gcd runs only where a factor can cancel: not when one side is constant, and in
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .mpoly import MPoly, frac_gcd, mpoly_gcd, poly
+from .mpoly import MPoly, _expr, _poly_of, frac_gcd, mpoly_gcd
 
 Scalar = Union[int, Fraction]
 
@@ -155,11 +156,6 @@ class RatFun:
     def __rtruediv__(self, other) -> RatFun:
         return self._coerce(other) / self
 
-    def __pow__(self, k: int) -> RatFun:
-        if k < 0:
-            return RatFun(self.den ** (-k), self.num ** (-k), _reduced=True)
-        return RatFun(self.num ** k, self.den ** k, _reduced=True)
-
     # -- calculus & substitution ---------------------------------------------
 
     def derivative(self, name: str) -> RatFun:
@@ -233,24 +229,8 @@ def _cross_reduce(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
 
 
 def ratfun(text: str, vars: Sequence[str]) -> RatFun:
-    """Build a RatFun from an expression with a single '/' at the top level."""
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0 and not _is_fraction_slash(text, i):
-            return RatFun(poly(text[:i], vars), poly(text[i + 1:], vars))
-    return RatFun(poly(text, vars))
-
-
-def _is_fraction_slash(text: str, i: int) -> bool:
-    """True when text[i] == '/' separates two integer literals (e.g. 3/2)."""
-    j = i - 1
-    while j >= 0 and text[j] == " ":
-        j -= 1
-    k = i + 1
-    while k < len(text) and text[k] == " ":
-        k += 1
-    return j >= 0 and text[j].isdigit() and k < len(text) and text[k].isdigit()
+    """Build a RatFun from a poly() expression or a quotient a/b of two at the top level."""
+    vars, node = tuple(vars), _expr(text)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        return RatFun(_poly_of(node.left, vars, text), _poly_of(node.right, vars, text))
+    return RatFun(_poly_of(node, vars, text))

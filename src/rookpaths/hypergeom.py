@@ -523,8 +523,8 @@ def identity_checks(order: int = 30, beukers_order: int = 25,
                     terms: SeqTable | None = None) -> list[CheckReport]:
     """The contiguity, quartic-pullback, and alternative-form (against terms) series identities."""
     for name, size in (("order", order), ("beukers_order", beukers_order)):
-        if size < 0:
-            raise ValueError(f"{name} must be >= 0")
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1")
     return [
         _contiguity_check(order),
         _quartic_pullback_check(order),

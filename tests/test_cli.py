@@ -136,6 +136,23 @@ def test_prove_all_counts_the_rook_diagonal_once(tmp_path, monkeypatch, capsys):
         assert sorted(seen) == sizes
 
 
+def test_stages_run_on_the_computed_embedding(tmp_path, monkeypatch, capsys):
+    # the transcribed F is only a comparison target: with a perturbed one, the
+    # embedding claim alone fails and the stages still write the pinned artifacts
+    from rookpaths import rookdata
+    reference = rookdata.embedded_f()
+    monkeypatch.setattr(rookdata, "embedded_f", lambda: reference * 2)
+    assert run_cli(["prove-all"], tmp_path / "prove-all") == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("[PASS]")]
+    assert failed == ["[FAIL] residue embedding matches the factored reference form",
+                      "prove-all: FAIL (15/16)"]
+    assert hashlib.sha256((tmp_path / "prove-all" / "certificate.json").read_bytes()).hexdigest() \
+        == CERTIFICATE_SHA256
+    assert run_cli(["telescope"], tmp_path / "telescope") == 0
+    assert {name: hashlib.sha256((tmp_path / "telescope" / name).read_bytes()).hexdigest()
+            for name in STAGE_SHA256} == STAGE_SHA256
+
+
 def test_ode_to_rec(tmp_path, capsys):
     assert run_cli(["ode-to-rec"], tmp_path) == 0
     rec = json.loads((tmp_path / "recurrence.json").read_text())
@@ -247,7 +264,7 @@ MUST_NAME = {"rec-unroll-initial-wrong-variable": "terms", "rec-unroll-negative-
              "asymptotics-text-tolerance": "--tolerance",
              "asymptotics-small-n": "--n", "rook-terms-negative-n": "--n", "queen-terms-negative-n": "--n",
              "diag-negative-n": "--n", "guess-rec-zero-n": "--n", "closed-form-zero-n": "--n",
-             "prove-all-zero-truncation": "--truncation",
+             "identity-checks-zero-order": "--order", "prove-all-zero-truncation": "--truncation",
              "rec-unroll-zero-denominator": "malformed recurrence JSON",
              "ode-to-rec-zero-denominator": "malformed operator JSON",
              "verify-cert-zero-denominator": "malformed certificate JSON"}
@@ -295,6 +312,7 @@ MUST_NAME.update({f"{name}-deep": "bad.json" for name in INPUT_PATHS})
     (["diag", "--n", "-1"], None),
     (["guess-rec", "--n", "0", "--order", "3", "--degree", "4"], None),
     (["closed-form-check", "--n", "0"], None),
+    (["identity-checks", "--order", "0"], None),
     (["prove-all", "--truncation", "0"], None),
     (["rec-unroll", "--n", "10", "--input", "BAD"], {"terms": [{"exp": [0], "coeff": "1/0"}]}),
     (["ode-to-rec", "--input", "BAD"], op_json((1, "1/0"))),
@@ -314,7 +332,7 @@ MUST_NAME.update({f"{name}-deep": "bad.json" for name in INPUT_PATHS})
          "asymptotics-negative-tolerance", "asymptotics-zero-tolerance",
          "asymptotics-zero-denominator-tolerance", "asymptotics-text-tolerance", "asymptotics-small-n",
          "rook-terms-negative-n", "queen-terms-negative-n", "diag-negative-n", "guess-rec-zero-n",
-         "closed-form-zero-n", "prove-all-zero-truncation",
+         "closed-form-zero-n", "identity-checks-zero-order", "prove-all-zero-truncation",
          "rec-unroll-zero-denominator", "ode-to-rec-zero-denominator", "verify-cert-zero-denominator"]
     + [f"{name}-truncated" for name in INPUT_PATHS] + [f"{name}-wrong-variable" for name in INPUT_PATHS]
     + [f"{name}-deep" for name in INPUT_PATHS])
@@ -457,8 +475,9 @@ def test_size_flags_are_capped_before_any_work(tmp_path, capsys, monkeypatch, ar
 
 @pytest.mark.parametrize("args, work", [
     (["closed-form-check", "--n"], "closed_form_check"),
+    (["identity-checks", "--order"], "identity_checks"),
     (["prove-all", "--truncation"], "diagonal_sequence"),
-], ids=["closed-form-check", "prove-all"])
+], ids=["closed-form-check", "identity-checks", "prove-all"])
 def test_series_checks_compare_at_least_one_coefficient(tmp_path, capsys, monkeypatch, args, work):
     # a series order of 0 would compare no coefficient and report a vacuous PASS:
     # --help states the floor, 1 reaches the work and 0 exits 2 before any work

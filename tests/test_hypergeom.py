@@ -440,6 +440,17 @@ def test_checks_read_a_passed_prefix_of_the_diagonal():
             check()
 
 
+@pytest.mark.parametrize("check, name", [
+    (lambda: closed_form_check(0), "n_max"),
+    (lambda: identity_checks(0), "order"),
+    (lambda: identity_checks(30, 0), "beukers_order"),
+], ids=["closed-form-n-max", "identity-order", "identity-beukers-order"])
+def test_series_checks_refuse_order_zero(check, name):
+    # at order 0 a series check would compare no coefficient and pass vacuously
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+        check()
+
+
 def test_series_checks_pass_at_the_benchmark_order():
     assert all(report.passed for report in identity_checks(60))
     assert closed_form_check(60).passed

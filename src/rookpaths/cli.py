@@ -9,6 +9,7 @@ the invocation or an input file was unusable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -387,12 +388,7 @@ def _cmd_lipshitz(args, out: Path) -> bool:
     report = lipshitz_bounds()
     for line in report.lines():
         print(" ", line)
-    _write(out, "lipshitz-bounds.json", _dump_json({
-        "raw_N": report.raw_N, "raw_unknowns": report.raw_unknowns,
-        "raw_equations": report.raw_equations,
-        "refined_N": report.refined_N,
-        "refined_rows": report.refined_rows, "refined_cols": report.refined_cols,
-    }))
+    _write(out, "lipshitz-bounds.json", _dump_json(dataclasses.asdict(report)))
     return True
 
 

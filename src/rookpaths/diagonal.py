@@ -4,12 +4,11 @@ expand_diagonal expands f(s,t,u) as a truncated power series on the cube
 [0..n_max]^3 (denominator must be a unit at the origin) and reads off the
 coefficients c_{n,n,n}.  residue_embedding performs the substitution
 F = (1/(s*t)) * f(s, t/s, x/t), whose coefficient of s^-1 t^-1 encodes the
-diagonal; it is exact rational-function plumbing, no series involved.
+diagonal, by two RatFun.subs calls (one MPoly.subs per side each); it is
+exact rational-function plumbing, no series involved.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .exactmath import MPoly, RatFun
 from .walks import GF_VARS, SeqTable
@@ -60,26 +59,11 @@ def expand_diagonal(f: RatFun, n_max: int, name: str = "diagonal") -> SeqTable:
 
 
 def residue_embedding(f: RatFun) -> RatFun:
-    """The rational function (1/(s*t)) * f(s, t/s, x/t) over (x, s, t)."""
+    """The rational function (1/(s*t)) * f(s, t/s, x/t) over (x, s, t): f over (x, s, t, u)
+    at t = t/s, then at u = x/t, so the t that x/t brings in is not substituted again."""
     if f.vars != GF_VARS:
         raise ValueError(f"expected a rational function in {GF_VARS}")
-    num = _substitute_laurent(f.num)
-    den = _substitute_laurent(f.den)
-    # Multiply the denominator by s*t for the residue normalization.
-    den = {(ex, es + 1, et + 1): c for (ex, es, et), c in den.items()}
-    shift_s = -min(min(e[1] for e in num), min(e[1] for e in den), 0)
-    shift_t = -min(min(e[2] for e in num), min(e[2] for e in den), 0)
-    num_poly = MPoly(EMBED_VARS, {(ex, es + shift_s, et + shift_t): c
-                                  for (ex, es, et), c in num.items()})
-    den_poly = MPoly(EMBED_VARS, {(ex, es + shift_s, et + shift_t): c
-                                  for (ex, es, et), c in den.items()})
-    return RatFun(num_poly, den_poly)
-
-
-def _substitute_laurent(p: MPoly) -> dict[tuple[int, int, int], Fraction]:
-    """Monomial map s^i t^j u^k -> x^k s^(i-j) t^(j-k), as a Laurent dict."""
-    out: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j, k), c in p.terms.items():
-        key = (k, i - j, j - k)
-        out[key] = out.get(key, Fraction(0)) + c
-    return {e: c for e, c in out.items() if c}
+    xstu = EMBED_VARS + ("u",)
+    x, s, t = (RatFun(MPoly.var(xstu, v)) for v in EMBED_VARS)
+    F = f.extend_vars(xstu).subs("t", t / s).subs("u", x / t) / (s * t)
+    return RatFun(F.num.restricted(EMBED_VARS), F.den.restricted(EMBED_VARS), _reduced=True)

@@ -127,7 +127,7 @@ class _Terms(Mapping):
 class MPoly:
     """Immutable sparse multivariate polynomial with exact coefficients."""
 
-    __slots__ = ("vars", "packed", "_hash")
+    __slots__ = ("vars", "packed")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple[int, ...], Coeff]):
         self.vars = tuple(vars)
@@ -142,13 +142,12 @@ class MPoly:
             if c != 0:
                 packed[_pack(exp)] = c
         self.packed = packed
-        self._hash = None
 
     @staticmethod
     def _of(vars: tuple[str, ...], packed: dict[int, Coeff]) -> MPoly:
         """Wrap packed terms that are already nonzero and demoted."""
         p = object.__new__(MPoly)
-        p.vars, p.packed, p._hash = vars, packed, None
+        p.vars, p.packed = vars, packed
         return p
 
     @property
@@ -234,16 +233,9 @@ class MPoly:
         return bool(self.packed)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(self.vars, other)
         if not isinstance(other, MPoly):
             return NotImplemented
         return self.vars == other.vars and self.packed == other.packed
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.vars, frozenset(self.packed.items())))
-        return self._hash
 
     # -- arithmetic ----------------------------------------------------
 
@@ -267,12 +259,7 @@ class MPoly:
         return MPoly._of(self.vars, {k: -c for k, c in self.packed.items()})
 
     def __sub__(self, other) -> MPoly:
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(self.vars, other)
         return self + (-other)
-
-    def __rsub__(self, other) -> MPoly:
-        return (-self) + other
 
     def __mul__(self, other) -> MPoly:
         if isinstance(other, (int, Fraction)):

@@ -79,24 +79,15 @@ class RatFun:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RatFun.from_scalar(other, self.vars)
-        elif isinstance(other, MPoly):
-            other = RatFun(other)
         if not isinstance(other, RatFun):
             return NotImplemented
         return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other) -> RatFun:
         if isinstance(other, RatFun):
             return other
-        if isinstance(other, MPoly):
-            return RatFun(other)
         if isinstance(other, (int, Fraction)):
             return RatFun.from_scalar(other, self.vars)
         raise TypeError(f"cannot combine RatFun with {type(other)!r}")
@@ -118,8 +109,6 @@ class RatFun:
         d1r = self.den.divide_exact(g)
         d2r = o.den.divide_exact(g)
         num = self.num * d2r + o.num * d1r
-        if num.is_zero():
-            return RatFun.from_scalar(0, self.vars)
         h = mpoly_gcd(num, g)
         if h.is_constant():
             return RatFun(num, d1r * o.den, _reduced=True)

@@ -102,9 +102,6 @@ class PowerSeries:
     def __sub__(self, other) -> PowerSeries:
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> PowerSeries:
-        return (-self) + other
-
     def __mul__(self, other) -> PowerSeries:
         if isinstance(other, (int, Fraction)):
             return PowerSeries(self.var, [c * other for c in self.coeffs])

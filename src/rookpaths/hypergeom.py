@@ -122,7 +122,6 @@ def local_exponents(L: DiffOp) -> SingularityReport:
             "singular-point analysis over Q cannot continue")
     points = [_classify_point(cleared, root) for root, _mult in roots]
     points.append(_classify_point(cleared, "inf"))
-    points.sort(key=lambda p: (isinstance(p.location, str), p.location if not isinstance(p.location, str) else 0))
     return SingularityReport(points)
 
 

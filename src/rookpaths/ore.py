@@ -406,10 +406,8 @@ class RecOp:
     def __sub__(self, other: RecOp) -> RecOp:
         return self + (-other)
 
-    def scale(self, factor: MPoly | int | Fraction) -> RecOp:
+    def scale(self, factor: MPoly) -> RecOp:
         """Left multiplication by a polynomial in n."""
-        if isinstance(factor, (int, Fraction)):
-            factor = MPoly.const(N_VARS, factor)
         return RecOp({j: factor * q for j, q in self.terms.items()})
 
     def __mul__(self, other: RecOp) -> RecOp:

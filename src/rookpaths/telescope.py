@@ -232,8 +232,6 @@ def _gcd_free_basis(polys: list[MPoly], v: str) -> list[MPoly]:
     queue = [p.primitive_part() for p in polys if p.degree(v) > 0]
     while queue:
         p = queue.pop()
-        if p.is_constant():
-            continue
         for i, q in enumerate(basis):
             g = mpoly_gcd(p, q)
             if not g.is_constant():
@@ -524,21 +522,6 @@ def _divide_by_pair(op: DiffOp, P1: DiffOp, P2: DiffOp) -> tuple[DiffOp, DiffOp,
     return A1, A2, rem
 
 
-def _lift_op(op: DiffOp, dvars: tuple[str, ...]) -> DiffOp:
-    """View an operator in fewer derivations inside a larger (x, s) algebra."""
-    if op.dvars == dvars:
-        return op
-    cvars = tuple(v for v in ("x", "s", "t") if v in set(op.cvars) | set(dvars))
-    pos = [dvars.index(v) for v in op.dvars]
-    terms = {}
-    for exp, c in op.terms.items():
-        new = [0] * len(dvars)
-        for p, e in zip(pos, exp):
-            new[p] = e
-        terms[tuple(new)] = c.extend_vars(cvars)
-    return DiffOp(cvars, dvars, terms)
-
-
 # ---------------------------------------------------------------------------
 # Stage A
 # ---------------------------------------------------------------------------
@@ -687,8 +670,9 @@ def stage_c_reconstruct(P: DiffOp, Q: DiffOp, stage_a: Sequence[StageACertificat
     P1, P2 = stage_a[0].operator, stage_a[1].operator
     psi1, psi2 = stage_a[0].phi, stage_a[1].phi
 
-    ds = DiffOp.partial(("x", "s"), ("x", "s"), "s")
-    R = _lift_op(P, ("x", "s")) - ds * Q
+    xs = ("x", "s")
+    ds = DiffOp.partial(xs, xs, "s")
+    R = DiffOp(xs, xs, {(i, 0): c.extend_vars(xs) for (i,), c in P.terms.items()}) - ds * Q
 
     A1, A2, R = _divide_by_pair(R, P1, P2)
     if not R.is_zero():

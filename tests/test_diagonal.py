@@ -7,7 +7,7 @@ import pytest
 from rookpaths import rookdata
 from rookpaths.diagonal import expand_diagonal, residue_embedding
 from rookpaths.exactmath import poly, ratfun
-from rookpaths.walks import QUEEN, ROOK, diagonal_sequence, step_generating_function
+from rookpaths.walks import QUEEN, ROOK, DirectionSet, diagonal_sequence, step_generating_function
 
 STU = ("s", "t", "u")
 XST = ("x", "s", "t")
@@ -53,6 +53,30 @@ def test_residue_embedding_matches_reference_form():
     # denominator is s*t*q1 up to the sign normalization
     stq1 = poly("s*t", XST) * rookdata.q1()
     assert F.den in (stq1, -stq1)
+
+
+EMBEDDING_SETS = [ROOK, QUEEN,
+                  DirectionSet(ROOK.directions, repeat=False, name="simple"),
+                  DirectionSet(ROOK.directions + ((1, 1, 1),), repeat=False, name="delannoy"),
+                  DirectionSet(QUEEN.directions, repeat=False, name="plain-queen"),
+                  DirectionSet(ROOK.directions + ((1, 1, 1),), name="rook-plus-diagonal"),
+                  DirectionSet(ROOK.directions + ((2, 1, 1),), name="rook-plus-211")]
+
+
+@pytest.mark.parametrize("dirs", EMBEDDING_SETS, ids=lambda d: d.name)
+def test_residue_embedding_matches_sympy(dirs):
+    # oracle: sympy builds the step generating function from the directions and
+    # cancels f(s, t/s, x/t)/(s*t) itself; the two must agree cross-multiplied.
+    sympy = pytest.importorskip("sympy")
+    x, s, t = gens = sympy.symbols("x s t")
+    steps = [s ** i * (t / s) ** j * (x / t) ** k for i, j, k in dirs.directions]
+    f = 1 / (1 - sum(m / (1 - m) if dirs.repeat else m for m in steps))
+    num, den = sympy.fraction(sympy.cancel(f / (s * t)))
+    F = residue_embedding(step_generating_function(dirs))
+    got_num, got_den = (sympy.Poly(sympy.sympify(p.text()), *gens, domain=sympy.QQ) for p in (F.num, F.den))
+    assert F.vars == XST
+    assert (got_num * sympy.Poly(den, *gens, domain=sympy.QQ)
+            - got_den * sympy.Poly(num, *gens, domain=sympy.QQ)).is_zero
 
 
 def test_residue_embedding_constant():

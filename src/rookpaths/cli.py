@@ -9,7 +9,6 @@ the invocation or an input file was unusable.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -388,7 +387,7 @@ def _cmd_lipshitz(args, out: Path) -> bool:
     report = lipshitz_bounds()
     for line in report.lines():
         print(" ", line)
-    _write(out, "lipshitz-bounds.json", _dump_json(dataclasses.asdict(report)))
+    _write(out, "lipshitz-bounds.json", _dump_json(report.to_json_dict()))
     return True
 
 

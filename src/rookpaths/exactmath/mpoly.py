@@ -543,10 +543,6 @@ def _poly_of(node: ast.expr, vars: tuple[str, ...], text: str) -> MPoly:
 
 def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     """Nonnegative generator of the Z-module aZ + bZ; frac_gcd(0, b) = |b|."""
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
     g = _int_gcd(a.denominator, b.denominator)
     return Fraction(_int_gcd(a.numerator * (b.denominator // g), b.numerator * (a.denominator // g)),
                     (a.denominator * b.denominator) // g)

@@ -14,7 +14,6 @@ import functools
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,7 +22,7 @@ from .exactmath.mpoly import _rational_roots
 from .numerics import decimal_str, extrapolate_partial_sums, pi_rational, sqrt_rational
 from .ore import DiffOp, RecOp, diffop_to_rec, unrolled_terms
 from . import rookdata
-from .walks import ROOK, SeqTable, diagonal_sequence
+from .walks import ROOK, FrozenRecord, SeqTable, diagonal_sequence
 
 X = ("x",)
 GAP_CAP = 1000  # the Frobenius test takes one recurrence step per unit of an integer exponent gap
@@ -33,18 +32,16 @@ class HypergeomError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class HypergeomSpec:
+class HypergeomSpec(FrozenRecord):
     """Parameters (a, b; c) of a Gauss hypergeometric series."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        c = Fraction(self.c)
-        if c.denominator == 1 and c <= 0:
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction):
+        if (q := Fraction(c)).denominator == 1 and q <= 0:
             raise HypergeomError("lower parameter -c must not be a nonnegative integer")
+        for k, v in zip(self.__slots__, (a, b, c)):
+            object.__setattr__(self, k, v)
 
     @staticmethod
     def from_exponent_triple(e0: Fraction, e1: Fraction, einf: Fraction) -> HypergeomSpec:
@@ -79,17 +76,21 @@ def gauss_operator(spec: HypergeomSpec) -> DiffOp:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PointReport:
-    location: Fraction | str  # a rational point or "inf"
-    exponents: tuple[Fraction, Fraction]
-    exponent_difference: Fraction
-    klass: str  # ordinary | removable | logarithmic | non-removable-other
+    __slots__ = ("location", "exponents", "exponent_difference", "klass")
+
+    def __init__(self, location: Fraction | str, exponents: tuple[Fraction, Fraction],
+                 exponent_difference: Fraction, klass: str):
+        # location: a rational point or "inf"; klass: ordinary | removable | logarithmic | non-removable-other
+        self.location, self.exponents = location, exponents
+        self.exponent_difference, self.klass = exponent_difference, klass
 
 
-@dataclass
 class SingularityReport:
-    points: list[PointReport]
+    __slots__ = ("points",)
+
+    def __init__(self, points: list[PointReport]):
+        self.points = points
 
     def non_removable(self) -> list[Fraction | str]:
         return [p.location for p in self.points
@@ -200,16 +201,16 @@ TRIED_TRIPLES = ((Fraction(0), Fraction(0), Fraction(0)),
                  (Fraction(0), Fraction(0), Fraction(1, 3)))
 
 
-@dataclass
 class PullbackCandidate:
-    """A map f = c prod (x-p)^(n_p) whose shifted numerator is a perfect cube."""
+    """A map f = c prod (x-p)^(n_p) whose shifted numerator is a perfect cube;
+    points is the singular set the search ran on."""
 
-    points: tuple[Fraction, ...]  # the singular set the search ran on
-    exponents: dict[Fraction, int]
-    constant: Fraction
-    map: RatFun
-    parameters: HypergeomSpec
-    cube_root: MPoly = field(repr=False, default=None)
+    __slots__ = ("points", "exponents", "constant", "map", "parameters", "cube_root")
+
+    def __init__(self, points: tuple[Fraction, ...], exponents: dict[Fraction, int], constant: Fraction,
+                 map: RatFun, parameters: HypergeomSpec, cube_root: MPoly | None = None):
+        self.points, self.exponents, self.constant = points, exponents, constant
+        self.map, self.parameters, self.cube_root = map, parameters, cube_root
 
     def exponent_tuple(self) -> tuple[int, ...]:
         return tuple(self.exponents.get(p, 0) for p in self.points)
@@ -365,10 +366,11 @@ def operator_pullback(spec: HypergeomSpec, f: RatFun) -> DiffOp:
     return gauss_operator(spec).change_variable(f).normalized()
 
 
-@dataclass
 class SymbolicCheckReport:
-    passed: bool
-    remainder: DiffOp
+    __slots__ = ("passed", "remainder")
+
+    def __init__(self, passed: bool, remainder: DiffOp):
+        self.passed, self.remainder = passed, remainder
 
     def __str__(self) -> str:
         return "PASS" if self.passed else f"FAIL: remainder {self.remainder!r}"
@@ -393,12 +395,11 @@ def symbolic_solution_check(L: DiffOp, prefactor: RatFun, spec: HypergeomSpec,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CheckReport:
-    check: str
-    passed: bool
-    detail: str = ""
-    order: int | None = None
+    __slots__ = ("check", "passed", "detail", "order")
+
+    def __init__(self, check: str, passed: bool, detail: str = "", order: int | None = None):
+        self.check, self.passed, self.detail, self.order = check, passed, detail, order
 
     def to_json_dict(self) -> dict:
         data = {"check": self.check, "status": "PASS" if self.passed else "FAIL",
@@ -465,15 +466,17 @@ def f21_at_one(spec: HypergeomSpec) -> Fraction:
     return extrapolate_partial_sums(lambda n: sums[n][0] * (den // sums[n][1]), nodes) / den
 
 
-@dataclass
 class AsymptoticsReport:
-    gauss_value: Fraction
-    gauss_target: Fraction
-    gauss_digits_ok: bool
-    ratio_error: Fraction
-    ratio_ok: bool
-    growth_ratio_ok: bool
-    n_probe: int
+    __slots__ = ("gauss_value", "gauss_target", "gauss_digits_ok", "ratio_error", "ratio_ok", "growth_ratio_ok",
+                 "n_probe")
+
+    def __init__(self, gauss_value: Fraction, gauss_target: Fraction, gauss_digits_ok: bool,
+                 ratio_error: Fraction, ratio_ok: bool, growth_ratio_ok: bool, n_probe: int):
+        self.gauss_value, self.gauss_target, self.gauss_digits_ok = gauss_value, gauss_target, gauss_digits_ok
+        self.ratio_error, self.ratio_ok, self.growth_ratio_ok = ratio_error, ratio_ok, growth_ratio_ok
+        self.n_probe = n_probe
+
+    __eq__ = FrozenRecord.__eq__  # equal by value, field by field
 
     def passed(self) -> bool:
         return self.gauss_digits_ok and self.ratio_ok and self.growth_ratio_ok

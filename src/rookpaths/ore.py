@@ -16,7 +16,6 @@ proving one recurrence from another through an exact operator identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from typing import Mapping, Sequence
@@ -610,14 +609,15 @@ def guess_rec(seq: SeqTable, max_order: int, max_degree: int) -> list[RecOp]:
     return found
 
 
-@dataclass
 class RecReductionReport:
     """Outcome of proving small from big via an exact operator identity."""
 
-    passed: bool
-    residual: RecOp
-    base_cases: dict[int, Fraction] = field(default_factory=dict)
-    detail: str = ""
+    __slots__ = ("passed", "residual", "base_cases", "detail")
+
+    def __init__(self, passed: bool, residual: RecOp, base_cases: dict[int, Fraction] | None = None,
+                 detail: str = ""):
+        self.passed, self.residual, self.detail = passed, residual, detail
+        self.base_cases = {} if base_cases is None else base_cases
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -60,12 +59,22 @@ class DivisionRemainderError(TelescopeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ParamSolution:
-    """One basis element (y, e) with dy/dv + A y = B e."""
+    """One basis element (y, e) with dy/dv + A y = B e; y_i = z_i/u_i is divided on first read."""
 
-    y: list[RatFun]
-    e: list[MPoly]
+    __slots__ = ("z", "u", "e", "_y")
+
+    def __init__(self, z: list[MPoly], u: list[RatFun], e: list[MPoly]):
+        self.z, self.u, self.e, self._y = z, u, e, None
+
+    @property
+    def y(self) -> list[RatFun]:
+        if self._y is None:
+            self._y = [RatFun(zi) / ui for zi, ui in zip(self.z, self.u)]
+        return self._y
+
+    def __eq__(self, other):
+        return self.y == other.y and self.e == other.e if type(other) is ParamSolution else NotImplemented
 
 
 class ParamSystem:
@@ -121,7 +130,7 @@ def solve_parametrized_system(system: ParamSystem, bounds: Sequence[int], *,
 def _solution_from_vector(vec: Sequence[MPoly | int], dens: Sequence[RatFun], bounds: Sequence[int],
                           main_var: str) -> ParamSolution:
     """(y, e) from a kernel vector in _equation_rows' column order: y_i =
-    (sum_k c_ik v^k) / u_i, then the parameter block e.  The vector is read
+    z_i / u_i with z_i = sum_k c_ik v^k, then the parameter block e.  The vector is read
     back in natural order (c_00, c_01, ..., c_10, ..., e) and signed so that
     its first nonzero coordinate there has a positive leading coefficient.  With
     no passive variables the vector holds ints, read straight into z_i and e."""
@@ -133,16 +142,13 @@ def _solution_from_vector(vec: Sequence[MPoly | int], dens: Sequence[RatFun], bo
     first = next(c for c in natural if c)
     if (first if numbers else first.leading_coeff()) < 0:
         natural = [-c for c in natural]
-    y, pos = [], 0
-    for u, b in zip(dens, bounds):
+    z, pos = [], 0
+    for b in bounds:
         chunk = natural[pos:pos + b + 1]
-        if numbers:
-            zi = MPoly(fullvars, {(k,): c for k, c in enumerate(chunk)})
-        else:
-            zi = sum((c.with_vars(fullvars) * v ** k for k, c in enumerate(chunk) if c), MPoly.zero(fullvars))
+        z.append(MPoly(fullvars, {(k,): c for k, c in enumerate(chunk)}) if numbers else
+                 sum((c.with_vars(fullvars) * v ** k for k, c in enumerate(chunk) if c), MPoly.zero(fullvars)))
         pos += b + 1
-        y.append(RatFun(zi) / u)
-    return ParamSolution(y=y, e=[MPoly.const((), c) for c in natural[pos:]] if numbers else natural[pos:])
+    return ParamSolution(z, dens, [MPoly.const((), c) for c in natural[pos:]] if numbers else natural[pos:])
 
 
 def _equation_rows(split: Sequence[list], i: int, bounds: Sequence[int], zero: MPoly | int) -> list[list]:
@@ -433,24 +439,24 @@ def _screen(frozen: Sequence[ParamSystem | None], bounds: Sequence[int]) -> bool
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Ansatz:
     """Search shape: the operator support."""
 
-    support: tuple[tuple[int, int], ...]
+    __slots__ = ("support",)
 
-    def __post_init__(self):
-        if not self.support:
+    def __init__(self, support: tuple[tuple[int, int], ...]):
+        if not support:
             raise ValueError("empty operator support")
+        self.support = support
 
 
-@dataclass
 class StageACertificate:
     """Operator P in (d_x, d_s) with P(F) = d/dt (phi * F)."""
 
-    operator: DiffOp
-    phi: RatFun
-    verified: bool = False
+    __slots__ = ("operator", "phi", "verified")
+
+    def __init__(self, operator: DiffOp, phi: RatFun, verified: bool = False):
+        self.operator, self.phi, self.verified = operator, phi, verified
 
     def verify(self, F: RatFun) -> bool:
         lhs = self.operator.apply_ratfun(F)
@@ -460,15 +466,15 @@ class StageACertificate:
         return ok
 
 
-@dataclass
 class Certificate:
     """Telescoper P (in d_x) with rational certificates S, T for F."""
 
-    P: DiffOp
-    S: RatFun
-    T: RatFun
-    verified: bool = False
-    stage_log: list[str] = field(default_factory=list)
+    __slots__ = ("P", "S", "T", "verified", "stage_log")
+
+    def __init__(self, P: DiffOp, S: RatFun, T: RatFun, verified: bool = False,
+                 stage_log: list[str] | None = None):
+        self.P, self.S, self.T, self.verified = P, S, T, verified
+        self.stage_log = [] if stage_log is None else stage_log
 
     def to_json_dict(self) -> dict:
         return {
@@ -496,11 +502,11 @@ class Certificate:
             raise ValueError(f"malformed certificate JSON: {type(exc).__name__}: {exc}") from None
 
 
-@dataclass
 class VerifyReport:
-    passed: bool
-    residual: RatFun
-    detail: str = ""
+    __slots__ = ("passed", "residual", "detail")
+
+    def __init__(self, passed: bool, residual: RatFun, detail: str = ""):
+        self.passed, self.residual, self.detail = passed, residual, detail
 
     def __str__(self) -> str:
         return ("PASS" if self.passed else "FAIL") + (f": {self.detail}" if self.detail else "")
@@ -694,16 +700,18 @@ def stage_c_reconstruct(P: DiffOp, Q: DiffOp, stage_a: Sequence[StageACertificat
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class LipshitzReport:
     """Size arithmetic for the two linear-algebra existence arguments."""
 
-    raw_N: int
-    raw_unknowns: int
-    raw_equations: int
-    refined_N: int
-    refined_rows: int
-    refined_cols: int
+    __slots__ = ("raw_N", "raw_unknowns", "raw_equations", "refined_N", "refined_rows", "refined_cols")
+
+    def __init__(self, raw_N: int, raw_unknowns: int, raw_equations: int, refined_N: int, refined_rows: int,
+                 refined_cols: int):
+        self.raw_N, self.raw_unknowns, self.raw_equations = raw_N, raw_unknowns, raw_equations
+        self.refined_N, self.refined_rows, self.refined_cols = refined_N, refined_rows, refined_cols
+
+    def to_json_dict(self) -> dict:
+        return {k: getattr(self, k) for k in self.__slots__}
 
     def lines(self) -> list[str]:
         return [

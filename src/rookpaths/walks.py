@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
@@ -24,24 +23,41 @@ from .numerics import bisect_root
 GF_VARS = ("s", "t", "u")
 
 
-@dataclass(frozen=True)
-class DirectionSet:
+class FrozenRecord:
+    """A record whose __init__ sets each slot once; read-only after that, equal and hashed by value."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return (all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+                if type(other) is type(self) else NotImplemented)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, k) for k in self.__slots__))
+
+
+class DirectionSet(FrozenRecord):
     """Primitive step directions; repeat=True allows all positive multiples."""
 
-    directions: tuple[tuple[int, int, int], ...]
-    repeat: bool = True
-    name: str = ""
+    __slots__ = ("directions", "repeat", "name")
 
-    def __post_init__(self):
-        if not self.directions:
+    def __init__(self, directions: tuple[tuple[int, int, int], ...], repeat: bool = True, name: str = ""):
+        if not directions:
             raise ValueError("direction set must be nonempty")
-        for n, d in enumerate(self.directions):
+        for n, d in enumerate(directions):
             if len(d) != 3 or any(e < 0 for e in d) or all(e == 0 for e in d):
                 raise ValueError(f"bad direction {d}")
             if gcd(*d) != 1:
                 raise ValueError(f"direction {d} is not primitive")
-            if d in self.directions[:n]:
+            if d in directions[:n]:
                 raise ValueError(f"direction {d} repeats")
+        for k, v in zip(self.__slots__, (directions, repeat, name)):
+            object.__setattr__(self, k, v)
 
 
 ROOK = DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1)), name="rook")
@@ -51,25 +67,26 @@ QUEEN = DirectionSet(
 )
 
 
-@dataclass
 class CountTable:
     """Exact walk counts r[i][j][k] up to a componentwise bound."""
 
-    bound: tuple[int, int, int]
-    values: list[list[list[int]]]
+    __slots__ = ("bound", "values")
+
+    def __init__(self, bound: tuple[int, int, int], values: list[list[list[int]]]):
+        self.bound, self.values = bound, values
 
     def __getitem__(self, idx: tuple[int, int, int]) -> int:
         i, j, k = idx
         return self.values[i][j][k]
 
 
-@dataclass
 class SeqTable:
     """An exact integer sequence with provenance metadata."""
 
-    name: str
-    terms: list[int]
-    provenance: str  # "dp" | "recurrence" | "series"
+    __slots__ = ("name", "terms", "provenance")
+
+    def __init__(self, name: str, terms: list[int], provenance: str):  # provenance: "dp" | "recurrence" | "series"
+        self.name, self.terms, self.provenance = name, terms, provenance
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -209,7 +226,6 @@ def _monomial(d: tuple[int, int, int]) -> MPoly:
 ROOK_GF_TEXT = "(1-s)*(1-t)*(1-u)/(1-2*(s+t+u)+3*(s*t+t*u+u*s)-4*s*t*u)"
 
 
-@dataclass
 class QueensRootReport:
     """Root report for the dominant-singularity equation of queen walks.
 
@@ -219,11 +235,12 @@ class QueensRootReport:
     than silently choosing.
     """
 
-    verbatim_root: Fraction | None
-    normalized_root: Fraction
-    normalized_root_cubed: Fraction
-    residual_bound: Fraction
-    note: str
+    __slots__ = ("verbatim_root", "normalized_root", "normalized_root_cubed", "residual_bound", "note")
+
+    def __init__(self, verbatim_root: Fraction | None, normalized_root: Fraction,
+                 normalized_root_cubed: Fraction, residual_bound: Fraction, note: str):
+        self.verbatim_root, self.normalized_root = verbatim_root, normalized_root
+        self.normalized_root_cubed, self.residual_bound, self.note = normalized_root_cubed, residual_bound, note
 
 
 def queens_dominant_root(digits: int = 14) -> QueensRootReport:

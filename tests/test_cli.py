@@ -79,6 +79,18 @@ def test_rec_unroll_past_the_digit_limit(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "4300 digits" in err
 
 
+def test_import_leaves_dataclasses_unloaded():
+    # start-up cost: no record is built by dataclasses, whose import also loads
+    # inspect and dis; -S keeps site hooks out of the module list
+    import rookpaths
+    src = str(Path(rookpaths.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-S", "-c", "import sys, rookpaths, rookpaths.cli; "
+                             "print('dataclasses' in sys.modules, 'rookpaths.telescope' in sys.modules)"],
+                            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
+
+
 def test_over_limit_sequence_term_is_named_not_quoted(tmp_path):
     # a term given as decimal text past the digit limit: one short line that
     # names the limit and the term's index, without echoing the term

@@ -40,6 +40,14 @@ def test_gcd_with_zero_is_normalization():
     assert mpoly_gcd(MPoly.zero(X), MPoly.zero(X)).is_zero()
 
 
+def test_frac_gcd_with_a_zero_side():
+    # the general formula covers a zero side: frac_gcd(0, b) = frac_gcd(b, 0) = |b|
+    for b in (Fraction(-5, 6), Fraction(3, 4), Fraction(7), -2):
+        assert mpoly_module.frac_gcd(Fraction(0), b) == abs(b)
+        assert mpoly_module.frac_gcd(b, 0) == abs(b)
+    assert mpoly_module.frac_gcd(Fraction(0), Fraction(0)) == 0
+
+
 def test_gcd_st_q1_example():
     q1 = poly(Q1_TEXT, XST)
     g = mpoly_gcd(poly("s*t", XST) * q1, q1)

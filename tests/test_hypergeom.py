@@ -61,8 +61,9 @@ def test_f21_parameter_symmetry():
 
 
 def test_f21_rejects_parameter_pole():
-    with pytest.raises(HypergeomError):
-        HypergeomSpec(Fr(1), Fr(1), Fr(-2))
+    for c in (Fr(-2), 0):
+        with pytest.raises(HypergeomError, match="lower parameter -c must not be a nonnegative integer"):
+            HypergeomSpec(Fr(1), Fr(1), c)
 
 
 # -- local exponents ------------------------------------------------------------------

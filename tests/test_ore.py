@@ -8,7 +8,7 @@ import pytest
 
 from rookpaths import rookdata
 from rookpaths.exactmath import MPoly, PowerSeries, RatFun, poly, ratfun
-from rookpaths.ore import (DiffOp, InsufficientTermsError, RecOp, SingularRecurrenceError,
+from rookpaths.ore import (DiffOp, InsufficientTermsError, RecOp, RecReductionReport, SingularRecurrenceError,
                            diffop_to_rec, guess_rec, prove_rec_reduction, rec_unroll, unrolled_terms)
 from rookpaths.walks import ROOK, SeqTable, diagonal_sequence
 
@@ -290,6 +290,12 @@ def test_reduction_proof_identity_case():
     rec = rookdata.recurrence_order3()
     report = prove_rec_reduction(rec, rec, poly("1", N), RecOp({0: 1}))
     assert report.passed
+
+
+def test_reduction_reports_do_not_share_default_base_cases():
+    first, second = RecReductionReport(True, RecOp({0: 1})), RecReductionReport(True, RecOp({0: 1}))
+    first.base_cases[3] = Fraction(0)
+    assert second.base_cases == {} and RecReductionReport(False, RecOp({0: 1})).base_cases == {}
 
 
 def test_reduction_proof_detects_perturbation():

@@ -174,7 +174,8 @@ def test_canonical_block_strips_a_planted_factor(factor):
     g = poly(factor, X)
     block = [poly("x^2+1", X), poly("-3*x", X), poly("2", X), MPoly.zero(X)]
     y = [ratfun("(x*s+1)/(s-x)", XS), ratfun("s/(x+3)", XS)]
-    P, Q = _stage_b_solution_to_ops(ParamSolution(y=y, e=[g * p for p in block]), 3)
+    P, Q = _stage_b_solution_to_ops(ParamSolution([r.num for r in y], [RatFun(r.den) for r in y],
+                                                  [g * p for p in block]), 3)
     assert P == DiffOp(X, X, {(i,): RatFun(p) for i, p in enumerate(block)})
     assert P.order() == 2
     gxs = RatFun(g.with_vars(XS))
@@ -278,6 +279,19 @@ def test_verify_simple_exact_case():
     assert verify_key_equation(cert, F).passed
 
 
+def test_certificates_do_not_share_a_default_stage_log():
+    P = DiffOp(XS, XS, {(0, 1): RatFun.from_scalar(1, XS)})
+    first, second = (Certificate(P, ratfun("s", XST), ratfun("0", XST)) for _ in range(2))
+    first.stage_log.append("stage A")
+    assert second.stage_log == [] and Certificate(P, first.S, first.T).stage_log == []
+
+
+def test_ansatz_rejects_an_empty_support():
+    with pytest.raises(ValueError, match="empty operator support"):
+        Ansatz(())
+    assert Ansatz(support=((1, 0),)).support == ((1, 0),)
+
+
 def test_stage_c_rejects_false_congruence(stage_a_certs, rook_f):
     bogus_p = DiffOp(X, X, {(0,): RatFun(poly("x", X))})
     bogus_q = DiffOp(XS, XS, {(0, 0): RatFun.from_scalar(0, XS)})
@@ -343,6 +357,8 @@ def test_stage_c_is_instance_generic(walk, monkeypatch):
 
 def test_lipshitz_bounds_report():
     report = lipshitz_bounds()
+    assert list(report.to_json_dict()) == ["raw_N", "raw_unknowns", "raw_equations", "refined_N", "refined_rows",
+                                           "refined_cols"]
     assert report.raw_N == 425
     assert report.raw_unknowns == 1_391_641_251
     assert report.raw_equations == 1_391_557_968
@@ -494,6 +510,34 @@ def rook_systems(rook_f, stage_a_certs):
                 "A2": lambda: stage_a_search(rook_f, 2, Ansatz(support=((0, 0), (1, 0), (2, 0)))),
                 "B2": lambda: stage_b_search(P1, P2, 2), "B3": lambda: stage_b_search(P1, P2, 3)}
     return {name: _cascade_systems(run)[0] for name, run in searches.items()}
+
+
+def test_solutions_divide_y_only_when_read(rook_systems, monkeypatch):
+    # y_i = z_i/u_i is divided on first read and kept: an exact solve's y equals the
+    # quotient, and the screens, which read only e, divide no y at all
+    from rookpaths import telescope
+    A, B, main_var = rook_systems["A1"]
+    dens, caps = telescope._cascade_bounds(A, B, main_var)
+    sols = solve_parametrized_system(ParamSystem(A, B, dens, main_var), caps, verify=False)
+    assert sols and all(s._y is None for s in sols)
+    for s in sols:
+        assert s.y == [RatFun(z) / u for z, u in zip(s.z, s.u)] and s.y is s.y
+    assert solve_parametrized_system(ParamSystem(A, B, dens, main_var), caps) == sols
+
+    frozen = [telescope._freeze(A, B, dens, p, main_var) for p in telescope._SCREEN_POINTS]
+    screened, solve = [], telescope.solve_parametrized_system
+
+    def recorded(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        screened.extend(result)
+        return result
+
+    def no_division(self, other):
+        raise AssertionError("a screen divided a RatFun")
+    monkeypatch.setattr(telescope, "solve_parametrized_system", recorded)
+    monkeypatch.setattr(RatFun, "__truediv__", no_division)
+    assert telescope._screen(frozen, caps)
+    assert screened and all(s._y is None for s in screened)
 
 
 def test_screen_is_monotone_in_the_level(rook_systems):

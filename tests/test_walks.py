@@ -7,7 +7,9 @@ from math import factorial, gcd
 
 import pytest
 
+from rookpaths import rookdata
 from rookpaths.diagonal import expand_diagonal
+from rookpaths.hypergeom import HypergeomSpec
 from rookpaths.exactmath import ratfun
 from rookpaths.numerics import decimal_str
 from rookpaths.walks import (DirectionSet, QUEEN, ROOK, ROOK_GF_TEXT, SeqTable, _planes, count_paths,
@@ -192,12 +194,32 @@ def test_simple_step_diagonal_is_multinomial():
 
 
 def test_direction_set_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="direction set must be nonempty"):
         DirectionSet(())
-    with pytest.raises(ValueError):
-        DirectionSet(((2, 0, 0),))  # not primitive
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"direction \(2, 0, 0\) is not primitive"):
+        DirectionSet(((2, 0, 0),))
+    with pytest.raises(ValueError, match=r"bad direction \(0, 0, 0\)"):
         DirectionSet(((0, 0, 0),))
+    with pytest.raises(ValueError, match=r"bad direction \(1, -1, 0\)"):
+        DirectionSet(((1, -1, 0),))
+
+
+@pytest.mark.parametrize("record, rebuilt, other", [
+    (ROOK, DirectionSet(((1, 0, 0), (0, 1, 0), (0, 0, 1)), name="rook"),
+     DirectionSet(ROOK.directions, repeat=False, name="rook")),
+    (HypergeomSpec(*rookdata.closed_form_parameters()), HypergeomSpec(Fraction(1, 3), Fraction(2, 3), 2),
+     HypergeomSpec(Fraction(2, 3), Fraction(1, 3), Fraction(2)))], ids=["direction-set", "hypergeom-spec"])
+def test_frozen_records_are_values(record, rebuilt, other):
+    # a rebuilt record equals and hashes like the first, one field apart it differs,
+    # and no field can be assigned or deleted
+    assert record == rebuilt and hash(record) == hash(rebuilt) and len({record, rebuilt}) == 1
+    assert record != other
+    field = type(record).__slots__[-1]
+    with pytest.raises(AttributeError, match=f"field {field!r}"):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError, match=f"field {field!r}"):
+        delattr(record, field)
+    assert record == rebuilt
 
 
 def test_direction_set_rejects_repeated_direction():

@@ -74,7 +74,7 @@ class ParamSolution:
         return self._y
 
     def __eq__(self, other):
-        return self.y == other.y and self.e == other.e if type(other) is ParamSolution else NotImplemented
+        return (self.y == other.y and self.e == other.e) if type(other) is ParamSolution else NotImplemented
 
 
 class ParamSystem:

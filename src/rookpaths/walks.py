@@ -40,6 +40,9 @@ class FrozenRecord:
     def __hash__(self):
         return hash(tuple(getattr(self, k) for k in self.__slots__))
 
+    def __reduce__(self):  # copy and pickle through __init__, which alone may set the slots
+        return type(self), tuple(getattr(self, k) for k in self.__slots__)
+
 
 class DirectionSet(FrozenRecord):
     """Primitive step directions; repeat=True allows all positive multiples."""

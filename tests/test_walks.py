@@ -1,5 +1,7 @@
 """Walk counting oracle, step generating functions, queens root."""
 
+import copy
+import pickle
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -9,8 +11,8 @@ import pytest
 
 from rookpaths import rookdata
 from rookpaths.diagonal import expand_diagonal
-from rookpaths.hypergeom import HypergeomSpec
 from rookpaths.exactmath import ratfun
+from rookpaths.hypergeom import HypergeomSpec
 from rookpaths.numerics import decimal_str
 from rookpaths.walks import (DirectionSet, QUEEN, ROOK, ROOK_GF_TEXT, SeqTable, _planes, count_paths,
                              diagonal_sequence, queens_dominant_root, step_generating_function)
@@ -211,9 +213,10 @@ def test_direction_set_validation():
      HypergeomSpec(Fraction(2, 3), Fraction(1, 3), Fraction(2)))], ids=["direction-set", "hypergeom-spec"])
 def test_frozen_records_are_values(record, rebuilt, other):
     # a rebuilt record equals and hashes like the first, one field apart it differs,
-    # and no field can be assigned or deleted
+    # copies and pickles are equal, and no field can be assigned or deleted
     assert record == rebuilt and hash(record) == hash(rebuilt) and len({record, rebuilt}) == 1
     assert record != other
+    assert copy.copy(record) == copy.deepcopy(record) == pickle.loads(pickle.dumps(record)) == record
     field = type(record).__slots__[-1]
     with pytest.raises(AttributeError, match=f"field {field!r}"):
         setattr(record, field, None)

@@ -3,8 +3,9 @@
 `golden.json` records, for each command line in COMMANDS, the exit status and
 the sha256 of stdout and of every file the command writes.  The command lines
 are all 18 commands at their defaults (`guess-rec` and `rec-unroll` with the
-flags they need, `verify-cert` on the certificate that `telescope` writes) and
-the flag variants whose outputs earlier changes checked by hand.
+flags they need, `verify-cert` on the certificate that `telescope` writes), the
+flag variants whose outputs earlier changes checked by hand, and the `telescope`
+lines that stop after stage A or B or find no telescoper at order 2.
 
     python tests/golden.py            # regenerate golden.json, print what changed
     python tests/golden.py --print    # print this interpreter's manifest as JSON
@@ -33,6 +34,8 @@ COMMANDS = [
     "prove-all --truncation 100", "pullback-search --max-degree 8",
     "pullback-search --max-degree 16", "asymptotics --n 5000",
     "identity-checks --order 100", "closed-form-check --n 60",
+    "telescope --stage A", "telescope --stage B", "telescope --degree 2",
+    "telescope --stage B --degree 2",
 ]
 
 

@@ -453,17 +453,14 @@ class Ansatz:
 class StageACertificate:
     """Operator P in (d_x, d_s) with P(F) = d/dt (phi * F)."""
 
-    __slots__ = ("operator", "phi", "verified")
+    __slots__ = ("operator", "phi")
 
-    def __init__(self, operator: DiffOp, phi: RatFun, verified: bool = False):
-        self.operator, self.phi, self.verified = operator, phi, verified
+    def __init__(self, operator: DiffOp, phi: RatFun):
+        self.operator, self.phi = operator, phi
 
-    def verify(self, F: RatFun) -> bool:
-        lhs = self.operator.apply_ratfun(F)
-        rhs = (self.phi * F).derivative("t")
-        ok = (lhs - rhs).is_zero()
-        self.verified = ok
-        return ok
+    def verify(self, F: RatFun) -> VerifyReport:
+        """The key equation with S = 0 and T = phi F."""
+        return verify_key_equation(Certificate(self.operator, RatFun.from_scalar(0, XST), self.phi * F), F)
 
 
 class Certificate:
@@ -472,9 +469,8 @@ class Certificate:
     __slots__ = ("P", "S", "T", "verified", "stage_log")
 
     def __init__(self, P: DiffOp, S: RatFun, T: RatFun, verified: bool = False,
-                 stage_log: list[str] | None = None):
-        self.P, self.S, self.T, self.verified = P, S, T, verified
-        self.stage_log = [] if stage_log is None else stage_log
+                 stage_log: tuple[str, ...] = ()):
+        self.P, self.S, self.T, self.stage_log, self.verified = P, S, T, stage_log, verified
 
     def to_json_dict(self) -> dict:
         return {
@@ -496,7 +492,7 @@ class Certificate:
                 S=RatFun(*sides["S"]),
                 T=RatFun(*sides["T"]),
                 verified=bool(data.get("verified", False)),
-                stage_log=list(data.get("stage_log", [])),
+                stage_log=tuple(data.get("stage_log", ())),
             )
         except (KeyError, TypeError, IndexError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed certificate JSON: {type(exc).__name__}: {exc}") from None
@@ -513,10 +509,9 @@ class VerifyReport:
 
 
 def verify_key_equation(cert: Certificate, F: RatFun) -> VerifyReport:
-    """Check P(F) - dS/ds - dT/dt = 0 by exact normalization."""
+    """Check P(F) - dS/ds - dT/dt = 0 by exact normalization; cert is left as it was."""
     residual = cert.P.apply_ratfun(F) - cert.S.derivative("s") - cert.T.derivative("t")
     if residual.is_zero():
-        cert.verified = True
         return VerifyReport(True, RatFun.from_scalar(0, XST), "residual identically zero")
     return VerifyReport(False, residual, "nonzero residual")
 
@@ -568,7 +563,7 @@ def _stage_a_solution_to_cert(sol: ParamSolution, support: tuple[tuple[int, int]
                               F: RatFun) -> StageACertificate:
     op, g = _canonical_block(sol, support, ("x", "s"))
     cert = StageACertificate(operator=op, phi=_fix_gauge(sol.y[0] / RatFun(g.with_vars(sol.y[0].vars)), F))
-    if not cert.verify(F):
+    if not cert.verify(F).passed:
         raise TelescopeError("stage A produced a certificate that fails its identity")
     return cert
 
@@ -687,12 +682,11 @@ def stage_c_reconstruct(P: DiffOp, Q: DiffOp, stage_a: Sequence[StageACertificat
     S = Q.apply_ratfun(F)
     T = A1.apply_ratfun(psi1 * F) + A2.apply_ratfun(psi2 * F)
 
-    cert = Certificate(P=P, S=S, T=T,
-                       stage_log=[f"A1 = {A1!r}", f"A2 = {A2!r}"])
-    report = verify_key_equation(cert, F)
+    log = (f"A1 = {A1!r}", f"A2 = {A2!r}")
+    report = verify_key_equation(Certificate(P, S, T, stage_log=log), F)
     if not report.passed:
         raise TelescopeError(f"reconstructed certificate fails the key equation: {report}")
-    return cert
+    return Certificate(P, S, T, report.passed, log)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def test_criterion_03_stage_a(rook_f):
         assert certs[1].phi == ratfun(
             f"(0-1)*t*(3*s-2)*(s-1)*(2*s^2-4*s*t-s+3*t)*(s-t)^2/((t-x)*({rookdata.Q1_TEXT}))",
             XST)
-        assert all(c.verified for c in certs)
+        assert all(c.verify(rook_f).passed for c in certs)
 
 
 def test_criterion_04_stage_b(stage_a_certs):

@@ -209,11 +209,24 @@ def test_closed_form_command(tmp_path):
     assert run_cli(["closed-form-check", "--n", "12"], tmp_path) == 0
 
 
-def test_telescope_and_verify_cert(tmp_path):
+def test_telescope_and_verify_cert(tmp_path, capsys):
     assert run_cli(["telescope", "--stage", "all"], tmp_path) == 0
     cert_path = tmp_path / "certificate.json"
     assert cert_path.exists()
     assert run_cli(["verify-cert", "--input", str(cert_path)], tmp_path) == 0
+    # the file's "verified" field is a claim that verify-cert does not trust: a valid
+    # certificate marked false passes and re-emits as read; one marked true whose P
+    # has one coefficient perturbed fails the key equation
+    text = cert_path.read_text()
+    assert text.count('"verified": true') == 1 and text.count("+ 296\"") == 1
+    unmarked, perturbed = tmp_path / "unmarked.json", tmp_path / "perturbed.json"
+    unmarked.write_text(text.replace('"verified": true', '"verified": false'))
+    perturbed.write_text(text.replace("+ 296\"", "+ 297\""))
+    capsys.readouterr()
+    assert run_cli(["verify-cert", "--input", str(unmarked)], tmp_path) == 0
+    assert capsys.readouterr().out == "key equation: PASS: residual identically zero\nre-emission bit-exact: yes\n"
+    assert run_cli(["verify-cert", "--input", str(perturbed)], tmp_path) == 1
+    assert "key equation: FAIL" in capsys.readouterr().out
 
 
 def test_dp_terms_keep_their_pinned_bytes(tmp_path):

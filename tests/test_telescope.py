@@ -1,18 +1,21 @@
 """The proof engine: parametrized solving, three stages, key equation."""
 
+import hashlib
 import inspect
 from fractions import Fraction
 
 import pytest
 
 from rookpaths import rookdata
+from rookpaths.cli import _dump_json
 from rookpaths.diagonal import residue_embedding
 from rookpaths.exactmath import MPoly, RatFun, poly, ratfun
 from rookpaths.ore import DiffOp, diffop_to_rec, rec_unroll
+from rookpaths import telescope
 from rookpaths.telescope import (Ansatz, Certificate, DivisionRemainderError, ParamSolution, ParamSystem,
-                                 _fix_gauge, _stage_b_solution_to_ops, lipshitz_bounds, solve_parametrized_system,
-                                 stage_a_pair, stage_a_search, stage_b_search, stage_c_reconstruct,
-                                 verify_key_equation)
+                                 TelescopeError, _check_param_solution, _fix_gauge, _stage_b_solution_to_ops,
+                                 lipshitz_bounds, solve_parametrized_system, stage_a_pair, stage_a_search,
+                                 stage_b_search, stage_c_reconstruct, verify_key_equation)
 from rookpaths.walks import ROOK, DirectionSet, SeqTable, diagonal_sequence, step_generating_function
 
 X = ("x",)
@@ -42,6 +45,20 @@ def test_param_solver_verifies_solutions(rook_f):
     dc = poly("t-x", XST)
     sols = solve_parametrized_system(ParamSystem(A, B, [dc], "t"), [3])
     assert sols  # verified internally; failure raises
+
+
+def test_param_solver_rejects_a_non_solution(monkeypatch):
+    # y' = e over Q(x): a solution (y, e) with e != 0 passes the exact re-check, the
+    # same y with e doubled fails it, and the solver raises when it reads that pair back
+    zero, one = (RatFun.from_scalar(c, X) for c in (0, 1))
+    system = ParamSystem([[zero]], [[one]], [MPoly.const(X, 1)], "x")
+    sol = next(s for s in solve_parametrized_system(system, [1]) if not s.e[0].is_zero())
+    bad = ParamSolution(sol.z, sol.u, [sol.e[0] + sol.e[0]])
+    assert _check_param_solution(system.A, system.B, sol, "x")
+    assert not _check_param_solution(system.A, system.B, bad, "x")
+    monkeypatch.setattr(telescope, "_solution_from_vector", lambda *args: bad)
+    with pytest.raises(TelescopeError, match="parametrized solver produced a non-solution"):
+        solve_parametrized_system(system, [1])
 
 
 def _frozen(r: RatFun, point: dict) -> RatFun:
@@ -79,7 +96,7 @@ def test_param_solver_recovers_planted_solution(frozen):
 # -- stage A -----------------------------------------------------------------------
 
 
-def test_stage_a_order1_matches_reference_values(stage_a_certs):
+def test_stage_a_order1_matches_reference_values(stage_a_certs, rook_f):
     op = stage_a_certs[0].operator
     assert op.coeff((0, 0)) == RatFun(poly("2*(s-1)*(3*s^2-6*s+2)", XS))
     assert op.coeff((1, 0)) == RatFun(poly(
@@ -87,10 +104,10 @@ def test_stage_a_order1_matches_reference_values(stage_a_certs):
     assert op.coeff((0, 1)) == RatFun(poly("2*s*(3*s-2)*(s-1)^2", XS))
     phi = ratfun("(0-1)*t*(s-1)*(-6*x*s^2+6*s^2*t-s^2+11*x*s-9*s*t-4*x-x*t+4*t)/(t-x)", XST)
     assert stage_a_certs[0].phi == phi
-    assert stage_a_certs[0].verified
+    assert stage_a_certs[0].verify(rook_f).passed
 
 
-def test_stage_a_order2_matches_reference_values(stage_a_certs):
+def test_stage_a_order2_matches_reference_values(stage_a_certs, rook_f):
     op = stage_a_certs[1].operator
     assert op.coeff((0, 0)).is_zero()
     assert op.coeff((1, 0)) == RatFun(poly(
@@ -99,7 +116,7 @@ def test_stage_a_order2_matches_reference_values(stage_a_certs):
     phi = ratfun(
         f"(0-1)*t*(3*s-2)*(s-1)*(2*s^2-4*s*t-s+3*t)*(s-t)^2/((t-x)*({rookdata.Q1_TEXT}))", XST)
     assert stage_a_certs[1].phi == phi
-    assert stage_a_certs[1].verified
+    assert stage_a_certs[1].verify(rook_f).passed
 
 
 def test_stage_a_order0_is_empty(rook_f):
@@ -256,6 +273,21 @@ def test_verify_key_equation_passes(final_certificate, rook_f):
     assert report.residual.is_zero()
 
 
+def test_checks_leave_what_they_check_unchanged(final_certificate, stage_a_certs, rook_f):
+    # a certificate not yet marked verified keeps its canonical text through two checks
+    cert = Certificate(final_certificate.P, final_certificate.S, final_certificate.T,
+                       stage_log=final_certificate.stage_log)
+
+    def digest():
+        return hashlib.sha256(_dump_json(cert.to_json_dict()).encode()).hexdigest()
+
+    before = digest()
+    for _ in range(2):
+        assert verify_key_equation(cert, rook_f).passed
+        assert digest() == before and not cert.verified
+    assert all(c.verify(rook_f).passed and not hasattr(c, "verified") for c in stage_a_certs)
+
+
 def test_verify_key_equation_detects_perturbation(final_certificate, rook_f):
     bad = Certificate(
         P=final_certificate.P,
@@ -282,8 +314,7 @@ def test_verify_simple_exact_case():
 def test_certificates_do_not_share_a_default_stage_log():
     P = DiffOp(XS, XS, {(0, 1): RatFun.from_scalar(1, XS)})
     first, second = (Certificate(P, ratfun("s", XST), ratfun("0", XST)) for _ in range(2))
-    first.stage_log.append("stage A")
-    assert second.stage_log == [] and Certificate(P, first.S, first.T).stage_log == []
+    assert first.stage_log == second.stage_log == ()  # a tuple: nothing can append to it
 
 
 def test_ansatz_rejects_an_empty_support():

@@ -13,8 +13,8 @@ from rookpaths import rookdata
 from rookpaths.diagonal import expand_diagonal
 from rookpaths.exactmath import ratfun
 from rookpaths.hypergeom import HypergeomSpec
-from rookpaths.numerics import decimal_str
-from rookpaths.walks import (DirectionSet, QUEEN, ROOK, ROOK_GF_TEXT, SeqTable, _planes, count_paths,
+from rookpaths.numerics import bisect_root, decimal_str
+from rookpaths.walks import (DirectionSet, QUEEN, ROOK, ROOK_GF_TEXT, SeqTable, _find_bracket, _planes, count_paths,
                              diagonal_sequence, queens_dominant_root, step_generating_function)
 
 ROOK_TERMS = [1, 6, 222, 9918, 486924, 25267236, 1359631776, 75059524392, 4223303759148]
@@ -249,3 +249,18 @@ def test_queens_dominant_root():
     assert decimal_str(report.normalized_root, 4) == "0.2185"
     assert decimal_str(report.normalized_root_cubed, 4) == "0.0104"
     assert report.residual_bound < Fraction(1, 10 ** 12)
+
+
+def test_exact_roots_end_the_search():
+    # a root on the low end, the high end or the first midpoint is returned as is;
+    # the bracket scan stops at a grid root approached from below or from above
+    half, eps = Fraction(1, 2), Fraction(1, 10 ** 6)
+
+    def f(v):
+        return v - half
+
+    assert bisect_root(f, half, Fraction(1), eps) == half
+    assert bisect_root(f, Fraction(0), half, eps) == half
+    assert bisect_root(f, Fraction(0), Fraction(1), eps) == half
+    assert _find_bracket(f) == (Fraction(127, 256), half)
+    assert _find_bracket(lambda v: -f(v)) == (half, half)

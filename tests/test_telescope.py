@@ -6,12 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from rookpaths import rookdata
+from rookpaths import rookdata, telescope
 from rookpaths.cli import _dump_json
 from rookpaths.diagonal import residue_embedding
 from rookpaths.exactmath import MPoly, RatFun, poly, ratfun
 from rookpaths.ore import DiffOp, diffop_to_rec, rec_unroll
-from rookpaths import telescope
 from rookpaths.telescope import (Ansatz, Certificate, DivisionRemainderError, ParamSolution, ParamSystem,
                                  TelescopeError, _check_param_solution, _fix_gauge, _stage_b_solution_to_ops,
                                  lipshitz_bounds, solve_parametrized_system, stage_a_pair, stage_a_search,

@@ -4,8 +4,11 @@
 the sha256 of stdout and of every file the command writes.  The command lines
 are all 18 commands at their defaults (`guess-rec` and `rec-unroll` with the
 flags they need, `verify-cert` on the certificate that `telescope` writes), the
-flag variants whose outputs earlier changes checked by hand, and the `telescope`
-lines that stop after stage A or B or find no telescoper at order 2.
+flag variants whose outputs earlier changes checked by hand, the `telescope`
+lines that stop after stage A or B or find no telescoper at order 2, and one
+`--input` line per file reader.  In a command line, {line} stands for the
+directory that the earlier command line `line` wrote; a file the reader refuses
+still records its exit status and stdout.
 
     python tests/golden.py            # regenerate golden.json, print what changed
     python tests/golden.py --print    # print this interpreter's manifest as JSON
@@ -19,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +40,10 @@ COMMANDS = [
     "identity-checks --order 100", "closed-form-check --n 60",
     "telescope --stage A", "telescope --stage B", "telescope --degree 2",
     "telescope --stage B --degree 2",
+    "guess-rec --order 3 --degree 4 --input {rec-unroll --n 300}/unrolled.json",
+    "rec-unroll --n 40 --input {ode-to-rec}/recurrence.json --initial {rook-terms}/rook-terms.json",
+    "ode-to-rec --input {telescope}/stage-b-P.json",
+    "local-exponents --input {telescope}/stage-b-P.json",
 ]
 
 
@@ -49,7 +57,7 @@ def run_all(root: Path) -> dict[str, dict]:
     manifest = {}
     for i, line in enumerate(COMMANDS):
         out = root / f"{i:02d}"
-        args = line.split()
+        args = re.sub(r"\{([^}]*)\}", lambda m: str(root / f"{COMMANDS.index(m[1]):02d}"), line).split()
         if args == ["verify-cert"]:
             args += ["--input", str(root / f"{COMMANDS.index('telescope'):02d}" / "certificate.json")]
         stdout = io.StringIO()

@@ -523,6 +523,27 @@ def test_failing_check_exits_one(tmp_path):
     assert run_cli(["asymptotics", "--n", "150", "--tolerance", "1/100000000"], tmp_path) == 1
 
 
+@pytest.mark.parametrize("command, line", [("telescope", "key equation FAIL"),
+                                           ("prove-all", "[FAIL] stage C key equation")])
+def test_failing_stage_c_check_is_reported(tmp_path, capsys, monkeypatch, command, line):
+    # the stage-C certificate (S != 0) fails its key equation; stage A's (S = 0) still pass
+    from rookpaths import telescope
+    check = telescope.verify_key_equation
+    monkeypatch.setattr(telescope, "verify_key_equation", lambda cert, F: (
+        check(cert, F) if cert.S.is_zero() else telescope.VerifyReport(False, F, "patched")))
+    assert run_cli([command], tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert line in out and err == ""
+
+
+def test_failing_stage_check_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
+    from rookpaths import telescope
+    monkeypatch.setattr(telescope, "verify_key_equation", lambda cert, F: telescope.VerifyReport(False, F))
+    for command in ("telescope", "prove-all"):
+        assert run_cli([command], tmp_path) == 1
+        assert capsys.readouterr().err == "check failed: stage A produced a certificate that fails its identity\n"
+
+
 def test_diag_queen_model(tmp_path):
     assert run_cli(["diag", "--n", "8", "--model", "queen"], tmp_path) == 0
     data = json.loads((tmp_path / "queen-diag-series.json").read_text())

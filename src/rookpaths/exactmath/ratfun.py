@@ -196,10 +196,6 @@ class RatFun:
         return f"RatFun({self.text()!r})"
 
     @staticmethod
-    def parse(text: str, vars: Sequence[str]) -> RatFun:
-        return RatFun(*RatFun.parse_sides(text, vars))
-
-    @staticmethod
     def parse_sides(text: str, vars: Sequence[str]) -> tuple[MPoly, MPoly]:
         """The numerator and denominator as written, before any gcd reduces them."""
         text = text.strip()

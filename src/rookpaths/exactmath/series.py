@@ -2,10 +2,11 @@
 
 A PowerSeries stores coefficients c_0..c_N; N is the truncation order (the
 series is known through the coefficient of var^N).  Binary operations carry
-the minimum of the two operand orders.  Division requires an invertible
-(nonzero constant term) divisor and runs in integers; composition takes a
-rational map N/D with N(0) = 0 and D(0) != 0, runs in the map's own scale
-x = D(0)*y, where the divisor has constant term 1, and keeps the outer order.
+the minimum of the two operand orders.  The one series division, inside
+`from_ratfun` and `compose`, needs a divisor with nonzero constant term and
+runs in integers; composition takes a rational map N/D with N(0) = 0 and
+D(0) != 0, runs in the map's own scale x = D(0)*y, where the divisor has
+constant term 1, and keeps the outer order.
 """
 
 from __future__ import annotations
@@ -34,21 +35,6 @@ class PowerSeries:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(var: str, order: int) -> PowerSeries:
-        return PowerSeries(var, [0] * (order + 1))
-
-    @staticmethod
-    def one(var: str, order: int) -> PowerSeries:
-        return PowerSeries(var, [1] + [0] * order)
-
-    @staticmethod
-    def identity(var: str, order: int) -> PowerSeries:
-        c = [Fraction(0)] * (order + 1)
-        if order >= 1:
-            c[1] = Fraction(1)
-        return PowerSeries(var, c)
-
-    @staticmethod
     def from_ratfun(f: RatFun, var: str, order: int) -> PowerSeries:
         """Expand a univariate rational function (denominator unit at 0)."""
         if f.vars != (var,):
@@ -63,14 +49,6 @@ class PowerSeries:
 
     def coeff(self, n: int) -> Fraction:
         return self.coeffs[n]
-
-    def truncate(self, order: int) -> PowerSeries:
-        if order >= self.order:
-            return self
-        return PowerSeries(self.var, self.coeffs[: order + 1])
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSeries):
@@ -118,25 +96,6 @@ class PowerSeries:
         coeffs = self.coeffs[: n + 1]
         d = lcm(*(c.denominator for c in coeffs))
         return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-    def __truediv__(self, other) -> PowerSeries:
-        o = self._coerce(other)
-        n = min(self.order, o.order)
-        (a, da), (b, db) = self._cleared(n), o._cleared(n)
-        return _quotient(self.var, a, b, Fraction(db, da))
-
-    def __pow__(self, k: int) -> PowerSeries:
-        if k < 0:
-            return self.power(-1) ** (-k)
-        result = PowerSeries.one(self.var, self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
 
     # -- calculus -----------------------------------------------------------
 

@@ -260,7 +260,7 @@ class DiffOp:
         out_order = series.order - r
         if out_order < 0:
             raise ValueError("series order too small for the operator order")
-        acc = PowerSeries.zero(var, out_order)
+        acc = PowerSeries(var, [0] * (out_order + 1))
         d = series
         for k in range(r + 1):
             c = self.terms.get((k,))
@@ -268,7 +268,7 @@ class DiffOp:
                 if c.den.constant_value() == 0:
                     raise ValueError("coefficient denominator vanishes at the origin")
                 cs = PowerSeries.from_ratfun(c, var, out_order)
-                acc = acc + cs * d.truncate(out_order)
+                acc = acc + cs * d  # the product carries cs's order, out_order
             d = d.derivative()
         return acc
 

@@ -105,10 +105,6 @@ class SeqTable:
         )
 
     @staticmethod
-    def from_json(text: str) -> SeqTable:
-        return SeqTable.from_json_dict(json.loads(text))
-
-    @staticmethod
     def from_json_dict(data) -> SeqTable:
         try:
             return SeqTable(data["name"], [_integer_term(n, t) for n, t in enumerate(data["terms"])],

@@ -1,4 +1,5 @@
-"""Every command's output against the golden manifest (`tests/golden.py`)."""
+"""Every command's output against the golden manifest (`tests/golden.py`), and
+the functions those commands reach against the allowlist (`tests/reach.py`)."""
 
 import json
 import os
@@ -6,14 +7,29 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import golden
+import reach
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def test_every_command_matches_the_manifest(tmp_path):
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory):
+    """One traced run of every command line: the manifest and the package functions entered."""
+    return reach.run_traced(tmp_path_factory.mktemp("golden"))
+
+
+def test_every_command_matches_the_manifest(traced):
     expected = json.loads(golden.MANIFEST.read_text())
-    assert golden.diff(expected, golden.run_all(tmp_path)) == []
+    assert golden.diff(expected, traced[0]) == []
+
+
+def test_every_function_is_reached_or_allowed(traced):
+    unlisted, stale = reach.check(traced[1])
+    assert (unlisted, stale) == ([], []), "delete the function, or update tests/reach_allow.txt"
+    assert all(reach.allowed().values()), "every allowlist entry gives a reason"
 
 
 def test_manifest_holds_under_both_hash_seeds():

@@ -82,8 +82,7 @@ def test_stage_a_identity_on_f(rook_f, stage_a_certs):
 def test_telescoper_annihilates_series(dp40):
     op = rookdata.operator_p2_dx()
     series = PowerSeries("x", [Fraction(t) for t in dp40.terms])
-    result = op.apply_series(series)
-    assert result.is_zero()
+    assert not any(op.apply_series(series).coeffs)
 
 
 # -- ODE <-> recurrence --------------------------------------------------------------
@@ -119,10 +118,10 @@ def test_translate_apply_consistency():
         if values is None or all(v == 0 for v in values):
             continue
         series = PowerSeries("x", values)
-        assert op.apply_series(series).is_zero()
+        assert not any(op.apply_series(series).coeffs)
         bumped_vals = list(values)
         bumped_vals[12] += 1
-        assert not op.apply_series(PowerSeries("x", bumped_vals)).is_zero()
+        assert any(op.apply_series(PowerSeries("x", bumped_vals)).coeffs)
         produced += 1
 
 
@@ -343,7 +342,7 @@ def test_change_variable_kills_the_composed_series(f):
                  HypergeomSpec(Fraction(1, 4), Fraction(3, 5), Fraction(3, 2))):
         L = gauss_operator(spec).change_variable(f)
         composed = f21_series(spec, 14).compose(f)
-        assert L.apply_series(composed).is_zero()
+        assert not any(L.apply_series(composed).coeffs)
 
 
 def test_change_variable_shift_round_trip():

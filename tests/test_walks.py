@@ -1,6 +1,7 @@
 """Walk counting oracle, step generating functions, queens root."""
 
 import copy
+import json
 import pickle
 from fractions import Fraction
 from functools import lru_cache
@@ -235,7 +236,7 @@ def test_direction_set_rejects_repeated_direction():
 
 def test_seqtable_json_round_trip():
     seq = SeqTable("rook-diagonal", ROOK_TERMS, "dp")
-    again = SeqTable.from_json(seq.to_json())
+    again = SeqTable.from_json_dict(json.loads(seq.to_json()))
     assert again.name == seq.name
     assert again.terms == seq.terms
     assert again.provenance == "dp"
@@ -253,7 +254,8 @@ def test_queens_dominant_root():
 
 def test_exact_roots_end_the_search():
     # a root on the low end, the high end or the first midpoint is returned as is;
-    # the bracket scan stops at a grid root approached from below or from above
+    # the bracket scan stops at a grid root approached from below or from above,
+    # and at one the function touches without changing sign
     half, eps = Fraction(1, 2), Fraction(1, 10 ** 6)
 
     def f(v):
@@ -264,3 +266,4 @@ def test_exact_roots_end_the_search():
     assert bisect_root(f, Fraction(0), Fraction(1), eps) == half
     assert _find_bracket(f) == (Fraction(127, 256), half)
     assert _find_bracket(lambda v: -f(v)) == (half, half)
+    assert _find_bracket(lambda v: (v - Fraction(5, 256)) ** 2) == (Fraction(5, 256), Fraction(5, 256))

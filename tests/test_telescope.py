@@ -582,6 +582,18 @@ def test_screen_is_monotone_in_the_level(rook_systems):
     assert first == {"A0": None, "A1": 2, "A2": 4, "B2": None, "B3": 8}
 
 
+def test_screen_reads_the_first_parameter():
+    # y' = x*t*e0 + e1/t: 1/t has no rational antiderivative, so each frozen
+    # solution at the passing level 2 carries exactly one nonzero parameter, e[0]
+    from rookpaths import telescope
+    XT = ("x", "t")
+    A, B = [[RatFun.from_scalar(0, XT)]], [[ratfun("x*t", XT), ratfun("1/t", XT)]]
+    passes, top = _screens(A, B, "t")
+    assert [passes(level) for level in range(top + 1)] == [False, False, True]
+    (sol,) = telescope.rational_solve_cascade(A, B, "t")
+    assert sol.y == [RatFun(poly("x*t^2", XT))] and [e.is_zero() for e in sol.e] == [False, True]
+
+
 def test_screen_on_numbers_matches_a_sympy_kernel(rook_systems):
     # a frozen system has no passive variables, so its split holds plain rationals,
     # not MPolys; at each screening point and every level, the screen passes exactly

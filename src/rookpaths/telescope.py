@@ -665,7 +665,8 @@ def stage_c_reconstruct(P: DiffOp, Q: DiffOp, stage_a: Sequence[StageACertificat
     The division eliminates d_s with P1 first, then divides the d_x-part by
     P2; the remainder must vanish exactly.  With quotients A1, A2 and the
     stage-A certificates psi1, psi2, S = Q(F) and T = A1(psi1 F) + A2(psi2 F).
-    The certificate carries the key equation's verdict; a failing one is returned, not raised.
+    The certificate carries the key equation's verdict: a failing one is
+    returned, not raised, so that the caller reports it.
     """
     if len(stage_a) < 2:
         raise ValueError("need the two stage-A certificates")
@@ -684,7 +685,7 @@ def stage_c_reconstruct(P: DiffOp, Q: DiffOp, stage_a: Sequence[StageACertificat
     T = A1.apply_ratfun(psi1 * F) + A2.apply_ratfun(psi2 * F)
 
     log = (f"A1 = {A1!r}", f"A2 = {A2!r}")
-    return Certificate(P, S, T, verify_key_equation(Certificate(P, S, T, stage_log=log), F).passed, log)
+    return Certificate(P, S, T, verify_key_equation(Certificate(P, S, T), F).passed, log)
 
 
 # ---------------------------------------------------------------------------

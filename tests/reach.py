@@ -30,23 +30,29 @@ PACKAGE = Path(rookpaths.cli.__file__).resolve().parent
 ALLOW = Path(__file__).with_name("reach_allow.txt")
 
 
-def _name(code: types.CodeType) -> str:
-    module = Path(code.co_filename).resolve().relative_to(PACKAGE.parent).with_suffix("")
-    return f"{'.'.join(module.parts)}:{code.co_qualname}"
+def _key(code: types.CodeType) -> tuple[str, int, str]:
+    return str(Path(code.co_filename).resolve()), code.co_firstlineno, code.co_name
 
 
-def _functions(code: types.CodeType):
-    """The named functions and methods defined in a compiled module, at any depth."""
+def _functions(code: types.CodeType, prefix: str):
+    """(code, qualified name) for each named function and method in compiled code, at any depth."""
     for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            if const.co_flags & inspect.CO_NEWLOCALS and not const.co_name.startswith("<"):  # no class body
-                yield const
-            yield from _functions(const)
+        if isinstance(const, types.CodeType) and not const.co_name.startswith("<"):
+            name = prefix + const.co_name
+            if const.co_flags & inspect.CO_NEWLOCALS:  # a function, not a class body
+                yield const, name
+                name += ".<locals>"
+            yield from _functions(const, name + ".")
 
 
-def defined() -> set[str]:
-    return {_name(f) for path in sorted(PACKAGE.rglob("*.py"))
-            for f in _functions(compile(path.read_text(), str(path), "exec"))}
+def defined() -> dict[tuple[str, int, str], str]:
+    """Every named function of the package, as {code key: "module:qualname"}."""
+    names = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
+        for code, name in _functions(compile(path.read_text(), str(path), "exec"), ""):
+            names[_key(code)] = f"{module}:{name}"
+    return names
 
 
 def run_traced(root: Path) -> tuple[dict[str, dict], set[str]]:
@@ -65,7 +71,8 @@ def run_traced(root: Path) -> tuple[dict[str, dict], set[str]]:
         manifest = golden.run_all(root)
     finally:
         sys.settrace(previous)
-    return manifest, {_name(c) for c in entered if Path(c.co_filename).resolve().is_relative_to(PACKAGE)}
+    names = defined()
+    return manifest, {names[k] for k in map(_key, entered) if k in names}
 
 
 def allowed() -> dict[str, str]:
@@ -80,7 +87,7 @@ def allowed() -> dict[str, str]:
 
 def check(entered: set[str]) -> tuple[list[str], list[str]]:
     """(functions neither entered nor listed, listed functions that were entered or no longer exist)."""
-    allow, names = allowed(), defined()
+    allow, names = allowed(), set(defined().values())
     return sorted(names - entered - set(allow)), sorted(set(allow) & entered | set(allow) - names)
 
 

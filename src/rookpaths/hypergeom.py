@@ -20,12 +20,13 @@ from typing import Sequence
 from .exactmath import MPoly, PowerSeries, RatFun, mpoly_gcd, poly, ratfun, root_values
 from .exactmath.mpoly import _rational_roots
 from .numerics import decimal_str, extrapolate_partial_sums, pi_rational, sqrt_rational
-from .ore import DiffOp, RecOp, diffop_to_rec, unrolled_terms
+from .ore import DiffOp, IdentityReport, RecOp, diffop_to_rec, unrolled_terms
 from . import rookdata
 from .walks import ROOK, FrozenRecord, SeqTable, diagonal_sequence
 
 X = ("x",)
 GAP_CAP = 1000  # the Frobenius test takes one recurrence step per unit of an integer exponent gap
+GAUSS_DIGITS = 10  # the numeric 2F1(1/3, 2/3; 2; 1) must match 9 sqrt(3)/(4 pi) to this many digits
 
 
 class HypergeomError(ValueError):
@@ -42,13 +43,6 @@ class HypergeomSpec(FrozenRecord):
             raise HypergeomError("lower parameter -c must not be a nonnegative integer")
         for k, v in zip(self.__slots__, (a, b, c)):
             object.__setattr__(self, k, v)
-
-    @staticmethod
-    def from_exponent_triple(e0: Fraction, e1: Fraction, einf: Fraction) -> HypergeomSpec:
-        c = 1 - Fraction(e0)
-        apb = c - Fraction(e1)
-        amb = Fraction(einf)
-        return HypergeomSpec((apb + amb) / 2, (apb - amb) / 2, c)
 
 
 def f21_series(spec: HypergeomSpec, order: int) -> PowerSeries:
@@ -205,12 +199,12 @@ class PullbackCandidate:
     """A map f = c prod (x-p)^(n_p) whose shifted numerator is a perfect cube;
     points is the singular set the search ran on."""
 
-    __slots__ = ("points", "exponents", "constant", "map", "parameters", "cube_root")
+    __slots__ = ("points", "exponents", "constant", "map", "cube_root")
 
     def __init__(self, points: tuple[Fraction, ...], exponents: dict[Fraction, int], constant: Fraction,
-                 map: RatFun, parameters: HypergeomSpec, cube_root: MPoly | None = None):
+                 map: RatFun, cube_root: MPoly | None = None):
         self.points, self.exponents, self.constant = points, exponents, constant
-        self.map, self.parameters, self.cube_root = map, parameters, cube_root
+        self.map, self.cube_root = map, cube_root
 
     def exponent_tuple(self) -> tuple[int, ...]:
         return tuple(self.exponents.get(p, 0) for p in self.points)
@@ -237,16 +231,10 @@ def pullback_search(sing_set: Sequence[Fraction], target_triple, max_degree: int
     points = [Fraction(p) for p in sing_set]
     if len(set(points)) != len(points):
         raise HypergeomError("the singular set repeats a point")
-    triple = tuple(Fraction(e) for e in target_triple)
-    fractional = [e for e in triple if e.denominator > 1]
+    fractional = [e for e in map(Fraction, target_triple) if e.denominator > 1]
     if not fractional:
         return []
     power = fractional[0].denominator
-    # Search frame: the fractional exponent sits at e1 (roots of f-1).
-    rest = list(triple)
-    rest.remove(fractional[0])
-    search_triple = (rest[0], fractional[0], rest[1])
-    params = HypergeomSpec.from_exponent_triple(*search_triple)
     results: list[PullbackCandidate] = []
     power_gcd = functools.cache(_power_gcd)  # built once per support and weight ray in this search
     for exps in _exponent_vectors(len(points), max_degree, power):
@@ -254,8 +242,7 @@ def pullback_search(sing_set: Sequence[Fraction], target_triple, max_degree: int
             num, den = _monic_parts(points, exps)
             results.append(PullbackCandidate(
                 points=tuple(points), exponents={p: e for p, e in zip(points, exps) if e},
-                constant=const, map=RatFun(num * const, den), parameters=params,
-                cube_root=Q))
+                constant=const, map=RatFun(num * const, den), cube_root=Q))
     return results
 
 
@@ -366,18 +353,8 @@ def operator_pullback(spec: HypergeomSpec, f: RatFun) -> DiffOp:
     return gauss_operator(spec).change_variable(f).normalized()
 
 
-class SymbolicCheckReport:
-    __slots__ = ("passed", "remainder")
-
-    def __init__(self, passed: bool, remainder: DiffOp):
-        self.passed, self.remainder = passed, remainder
-
-    def __str__(self) -> str:
-        return "PASS" if self.passed else f"FAIL: remainder {self.remainder!r}"
-
-
 def symbolic_solution_check(L: DiffOp, prefactor: RatFun, spec: HypergeomSpec,
-                            f: RatFun) -> SymbolicCheckReport:
+                            f: RatFun) -> IdentityReport:
     """Prove L(prefactor * y(f)) = 0 with y = 2F1(a,b;c;.) symbolically.
 
     M = (Gauss operator in f) * (1/prefactor) kills prefactor * y(f) for
@@ -387,7 +364,9 @@ def symbolic_solution_check(L: DiffOp, prefactor: RatFun, spec: HypergeomSpec,
     """
     M = gauss_operator(spec).change_variable(f) * DiffOp(L.cvars, L.dvars, {(0,): 1 / prefactor})
     _, remainder = L.right_divide(M)
-    return SymbolicCheckReport(remainder.is_zero(), remainder)
+    if remainder.is_zero():
+        return IdentityReport(True, remainder)
+    return IdentityReport(False, remainder, f"remainder {remainder!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +464,7 @@ class AsymptoticsReport:
         return [
             f"2F1(1/3,2/3;2;1) = {decimal_str(self.gauss_value, 14)} "
             f"vs 9*sqrt(3)/(4*pi) = {decimal_str(self.gauss_target, 14)} "
-            f"[{'>=10 digits' if self.gauss_digits_ok else 'MISMATCH'}]",
+            f"[{f'>={GAUSS_DIGITS} digits' if self.gauss_digits_ok else 'MISMATCH'}]",
             f"relative error of a_n*n/64^n against 9*sqrt(3)/(40*pi) at n={self.n_probe}: "
             f"{decimal_str(self.ratio_error, 6)} [{'PASS' if self.ratio_ok else 'FAIL'}]",
             f"growth ratio a_(n+1)/a_n near 64 within 1%: "
@@ -494,7 +473,7 @@ class AsymptoticsReport:
 
 
 def asymptotics_check(n_probe: int = 2000, tolerance: Fraction = Fraction(1, 100),
-                      digits: int = 10, terms: SeqTable | None = None) -> AsymptoticsReport:
+                      terms: SeqTable | None = None) -> AsymptoticsReport:
     """Numeric Gauss value and the growth constant check, unrolled from terms[:3] or the rook DP."""
     if n_probe < 100:
         raise ValueError("n_probe must be at least 100")
@@ -505,7 +484,7 @@ def asymptotics_check(n_probe: int = 2000, tolerance: Fraction = Fraction(1, 100
     sqrt3 = sqrt_rational(Fraction(3))
     pi = pi_rational()
     target = Fraction(9, 4) * sqrt3 / pi
-    gauss_ok = abs(value - target) < target / 10 ** digits
+    gauss_ok = abs(value - target) < target / 10 ** GAUSS_DIGITS
 
     base = diagonal_sequence(ROOK, 2) if terms is None else SeqTable(terms.name, terms.terms[:3], "dp")
     previous, an = deque(unrolled_terms(rookdata.recurrence_order3(), base, n_probe), maxlen=2)

@@ -2,14 +2,16 @@
 
 Everything here computes with Fractions until the final decimal rendering,
 so results are reproducible bit for bit.  The constants pi and sqrt(3) are
-delivered as rational enclosures good to a requested number of digits.
+delivered as rational enclosures good to CONSTANT_DIGITS digits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 from typing import Callable, Sequence
+
+CONSTANT_DIGITS = 30  # the accuracy of the rational enclosures of pi and sqrt
 
 
 def decimal_str(value: Fraction, digits: int) -> str:
@@ -45,27 +47,16 @@ def bisect_root(fn: Callable[[Fraction], Fraction], lo: Fraction, hi: Fraction,
     return (lo + hi) / 2
 
 
-def sqrt_rational(value: Fraction, digits: int = 30) -> Fraction:
-    """Newton iteration for sqrt(value) to the requested decimal accuracy."""
+def sqrt_rational(value: Fraction) -> Fraction:
+    """sqrt(value) truncated to CONSTANT_DIGITS + 4 decimals, by an integer square root."""
     if value < 0:
         raise ValueError("negative radicand")
-    if value == 0:
-        return Fraction(0)
-    eps = Fraction(1, 10 ** (digits + 2))
-    x = Fraction(max(1, value.numerator // max(1, value.denominator)))
-    for _ in range(200):
-        nxt = (x + value / x) / 2
-        if abs(nxt - x) < eps:
-            x = nxt
-            break
-        x = nxt
-    # Trim the representation so downstream arithmetic stays cheap.
-    scale = 10 ** (digits + 4)
-    return Fraction(int(x * scale), scale)
+    scale = 10 ** (CONSTANT_DIGITS + 4)
+    return Fraction(isqrt(value.numerator * scale ** 2 // value.denominator), scale)
 
 
-def pi_rational(digits: int = 30) -> Fraction:
-    """Machin's formula with exact arctan series, to the requested accuracy."""
+def pi_rational() -> Fraction:
+    """Machin's formula with exact arctan series, to CONSTANT_DIGITS digits."""
 
     def arctan_inv(k: int, terms: int) -> Fraction:
         acc = Fraction(0)
@@ -78,8 +69,8 @@ def pi_rational(digits: int = 30) -> Fraction:
         return acc
 
     # pi/4 = 4*arctan(1/5) - arctan(1/239); term counts from the geometric tails.
-    pi = 4 * (4 * arctan_inv(5, digits + 8) - arctan_inv(239, digits // 4 + 6))
-    scale = 10 ** (digits + 4)
+    pi = 4 * (4 * arctan_inv(5, CONSTANT_DIGITS + 8) - arctan_inv(239, CONSTANT_DIGITS // 4 + 6))
+    scale = 10 ** (CONSTANT_DIGITS + 4)
     return Fraction(int(pi * scale), scale)
 
 

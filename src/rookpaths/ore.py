@@ -609,23 +609,23 @@ def guess_rec(seq: SeqTable, max_order: int, max_degree: int) -> list[RecOp]:
     return found
 
 
-class RecReductionReport:
-    """Outcome of proving small from big via an exact operator identity."""
+class IdentityReport:
+    """Outcome of an exact-identity check: the key equation, a right division with
+    zero remainder, or a recurrence reduction with its base cases."""
 
-    __slots__ = ("passed", "residual", "base_cases", "detail")
+    __slots__ = ("passed", "residual", "detail", "base_cases")
 
-    def __init__(self, passed: bool, residual: RecOp, base_cases: dict[int, Fraction] | None = None,
-                 detail: str = ""):
+    def __init__(self, passed: bool, residual: RatFun | DiffOp | RecOp, detail: str = "",
+                 base_cases: dict[int, Fraction] | None = None):
         self.passed, self.residual, self.detail = passed, residual, detail
         self.base_cases = {} if base_cases is None else base_cases
 
     def __str__(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status}: {self.detail}"
+        return ("PASS" if self.passed else "FAIL") + (f": {self.detail}" if self.detail else "")
 
 
 def prove_rec_reduction(big: RecOp, small: RecOp, multiplier: MPoly,
-                        cofactor: RecOp, terms: SeqTable | None = None) -> RecReductionReport:
+                        cofactor: RecOp, terms: SeqTable | None = None) -> IdentityReport:
     """Verify cofactor*small == multiplier*big and base cases on given terms.
 
     A zero residual shows every solution of big turns the small form into a
@@ -649,4 +649,4 @@ def prove_rec_reduction(big: RecOp, small: RecOp, multiplier: MPoly,
         f"operator identity residual {'zero' if identity_ok else 'NONZERO'}; "
         f"base cases n={min(base)}..{max(base)} {'all zero' if base_ok else 'violated'}"
         if base else "no base cases computable")
-    return RecReductionReport(passed, residual, base, detail)
+    return IdentityReport(passed, residual, detail, base)

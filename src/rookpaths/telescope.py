@@ -37,7 +37,7 @@ from typing import Sequence
 
 from .exactmath import (MPoly, RatFun, clear_denominators, linear_nullspace, monomial_key, mpoly_gcd, multiplicity,
                         root_values)
-from .ore import DiffOp, _derivative_from_cache, check_input_caps
+from .ore import DiffOp, IdentityReport, _derivative_from_cache, check_input_caps
 
 XST = ("x", "s", "t")
 
@@ -458,7 +458,7 @@ class StageACertificate:
     def __init__(self, operator: DiffOp, phi: RatFun):
         self.operator, self.phi = operator, phi
 
-    def verify(self, F: RatFun) -> VerifyReport:
+    def verify(self, F: RatFun) -> IdentityReport:
         """The key equation with S = 0 and T = phi F."""
         return verify_key_equation(Certificate(self.operator, RatFun.from_scalar(0, XST), self.phi * F), F)
 
@@ -498,22 +498,12 @@ class Certificate:
             raise ValueError(f"malformed certificate JSON: {type(exc).__name__}: {exc}") from None
 
 
-class VerifyReport:
-    __slots__ = ("passed", "residual", "detail")
-
-    def __init__(self, passed: bool, residual: RatFun, detail: str = ""):
-        self.passed, self.residual, self.detail = passed, residual, detail
-
-    def __str__(self) -> str:
-        return ("PASS" if self.passed else "FAIL") + (f": {self.detail}" if self.detail else "")
-
-
-def verify_key_equation(cert: Certificate, F: RatFun) -> VerifyReport:
+def verify_key_equation(cert: Certificate, F: RatFun) -> IdentityReport:
     """Check P(F) - dS/ds - dT/dt = 0 by exact normalization; cert is left as it was."""
     residual = cert.P.apply_ratfun(F) - cert.S.derivative("s") - cert.T.derivative("t")
     if residual.is_zero():
-        return VerifyReport(True, RatFun.from_scalar(0, XST), "residual identically zero")
-    return VerifyReport(False, residual, "nonzero residual")
+        return IdentityReport(True, RatFun.from_scalar(0, XST), "residual identically zero")
+    return IdentityReport(False, residual, "nonzero residual")
 
 
 def _divide_by_pair(op: DiffOp, P1: DiffOp, P2: DiffOp) -> tuple[DiffOp, DiffOp, DiffOp]:

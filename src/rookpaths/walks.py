@@ -223,6 +223,8 @@ def _monomial(d: tuple[int, int, int]) -> MPoly:
 
 
 ROOK_GF_TEXT = "(1-s)*(1-t)*(1-u)/(1-2*(s+t+u)+3*(s*t+t*u+u*s)-4*s*t*u)"
+ROOT_EPS = Fraction(1, 10 ** 16)  # the queens roots are bisected to this width, 14 digits and two to spare
+BRACKET_PIECES = 256  # the sign-change scan steps through (0, 1) in this many equal pieces
 
 
 class QueensRootReport:
@@ -242,7 +244,7 @@ class QueensRootReport:
         self.normalized_root_cubed, self.residual_bound, self.note = normalized_root_cubed, residual_bound, note
 
 
-def queens_dominant_root(digits: int = 14) -> QueensRootReport:
+def queens_dominant_root() -> QueensRootReport:
     """Smallest positive root data for the queens dominant-singularity equation."""
 
     def verbatim(v: Fraction) -> Fraction:
@@ -251,15 +253,14 @@ def queens_dominant_root(digits: int = 14) -> QueensRootReport:
     def normalized(v: Fraction) -> Fraction:
         return (1 - 3 * v / (1 - v) - 3 * v * v / (1 - v * v) - v ** 3 / (1 - v ** 3))
 
-    eps = Fraction(1, 10 ** (digits + 2))
     verbatim_root = None
     scan = _find_bracket(verbatim)
     if scan is not None:
-        verbatim_root = bisect_root(verbatim, scan[0], scan[1], eps)
+        verbatim_root = bisect_root(verbatim, scan[0], scan[1], ROOT_EPS)
     bracket = _find_bracket(normalized)
     if bracket is None:
         raise ArithmeticError("no sign change for the normalized reading in (0,1)")
-    root = bisect_root(normalized, bracket[0], bracket[1], eps)
+    root = bisect_root(normalized, bracket[0], bracket[1], ROOT_EPS)
     note = (
         "verbatim reading has no sign change in (0,1); normalized reading "
         "(all terms x^k/(1-x^k)) used for the root"
@@ -275,11 +276,11 @@ def queens_dominant_root(digits: int = 14) -> QueensRootReport:
     )
 
 
-def _find_bracket(fn, pieces: int = 256) -> tuple[Fraction, Fraction] | None:
-    lo = Fraction(1, pieces)
+def _find_bracket(fn) -> tuple[Fraction, Fraction] | None:
+    lo = Fraction(1, BRACKET_PIECES)
     flo = fn(lo)
-    for i in range(2, pieces):
-        hi = Fraction(i, pieces)
+    for i in range(2, BRACKET_PIECES):
+        hi = Fraction(i, BRACKET_PIECES)
         fhi = fn(hi)
         if flo == 0:
             return (lo, lo)

@@ -1,14 +1,14 @@
-"""The golden output manifest: every command's exit status, stdout and artifacts.
+"""The golden output manifest: every command's exit status, stdout, stderr and artifacts.
 
 `golden.json` records, for each command line in COMMANDS, the exit status and
-the sha256 of stdout and of every file the command writes.  The command lines
+the sha256 of stdout, of stderr and of every file the command writes.  The command lines
 are all 18 commands at their defaults (`guess-rec` and `rec-unroll` with the
 flags they need, `verify-cert` on the certificate that `telescope` writes), the
 flag variants whose outputs earlier changes checked by hand, the `telescope`
 lines that stop after stage A or B or find no telescoper at order 2, and one
 `--input` line per file reader.  In a command line, {line} stands for the
 directory that the earlier command line `line` wrote; a file the reader refuses
-still records its exit status and stdout.
+still records its exit status, stdout and the refusal on stderr.
 
     python tests/golden.py            # regenerate golden.json, print what changed
     python tests/golden.py --print    # print this interpreter's manifest as JSON
@@ -60,12 +60,13 @@ def run_all(root: Path) -> dict[str, dict]:
         args = re.sub(r"\{([^}]*)\}", lambda m: str(root / f"{COMMANDS.index(m[1]):02d}"), line).split()
         if args == ["verify-cert"]:
             args += ["--input", str(root / f"{COMMANDS.index('telescope'):02d}" / "certificate.json")]
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(["--out", str(out)] + args)
         manifest[line] = {
             "exit": code,
             "stdout": _digest(stdout.getvalue().encode()),
+            "stderr": _digest(stderr.getvalue().encode()),
             "artifacts": {p.name: _digest(p.read_bytes()) for p in sorted(out.iterdir())},
         }
     return manifest
@@ -79,9 +80,9 @@ def diff(old: dict, new: dict) -> list[str]:
         if a is None or b is None:
             lines.append(f"{line}: {'added' if a is None else 'removed'}")
             continue
-        for field in ("exit", "stdout"):
-            if a[field] != b[field]:
-                lines.append(f"{line}: {field} {a[field]} -> {b[field]}")
+        for field in ("exit", "stdout", "stderr"):
+            if a.get(field) != b.get(field):
+                lines.append(f"{line}: {field} {a.get(field)} -> {b.get(field)}")
         for name in sorted(set(a["artifacts"]) | set(b["artifacts"])):
             x, y = a["artifacts"].get(name), b["artifacts"].get(name)
             if x != y:

@@ -181,8 +181,8 @@ def test_criterion_11_counting_bounds():
 
 def test_criterion_12_asymptotics():
     with _Stopwatch(12, "asymptotic constant via recurrence unrolling", budget=5):
-        report = asymptotics_check(2000, Fr(1, 100), digits=10)
-        assert report.gauss_digits_ok
+        report = asymptotics_check(2000, Fr(1, 100))
+        assert report.gauss_digits_ok and "[>=10 digits]" in report.lines()[0]
         assert report.ratio_error < Fr(1, 100)
         assert report.growth_ratio_ok
 

@@ -528,9 +528,10 @@ def test_failing_check_exits_one(tmp_path):
 def test_failing_stage_c_check_is_reported(tmp_path, capsys, monkeypatch, command, line):
     # the stage-C certificate (S != 0) fails its key equation; stage A's (S = 0) still pass
     from rookpaths import telescope
+    from rookpaths.ore import IdentityReport
     check = telescope.verify_key_equation
     monkeypatch.setattr(telescope, "verify_key_equation", lambda cert, F: (
-        check(cert, F) if cert.S.is_zero() else telescope.VerifyReport(False, F, "patched")))
+        check(cert, F) if cert.S.is_zero() else IdentityReport(False, F, "patched")))
     assert run_cli([command], tmp_path) == 1
     out, err = capsys.readouterr()
     assert line in out and err == ""
@@ -538,7 +539,8 @@ def test_failing_stage_c_check_is_reported(tmp_path, capsys, monkeypatch, comman
 
 def test_failing_stage_check_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
     from rookpaths import telescope
-    monkeypatch.setattr(telescope, "verify_key_equation", lambda cert, F: telescope.VerifyReport(False, F))
+    from rookpaths.ore import IdentityReport
+    monkeypatch.setattr(telescope, "verify_key_equation", lambda cert, F: IdentityReport(False, F))
     for command in ("telescope", "prove-all"):
         assert run_cli([command], tmp_path) == 1
         assert capsys.readouterr().err == "check failed: stage A produced a certificate that fails its identity\n"

@@ -416,7 +416,7 @@ def test_symbolic_solution_check_detects_wrong_prefactor():
     bad = rookdata.closed_form_prefactor() * ratfun("x", X)
     report = symbolic_solution_check(rookdata.operator_p2(), bad, spec, rookdata.closed_form_pullback())
     assert not report.passed
-    assert not report.remainder.is_zero()
+    assert not report.residual.is_zero()
 
 
 def test_closed_form_series_constant_coefficient():

@@ -1,6 +1,7 @@
 """Ore operators: products, translation, unrolling, guessing, reduction."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -8,8 +9,10 @@ import pytest
 
 from rookpaths import rookdata
 from rookpaths.exactmath import MPoly, PowerSeries, RatFun, poly, ratfun
-from rookpaths.ore import (DiffOp, InsufficientTermsError, RecOp, RecReductionReport, SingularRecurrenceError,
+from rookpaths.hypergeom import HypergeomSpec, symbolic_solution_check
+from rookpaths.ore import (DiffOp, IdentityReport, InsufficientTermsError, RecOp, SingularRecurrenceError,
                            diffop_to_rec, guess_rec, prove_rec_reduction, rec_unroll, unrolled_terms)
+from rookpaths.telescope import Certificate, verify_key_equation
 from rookpaths.walks import ROOK, SeqTable, diagonal_sequence
 
 X = ("x",)
@@ -292,9 +295,9 @@ def test_reduction_proof_identity_case():
 
 
 def test_reduction_reports_do_not_share_default_base_cases():
-    first, second = RecReductionReport(True, RecOp({0: 1})), RecReductionReport(True, RecOp({0: 1}))
+    first, second = IdentityReport(True, RecOp({0: 1})), IdentityReport(True, RecOp({0: 1}))
     first.base_cases[3] = Fraction(0)
-    assert second.base_cases == {} and RecReductionReport(False, RecOp({0: 1})).base_cases == {}
+    assert second.base_cases == {} and IdentityReport(False, RecOp({0: 1})).base_cases == {}
 
 
 def test_reduction_proof_detects_perturbation():
@@ -304,6 +307,21 @@ def test_reduction_proof_detects_perturbation():
                                  rookdata.reduction_multiplier(), rookdata.reduction_cofactor())
     assert not report.passed
     assert not report.residual.is_zero()
+
+
+def test_identity_checks_report_their_failure(final_certificate, rook_f):
+    # the three exact-identity checks, each on one perturbed input, print FAIL and why
+    text = json.dumps(final_certificate.to_json_dict())
+    assert text.count('+ 296"') == 1
+    bad_cert = Certificate.from_json_dict(json.loads(text.replace('+ 296"', '+ 297"')))
+    assert str(verify_key_equation(bad_cert, rook_f)) == "FAIL: nonzero residual"
+    spec = HypergeomSpec(*rookdata.closed_form_parameters())
+    symbolic = symbolic_solution_check(rookdata.operator_p2(), rookdata.closed_form_prefactor() * ratfun("1+x", X),
+                                       spec, rookdata.closed_form_pullback())
+    assert str(symbolic).startswith("FAIL: remainder DiffOp(")
+    reduction = prove_rec_reduction(rookdata.recurrence_order4(), rookdata.recurrence_order3(),
+                                    rookdata.reduction_multiplier(), RecOp({0: 1, 1: 7}))
+    assert str(reduction).startswith("FAIL: operator identity residual NONZERO")
 
 
 # -- serialization ----------------------------------------------------------------

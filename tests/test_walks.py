@@ -252,6 +252,31 @@ def test_queens_dominant_root():
     assert report.residual_bound < Fraction(1, 10 ** 12)
 
 
+def test_queens_root_reports_a_verbatim_root(monkeypatch, capsys, tmp_path):
+    # the verbatim reading changes sign between 19/10 and 191/100, outside (0, 1); a scan
+    # that returns that bracket first puts a verbatim root in the report and in queens-root
+    from rookpaths import walks
+    from rookpaths.cli import main
+    scan, calls = walks._find_bracket, []
+
+    def outside_first(fn):
+        calls.append(fn)
+        return (Fraction(19, 10), Fraction(191, 100)) if len(calls) == 1 else scan(fn)
+
+    monkeypatch.setattr(walks, "_find_bracket", outside_first)
+    report = queens_dominant_root()
+    assert Fraction(19, 10) < report.verbatim_root < Fraction(191, 100)
+    assert report.note == "both readings admit roots in (0,1)"
+    assert decimal_str(report.normalized_root, 4) == "0.2185"
+    calls.clear()
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path), "queens-root"]) == 0
+    assert f"verbatim reading root: {decimal_str(report.verbatim_root, 12)}\n" in capsys.readouterr().out
+    data = json.loads((tmp_path / "queens-root.json").read_text())
+    assert data["verbatim_root"] == decimal_str(report.verbatim_root, 14)
+    assert data["verbatim_root"].startswith("1.9")
+
+
 def test_exact_roots_end_the_search():
     # a root on the low end, the high end or the first midpoint is returned as is;
     # the bracket scan stops at a grid root approached from below or from above,

@@ -26,6 +26,7 @@ from .walks import ROOK, FrozenRecord, SeqTable, diagonal_sequence
 
 X = ("x",)
 GAP_CAP = 1000  # the Frobenius test takes one recurrence step per unit of an integer exponent gap
+SCREEN_PRIME = (1 << 31) - 1  # _squarefree_mod_p works modulo this prime
 GAUSS_DIGITS = 10  # the numeric 2F1(1/3, 2/3; 2; 1) must match 9 sqrt(3)/(4 pi) to this many digits
 
 
@@ -281,19 +282,46 @@ def _monic_parts(points, exps) -> tuple[MPoly, MPoly]:
 def _power_gcd(support, ray, power: int) -> MPoly:
     """G = gcd(R, R', ..., R^(power-2)) for R = sum_p w_p prod_(q != p) (x - q) times
     prod_q b_q, w the ray's weights on the support's points q = a_q/b_q, given as (a_q, b_q):
-    row p of the cofactors is b_p * prod_(q != p) (b_q x - a_q), coefficients from x^0 up."""
+    row p of the cofactors is b_p * prod_(q != p) (b_q x - a_q), coefficients from x^0 up.
+    For power >= 3, G = 1 when R is squarefree, which _squarefree_mod_p often shows
+    without building R; the gcd chain decides every ray it leaves open."""
     rows = []
     for i, (_, b) in enumerate(support):
         row = [b]
         for a_q, b_q in support[:i] + support[i + 1:]:
             row = [b_q * lower - a_q * same for lower, same in zip([0] + row, row + [0])]
         rows.append(row)
-    R = MPoly(X, {(j,): sum(map(operator.mul, ray, column)) for j, column in enumerate(zip(*rows))})
+    coeffs = [sum(map(operator.mul, ray, column)) for column in zip(*rows)]
+    if power >= 3 and _squarefree_mod_p(coeffs):
+        return MPoly.const(X, 1)
+    R = MPoly(X, {(j,): c for j, c in enumerate(coeffs)})
     G = R
     for _ in range(power - 2):
         R = R.derivative("x")
         G = mpoly_gcd(G, R)
     return G
+
+
+def _squarefree_mod_p(coeffs: list[int]) -> bool:
+    """True when SCREEN_PRIME does not divide the leading coefficient of the integer
+    polynomial R = sum_j coeffs[j] x^j and R, R' are coprime modulo SCREEN_PRIME;
+    then R is squarefree over Q.  A repeated factor h of R can be taken primitive
+    in Z[x] (Gauss's lemma), so lc(h) divides lc(R), h mod p keeps its degree and
+    divides both R and R' mod p.  False decides nothing."""
+    p = SCREEN_PRIME
+    a, b = [c % p for c in coeffs], [j * c % p for j, c in enumerate(coeffs)][1:]
+    if not a[-1]:
+        return False
+    while True:  # Euclid's algorithm over GF(p) on coefficient lists from x^0 up
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return len(a) == 1
+        inverse = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q, shift = a.pop() * inverse % p, len(a) + 1 - len(b)
+            a[shift:] = [(c - q * d) % p for c, d in zip(a[shift:], b)]
+        a, b = b, a
 
 
 def _solve_power_condition(points, exps, power: int, power_gcd=_power_gcd):

@@ -17,8 +17,8 @@ from rookpaths.hypergeom import (HypergeomSpec, HypergeomError, SING_POINTS, asy
                                  closed_form_check, closed_form_series, exponents_at,
                                  f21_at_one, f21_series, gauss_operator, identity_checks,
                                  local_exponents, operator_pullback, pullback_search,
-                                 symbolic_solution_check, _exponent_vectors, _monic_parts,
-                                 _solve_power_condition)
+                                 symbolic_solution_check, SCREEN_PRIME, _exponent_vectors, _monic_parts,
+                                 _solve_power_condition, _squarefree_mod_p)
 from rookpaths.numerics import decimal_str, extrapolate_partial_sums, pi_rational, sqrt_rational
 from rookpaths.ore import DiffOp, rec_unroll
 from rookpaths.walks import ROOK, SeqTable, diagonal_sequence
@@ -328,21 +328,136 @@ def test_pullback_search_builds_one_power_gcd_per_weight_ray(monkeypatch):
     assert len(keys) == len(set(keys)) <= 84
 
 
-@pytest.mark.parametrize("points, power, max_degree", [
-    pytest.param(SING_POINTS, 3, 6, id="rook-cube"),
-    pytest.param((Fr(0), Fr(1), Fr(1, 4), Fr(-1, 8)), 2, 3, id="square"),  # G = R
+@pytest.mark.parametrize("points, power, max_degree, admitted_count, pair_count", [
+    pytest.param(SING_POINTS, 3, 6, 168, 4, id="rook-cube"),
+    pytest.param((Fr(0), Fr(1), Fr(1, 4), Fr(-1, 8)), 2, 3, 60, 88, id="square"),  # G = R
+    pytest.param(SING_POINTS, 4, 4, 190, 0, id="rook-fourth-power"),  # G = gcd(R, R', R'')
 ])
-def test_power_condition_is_the_same_with_a_shared_power_gcd(points, power, max_degree):
+def test_power_condition_is_the_same_with_a_shared_power_gcd(points, power, max_degree, admitted_count,
+                                                            pair_count):
     # one cache across each admitted vector e, then -e and 2e, gives the (c, Q) pairs
     # of a G built afresh for each
     shared = functools.cache(hypergeom._power_gcd)
+    admitted = list(_exponent_vectors(len(points), max_degree, power))
     found = 0
-    for exps in _exponent_vectors(len(points), max_degree, power):
+    for exps in admitted:
         for e in (exps, tuple(-v for v in exps), tuple(2 * v for v in exps)):
             pairs = _solve_power_condition(points, e, power, shared)
             assert pairs == _solve_power_condition(points, e, power), e
             found += len(pairs)
-    assert found and shared.cache_info().hits
+    assert (len(admitted), found) == (admitted_count, pair_count) and shared.cache_info().hits
+
+
+FIVE_POINTS = (Fr(0), Fr(1), Fr(-1), Fr(1, 2), Fr(2))
+
+
+def _search_rows(points, triple, max_degree):
+    return [(c.exponent_tuple(), c.constant, c.map.text(), c.cube_root.text())
+            for c in pullback_search(points, triple, max_degree)]
+
+
+def _power_gcd_keys(monkeypatch, points, triple, max_degree):
+    # the (support, ray, power) of every G the search builds
+    power_gcd = hypergeom._power_gcd
+    keys = []
+    monkeypatch.setattr(hypergeom, "_power_gcd", lambda *key: keys.append(key) or power_gcd(*key))
+    pullback_search(points, triple, max_degree)
+    monkeypatch.setattr(hypergeom, "_power_gcd", power_gcd)
+    return keys
+
+
+def test_five_point_cube_search_keeps_its_rows():
+    # five finite points, as many as a search with infinity as a fifth point: 4,100
+    # admitted vectors and 8 candidates, rows pinned from the exact gcd chain alone
+    rows = _search_rows(FIVE_POINTS, (Fr(0), Fr(0), Fr(1, 3)), 8)
+    assert len(list(_exponent_vectors(5, 8, 3))) == 4100
+    assert [(e, c) for e, c, *_ in rows] == [
+        ((-4, -1, 1, 1, 4), Fr(-2, 27)), ((-2, -2, 2, 2, 2), Fr(-4, 27)), ((-1, -4, 4, 1, 1), Fr(2, 27)),
+        ((-1, -1, 1, 4, 1), Fr(-16, 27)), ((1, 1, -1, -4, -1), Fr(-27, 16)), ((1, 4, -4, -1, -1), Fr(27, 2)),
+        ((2, 2, -2, -2, -2), Fr(-27, 4)), ((4, 1, -1, -1, -4), Fr(-27, 2))]
+    assert _sha256(repr(rows)) == "8629bb37c2e9b0f7e7ba95142fef1f1b7c6b475e1a01361ac9409eb2e0b8532a"
+
+
+def test_pullback_search_is_the_same_without_the_squarefree_screen(monkeypatch):
+    # with every ray left to the exact gcd chain, the rook cube search gives the same rows
+    cube = (Fr(0), Fr(0), Fr(1, 3))
+    screened = [_search_rows(SING_POINTS, cube, d) for d in (6, 8, 16)]
+    monkeypatch.setattr(hypergeom, "_squarefree_mod_p", lambda coeffs: False)
+    assert [_search_rows(SING_POINTS, cube, d) for d in (6, 8, 16)] == screened
+
+
+@pytest.mark.parametrize("points, triple, max_degree", [
+    pytest.param(SING_POINTS, (Fr(0), Fr(0), Fr(1, 3)), 6, id="rook-cube"),
+    pytest.param(SING_POINTS, (Fr(0), Fr(0), Fr(1, 4)), 4, id="rook-fourth-power"),
+    pytest.param(FIVE_POINTS, (Fr(0), Fr(0), Fr(1, 3)), 8, id="five-point-cube"),
+])
+def test_screened_power_gcd_is_the_exact_one(monkeypatch, points, triple, max_degree):
+    # on every weight ray of the search, the G the screen returns is the one the gcd chain builds
+    keys = _power_gcd_keys(monkeypatch, points, triple, max_degree)
+    screened = [hypergeom._power_gcd(*key) for key in keys]
+    monkeypatch.setattr(hypergeom, "_squarefree_mod_p", lambda coeffs: False)
+    assert [hypergeom._power_gcd(*key) for key in keys] == screened
+
+
+def test_rook_cube_search_runs_one_exact_gcd(monkeypatch):
+    # the screen decides 83 of the 84 weight rays; the exact gcd runs once, on the
+    # one R with a repeated root
+    gcd = hypergeom.mpoly_gcd
+    calls = []
+    monkeypatch.setattr(hypergeom, "mpoly_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    assert len(pullback_search(SING_POINTS, (Fr(0), Fr(0), Fr(1, 3)), 6)) == 2
+    (R, dR), = calls
+    assert dR == R.derivative("x") and gcd(R, dR).degree("x") == 1
+
+
+def _dense_poly(coeffs):
+    return MPoly(X, {(j,): c for j, c in enumerate(coeffs)})
+
+
+def test_squarefree_screen_accepts_only_squarefree_polynomials():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    coeff = st.integers(-2 ** 40, 2 ** 40)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(coeff, min_size=1, max_size=6), coeff.filter(bool))
+    def check(lower, lead):
+        coeffs = lower + [lead]  # degree 1 to 6
+        if _squarefree_mod_p(coeffs):
+            R = _dense_poly(coeffs)
+            assert hypergeom.mpoly_gcd(R, R.derivative("x")).is_constant()
+            assert sympy.discriminant(sum(c * x ** j for j, c in enumerate(coeffs)), x) != 0
+
+    check()
+
+
+def test_squarefree_screen_never_accepts_a_square_factor():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coeff = st.integers(-2 ** 40, 2 ** 40)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(coeff, coeff.filter(bool), st.lists(coeff, min_size=0, max_size=4), coeff.filter(bool))
+    def check(a, b, lower, lead):
+        S = _dense_poly(lower + [lead])
+        R = MPoly(X, {(1,): b, (0,): -a}) ** 2 * S
+        assert not _squarefree_mod_p([R.terms.get((j,), 0) for j in range(R.degree("x") + 1)])
+
+    check()
+
+
+@pytest.mark.parametrize("coeffs", [
+    pytest.param([1, 1, SCREEN_PRIME], id="p-divides-the-leading-coefficient"),
+    pytest.param([SCREEN_PRIME, 0, 1], id="square-modulo-p"),
+])
+def test_squarefree_screen_leaves_squarefree_cases_undecided(coeffs):
+    # both polynomials are squarefree over Q, and the gcd chain says so
+    R = _dense_poly(coeffs)
+    assert hypergeom.mpoly_gcd(R, R.derivative("x")).is_constant()
+    assert not _squarefree_mod_p(coeffs)
+    assert _squarefree_mod_p([1, 1, 1]) and _squarefree_mod_p([7])
 
 
 @pytest.mark.parametrize("exps, constant", [((1, -1, 3, -2), Fr(-1)), ((3, 1, -1, -2), Fr(-9, 16))])

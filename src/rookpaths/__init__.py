@@ -6,7 +6,7 @@ and certifies the hypergeometric closed form with its asymptotics.
 
 The pipeline entry points re-exported here mirror the CLI; the submodules
 (`exactmath`, `walks`, `diagonal`, `ore`, `telescope`, `hypergeom`) carry
-the full surface.
+the full surface, and `proof` holds the claim table that `prove-all` discharges.
 """
 
 from .walks import ROOK, QUEEN, DirectionSet, SeqTable, count_paths, diagonal_sequence, \

@@ -405,15 +405,12 @@ def symbolic_solution_check(L: DiffOp, prefactor: RatFun, spec: HypergeomSpec,
 class CheckReport:
     __slots__ = ("check", "passed", "detail", "order")
 
-    def __init__(self, check: str, passed: bool, detail: str = "", order: int | None = None):
+    def __init__(self, check: str, passed: bool, detail: str, order: int):
         self.check, self.passed, self.detail, self.order = check, passed, detail, order
 
     def to_json_dict(self) -> dict:
-        data = {"check": self.check, "status": "PASS" if self.passed else "FAIL",
-                "detail": self.detail}
-        if self.order is not None:
-            data["order"] = self.order
-        return data
+        return {"check": self.check, "status": "PASS" if self.passed else "FAIL",
+                "detail": self.detail, "order": self.order}
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"

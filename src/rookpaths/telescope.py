@@ -544,9 +544,11 @@ def stage_a_search(F: RatFun, total_order: int, ansatz: Ansatz | None = None) ->
 
 def stage_a_pair(F: RatFun) -> list[StageACertificate]:
     """The two stage-A certificates stages B and C work modulo: total order 1,
-    then order 2 in d_x alone."""
-    return (stage_a_search(F, 1)
-            + stage_a_search(F, 2, Ansatz(support=((0, 0), (1, 0), (2, 0)))))
+    then order 2 in d_x alone; any other count is a failed stage check."""
+    certs = stage_a_search(F, 1) + stage_a_search(F, 2, Ansatz(support=((0, 0), (1, 0), (2, 0))))
+    if len(certs) != 2:
+        raise TelescopeError("stage A did not produce the expected two certificates")
+    return certs
 
 
 def _stage_a_solution_to_cert(sol: ParamSolution, support: tuple[tuple[int, int], ...],

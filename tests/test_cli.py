@@ -134,13 +134,13 @@ def test_prove_all_counts_the_rook_diagonal_once(tmp_path, monkeypatch, capsys):
     # one rook table at n = max(40, --truncation): the pinned terms, the unroll,
     # the reduction's base cases and the closed-form, identity and asymptotics
     # checks each read a prefix of it; the other table is the queen's
-    from rookpaths import cli, hypergeom, walks
+    from rookpaths import hypergeom, proof, walks
     seen, dp = [], walks.diagonal_sequence
 
     def counted(model, n):
         seen.append(n)
         return dp(model, n)
-    for module in (cli, hypergeom, walks):
+    for module in (proof, hypergeom, walks):
         monkeypatch.setattr(module, "diagonal_sequence", counted)
     for truncation, sizes in ((30, [7, 40]), (45, [7, 45])):
         seen.clear()
@@ -469,17 +469,17 @@ def test_operator_files_are_capped_before_any_work(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("args, work, cap", [
-    (["rook-terms", "--n"], "diagonal_sequence", "TERMS_CAP"),
-    (["queen-terms", "--n"], "diagonal_sequence", "TERMS_CAP"),
-    (["diag", "--n"], "expand_diagonal", "DIAG_CAP"),
-    (["rec-unroll", "--n"], "rec_unroll", "UNROLL_CAP"),
-    (["pullback-search", "--max-degree"], "pullback_search", "MAX_DEGREE_CAP"),
-    (["closed-form-check", "--n"], "closed_form_check", "SERIES_CAP"),
-    (["identity-checks", "--order"], "identity_checks", "SERIES_CAP"),
-    (["prove-all", "--truncation"], "diagonal_sequence", "SERIES_CAP"),
-    (["asymptotics", "--n"], "asymptotics_check", "ASYMPTOTICS_CAP"),
-    (["guess-rec", "--order", "0", "--degree", "0", "--n"], "diagonal_sequence", "GUESS_CAP"),
-    (["telescope", "--degree"], "stage_a_pair", "TELESCOPE_CAP"),
+    (["rook-terms", "--n"], "cli.diagonal_sequence", "TERMS_CAP"),
+    (["queen-terms", "--n"], "cli.diagonal_sequence", "TERMS_CAP"),
+    (["diag", "--n"], "cli.expand_diagonal", "DIAG_CAP"),
+    (["rec-unroll", "--n"], "cli.rec_unroll", "UNROLL_CAP"),
+    (["pullback-search", "--max-degree"], "cli.pullback_search", "MAX_DEGREE_CAP"),
+    (["closed-form-check", "--n"], "cli.closed_form_check", "SERIES_CAP"),
+    (["identity-checks", "--order"], "cli.identity_checks", "SERIES_CAP"),
+    (["prove-all", "--truncation"], "proof.diagonal_sequence", "SERIES_CAP"),
+    (["asymptotics", "--n"], "cli.asymptotics_check", "ASYMPTOTICS_CAP"),
+    (["guess-rec", "--order", "0", "--degree", "0", "--n"], "cli.diagonal_sequence", "GUESS_CAP"),
+    (["telescope", "--degree"], "cli.stage_a_pair", "TELESCOPE_CAP"),
 ], ids=["rook-terms", "queen-terms", "diag", "rec-unroll", "pullback-search", "closed-form-check",
         "identity-checks", "prove-all", "asymptotics", "guess-rec", "telescope"])
 def test_size_flags_are_capped_before_any_work(tmp_path, capsys, monkeypatch, args, work, cap):
@@ -490,7 +490,7 @@ def test_size_flags_are_capped_before_any_work(tmp_path, capsys, monkeypatch, ar
     with pytest.raises(SystemExit):
         main([args[0], "--help"])
     assert f"at most {cap}" in capsys.readouterr().out
-    monkeypatch.setattr(cli, work, _start_work)
+    monkeypatch.setattr(f"rookpaths.{work}", _start_work)
     with pytest.raises(WorkStarted):
         run_cli(args + [str(cap)], tmp_path)
     assert run_cli(args + [str(cap + 1)], tmp_path) == 2
@@ -499,18 +499,17 @@ def test_size_flags_are_capped_before_any_work(tmp_path, capsys, monkeypatch, ar
 
 
 @pytest.mark.parametrize("args, work", [
-    (["closed-form-check", "--n"], "closed_form_check"),
-    (["identity-checks", "--order"], "identity_checks"),
-    (["prove-all", "--truncation"], "diagonal_sequence"),
+    (["closed-form-check", "--n"], "cli.closed_form_check"),
+    (["identity-checks", "--order"], "cli.identity_checks"),
+    (["prove-all", "--truncation"], "proof.diagonal_sequence"),
 ], ids=["closed-form-check", "identity-checks", "prove-all"])
 def test_series_checks_compare_at_least_one_coefficient(tmp_path, capsys, monkeypatch, args, work):
     # a series order of 0 would compare no coefficient and report a vacuous PASS:
     # --help states the floor, 1 reaches the work and 0 exits 2 before any work
-    from rookpaths import cli
     with pytest.raises(SystemExit):
         main([args[0], "--help"])
     assert f"{args[-1]} {args[-1][2:].upper()} series order, at least 1" in " ".join(capsys.readouterr().out.split())
-    monkeypatch.setattr(cli, work, _start_work)
+    monkeypatch.setattr(f"rookpaths.{work}", _start_work)
     with pytest.raises(WorkStarted):
         run_cli(args + ["1"], tmp_path)
     assert run_cli(args + ["0"], tmp_path) == 2
@@ -537,13 +536,26 @@ def test_failing_stage_c_check_is_reported(tmp_path, capsys, monkeypatch, comman
     assert line in out and err == ""
 
 
+def _stage_a_fails_with(message, tmp_path, capsys):
+    # one line on stderr; prove-all keeps the lines of the three claims before stage A
+    from rookpaths.proof import CLAIMS
+    for command, lines in (("telescope", []), ("prove-all", [f"[PASS] {name}" for name, _, _ in CLAIMS[:3]])):
+        assert run_cli([command], tmp_path) == 1
+        out, err = capsys.readouterr()
+        assert err == f"check failed: {message}\n" and out.splitlines() == lines
+
+
 def test_failing_stage_check_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
     from rookpaths import telescope
     from rookpaths.ore import IdentityReport
     monkeypatch.setattr(telescope, "verify_key_equation", lambda cert, F: IdentityReport(False, F))
-    for command in ("telescope", "prove-all"):
-        assert run_cli([command], tmp_path) == 1
-        assert capsys.readouterr().err == "check failed: stage A produced a certificate that fails its identity\n"
+    _stage_a_fails_with("stage A produced a certificate that fails its identity", tmp_path, capsys)
+
+
+def test_stage_a_without_two_certificates_exits_one(tmp_path, capsys, monkeypatch):
+    from rookpaths import telescope
+    monkeypatch.setattr(telescope, "stage_a_search", lambda F, total_order, ansatz=None: [])
+    _stage_a_fails_with("stage A did not produce the expected two certificates", tmp_path, capsys)
 
 
 def test_diag_queen_model(tmp_path):

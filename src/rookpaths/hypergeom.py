@@ -10,7 +10,6 @@ series identities connecting the two hypergeometric expressions.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections import deque
@@ -226,6 +225,11 @@ def pullback_search(sing_set: Sequence[Fraction], target_triple, max_degree: int
     Moebius transform back.  An all-integer triple admits no power
     condition for this ansatz solver and yields no candidates.  The points
     of the singular set must be distinct.
+
+    Each step runs once at the level it depends on: the cofactor table once
+    per support, G once per primitive ray (the vector over the gcd of its
+    entries, signed by the first nonzero one), and _power_roots once per
+    vector _exponent_vectors admits.
     """
     if max_degree < 1:
         raise HypergeomError("max_degree must be >= 1")
@@ -236,10 +240,19 @@ def pullback_search(sing_set: Sequence[Fraction], target_triple, max_degree: int
     if not fractional:
         return []
     power = fractional[0].denominator
+    ratios = [p.as_integer_ratio() for p in points]
+    tables: dict[tuple[bool, ...], list[tuple[int, ...]]] = {}
+    gcds: dict[tuple[int, ...], MPoly] = {}
     results: list[PullbackCandidate] = []
-    power_gcd = functools.cache(_power_gcd)  # built once per support and weight ray in this search
-    for exps in _exponent_vectors(len(points), max_degree, power):
-        for const, Q in _solve_power_condition(points, exps, power, power_gcd):
+    for exps, M in _exponent_vectors(len(points), max_degree, power):
+        unit = math.gcd(*exps) if next(filter(None, exps)) > 0 else -math.gcd(*exps)
+        ray = tuple(e // unit for e in exps)
+        if (G := gcds.get(ray)) is None:
+            support = tuple(map(bool, exps))
+            if support not in tables:
+                tables[support] = _cofactor_table([r for r, e in zip(ratios, exps) if e])
+            G = gcds[ray] = _ray_gcd(tables[support], [w for w in ray if w], power)
+        for const, Q in _power_roots(points, exps, M, power, G):
             num, den = _monic_parts(points, exps)
             results.append(PullbackCandidate(
                 points=tuple(points), exponents={p: e for p, e in zip(points, exps) if e},
@@ -248,10 +261,11 @@ def pullback_search(sing_set: Sequence[Fraction], target_triple, max_degree: int
 
 
 def _exponent_vectors(npts: int, max_degree: int, power: int):
-    """The exponent vectors that pass the degree test of _solve_power_condition, in
-    lexicographic order: deg N != deg D, M = max(deg N, deg D) <= max_degree,
-    power | M and (power-1) * M/power <= |support| - 1.  A depth-first walk keeps
-    deg N and deg D within top, the largest such M, and tests the rest at the leaves."""
+    """The exponent vectors that pass the degree test of _power_roots, each with its
+    map degree M = max(deg N, deg D), in lexicographic order: deg N != deg D,
+    M <= max_degree, power | M and (power-1) * M/power <= |support| - 1.  A depth-first
+    walk keeps deg N and deg D within top, the largest such M, and tests the rest at
+    the leaves."""
     top = min(max_degree, (npts - 1) * power // (power - 1)) // power * power
 
     def walk(prefix: tuple[int, ...], deg_n: int, deg_d: int):
@@ -260,8 +274,8 @@ def _exponent_vectors(npts: int, max_degree: int, power: int):
             e, n, d = prefix + (v,), deg_n + max(v, 0), deg_d - min(v, 0)
             if not leaf:
                 yield from walk(e, n, d)
-            elif n != d and not max(n, d) % power and (power - 1) * (max(n, d) // power) < npts - e.count(0):
-                yield e
+            elif n != d and not (M := max(n, d)) % power and (power - 1) * (M // power) < npts - e.count(0):
+                yield e, M
 
     return walk((), 0, 0)
 
@@ -279,19 +293,25 @@ def _monic_parts(points, exps) -> tuple[MPoly, MPoly]:
     return num, den
 
 
-def _power_gcd(support, ray, power: int) -> MPoly:
-    """G = gcd(R, R', ..., R^(power-2)) for R = sum_p w_p prod_(q != p) (x - q) times
-    prod_q b_q, w the ray's weights on the support's points q = a_q/b_q, given as (a_q, b_q):
-    row p of the cofactors is b_p * prod_(q != p) (b_q x - a_q), coefficients from x^0 up.
-    For power >= 3, G = 1 when R is squarefree, which _squarefree_mod_p often shows
-    without building R; the gcd chain decides every ray it leaves open."""
+def _cofactor_table(support) -> list[tuple[int, ...]]:
+    """Row p is b_p * prod_(q != p) (b_q x - a_q), coefficients from x^0 up, for the
+    points q = a_q/b_q of a support given as (a_q, b_q); returned as its columns."""
     rows = []
     for i, (_, b) in enumerate(support):
         row = [b]
         for a_q, b_q in support[:i] + support[i + 1:]:
             row = [b_q * lower - a_q * same for lower, same in zip([0] + row, row + [0])]
         rows.append(row)
-    coeffs = [sum(map(operator.mul, ray, column)) for column in zip(*rows)]
+    return list(zip(*rows))
+
+
+def _ray_gcd(columns, ray, power: int) -> MPoly:
+    """G = gcd(R, R', ..., R^(power-2)) for R = sum_p w_p prod_(q != p) (x - q) times
+    prod_q b_q, w the ray's weights on the support's points: the weights dotted with each
+    column of the support's _cofactor_table.  For power >= 3, G = 1 when R is squarefree,
+    which _squarefree_mod_p often shows without building R; the gcd chain decides every
+    ray it leaves open."""
+    coeffs = [sum(map(operator.mul, ray, column)) for column in columns]
     if power >= 3 and _squarefree_mod_p(coeffs):
         return MPoly.const(X, 1)
     R = MPoly(X, {(j,): c for j, c in enumerate(coeffs)})
@@ -324,7 +344,7 @@ def _squarefree_mod_p(coeffs: list[int]) -> bool:
         a, b = b, a
 
 
-def _solve_power_condition(points, exps, power: int, power_gcd=_power_gcd):
+def _power_roots(points, exps, M: int, power: int, G: MPoly):
     """Constants c (and monic root Q) with c*N - D = k * Q^power for a constant k.
 
     N and D are the monic numerator/denominator of an exponent vector that
@@ -339,21 +359,16 @@ def _solve_power_condition(points, exps, power: int, power_gcd=_power_gcd):
 
     of degree |S| - 1 with lead deg N - deg D.  Hence Q^(power-1) divides
     R, which is the degree test (power-1) * M/power <= |S| - 1.  Q also divides
-    G = gcd(R, R', ..., R^(power-2)), so c*N - D and G share a root alpha
-    and c = D(alpha)/N(alpha): c is one of root_values(D, N, G) (G, a
-    factor of R, has no root in S, so it is prime to N).  No step reads G
-    beyond a nonzero constant, and R(g*e) = g*R(e), so power_gcd (_power_gcd
-    or a cache of it) builds G once per support and primitive ray: the
-    weights over their gcd, signed by the first.  For each c, Q is
-    the power-th root of (c*N - D)/k read in 1/x, accepted only when the
-    exact re-expansion k * Q^power = c*N - D holds.
+    G = gcd(R, R', ..., R^(power-2)), so a G of degree below M/power ends the
+    step, and otherwise c*N - D and G share a root alpha and
+    c = D(alpha)/N(alpha): c is one of root_values(D, N, G) (G, a factor of
+    R, has no root in S, so it is prime to N).  No step reads G beyond a
+    nonzero constant, and R(g*e) = g*R(e), so G may come from any nonzero
+    multiple of the weights, as _ray_gcd's G of their primitive ray does.
+    For each c, Q is the power-th root of (c*N - D)/k read in 1/x, accepted
+    only when the exact re-expansion k * Q^power = c*N - D holds.
     """
-    M = max(sum(e for e in exps if e > 0), -sum(e for e in exps if e < 0))
     q_deg = M // power
-    weights = [e for e in exps if e]
-    unit = math.gcd(*weights) if weights[0] > 0 else -math.gcd(*weights)
-    support = tuple(p.as_integer_ratio() for p, e in zip(points, exps) if e)
-    G = power_gcd(support, tuple(w // unit for w in weights), power)
     if G.degree("x") < q_deg:  # Q divides G
         return []
     N, D = _monic_parts(points, exps)
@@ -455,19 +470,25 @@ def f21_at_one(spec: HypergeomSpec) -> Fraction:
         raise HypergeomError("2F1(a, b; c; 1) diverges unless c - a - b > 0")
     (an, ad), (bn, bd), (cn, cd) = (p.as_integer_ratio() for p in (spec.a, spec.b, spec.c))
     nodes = [200 + 100 * i for i in range(12)]
-    # term n is num/den and the partial sum through it total/den, unreduced; den is a
-    # running product, so each node's den divides the last one's and the sums are
-    # extrapolated as integers over that one denominator
-    num = den = total = 1
-    sums: dict[int, tuple[int, int]] = {}
+    # term n is num/den and the partial sum through it total/den, unreduced, den the product
+    # of the steps' q; each node's sum is extrapolated as an integer over the last node's den,
+    # scaled by the q past it: a suffix product of the q products over the gaps between nodes
+    num = total = gap = 1
+    sums, gaps = [], []  # at each node: total, and the product of q since the node before it
     for n in range(max(nodes)):
         num *= (an + n * ad) * (bn + n * bd) * cd
         q = ad * bd * (cn + n * cd) * (n + 1)
-        den *= q
+        gap *= q
         total = total * q + num
         if n + 1 in nodes:
-            sums[n + 1] = total, den
-    return extrapolate_partial_sums(lambda n: sums[n][0] * (den // sums[n][1]), nodes) / den
+            sums.append(total)
+            gaps.append(gap)
+            gap = 1
+    scaled, den = {}, 1  # den: the product of q past each node in turn, and at the end over every step
+    for node, partial, product in zip(nodes[::-1], sums[::-1], gaps[::-1]):
+        scaled[node] = partial * den
+        den *= product
+    return extrapolate_partial_sums(scaled.__getitem__, nodes) / den
 
 
 class AsymptoticsReport:

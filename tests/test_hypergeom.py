@@ -1,6 +1,5 @@
 """Hypergeometric layer: series, exponents, pullbacks, asymptotics, identities."""
 
-import functools
 import hashlib
 import itertools
 import random
@@ -17,8 +16,8 @@ from rookpaths.hypergeom import (HypergeomSpec, HypergeomError, SING_POINTS, asy
                                  closed_form_check, closed_form_series, exponents_at,
                                  f21_at_one, f21_series, gauss_operator, identity_checks,
                                  local_exponents, operator_pullback, pullback_search,
-                                 symbolic_solution_check, SCREEN_PRIME, _exponent_vectors, _monic_parts,
-                                 _solve_power_condition, _squarefree_mod_p)
+                                 symbolic_solution_check, SCREEN_PRIME, _cofactor_table, _exponent_vectors,
+                                 _monic_parts, _power_roots, _ray_gcd, _squarefree_mod_p)
 from rookpaths.numerics import decimal_str, extrapolate_partial_sums, pi_rational, sqrt_rational
 from rookpaths.ore import DiffOp, rec_unroll
 from rookpaths.walks import ROOK, SeqTable, diagonal_sequence
@@ -277,7 +276,7 @@ def test_pullback_search_matches_sympy_oracle(points, triple, max_degree, count)
 
 
 def _passes_degree_test(exps, power, max_degree):
-    # restated from _solve_power_condition: deg N != deg D, M = max(deg N, deg D)
+    # restated from _power_roots: deg N != deg D, M = max(deg N, deg D)
     # <= max_degree, power | M and Q^(power-1) of degree (power-1)*M/power divides
     # R, of degree |support| - 1
     dn = sum(e for e in exps if e > 0)
@@ -287,65 +286,29 @@ def _passes_degree_test(exps, power, max_degree):
     return dn != dd and M <= max_degree and M % power == 0 and (power - 1) * M // power <= support - 1
 
 
+def _map_degree(exps):
+    return max(sum(e for e in exps if e > 0), -sum(e for e in exps if e < 0))
+
+
+def _fresh_gcd(points, exps, power):
+    # G from the vector's own weights, with a cofactor table of its own
+    table = _cofactor_table([p.as_integer_ratio() for p, e in zip(points, exps) if e])
+    return _ray_gcd(table, [e for e in exps if e], power)
+
+
 def test_exponent_vectors_match_brute_force():
     # the walk yields exactly the degree-test survivors of the full lexicographic
-    # enumeration, in the same order; five points (infinity as a fifth) up to max-degree 4
+    # enumeration, in the same order, each with its map degree; five points (infinity
+    # as a fifth) up to max-degree 4
     for npts, span in ((2, 8), (3, 8), (4, 8), (5, 4)):
         # (map degree, vector) over the span of max-degree span, in product order
         box = itertools.product(range(-span, span + 1), repeat=npts)
         full = [((sum(map(abs, e)) + abs(sum(e))) // 2, e) for e in box]
         full = [(degree, e) for degree, e in full if 0 < degree <= span]
         for power, max_degree in itertools.product((2, 3, 4, 6), range(1, span + 1)):
-            expected = [e for degree, e in full if degree <= max_degree and _passes_degree_test(e, power, max_degree)]
+            expected = [(e, degree) for degree, e in full
+                        if degree <= max_degree and _passes_degree_test(e, power, max_degree)]
             assert list(_exponent_vectors(npts, max_degree, power)) == expected, (npts, power, max_degree)
-
-
-def test_pullback_search_solves_only_admitted_vectors(monkeypatch):
-    # past the degree at which the degree test stops admitting new vectors the
-    # search does the same work and finds the same candidates
-    cube = (Fr(0), Fr(0), Fr(1, 3))
-    solve = hypergeom._solve_power_condition
-    seen = []
-    monkeypatch.setattr(hypergeom, "_solve_power_condition",
-                        lambda points, exps, *rest: seen.append(exps) or solve(points, exps, *rest))
-    calls, rows = [], []
-    for max_degree in (6, 8, 16):
-        seen.clear()
-        cands = pullback_search(SING_POINTS, cube, max_degree)
-        assert all(_passes_degree_test(e, 3, max_degree) for e in seen)
-        calls.append(len(seen))
-        rows.append([(c.exponent_tuple(), c.constant, c.map.text(), c.cube_root.text()) for c in cands])
-    assert calls == [168] * 3 and rows[0] == rows[1] == rows[2] and len(rows[0]) == 2
-
-
-def test_pullback_search_builds_one_power_gcd_per_weight_ray(monkeypatch):
-    # e, -e and 2e share G: the rook cube search's 168 vectors need at most 84 of them,
-    # one per support and primitive ray
-    power_gcd = hypergeom._power_gcd
-    keys = []
-    monkeypatch.setattr(hypergeom, "_power_gcd", lambda *key: keys.append(key) or power_gcd(*key))
-    assert len(pullback_search(SING_POINTS, (Fr(0), Fr(0), Fr(1, 3)), 6)) == 2
-    assert len(keys) == len(set(keys)) <= 84
-
-
-@pytest.mark.parametrize("points, power, max_degree, admitted_count, pair_count", [
-    pytest.param(SING_POINTS, 3, 6, 168, 4, id="rook-cube"),
-    pytest.param((Fr(0), Fr(1), Fr(1, 4), Fr(-1, 8)), 2, 3, 60, 88, id="square"),  # G = R
-    pytest.param(SING_POINTS, 4, 4, 190, 0, id="rook-fourth-power"),  # G = gcd(R, R', R'')
-])
-def test_power_condition_is_the_same_with_a_shared_power_gcd(points, power, max_degree, admitted_count,
-                                                            pair_count):
-    # one cache across each admitted vector e, then -e and 2e, gives the (c, Q) pairs
-    # of a G built afresh for each
-    shared = functools.cache(hypergeom._power_gcd)
-    admitted = list(_exponent_vectors(len(points), max_degree, power))
-    found = 0
-    for exps in admitted:
-        for e in (exps, tuple(-v for v in exps), tuple(2 * v for v in exps)):
-            pairs = _solve_power_condition(points, e, power, shared)
-            assert pairs == _solve_power_condition(points, e, power), e
-            found += len(pairs)
-    assert (len(admitted), found) == (admitted_count, pair_count) and shared.cache_info().hits
 
 
 FIVE_POINTS = (Fr(0), Fr(1), Fr(-1), Fr(1, 2), Fr(2))
@@ -356,14 +319,63 @@ def _search_rows(points, triple, max_degree):
             for c in pullback_search(points, triple, max_degree)]
 
 
-def _power_gcd_keys(monkeypatch, points, triple, max_degree):
-    # the (support, ray, power) of every G the search builds
-    power_gcd = hypergeom._power_gcd
-    keys = []
-    monkeypatch.setattr(hypergeom, "_power_gcd", lambda *key: keys.append(key) or power_gcd(*key))
-    pullback_search(points, triple, max_degree)
-    monkeypatch.setattr(hypergeom, "_power_gcd", power_gcd)
-    return keys
+def _search_steps(points, triple, max_degree):
+    # the search's rows and its steps: the (vector, M) of each _power_roots call, the
+    # support of each cofactor table and the (columns, ray, power) of each G it builds
+    vectors, tables, gcds = [], [], []
+    power_roots, cofactor_table, ray_gcd = hypergeom._power_roots, hypergeom._cofactor_table, hypergeom._ray_gcd
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hypergeom, "_power_roots", lambda points, exps, M, *rest:
+                      vectors.append((exps, M)) or power_roots(points, exps, M, *rest))
+        patch.setattr(hypergeom, "_cofactor_table", lambda support:
+                      tables.append(tuple(support)) or cofactor_table(support))
+        patch.setattr(hypergeom, "_ray_gcd", lambda columns, ray, power:
+                      gcds.append((tuple(columns), tuple(ray), power)) or ray_gcd(columns, ray, power))
+        rows = _search_rows(points, triple, max_degree)
+    return rows, vectors, tables, gcds
+
+
+def test_pullback_search_solves_only_admitted_vectors():
+    # past the degree at which the degree test stops admitting new vectors the
+    # search does the same work and finds the same candidates
+    cube = (Fr(0), Fr(0), Fr(1, 3))
+    calls, rows = [], []
+    for max_degree in (6, 8, 16):
+        found, vectors, _, _ = _search_steps(SING_POINTS, cube, max_degree)
+        assert all(_passes_degree_test(e, 3, max_degree) and M == _map_degree(e) for e, M in vectors)
+        calls.append(len(vectors))
+        rows.append(found)
+    assert calls == [168] * 3 and rows[0] == rows[1] == rows[2] and len(rows[0]) == 2
+
+
+def test_pullback_search_builds_one_power_gcd_per_weight_ray():
+    # e, -e and 2e share G: the rook cube search's 168 vectors on 5 supports need one
+    # cofactor table per support and 84 G, one per support and primitive ray
+    rows, vectors, tables, gcds = _search_steps(SING_POINTS, (Fr(0), Fr(0), Fr(1, 3)), 6)
+    assert len(rows) == 2 and len(vectors) == 168
+    assert len(tables) == len(set(tables)) == 5
+    assert len(gcds) == len(set(gcds)) == 84
+    assert {len(support) for support in tables} == {3, 4}
+
+
+@pytest.mark.parametrize("points, power, max_degree, admitted_count, pair_count", [
+    pytest.param(SING_POINTS, 3, 6, 168, 4, id="rook-cube"),
+    pytest.param((Fr(0), Fr(1), Fr(1, 4), Fr(-1, 8)), 2, 3, 60, 88, id="square"),  # G = R
+    pytest.param(SING_POINTS, 4, 4, 190, 0, id="rook-fourth-power"),  # G = gcd(R, R', R'')
+])
+def test_power_condition_is_the_same_with_a_shared_power_gcd(points, power, max_degree, admitted_count,
+                                                            pair_count):
+    # a G built once, from an admitted vector e, and shared by e, -e and 2e gives the
+    # (c, Q) pairs of a G built afresh from each vector's own weights
+    admitted = list(_exponent_vectors(len(points), max_degree, power))
+    found = 0
+    for exps, M in admitted:
+        shared = _fresh_gcd(points, exps, power)
+        for e, m in ((exps, M), (tuple(-v for v in exps), M), (tuple(2 * v for v in exps), 2 * M)):
+            pairs = _power_roots(points, e, m, power, shared)
+            assert pairs == _power_roots(points, e, m, power, _fresh_gcd(points, e, power)), e
+            found += len(pairs)
+    assert (len(admitted), found) == (admitted_count, pair_count)
 
 
 def test_five_point_cube_search_keeps_its_rows():
@@ -386,17 +398,20 @@ def test_pullback_search_is_the_same_without_the_squarefree_screen(monkeypatch):
     assert [_search_rows(SING_POINTS, cube, d) for d in (6, 8, 16)] == screened
 
 
-@pytest.mark.parametrize("points, triple, max_degree", [
-    pytest.param(SING_POINTS, (Fr(0), Fr(0), Fr(1, 3)), 6, id="rook-cube"),
-    pytest.param(SING_POINTS, (Fr(0), Fr(0), Fr(1, 4)), 4, id="rook-fourth-power"),
-    pytest.param(FIVE_POINTS, (Fr(0), Fr(0), Fr(1, 3)), 8, id="five-point-cube"),
+@pytest.mark.parametrize("points, triple, max_degree, steps", [
+    pytest.param(SING_POINTS, (Fr(0), Fr(0), Fr(1, 3)), 6, (168, 5, 84), id="rook-cube"),
+    pytest.param(SING_POINTS, (Fr(0), Fr(0), Fr(1, 4)), 4, (190, 1, 95), id="rook-fourth-power"),
+    pytest.param(FIVE_POINTS, (Fr(0), Fr(0), Fr(1, 3)), 8, (4100, 16, 2040), id="five-point-cube"),
 ])
-def test_screened_power_gcd_is_the_exact_one(monkeypatch, points, triple, max_degree):
-    # on every weight ray of the search, the G the screen returns is the one the gcd chain builds
-    keys = _power_gcd_keys(monkeypatch, points, triple, max_degree)
-    screened = [hypergeom._power_gcd(*key) for key in keys]
+def test_screened_power_gcd_is_the_exact_one(monkeypatch, points, triple, max_degree, steps):
+    # on every weight ray of the search, the G the screen returns is the one the gcd
+    # chain builds; steps counts the vectors solved, the cofactor tables and the G built
+    _, vectors, tables, gcds = _search_steps(points, triple, max_degree)
+    assert (len(vectors), len(set(tables)), len(set(gcds))) == steps
+    assert len(tables) == len(set(tables)) and len(gcds) == len(set(gcds))
+    screened = [_ray_gcd(*key) for key in gcds]
     monkeypatch.setattr(hypergeom, "_squarefree_mod_p", lambda coeffs: False)
-    assert [hypergeom._power_gcd(*key) for key in keys] == screened
+    assert [_ray_gcd(*key) for key in gcds] == screened
 
 
 def test_rook_cube_search_runs_one_exact_gcd(monkeypatch):
@@ -468,7 +483,7 @@ def test_power_condition_with_a_cubic_minimal_polynomial(monkeypatch, exps, cons
     points = (Fr(0), Fr(1), Fr(1, 4), Fr(-1, 8))
     seen = []
     monkeypatch.setattr(linalg, "_rational_roots", lambda p: seen.append(p) or _rational_roots(p))
-    assert _solve_power_condition(points, exps, 2) == []
+    assert _power_roots(points, exps, _map_degree(exps), 2, _fresh_gcd(points, exps, 2)) == []
     mu, = seen
     N, D = _monic_parts(points, exps)
     assert mu.degree("x") == 3

@@ -191,10 +191,12 @@ def strip_content(row: dict) -> dict:
 
 def clear_denominators(entries: Sequence[RatFun], vars: tuple[str, ...]) -> list[MPoly]:
     """The entries times the lcm of their denominators (primitive, positive
-    lead); zero entries stay zero."""
+    lead); zero entries stay zero.  A constant denominator, or one that
+    divides the running lcm, leaves it unchanged, so mpoly_lcm runs only for
+    a denominator that brings a new factor."""
     common = MPoly.const(vars, 1)
     for e in entries:
-        if not e.den.is_constant():  # a constant factor leaves the primitive lcm unchanged
+        if not e.den.is_constant() and common.try_divide(e.den) is None:
             common = mpoly_lcm(common, e.den) if not common.is_constant() else e.den.primitive_part()
     return [e.num * common.divide_exact(e.den) if not e.is_zero() else MPoly.zero(vars)
             for e in entries]

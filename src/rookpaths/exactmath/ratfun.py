@@ -6,8 +6,10 @@ has a positive leading coefficient in the graded-lex monomial order.  With
 that convention two RatFun are equal as rational functions iff their stored
 parts are identical, so equality is a dict comparison.  `RatFun.subs` puts a
 RatFun for one variable by one `MPoly.subs` per side and one normalization.  The
-gcd runs only where a factor can cancel: not when one side is constant, and in
-`derivative` only against gcd(d, d_v), which holds every factor that can.
+gcd runs only where a factor can cancel: not when one side is constant, nor
+between equal sides, and in `derivative` only against gcd(d, d_v), which holds
+every factor that can.  A sum whose denominators nest finds their gcd, the
+inner one, by one exact division.
 """
 
 from __future__ import annotations
@@ -100,19 +102,25 @@ class RatFun:
             return self
         if self.den == o.den:
             return RatFun(self.num + o.num, self.den)
-        # Henrici addition: any common factor of the sum divides gcd(d1, d2),
-        # so the final reduction works on small operands.
-        g = mpoly_gcd(self.den, o.den)
-        if g.is_constant():
-            return RatFun(self.num * o.den + o.num * self.den,
-                          self.den * o.den, _reduced=True)
-        d1r = self.den.divide_exact(g)
-        d2r = o.den.divide_exact(g)
-        num = self.num * d2r + o.num * d1r
+        if self.den.is_constant() or o.den.is_constant():  # a unit side shares no factor
+            return RatFun(self.num * o.den + o.num * self.den, self.den * o.den, _reduced=True)
+        # Henrici addition: any common factor of the sum divides g = gcd(d1, d2),
+        # so the final reduction works on small operands.  When one denominator
+        # divides the other, it is g and the quotient is the other cofactor.
+        if (d1r := self.den.try_divide(o.den)) is not None:
+            g, num, den = o.den, self.num + o.num * d1r, self.den
+        elif (d2r := o.den.try_divide(self.den)) is not None:
+            g, num, den = self.den, self.num * d2r + o.num, o.den
+        else:
+            g = mpoly_gcd(self.den, o.den)
+            if g.is_constant():
+                return RatFun(self.num * o.den + o.num * self.den, self.den * o.den, _reduced=True)
+            d1r = self.den.divide_exact(g)
+            num, den = self.num * o.den.divide_exact(g) + o.num * d1r, d1r * o.den
         h = mpoly_gcd(num, g)
         if h.is_constant():
-            return RatFun(num, d1r * o.den, _reduced=True)
-        return RatFun(num.divide_exact(h), d1r * o.den.divide_exact(h), _reduced=True)
+            return RatFun(num, den, _reduced=True)
+        return RatFun(num.divide_exact(h), den.divide_exact(h), _reduced=True)
 
     __radd__ = __add__
 
@@ -206,9 +214,12 @@ class RatFun:
 
 
 def _cross_reduce(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
-    """num and den divided by their gcd; a constant side shares nothing."""
+    """num and den divided by their gcd; a constant side shares nothing, and
+    equal sides cancel to (1, 1)."""
     if num.is_constant() or den.is_constant():
         return num, den
+    if num == den:
+        return (one := MPoly.const(num.vars, 1)), one
     g = mpoly_gcd(num, den)
     return (num, den) if g.is_constant() else (num.divide_exact(g), den.divide_exact(g))
 

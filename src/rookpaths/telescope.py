@@ -624,7 +624,8 @@ def stage_b_search(P1: DiffOp, P2: DiffOp, d: int) -> tuple[DiffOp, DiffOp] | No
     powers = [normal_form(DiffOp.identity(xs, xs))]
     for _ in range(d):
         powers.append(normal_form(dx * powers[-1]))
-    shifted = [normal_form(ds), normal_form(ds * dx)]
+    nf_ds = normal_form(ds)  # d_s d_x = d_x d_s, and a left multiple stays in the ideal
+    shifted = [nf_ds, normal_form(dx * nf_ds)]
     A = [[nf.coeff(e) for nf in shifted] for e in basis]
     B = [[nf.coeff(e) for nf in powers] for e in basis]
 

@@ -1,16 +1,21 @@
 """Arithmetic kernel: polynomials, rational functions, series, nullspaces."""
 
+import importlib
 import math
 import random
 import re
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from rookpaths import rookdata
 from rookpaths.exactmath import (MPoly, PowerSeries, RatFun, clear_denominators, linear_nullspace,
                                  mpoly_gcd, mpoly_lcm, multiplicity, poly, ratfun, root_values, strip_content)
+from rookpaths.exactmath import linalg as linalg_module
 from rookpaths.exactmath import mpoly as mpoly_module
+
+ratfun_module = importlib.import_module("rookpaths.exactmath.ratfun")  # the package exports ratfun()
 
 X = ("x",)
 XST = ("x", "s", "t")
@@ -293,6 +298,11 @@ def test_ratfun_field_arithmetic():
     assert a + b == ratfun("(x*(1+x)+(1-x))/((1-x)*(1+x))", X)
     assert a * b / b == a
     assert (a - a).is_zero()
+    # equal sides cancel whatever their content
+    p, q = poly("2*x^2-3*x+1", X), poly("x^3+5", X)
+    assert RatFun(p * 2, p * 2) == RatFun.from_scalar(1, X)
+    assert RatFun(p, q) * RatFun(q, p) == RatFun.from_scalar(1, X)
+    assert RatFun(p, q * 3) * RatFun(q * 6, p * 4) == RatFun.from_scalar(Fraction(1, 2), X)
 
 
 def test_derivative_divides_out_only_the_common_factor_of_g():
@@ -1079,20 +1089,51 @@ def test_packed_multiplication_matches_schoolbook():
         assert (a * b).terms == ref
 
 
-def test_ratfun_addition_agrees_with_cross_multiplication():
-    rng = random.Random(2025)
+def test_ratfun_addition_agrees_with_cross_multiplication(monkeypatch):
+    # denominators with a shared factor g, nested ones in both orders (one pair
+    # cancels the inner denominator from the sum) and a constant non-unit one; a
+    # nested sum runs one gcd, against the inner denominator, and a constant side none
+    calls = []
+    monkeypatch.setattr(ratfun_module, "mpoly_gcd", lambda p, q: calls.append(q) or mpoly_gcd(p, q))
+    rng, nested = random.Random(2025), 0
     for _ in range(25):
         n1, d1 = rand_poly(rng, XST, 3, 2), rand_poly(rng, XST, 3, 2)
         n2, d2 = rand_poly(rng, XST, 3, 2), rand_poly(rng, XST, 3, 2)
         g = rand_poly(rng, XST, 2, 1)
         if d1.is_zero() or d2.is_zero() or g.is_zero():
             continue
-        a = RatFun(n1, d1 * g)
-        b = RatFun(n2, d2 * g)
-        total = a + b
-        # cross-multiplied reference, reduced through the constructor
-        ref = RatFun(a.num * b.den + b.num * a.den, a.den * b.den)
-        assert total == ref
+        outer, inner = RatFun(n1, d1 * g), RatFun(n2, g)
+        cancels = RatFun(n1 * g - n2 * d1, d1 * g)  # plus n2/g is n1/d1
+        for a, b in ((RatFun(n1, d1 * g), RatFun(n2, d2 * g)), (outer, inner), (inner, outer),
+                     (cancels, inner), (RatFun(n1, MPoly.const(XST, 3)), outer)):
+            calls.clear()
+            total = a + b
+            if a.den.is_constant() or b.den.is_constant():
+                assert calls == []
+            elif a.den != b.den and (d := next((d for d, e in ((b.den, a.den), (a.den, b.den))
+                                                if e.try_divide(d) is not None), None)):
+                assert calls == [d]
+                nested += 1
+            # cross-multiplied reference, reduced through the constructor
+            ref = RatFun(a.num * b.den + b.num * a.den, a.den * b.den)
+            assert total == ref
+    assert nested >= 50
+
+
+def test_clear_denominators_folds_mpoly_lcm_over_new_factors_only(monkeypatch):
+    # repeated and nested denominators: the result is exactly the entries times the
+    # fold of mpoly_lcm, and mpoly_lcm runs only for a denominator outside the running lcm
+    p, q, r = poly("x-s", XST), poly("2*t+1", XST), poly("x*t+s^2", XST)
+    entries = [ratfun(text, XST) for text in ("1/((x-s)*(2*t+1))", "x/(x-s)", "0", "s/(2*t+1)",
+                                               "t/3", "(x+1)/((x-s)^2*(x*t+s^2))", "1/(x*t+s^2)")]
+    dens = [e.den for e in entries if not e.den.is_constant()]
+    want = reduce(mpoly_lcm, dens[1:], dens[0].primitive_part())
+    assert want == p * p * q * r
+    calls = []
+    monkeypatch.setattr(linalg_module, "mpoly_lcm", lambda a, b: calls.append(b) or mpoly_lcm(a, b))
+    out = clear_denominators(entries, XST)
+    assert out == [e.num * want.divide_exact(e.den) if e else MPoly.zero(XST) for e in entries]
+    assert calls == [entries[5].den]
 
 
 def test_try_divide_round_trip_and_rejection():

@@ -143,6 +143,14 @@ def test_stage_b_no_solution_below_order3(stage_a_certs):
     assert stage_b_search(stage_a_certs[0].operator, stage_a_certs[1].operator, 2) is None
 
 
+def test_stage_b_shifted_normal_form_by_left_multiplication(stage_a_certs):
+    # stage B builds NF(d_s d_x) as NF(d_x NF(d_s)): the remainder in the basis (1, d_x) is unique
+    P1, P2 = stage_a_certs[0].operator, stage_a_certs[1].operator
+    dx, ds = DiffOp.partial(XS, XS, "x"), DiffOp.partial(XS, XS, "s")
+    nf_ds = telescope._divide_by_pair(ds, P1, P2)[2]
+    assert telescope._divide_by_pair(dx * nf_ds, P1, P2)[2] == telescope._divide_by_pair(ds * dx, P1, P2)[2]
+
+
 def test_stage_b_order3_matches_reference_values(stage_b_result):
     P, Q = stage_b_result
     assert P.coeff((0,)).is_zero()

@@ -1,23 +1,23 @@
 """Exact linear algebra over polynomial fraction fields.
 
-The solver is fraction-free: it takes polynomial rows, and elimination uses
-cross-multiplication followed by a full content strip of every updated row
-(rational content and polynomial gcd across the row).  By
-Sylvester's identity the stripped content always contains the Bareiss pivot
-factor, so growth is no worse than classical fraction-free elimination while
-the representation never leaves the polynomial ring.  Back-substitution
-stays in the ring too: each solved coordinate scales the vector by its
-pivot's cofactor.  A matrix of plain numbers runs the same elimination on
-Python ints, cleared row by row, with math.gcd content strips.
+Polynomial rows are solved as mpoly._heu_gcd finds a gcd: through integer images,
+read back from their digits and checked exactly.  Failing that, elimination is
+fraction-free: cross-multiplication followed by a full content strip of every
+updated row (rational content and polynomial gcd across the row).  By Sylvester's
+identity the stripped content always contains the Bareiss pivot factor, so growth
+is no worse than classical fraction-free elimination while the representation
+never leaves the polynomial ring.  Back-substitution stays in the ring too: each
+solved coordinate scales the vector by its pivot's cofactor.  Plain numbers run
+the same elimination on Python ints, cleared row by row, with math.gcd strips.
 
 Kernel vectors are canonical: for each free column the unique solution with
 that coordinate 1 and the other free coordinates 0, cleared to polynomials
 of content 1 with the first nonzero coordinate's leading coefficient positive.
-Pivot-row selection therefore affects speed only, never the output.  Column
-order does choose the basis: the vector of free column f is zero after f, so
-listing a subspace's coordinates last-first makes its echelon pivots free
-columns and the other basis vectors come out reduced modulo it (this is how
-the telescoping solver quotients out trivial certificates).
+Pivot rows and evaluation points therefore affect speed only, never the output.
+Column order does choose the basis: the vector of free column f is zero after f,
+so listing a subspace's coordinates last-first makes its echelon pivots free
+columns and the other basis vectors come out reduced modulo it (this is how the
+telescoping solver quotients out trivial certificates).
 """
 
 from __future__ import annotations
@@ -28,15 +28,26 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
-from .mpoly import MPoly, _rational_roots, frac_gcd, mpoly_gcd, mpoly_lcm
+from .mpoly import FIELD_BITS, MPoly, _eval_var, _interpolate, _rational_roots, frac_gcd, mpoly_gcd, mpoly_lcm
 from .ratfun import RatFun
+
+_KERNEL_TRIES = 3
+_IMAGE_BITS = 4096
 
 
 def linear_nullspace(matrix: Sequence[Sequence[MPoly | int | Fraction]]) -> list[list]:
     """Basis of the right kernel of a nonempty matrix, cleared to content-1 vectors.
 
     The cells are MPolys over one nonempty variable tuple, or plain ints and
-    Fractions, which run the elimination on Python ints and get int vectors back."""
+    Fractions, which run the elimination on Python ints and get int vectors back.
+    MPoly rows are solved through integer images (_image_kernel), and by the
+    elimination over MPoly when that gives up.  Both give the same basis: an image
+    kernel is at least as large as the generic one; read-back vectors with M v = 0
+    lie in the generic kernel and are independent, each nonzero at its own free
+    column of the image and zero at the others, so the dimensions agree; a kernel's
+    free columns are the last nonzero coordinates of its vectors, and each read-back
+    vector is zero after its own, so the free columns agree too.  Each is then its
+    column's canonical vector up to a factor, which strip_content and the sign remove."""
     if not matrix or not matrix[0]:
         raise ValueError("matrix must be nonempty")
     ncols = len(matrix[0])
@@ -50,9 +61,13 @@ def linear_nullspace(matrix: Sequence[Sequence[MPoly | int | Fraction]]) -> list
         return _integer_kernel(matrix, ncols)
     if not vars:
         raise ValueError("MPolys over no variables: pass plain numbers")
-    return _kernel([{j: p for j, p in enumerate(row) if p} for row in matrix], ncols,
-                   MPoly.const(vars, 1), mpoly_gcd, MPoly.divide_exact, strip_content,
-                   lambda e: (len(e.terms), e.total_degree()), MPoly.leading_coeff)
+    rows = [{j: p for j, p in enumerate(row) if p} for row in matrix]
+    basis = _image_kernel([r if (d := math.lcm(*(c.denominator for e in r.values() for c in e.packed.values()))) == 1
+                           else {j: e * d for j, e in r.items()} for r in rows if r], ncols, vars)
+    if basis is not None:
+        return [[vec.get(j, MPoly.zero(vars)) for j in range(ncols)] for vec in basis]
+    return _kernel(rows, ncols, MPoly.const(vars, 1), mpoly_gcd, MPoly.divide_exact, strip_content,
+                   lambda e: (len(e.packed), e.total_degree()), MPoly.leading_coeff)
 
 
 def root_values(a: MPoly, b: MPoly, G: MPoly) -> list[Fraction]:
@@ -96,24 +111,69 @@ def _integer_kernel(matrix: Sequence[Sequence[int | Fraction]], ncols: int) -> l
     return _kernel(rows, ncols, 1, math.gcd, operator.floordiv, _strip_integers, abs, int)
 
 
+def _image_kernel(rows: list[dict[int, MPoly]], ncols: int,
+                  vars: tuple[str, ...]) -> list[dict[int, MPoly]] | None:
+    """The canonical kernel of integer-coefficient rows, or None: as in _heu_gcd, the
+    last live variable is evaluated at an integer xi and the image solved again,
+    down to _integer_kernel.  An image vector is v(xi)/lam for the canonical v and
+    an integer lam; _read_back recovers both.  xi is odd, so that it rarely shares
+    a factor with lam, and starts at the square of GCDHEU's 2|M| + 1, since kernel
+    coefficients can outgrow the matrix's.  A failed read-back or M v != 0 moves on
+    to xi^2, for _KERNEL_TRIES points; rows past _IMAGE_BITS bits are not solved."""
+    norm = max((abs(c) for r in rows for e in r.values() for c in e.packed.values()), default=0)
+    if norm.bit_length() > _IMAGE_BITS:
+        return None
+    live = reduce(operator.or_, (k for r in rows for e in r.values() for k in e.packed), 0)
+    live &= (1 << (FIELD_BITS * len(vars))) - 1
+    if not live:
+        dense = [[r[j].packed[0] if j in r else 0 for j in range(ncols)] for r in rows]
+        return [{j: MPoly._of(vars, {0: c}) for j, c in enumerate(vec) if c}
+                for vec in _integer_kernel(dense, ncols)]
+    i = (live.bit_length() - 1) // FIELD_BITS  # the last live variable
+    xi = (2 * norm + 1) ** 2
+    for _ in range(_KERNEL_TRIES):
+        image = [{j: p for j, e in r.items() if (p := _eval_var(e, i, xi))} for r in rows]
+        basis = _image_kernel([r for r in image if r], ncols, vars)
+        if not basis:
+            return basis  # None, or no image kernel and so no kernel
+        basis = [_read_back(vec, i, xi) for vec in basis]
+        if None not in basis and not any(sum((e * vec[j] for j, e in r.items() if j in vec), MPoly.zero(vars))
+                                         for r in rows for vec in basis):
+            return basis
+        xi *= xi
+    return None
+
+
+def _read_back(vec: dict[int, MPoly], i: int, xi: int) -> dict[int, MPoly] | None:
+    """The content-1, sign-fixed vector with the symmetric base-xi digits of lam*vec in variable
+    i, or None.  A digit of lam*vec that is not small is rationally reconstructed (extended
+    Euclid, numerator up to xi/(2D), denominator up to D = xi^(1/4)), and lam takes on its denominator."""
+    bound = math.isqrt(math.isqrt(xi))
+    lam = 1
+    for c in (c for e in vec.values() for c in e.packed.values()):
+        c *= lam
+        while c:
+            r0, r1, t0, t1 = xi, c % xi, 0, 1
+            while r1 > xi // (2 * bound):
+                q = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+            if abs(t1) > bound:
+                return None
+            lam, c = lam * abs(t1), (c * abs(t1) + xi // 2) // xi  # drop the digit, now small
+    vec = strip_content({j: _interpolate(e * lam, i, xi) for j, e in vec.items()})
+    return {j: -e for j, e in vec.items()} if vec[min(vec)].leading_coeff() < 0 else vec
+
+
 def _kernel(rows: list[dict], ncols: int, one, gcd, quo, strip, size, lead) -> list[list]:
     """Canonical kernel basis of sparse rows over one ring, given its unit, gcd, exact
     quotient, content strip, pivot cost and the coefficient that carries an entry's sign."""
     rows = [strip(r) for r in rows if r]
     pivots: list[tuple[int, dict]] = []
     for col in range(ncols):
-        pivot = None
-        best = None
-        for r in rows:
-            e = r.get(col)
-            if e is None:
-                continue
-            score = (size(e), min(r.keys()), len(r))
-            if best is None or score < best:
-                best = score
-                pivot = r
-        if pivot is None:
+        candidates = [r for r in rows if col in r]
+        if not candidates:
             continue
+        pivot = min(candidates, key=lambda r: (size(r[col]), min(r), len(r)))
         rows.remove(pivot)
         pe = pivot[col]
         new_rows = []

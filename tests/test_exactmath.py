@@ -861,6 +861,121 @@ def test_constant_nullspace_matches_sympy_and_polynomial_path():
     check()
 
 
+def _image_route_only(monkeypatch):
+    """Make the elimination over MPoly fail the test: the kernel must come from integer images."""
+    kernel = linalg_module._kernel
+
+    def integers_only(rows, ncols, one, *rest):
+        assert not isinstance(one, MPoly), "fell back to the elimination over MPoly"
+        return kernel(rows, ncols, one, *rest)
+    monkeypatch.setattr(linalg_module, "_kernel", integers_only)
+
+
+@pytest.mark.parametrize("rows, expected", [
+    # v(xi) = (xi, xi + 2) would lose 2 at every even point; the points are odd
+    ([["x+2", "-x"]], [["x", "x+2"]]),
+    # the first point is 121, where v(xi) = (123, 126) = 3 * (41, 42)
+    ([["x+5", "-x-2"]], [["x+2", "x+5"]]),
+    # x^2 + x is even at every integer, and its lowest digit is 0: the factor 2 shows in the next digit
+    ([["2", "-x^2-x"]], [["x^2+x", "2"]]),
+    # the first point reads back a vector that does not vanish; the exact check moves on to the next
+    ([["x+3", "3*x^2+3*x+3", "0"], ["2*x+3", "x-1", "-3"]], [["9*x^2+9*x+9", "-3*x-9", "6*x^3+14*x^2+13*x+12"]]),
+])
+def test_nullspace_from_integer_images_recovers_lost_factors(rows, expected, monkeypatch):
+    _image_route_only(monkeypatch)
+    matrix = [[poly(e, X) for e in row] for row in rows]
+    assert linear_nullspace(matrix) == [[poly(e, X) for e in vec] for vec in expected]
+
+
+def test_nullspace_of_a_zero_polynomial_matrix_is_the_unit_basis(monkeypatch):
+    # what solve_parametrized_system passes when a system has no equations
+    _image_route_only(monkeypatch)
+    for vars in (X, ("x", "s")):
+        basis = linear_nullspace([[MPoly.zero(vars)] * 3] * 2)
+        assert basis == [[MPoly.const(vars, int(i == j)) for j in range(3)] for i in range(3)]
+
+
+def _sympy_canonical(sympy, vec, gens):
+    """A kernel vector over Q(gens) cleared to polynomials of content 1, its first
+    nonzero entry's leading coefficient positive in graded lex with the last variable highest."""
+    vec = [sympy.cancel(e) for e in vec]
+    den = reduce(sympy.lcm, [sympy.fraction(e)[1] for e in vec])
+    nums = [sympy.expand(sympy.cancel(e * den)) for e in vec]
+    g = reduce(sympy.gcd, [n for n in nums if n != 0])
+    nums = [sympy.expand(sympy.cancel(n / g)) for n in nums]
+    polys = [sympy.Poly(n, *reversed(gens)) for n in nums]
+    content = reduce(sympy.gcd, [c for p in polys for c in p.coeffs()])
+    lead = next(p for p in polys if not p.is_zero).LC(order="grlex")
+    return [sympy.expand(n / content * sympy.sign(lead)) for n in nums]
+
+
+def test_polynomial_nullspace_matches_sympy_and_the_elimination(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    @st.composite
+    def matrices(draw):
+        vars = draw(st.sampled_from((X, ("x", "s"))))
+        ncols = draw(st.integers(1, 5))
+        coeffs = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=4))
+        entries = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(vars)), coeffs, max_size=3)
+        entries = entries.map(lambda terms: MPoly(vars, terms))
+        # rank independent rows leave a kernel of dimension ncols - rank: 0, 1 or more
+        rank = draw(st.integers(0, ncols))
+        rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=rank, max_size=rank))
+        for _ in range(draw(st.integers(0 if rows else 1, 2))):  # planted dependent rows
+            if not rows:
+                rows.append([MPoly.zero(vars)] * ncols)
+                continue
+            a, b, p, q = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(entries), draw(entries)
+            rows.append([p * u + q * w for u, w in zip(a, b)])
+        return vars, draw(st.permutations(rows))
+
+    def as_sympy(p, gens):
+        return sum((sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[x ** e for x, e in zip(gens, exp)])
+                    for exp, c in p.terms.items()), sympy.Integer(0))
+
+    dims, solved, fallbacks = set(), [], []
+    kernel = linalg_module._kernel
+    monkeypatch.setattr(linalg_module, "_kernel", lambda rows, ncols, one, *rest: fallbacks.append(
+        isinstance(one, MPoly)) or kernel(rows, ncols, one, *rest))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(matrices())
+    def check(case):
+        vars, rows = case
+        gens = sympy.symbols(vars)
+        basis = linear_nullspace(rows)
+        dims.add(min(len(basis), 2))
+        solved.append(rows)
+        oracle = DomainMatrix.from_Matrix(sympy.Matrix([[as_sympy(e, gens) for e in row] for row in rows]))
+        expected = [_sympy_canonical(sympy, list(vec), gens) for vec in oracle.to_field().nullspace().to_Matrix().tolist()]
+        assert len(basis) == len(expected)
+        for vec, want in zip(basis, expected):
+            assert all(sympy.expand(as_sympy(e, gens) - w) == 0 for e, w in zip(vec, want))
+        eliminated = kernel([{j: e for j, e in enumerate(row) if e} for row in rows], len(rows[0]),
+                            MPoly.const(vars, 1), mpoly_gcd, MPoly.divide_exact, strip_content,
+                            lambda e: (len(e.packed), e.total_degree()), MPoly.leading_coeff)
+        assert basis == eliminated
+
+    check()
+    assert dims == {0, 1, 2}
+    assert fallbacks.count(True) <= len(solved) // 10  # nearly every kernel comes from integer images
+
+
+def test_nullspace_fallback_gives_the_same_basis(monkeypatch):
+    rng = random.Random(3)
+    matrices = [[[rand_poly(rng, vars, 3, 2) for _ in range(ncols)] for _ in range(nrows)]
+                for vars, nrows, ncols in [(X, 2, 3), (X, 3, 5), (("x", "s"), 2, 4), (("x", "s"), 3, 5)]]
+    matrices.append([[poly("2", X), poly("-x^2-x", X)]])
+    from_images = [linear_nullspace(m) for m in matrices]
+    monkeypatch.setattr(linalg_module, "_image_kernel", lambda rows, ncols, vars: None)
+    assert [linear_nullspace(m) for m in matrices] == from_images
+    assert all(from_images)
+
+
 @pytest.mark.parametrize("matrix", [
     [],
     [[]],

@@ -2,8 +2,9 @@
 
 import hashlib
 
-from rookpaths import proof
+from rookpaths import proof, telescope
 from rookpaths.cli import main
+from rookpaths.exactmath import MPoly, linalg
 from rookpaths.ore import IdentityReport
 
 CERTIFICATE_SHA256 = "27e7212f5b006ccd5fc81d474add7f943418901cd27799000822e2aa696aa422"
@@ -67,3 +68,16 @@ def test_each_object_is_built_once_and_only_when_consumed(monkeypatch):
     assert built == ["rook DP"]
     assert [verdict for _, verdict, _ in run] == [True] * 15
     assert sorted(built) == sorted(objects)
+
+
+def test_the_rook_kernels_come_from_integer_images(tmp_path, monkeypatch):
+    # stage A's two systems over Q[x, s] and stage B's over Q[x] are the only polynomial
+    # matrices, and the elimination over MPoly gets none of them
+    polynomial, eliminated = [], []
+    nullspace, kernel = telescope.linear_nullspace, linalg._kernel
+    monkeypatch.setattr(telescope, "linear_nullspace",
+                        lambda m: polynomial.append(isinstance(m[0][0], MPoly)) or nullspace(m))
+    monkeypatch.setattr(linalg, "_kernel", lambda rows, ncols, one, *rest: eliminated.append(
+        isinstance(one, MPoly)) or kernel(rows, ncols, one, *rest))
+    assert main(["--out", str(tmp_path), "prove-all"]) == 0
+    assert polynomial.count(True) == 3 and eliminated and not any(eliminated)
